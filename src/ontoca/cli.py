@@ -356,6 +356,22 @@ def _resolve_topology(config: dict, args) -> ising.GraphTopology:
     return serialize.topology_from_mapping(spec)
 
 
+def _config_int(value, path: str, minimum=None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigInvalid(path, f"expected an integer{bound}, got {value!r}")
+    return value
+
+
+def _spin_string(value, length: int, path: str) -> str:
+    """A bit string with one '0'/'1' character per vertex or edge."""
+    if not isinstance(value, str) or len(value) != length or set(value) - {"0", "1"}:
+        raise ConfigInvalid(path, f"expected {length} characters of '0'/'1', got {value!r}")
+    return value
+
+
 def cmd_ising_a(args) -> int:
     config = _load_config(args, "ising-a")
     topology = _resolve_topology(config, args)
@@ -367,9 +383,9 @@ def cmd_ising_a(args) -> int:
     else:
         raise ConfigInvalid("schedule", "no schedule given")
     start = ising.SpinConfiguration.from_strings(
-        config.get("start", "0" * topology.n_vertices)
+        _spin_string(config.get("start", "0" * topology.n_vertices), topology.n_vertices, "start")
     )
-    steps = int(config.get("steps", 8))
+    steps = _config_int(config.get("steps", 8), "steps", minimum=0)
     run = ising.model_a_evolve(topology, start, schedule, steps)
 
     composed = ising.PhasedPermutation.identity(1 << topology.n_vertices)
@@ -394,10 +410,14 @@ def cmd_ising_b(args) -> int:
     config = _load_config(args, "ising-b")
     topology = _resolve_topology(config, args)
     start_cfg = config.get("start", {})
-    vertex = start_cfg.get("vertices", "0" * topology.n_vertices)
-    edge = start_cfg.get("edges", "0" * topology.n_edges)
-    start = ising.SpinConfiguration.from_strings(vertex, edge)
-    steps = int(config.get("steps", 8))
+    if not isinstance(start_cfg, dict):
+        raise ConfigInvalid("start", "expected {vertices, edges}")
+    n_vertices, n_edges = topology.n_vertices, topology.n_edges
+    start = ising.SpinConfiguration.from_strings(
+        _spin_string(start_cfg.get("vertices", "0" * n_vertices), n_vertices, "start.vertices"),
+        _spin_string(start_cfg.get("edges", "0" * n_edges), n_edges, "start.edges"),
+    )
+    steps = _config_int(config.get("steps", 8), "steps", minimum=0)
 
     rule_spec = config.get("edge_rule", "frozen")
     if rule_spec == "frozen":
@@ -405,7 +425,8 @@ def cmd_ising_b(args) -> int:
     elif rule_spec == "cyclic":
         rule = ising.cyclic_edge_shift_rule(topology)
     elif isinstance(rule_spec, dict) and "seeded_random" in rule_spec:
-        rule = ising.seeded_edge_permutation_rule(topology, int(rule_spec["seeded_random"]))
+        seed = _config_int(rule_spec["seeded_random"], "edge_rule.seeded_random")
+        rule = ising.seeded_edge_permutation_rule(topology, seed)
     else:
         raise ConfigInvalid("edge_rule", f"unknown edge rule {rule_spec!r}")
 
@@ -413,13 +434,13 @@ def cmd_ising_b(args) -> int:
     combined = ising.edge_update_compose(transfer, rule, topology)
     unitary = combined.is_unitary()
     exp_dev = None
-    if topology.total_bits <= 12:
+    if topology.total_bits <= ising.EXPONENTIAL_FORM_MAX_BITS:
         exp_dev = ising.verify_exponential_form(topology)
 
     rows = []
     index, phase = start.basis_index, 0
     for n in range(steps + 1):
-        conf = ising.SpinConfiguration.from_index(index, topology.n_vertices, topology.n_edges)
+        conf = ising.SpinConfiguration.from_index(index, n_vertices, n_edges)
         rows.append((n, conf.vertex_string, conf.edge_string, phase))
         index, ph = combined.apply(index)
         phase = (phase + ph) % 4

@@ -6,7 +6,10 @@ basis index with vertex bits low and edge bits high (bit k = vertex k,
 bit N + e = edge number e; bit value 1 means spin up).  Every one-step map
 here sends a basis state to exactly one basis state times a fourth root of
 unity, so phases are tracked as integer exponents of i and the dynamics
-never leaves the configuration basis.
+never leaves the configuration basis.  Such a map is a `PhasedPermutation`:
+an index array and a phase-exponent array over all 2**bits basis states.
+Each constructor below is one array expression over the basis indices
+x = 0 .. 2**bits - 1, and every operation on the type is fancy indexing.
 
 Two update families are provided:
 
@@ -36,6 +39,8 @@ from .errors import (
 from .numerics import expm_hermitian, max_abs
 
 DEFAULT_MAX_BITS = 24
+# The exponential-form check builds and diagonalizes a dense 2**bits matrix.
+EXPONENTIAL_FORM_MAX_BITS = 12
 
 Edge = tuple[int, int]
 
@@ -154,61 +159,71 @@ class SpinConfiguration:
 # =============================================================================
 
 
-PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i**k
+PHASES = np.array((1 + 0j, 1j, -1 + 0j, -1j))  # i**k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhasedPermutation:
-    """Bijection on basis indices with a fourth-root-of-unity phase per index."""
+    """Bijection on basis indices with a fourth-root-of-unity phase per index.
 
-    target: tuple[int, ...]
-    phase_exponent: tuple[int, ...]
+    Basis index x goes to i**phase_exponent[x] times index target[x].  Both
+    fields are read-only numpy arrays: `target` of dtype intp and
+    `phase_exponent` of dtype uint8, reduced mod 4.  Any integer sequences
+    are accepted on construction and copied.
+    """
+
+    target: np.ndarray
+    phase_exponent: np.ndarray
 
     def __post_init__(self):
-        size = len(self.target)
-        if len(self.phase_exponent) != size:
+        target = np.array(self.target, dtype=np.intp)
+        phase = (np.asarray(self.phase_exponent) % 4).astype(np.uint8)
+        if target.ndim != 1 or phase.shape != target.shape:
             raise DimensionMismatch("target and phase arrays differ in length")
-        if sorted(self.target) != list(range(size)):
+        if not np.array_equal(np.sort(target), np.arange(target.size)):
             raise NotPermutation("target map is not a bijection on basis indices")
-        object.__setattr__(
-            self, "phase_exponent", tuple(p % 4 for p in self.phase_exponent)
+        target.flags.writeable = False
+        phase.flags.writeable = False
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "phase_exponent", phase)
+
+    def __eq__(self, other):
+        if not isinstance(other, PhasedPermutation):
+            return NotImplemented
+        return np.array_equal(self.target, other.target) and np.array_equal(
+            self.phase_exponent, other.phase_exponent
         )
 
     @property
     def size(self) -> int:
-        return len(self.target)
+        return self.target.size
 
     def apply(self, index: int) -> tuple[int, int]:
-        """Image and phase exponent of one basis index."""
-        return self.target[index], self.phase_exponent[index]
+        """Image and phase exponent of one basis index, as Python ints."""
+        return int(self.target[index]), int(self.phase_exponent[index])
 
     @classmethod
     def identity(cls, size: int) -> "PhasedPermutation":
-        return cls(tuple(range(size)), (0,) * size)
+        return cls(np.arange(size), np.zeros(size, dtype=np.uint8))
 
     def is_identity_permutation(self) -> bool:
-        return all(t == x for x, t in enumerate(self.target))
+        return np.array_equal(self.target, np.arange(self.size))
 
     def compose_after(self, inner: "PhasedPermutation") -> "PhasedPermutation":
         """self o inner: apply `inner` first, then self."""
         if inner.size != self.size:
             raise DimensionMismatch(f"sizes differ: {self.size} vs {inner.size}")
-        target = []
-        phase = []
-        for x in range(self.size):
-            mid = inner.target[x]
-            target.append(self.target[mid])
-            phase.append(inner.phase_exponent[x] + self.phase_exponent[mid])
-        return PhasedPermutation(tuple(target), tuple(phase))
+        return PhasedPermutation(
+            self.target[inner.target],
+            inner.phase_exponent + self.phase_exponent[inner.target],
+        )
 
     def inverse(self) -> "PhasedPermutation":
         """Also the conjugate transpose, since all phases are unit modulus."""
-        target = [0] * self.size
-        phase = [0] * self.size
-        for x, t in enumerate(self.target):
-            target[t] = x
-            phase[t] = -self.phase_exponent[x]
-        return PhasedPermutation(tuple(target), tuple(phase))
+        target = np.empty_like(self.target)
+        target[self.target] = np.arange(self.size)
+        # uint8 negation wraps mod 256, a multiple of 4
+        return PhasedPermutation(target, -self.phase_exponent[target])
 
     def power(self, k: int) -> "PhasedPermutation":
         if k < 0:
@@ -220,8 +235,7 @@ class PhasedPermutation:
 
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.size, self.size), dtype=complex)
-        for x in range(self.size):
-            m[self.target[x], x] = PHASES[self.phase_exponent[x]]
+        m[self.target, np.arange(self.size)] = PHASES[self.phase_exponent]
         return m
 
     def is_unitary(self) -> bool:
@@ -229,22 +243,24 @@ class PhasedPermutation:
 
 
 def commutator_report(a: PhasedPermutation, b: PhasedPermutation) -> tuple[bool, float]:
-    """Whether a and b commute, plus the largest entry of ab - ba (exact logic)."""
+    """Whether a and b commute, plus the largest entry of ab - ba (exact logic).
+
+    A column where ab and ba move the index to different places holds two
+    unit entries, so it contributes 1; otherwise it contributes the gap
+    between the two phases.
+    """
     if a.size != b.size:
         raise DimensionMismatch(f"sizes differ: {a.size} vs {b.size}")
     ab = a.compose_after(b)
     ba = b.compose_after(a)
     if ab == ba:
         return True, 0.0
-    worst = 0.0
-    for x in range(a.size):
-        t1, p1 = ab.apply(x)
-        t2, p2 = ba.apply(x)
-        if t1 != t2:
-            worst = max(worst, 1.0)
-        else:
-            worst = max(worst, abs(PHASES[p1] - PHASES[p2]))
-    return False, worst
+    gap = np.where(
+        ab.target != ba.target,
+        1.0,
+        np.abs(PHASES[ab.phase_exponent] - PHASES[ba.phase_exponent]),
+    )
+    return False, float(gap.max())
 
 
 # =============================================================================
@@ -331,13 +347,9 @@ def model_a_step_operator(
     topology.edge_number(active_edge)  # raises EdgeNotInTopology
     if sign not in (1, -1):
         raise ValueError(f"coefficient must be +1 or -1, got {sign}")
-    size = 1 << topology.n_vertices
+    x = np.arange(1 << topology.n_vertices)
     mask = topology.vertex_mask((min(active_edge), max(active_edge)))
-    exponent = 3 if sign == 1 else 1
-    return PhasedPermutation(
-        target=tuple(x ^ mask for x in range(size)),
-        phase_exponent=(exponent,) * size,
-    )
+    return PhasedPermutation(x ^ mask, np.full_like(x, 3 if sign == 1 else 1))
 
 
 def model_a_evolve(
@@ -391,24 +403,13 @@ def model_b_transfer(
             f"{topology.n_vertices} vertex + {topology.n_edges} edge bits exceed the "
             f"{max_bits}-bit limit"
         )
-    n = topology.n_vertices
-    n_edges = topology.n_edges
-    edge_masks = [topology.vertex_mask(e) for e in topology.edges]
     # vertex-flip mask for every edge-bit pattern
-    pattern_mask = [0] * (1 << n_edges)
-    for pattern in range(1 << n_edges):
-        m = 0
-        for e in range(n_edges):
-            if (pattern >> e) & 1:
-                m ^= edge_masks[e]
-        pattern_mask[pattern] = m
-    size = 1 << bits
-    vmask_all = (1 << n) - 1
-    target = []
-    for x in range(size):
-        pattern = x >> n
-        target.append(((x & vmask_all) ^ pattern_mask[pattern]) | (pattern << n))
-    return PhasedPermutation(tuple(target), (3,) * size)
+    patterns = np.arange(1 << topology.n_edges)
+    pattern_mask = np.zeros_like(patterns)
+    for e, edge in enumerate(topology.edges):
+        pattern_mask ^= ((patterns >> e) & 1) * topology.vertex_mask(edge)
+    x = np.arange(1 << bits)
+    return PhasedPermutation(x ^ pattern_mask[x >> topology.n_vertices], np.full_like(x, 3))
 
 
 def model_b_factor(topology: GraphTopology, edge_number: int) -> PhasedPermutation:
@@ -419,14 +420,10 @@ def model_b_factor(topology: GraphTopology, edge_number: int) -> PhasedPermutati
     """
     if not 0 <= edge_number < topology.n_edges:
         raise EdgeNotInTopology(f"edge number {edge_number} out of range")
-    n = topology.n_vertices
+    x = np.arange(1 << topology.total_bits)
+    gate = (x >> (topology.n_vertices + edge_number)) & 1
     mask = topology.vertex_mask(topology.edges[edge_number])
-    ebit = 1 << (n + edge_number)
-    size = 1 << topology.total_bits
-    return PhasedPermutation(
-        tuple(x ^ mask if x & ebit else x for x in range(size)),
-        (0,) * size,
-    )
+    return PhasedPermutation(x ^ (gate * mask), np.zeros_like(x))
 
 
 def projector_identity_check(k: int) -> bool:
@@ -462,23 +459,22 @@ def projector_identity_check(k: int) -> bool:
 
 
 def build_generator_matrix(topology: GraphTopology) -> np.ndarray:
-    """Sum over edges of the gated pair-flip involutions, as a dense matrix."""
-    bits = topology.total_bits
-    size = 1 << bits
-    n = topology.n_vertices
+    """Sum over edges of the gated pair-flip involutions, as a dense matrix.
+
+    Each involution is the permutation matrix of `model_b_factor`, added
+    into one real array without forming it as a complex matrix.
+    """
+    size = 1 << topology.total_bits
+    x = np.arange(size)
     g = np.zeros((size, size))
-    for e, edge in enumerate(topology.edges):
-        mask = topology.vertex_mask(edge)
-        ebit = 1 << (n + e)
-        for x in range(size):
-            if x & ebit:
-                g[x ^ mask, x] += 1.0
-            else:
-                g[x, x] += 1.0
+    for e in range(topology.n_edges):
+        np.add.at(g, (model_b_factor(topology, e).target, x), 1.0)
     return g
 
 
-def verify_exponential_form(topology: GraphTopology, max_bits: int = 12) -> float:
+def verify_exponential_form(
+    topology: GraphTopology, max_bits: int = EXPONENTIAL_FORM_MAX_BITS
+) -> float:
     """Max deviation between the exact transfer map and its exponential form.
 
     The generator is the commuting sum of gated pair-flip involutions; its
@@ -528,24 +524,16 @@ def gauge_check(
 
 def global_vertex_flip(topology: GraphTopology) -> PhasedPermutation:
     """Flip every vertex spin; a discrete symmetry candidate."""
-    size = 1 << topology.total_bits
-    mask = (1 << topology.n_vertices) - 1
-    return PhasedPermutation(
-        tuple((x & ~mask) | ((x & mask) ^ mask) for x in range(size)),
-        (0,) * size,
-    )
+    x = np.arange(1 << topology.total_bits)
+    return PhasedPermutation(x ^ ((1 << topology.n_vertices) - 1), np.zeros_like(x))
 
 
 def vertex_sign_flip(topology: GraphTopology, vertex: int) -> PhasedPermutation:
     """Diagonal map multiplying by -1 whenever the given vertex spin is down."""
     if not 0 <= vertex < topology.n_vertices:
         raise ValueError(f"vertex {vertex} out of range")
-    size = 1 << topology.total_bits
-    bit = 1 << vertex
-    return PhasedPermutation(
-        tuple(range(size)),
-        tuple(0 if (x & bit) else 2 for x in range(size)),
-    )
+    x = np.arange(1 << topology.total_bits)
+    return PhasedPermutation(x, np.where((x >> vertex) & 1, 0, 2))
 
 
 # =============================================================================
@@ -569,11 +557,11 @@ def edge_update_compose(
             f"edge rule size {edge_rule.size} vs transfer size {transfer.size}"
         )
     vmask = (1 << topology.n_vertices) - 1
-    for x in range(edge_rule.size):
-        if (edge_rule.target[x] & vmask) != (x & vmask):
-            raise NotPermutation(
-                f"edge rule moves vertex bits at index {x}; it must act on edge bits only"
-            )
+    moved = np.flatnonzero((edge_rule.target ^ np.arange(edge_rule.size)) & vmask)
+    if moved.size:
+        raise NotPermutation(
+            f"edge rule moves vertex bits at index {moved[0]}; it must act on edge bits only"
+        )
     return edge_rule.compose_after(transfer)
 
 
@@ -584,27 +572,19 @@ def frozen_edges_rule(topology: GraphTopology) -> PhasedPermutation:
 def cyclic_edge_shift_rule(topology: GraphTopology) -> PhasedPermutation:
     """Rotate the edge-bit register by one position."""
     n, n_edges = topology.n_vertices, topology.n_edges
-    size = 1 << topology.total_bits
+    x = np.arange(1 << topology.total_bits)
     if n_edges < 2:
-        return PhasedPermutation.identity(size)
-    emask = (1 << n_edges) - 1
-
-    def shift(pattern: int) -> int:
-        return ((pattern << 1) | (pattern >> (n_edges - 1))) & emask
-
-    return PhasedPermutation(
-        tuple((x & ((1 << n) - 1)) | (shift(x >> n) << n) for x in range(size)),
-        (0,) * size,
-    )
+        return PhasedPermutation.identity(x.size)
+    pattern = x >> n
+    shifted = ((pattern << 1) | (pattern >> (n_edges - 1))) & ((1 << n_edges) - 1)
+    return PhasedPermutation((x & ((1 << n) - 1)) | (shifted << n), np.zeros_like(x))
 
 
 def seeded_edge_permutation_rule(topology: GraphTopology, seed: int) -> PhasedPermutation:
     """A fixed random permutation of edge-bit patterns, reproducible per seed."""
-    n, n_edges = topology.n_vertices, topology.n_edges
-    patterns = list(range(1 << n_edges))
+    n = topology.n_vertices
+    patterns = list(range(1 << topology.n_edges))
     random.Random(seed).shuffle(patterns)
-    size = 1 << topology.total_bits
-    return PhasedPermutation(
-        tuple((x & ((1 << n) - 1)) | (patterns[x >> n] << n) for x in range(size)),
-        (0,) * size,
-    )
+    x = np.arange(1 << topology.total_bits)
+    target = (x & ((1 << n) - 1)) | (np.array(patterns)[x >> n] << n)
+    return PhasedPermutation(target, np.zeros_like(x))

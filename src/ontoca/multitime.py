@@ -32,20 +32,6 @@ from .gaussian import GaussianIntVector, GaussianRational, HamiltonianModel, Tra
 
 Point = tuple[int, int]
 
-_SYNC_MODES = ("free", "diagonal_second_order", "diagonal_first_order")
-
-
-@dataclass(frozen=True)
-class SyncMode:
-    mode: str
-    offsets: tuple[int, int] = (0, 0)
-
-    def __post_init__(self):
-        if self.mode not in _SYNC_MODES:
-            raise ValueError(f"mode must be one of {_SYNC_MODES}, got {self.mode!r}")
-        if self.mode != "diagonal_first_order" and self.offsets != (0, 0):
-            raise ValueError("offsets are only meaningful in first-order mode")
-
 
 # =============================================================================
 # Exact vectors and tensor Hamiltonians
@@ -468,32 +454,6 @@ def propagate_diagonal(
 # =============================================================================
 
 
-@dataclass(frozen=True)
-class FirstOrderStencil:
-    """The five lattice points tied together by the first-order constraint."""
-
-    center: Point
-    constraint_points: tuple[Point, Point, Point, Point]
-    target: Point
-
-    @property
-    def constraint_parities(self) -> tuple[int, ...]:
-        return tuple((p[0] + p[1]) % 2 for p in self.constraint_points)
-
-    @property
-    def target_parity(self) -> int:
-        return (self.target[0] + self.target[1]) % 2
-
-
-def first_order_stencil(n1: int, n2: int) -> FirstOrderStencil:
-    """Constraint geometry at (n1, n2): four same-parity points -> one opposite."""
-    return FirstOrderStencil(
-        center=(n1, n2),
-        constraint_points=((n1 + 1, n2), (n1 - 1, n2), (n1, n2 + 1), (n1, n2 - 1)),
-        target=(n1 + 1, n2 + 1),
-    )
-
-
 def sync_second_order(prev, curr, h: TensorHamiltonian) -> tuple[GaussianRational, ...]:
     """Diagonal synchronization: next = prev - i H curr (same algebra as a
     single flattened system, so it runs both ways exactly)."""
@@ -505,7 +465,6 @@ def sync_second_order(prev, curr, h: TensorHamiltonian) -> tuple[GaussianRationa
 @dataclass(frozen=True)
 class FirstOrderRun:
     states: tuple[tuple[GaussianRational, ...], ...]
-    sync: SyncMode
     direction: int
 
     def __len__(self):
@@ -520,15 +479,12 @@ def sync_first_order(
     h: TensorHamiltonian,
     steps: int,
     direction: int = 1,
-    offsets: tuple[int, int] = (0, 0),
 ) -> FirstOrderRun:
     """Iterate the fully synchronized update psi -> -i H psi.
 
-    One effective time variable remains; `offsets` records the (m1, m2)
-    relabelling of the two counters as metadata without affecting the
-    dynamics.  direction=-1 generates states at decreasing indices via the
-    backward-synchronized form (the previous state equals -i H times the
-    current one).
+    One effective time variable remains.  direction=-1 generates states at
+    decreasing indices via the backward-synchronized form (the previous
+    state equals -i H times the current one).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -539,11 +495,7 @@ def sync_first_order(
     for _ in range(steps):
         vec = tuple(-c.times_i() for c in h.apply(vec))
         states.append(vec)
-    return FirstOrderRun(
-        states=tuple(states),
-        sync=SyncMode("diagonal_first_order", tuple(offsets)),
-        direction=direction,
-    )
+    return FirstOrderRun(states=tuple(states), direction=direction)
 
 
 def norm_sq_exact(vec) -> GaussianRational:

@@ -219,6 +219,26 @@ class TestIsing:
         )
         assert run(["ising-a", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "command, fields, path",
+        [
+            ("ising-a", {"start": "01x"}, "start"),
+            ("ising-a", {"start": "01"}, "start"),
+            ("ising-a", {"steps": -1}, "steps"),
+            ("ising-b", {"start": {"vertices": "10", "edges": "11"}}, "start.vertices"),
+            ("ising-b", {"start": {"vertices": "101", "edges": "110"}}, "start.edges"),
+            ("ising-b", {"steps": -1}, "steps"),
+            ("ising-b", {"edge_rule": {"seeded_random": "x"}}, "edge_rule.seeded_random"),
+        ],
+    )
+    def test_bad_input_names_config_path(self, tmp_path, capsys, command, fields, path):
+        doc = {"kind": command, "topology": {"n_vertices": 3, "edges": [[0, 1], [1, 2]]}}
+        if command == "ising-a":
+            doc["schedule"] = {"kind": "periodic", "steps": [[0, 1, 1], [1, 2, 1]]}
+        cfg = write_json(tmp_path / "c.json", {**doc, **fields})
+        assert run([command, cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
     def test_edge_gated_run(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "c.json",

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ontoca.errors import (
     DimensionMismatch,
@@ -116,8 +117,61 @@ class TestPhasedPermutation:
     def test_power(self):
         perm = PhasedPermutation((1, 0), (3, 3))
         sq = perm.power(2)
-        assert sq.target == (0, 1)
-        assert sq.phase_exponent == (2, 2)  # (-i)(-i) = -1
+        assert np.array_equal(sq.target, (0, 1))
+        assert np.array_equal(sq.phase_exponent, (2, 2))  # (-i)(-i) = -1
+
+
+@st.composite
+def phased_pairs(draw):
+    """Two random phased permutations of one size between 1 and 64."""
+    size = draw(st.integers(1, 64))
+
+    def one():
+        return PhasedPermutation(
+            draw(st.permutations(range(size))),
+            draw(st.lists(st.integers(-8, 8), min_size=size, max_size=size)),
+        )
+
+    return one(), one()
+
+
+class TestArrayKernelAgainstDense:
+    """The index/phase array operations against dense complex matrices."""
+
+    @given(phased_pairs())
+    def test_compose_is_matrix_product(self, pair):
+        a, b = pair
+        assert np.array_equal(a.compose_after(b).to_dense(), a.to_dense() @ b.to_dense())
+
+    @given(phased_pairs())
+    def test_inverse_is_conjugate_transpose(self, pair):
+        a, _ = pair
+        assert np.array_equal(a.inverse().to_dense(), a.to_dense().conj().T)
+
+    @given(phased_pairs())
+    def test_power_is_matrix_power(self, pair):
+        a, _ = pair
+        dense = a.to_dense()
+        for k in range(-3, 6):
+            # negative powers go through a numerical matrix inverse
+            expected = np.linalg.matrix_power(dense, k)
+            assert np.allclose(a.power(k).to_dense(), expected, rtol=0.0, atol=1e-12)
+
+    @given(phased_pairs())
+    def test_commutator_worst_is_dense_maximum(self, pair):
+        a, b = pair
+        da, db = a.to_dense(), b.to_dense()
+        dense_worst = np.abs(da @ db - db @ da).max()
+        commutes, worst = commutator_report(a, b)
+        assert worst == dense_worst
+        assert commutes == (dense_worst == 0.0)
+
+    def test_arrays_are_read_only(self):
+        perm = PhasedPermutation((1, 2, 0), (3, 0, 1))
+        with pytest.raises(ValueError):
+            perm.target[0] = 0
+        with pytest.raises(ValueError):
+            perm.phase_exponent[0] = 0
 
 
 # =============================================================================
@@ -146,7 +200,7 @@ class TestDrivenModel:
         topo = GraphTopology.fully_connected(2)
         plus = model_a_step_operator(topo, (0, 1), sign=1)
         minus = model_a_step_operator(topo, (0, 1), sign=-1)
-        assert plus.target == minus.target
+        assert np.array_equal(plus.target, minus.target)
         assert set(plus.phase_exponent) == {3}
         assert set(minus.phase_exponent) == {1}
 

@@ -33,7 +33,6 @@ from ontoca.multitime import (
     TensorHamiltonian,
     as_exact_vector,
     equation_residual,
-    first_order_stencil,
     interior_points,
     leibniz_identity_check,
     norm_sq_exact,
@@ -393,21 +392,9 @@ class TestSyncFirstOrder:
 
     def test_direction_metadata(self):
         h = TensorHamiltonian.general(((0, 1), (1, 0)), dims=(2, 1))
-        run = sync_first_order([1, 0], h, steps=2, direction=-1, offsets=(2, -1))
+        run = sync_first_order([1, 0], h, steps=2, direction=-1)
         assert isinstance(run, FirstOrderRun)
         assert run.direction == -1
-        assert run.sync.offsets == (2, -1)
-        assert run.sync.mode == "diagonal_first_order"
-
-
-class TestFirstOrderStencil:
-    @given(st.integers(min_value=-20, max_value=20), st.integers(min_value=-20, max_value=20))
-    def test_parity_bookkeeping(self, n1, n2):
-        stencil = first_order_stencil(n1, n2)
-        parities = set(stencil.constraint_parities)
-        assert len(parities) == 1
-        assert stencil.target_parity != parities.pop()
-        assert stencil.target_parity == (n1 + n2) % 2
 
 
 # =============================================================================
