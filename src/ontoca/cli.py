@@ -73,6 +73,15 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _config_int(value, path: str, minimum=None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigInvalid(path, f"expected an integer{bound}, got {value!r}")
+    return value
+
+
 def _resolve_model(config: dict, args) -> HamiltonianModel:
     if getattr(args, "preset", None):
         return ontology.preset_hamiltonian(args.preset)
@@ -107,6 +116,34 @@ def _write_out(config: dict, text: str, default_name: str) -> str:
     return out
 
 
+class _StageLog:
+    """Wall time per stage of a subcommand, logged at INFO on stderr.
+
+    Inert unless INFO is enabled, so a default run pays nothing.
+    """
+
+    def __init__(self, command: str):
+        self.command = command
+        self.enabled = log.isEnabledFor(logging.INFO)
+        self.stages: list[str] = []
+        if self.enabled:
+            from time import perf_counter
+
+            self._clock = perf_counter
+            self._last = perf_counter()
+
+    def mark(self, stage: str):
+        """Close the stage running since the previous mark."""
+        if self.enabled:
+            now = self._clock()
+            self.stages.append(f"{stage}={now - self._last:.6f}s")
+            self._last = now
+
+    def emit(self):
+        if self.enabled:
+            log.info("%s: stage times %s", self.command, " ".join(self.stages))
+
+
 # =============================================================================
 # Subcommand handlers
 # =============================================================================
@@ -116,8 +153,10 @@ def cmd_evolve(args) -> int:
     config = _load_config(args, "evolve")
     model = _resolve_model(config, args)
     pair = _resolve_pair(config, model)
-    steps = int(config.get("steps", 12))
+    steps = _config_int(config.get("steps", 12), "steps", minimum=1)
+    stages = _StageLog("evolve")
     traj = evolve(pair, model, steps)
+    stages.mark("evolve")
 
     q0 = two_time_correlation(pair)
     conserved = all(
@@ -125,6 +164,7 @@ def cmd_evolve(args) -> int:
         for n in range(traj.start_index + 1, traj.start_index + len(traj))
     )
     residuals_zero = traj.verify()
+    stages.mark("check")
 
     fmt = config.get("format", "csv")
     if fmt == "csv":
@@ -144,6 +184,13 @@ def cmd_evolve(args) -> int:
         out = _write_out(config, serialize.dumps_json(doc), "evolve.json")
     else:
         raise ConfigInvalid("format", f"unknown format {fmt!r}")
+    stages.mark("write")
+    if stages.enabled:
+        bits = max(
+            max(abs(c.re).bit_length(), abs(c.im).bit_length()) for st in traj.states for c in st
+        )
+        log.info("evolve: dim=%d steps=%d max_coeff_bits=%d", model.dim, steps, bits)
+    stages.emit()
 
     ok = conserved and residuals_zero
     print(
@@ -217,6 +264,8 @@ def cmd_ontology_scan(args) -> int:
             for v in basis_spec
         )
     max_steps = config.get("max_steps")
+    if max_steps is not None:
+        max_steps = _config_int(max_steps, "max_steps", minimum=1)
     report = ontology.detect_phased_permutation(
         model, pair.psi_prev, pair.psi_curr, basis, max_steps=max_steps
     )
@@ -292,7 +341,7 @@ def cmd_multitime(args) -> int:
 
     residual_ok = True
     if mode == "line":
-        steps = int(config.get("steps", 1))
+        steps = _config_int(config.get("steps", 1), "steps", minimum=0)
         axis = config.get("axis", "n1")
         direction = int(config.get("direction", 1))
         periodic = bool(config.get("periodic", False))
@@ -319,7 +368,9 @@ def cmd_multitime(args) -> int:
         export = merged
         summary = f"diagonal seed={extra_point}"
     else:
-        steps = int(config.get("steps", 4))
+        # sync_first_order needs at least one step; second_order may run none
+        minimum = 1 if mode == "first_order" else 0
+        steps = _config_int(config.get("steps", 4), "steps", minimum=minimum)
         if mode == "second_order":
             prev = serialize.vector_from_config(_require(config, "prev"), "prev")
             curr = serialize.vector_from_config(_require(config, "curr"), "curr")
@@ -354,15 +405,6 @@ def _resolve_topology(config: dict, args) -> ising.GraphTopology:
     if isinstance(spec, str):
         return serialize.load_topology_file(spec)
     return serialize.topology_from_mapping(spec)
-
-
-def _config_int(value, path: str, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or (
-        minimum is not None and value < minimum
-    ):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigInvalid(path, f"expected an integer{bound}, got {value!r}")
-    return value
 
 
 def _spin_string(value, length: int, path: str) -> str:

@@ -12,7 +12,7 @@ this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -283,7 +283,7 @@ class GaussianIntVector:
         return sum(c.norm_sq() for c in self)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self)
+        return not any(c.re or c.im for c in self.components)
 
     def as_complex(self) -> list[complex]:
         return [complex(c) for c in self.components]
@@ -323,6 +323,75 @@ def from_xp(x: Sequence[int], p: Sequence[int]) -> GaussianIntVector:
 
 
 # =============================================================================
+# The exact kernel on raw (re, im) int pairs
+# =============================================================================
+
+
+def _compile_rows(matrix) -> tuple:
+    """Nonzero entries of each row of (re, im) pairs as (col, re, im) triples."""
+    return tuple(
+        tuple((col, re, im) for col, (re, im) in enumerate(row) if re or im) for row in matrix
+    )
+
+
+def _matvec_raw(rows, v) -> list[tuple[int, int]]:
+    """M @ v for M given by its compiled rows, on raw (re, im) int pairs.
+
+    The one exact product with H (or a transfer matrix): stepping, apply_h,
+    residuals and the transfer recursion all run on it.
+    """
+    out = []
+    for row in rows:
+        sre = 0
+        sim = 0
+        for j, mre, mim in row:
+            vre, vim = v[j]
+            sre += mre * vre - mim * vim
+            sim += mre * vim + mim * vre
+        out.append((sre, sim))
+    return out
+
+
+def _step_raw(rows, base, v, sign: int = 1) -> list[tuple[int, int]]:
+    """base - sign * i * (H @ v).
+
+    sign=1 is the forward rule psi[n+1] = psi[n-1] - i H psi[n].  The rule is
+    time-symmetric, so sign=-1 is the backward rule psi[n-1] = psi[n+1] + i H psi[n].
+    """
+    return [
+        (bre + sign * him, bim - sign * hre)
+        for (bre, bim), (hre, him) in zip(base, _matvec_raw(rows, v))
+    ]
+
+
+def _raw(v: GaussianIntVector) -> list[tuple[int, int]]:
+    return [(c.re, c.im) for c in v.components]
+
+
+_new = object.__new__
+_set_re = GaussianInt.re.__set__
+_set_im = GaussianInt.im.__set__
+
+
+def _gaussian(re: int, im: int) -> GaussianInt:
+    z = _new(GaussianInt)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
+
+
+def _box(pairs) -> GaussianIntVector:
+    """Box raw pairs at the API boundary.
+
+    The pairs come out of exact int arithmetic, so the type checks and the
+    coercion of the public constructors are skipped.
+    """
+    v = _new(GaussianIntVector)
+    object.__setattr__(v, "components", tuple(_gaussian(re, im) for re, im in pairs))
+    return v
+
+
+# =============================================================================
 # Hamiltonian models
 # =============================================================================
 
@@ -334,34 +403,27 @@ class HamiltonianModel:
     dim: int
     s_matrix: tuple[tuple[int, ...], ...]
     a_matrix: tuple[tuple[int, ...], ...]
+    # Nonzero entries of H per row as (col, re, im) triples, compiled once:
+    # every exact product with H runs on these.
+    h_rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "h_rows", _compile_rows(zip(s, a) for s, a in zip(self.s_matrix, self.a_matrix))
+        )
 
     @property
     def h_matrix(self) -> tuple[tuple[GaussianInt, ...], ...]:
+        """Dense boxed H; the reference form, not used for stepping."""
         return tuple(
             tuple(GaussianInt(self.s_matrix[a][b], self.a_matrix[a][b]) for b in range(self.dim))
             for a in range(self.dim)
         )
 
-    def h_rows_compiled(self):
-        """Nonzero entries per row as (col, re, im) triples, for the fast update loop."""
-        rows = []
-        for a in range(self.dim):
-            row = []
-            for b in range(self.dim):
-                sre, aim = self.s_matrix[a][b], self.a_matrix[a][b]
-                if sre or aim:
-                    row.append((b, sre, aim))
-            rows.append(tuple(row))
-        return tuple(rows)
-
     def apply_h(self, v: GaussianIntVector) -> GaussianIntVector:
         if len(v) != self.dim:
             raise DimensionMismatch(f"vector length {len(v)} vs model dim {self.dim}")
-        h = self.h_matrix
-        return GaussianIntVector(
-            sum((h[a][b] * v[b] for b in range(self.dim)), GaussianInt(0, 0))
-            for a in range(self.dim)
-        )
+        return _box(_matvec_raw(self.h_rows, _raw(v)))
 
     def as_complex_array(self):
         import numpy as np
@@ -446,11 +508,10 @@ class Trajectory:
 
     def residual_at(self, n: int) -> GaussianIntVector:
         """psi[n+1] - psi[n-1] + i H psi[n]; exactly zero on valid trajectories."""
-        forced = self.model.apply_h(self.state_at(n))
-        return (
-            self.state_at(n + 1)
-            - self.state_at(n - 1)
-            + GaussianIntVector(c.times_i() for c in forced)
+        h_curr = _matvec_raw(self.model.h_rows, _raw(self.state_at(n)))
+        return _box(
+            (nxt.re - prv.re - him, nxt.im - prv.im + hre)
+            for nxt, prv, (hre, him) in zip(self.state_at(n + 1), self.state_at(n - 1), h_curr)
         )
 
     def verify(self) -> bool:
@@ -464,72 +525,33 @@ def _check_pair_model(pair: CAPairState, model: HamiltonianModel):
         raise DimensionMismatch(f"pair dim {pair.dim} vs model dim {model.dim}")
 
 
-def _forward_raw(rows, prev, curr):
-    # next = prev - i * (H @ curr), on raw (re, im) int pairs
-    out = []
-    for (pre, pim), row in zip(prev, rows):
-        sre = 0
-        sim = 0
-        for j, hre, him in row:
-            vre, vim = curr[j]
-            sre += hre * vre - him * vim
-            sim += hre * vim + him * vre
-        out.append((pre + sim, pim - sre))
-    return out
-
-
-def _backward_raw(rows, prev, curr):
-    # previous-previous = curr + i * (H @ prev)
-    out = []
-    for (cre, cim), row in zip(curr, rows):
-        sre = 0
-        sim = 0
-        for j, hre, him in row:
-            vre, vim = prev[j]
-            sre += hre * vre - him * vim
-            sim += hre * vim + him * vre
-        out.append((cre - sim, cim + sre))
-    return out
-
-
 def step(pair: CAPairState, model: HamiltonianModel, direction: str = "forward") -> CAPairState:
     """Advance or rewind the pair by one index.  Exact in both directions."""
     _check_pair_model(pair, model)
-    rows = model.h_rows_compiled()
-    prev = pair.psi_prev.as_pairs()
-    curr = pair.psi_curr.as_pairs()
+    prev = _raw(pair.psi_prev)
+    curr = _raw(pair.psi_curr)
     if direction == "forward":
-        nxt = _forward_raw(rows, prev, curr)
-        return CAPairState(
-            pair.psi_curr,
-            GaussianIntVector(GaussianInt(r, i) for r, i in nxt),
-            index_n=pair.index_n + 1,
-        )
+        nxt = _step_raw(model.h_rows, prev, curr)
+        return CAPairState(pair.psi_curr, _box(nxt), index_n=pair.index_n + 1)
     if direction == "backward":
-        before = _backward_raw(rows, prev, curr)
-        return CAPairState(
-            GaussianIntVector(GaussianInt(r, i) for r, i in before),
-            pair.psi_prev,
-            index_n=pair.index_n - 1,
-        )
+        before = _step_raw(model.h_rows, curr, prev, sign=-1)
+        return CAPairState(_box(before), pair.psi_prev, index_n=pair.index_n - 1)
     raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
 
 
 def stream(pair: CAPairState, model: HamiltonianModel) -> Iterator[CAPairState]:
     """Yield successive forward pairs indefinitely, keeping only a 2-state window."""
     _check_pair_model(pair, model)
-    rows = model.h_rows_compiled()
-    prev = pair.psi_prev.as_pairs()
-    curr = pair.psi_curr.as_pairs()
+    rows = model.h_rows
+    prev = _raw(pair.psi_prev)
+    curr = _raw(pair.psi_curr)
+    boxed = pair.psi_curr
     index = pair.index_n
     while True:
-        prev, curr = curr, _forward_raw(rows, prev, curr)
+        prev, curr = curr, _step_raw(rows, prev, curr)
         index += 1
-        yield CAPairState(
-            GaussianIntVector(GaussianInt(r, i) for r, i in prev),
-            GaussianIntVector(GaussianInt(r, i) for r, i in curr),
-            index_n=index,
-        )
+        boxed_prev, boxed = boxed, _box(curr)
+        yield CAPairState(boxed_prev, boxed, index_n=index)
 
 
 def evolve(pair: CAPairState, model: HamiltonianModel, steps: int) -> Trajectory:
@@ -537,17 +559,15 @@ def evolve(pair: CAPairState, model: HamiltonianModel, steps: int) -> Trajectory
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _check_pair_model(pair, model)
-    rows = model.h_rows_compiled()
-    prev = pair.psi_prev.as_pairs()
-    curr = pair.psi_curr.as_pairs()
-    raw_states = [prev, curr]
+    rows = model.h_rows
+    prev = _raw(pair.psi_prev)
+    curr = _raw(pair.psi_curr)
+    # Only the two-state raw window is kept; each new state is boxed at once.
+    states = [pair.psi_prev, pair.psi_curr]
     for _ in range(steps):
-        prev, curr = curr, _forward_raw(rows, prev, curr)
-        raw_states.append(curr)
-    states = tuple(
-        GaussianIntVector(GaussianInt(r, i) for r, i in st) for st in raw_states
-    )
-    return Trajectory(states=states, start_index=pair.index_n - 1, model=model)
+        prev, curr = curr, _step_raw(rows, prev, curr)
+        states.append(_box(curr))
+    return Trajectory(states=tuple(states), start_index=pair.index_n - 1, model=model)
 
 
 def two_time_correlation(pair: CAPairState) -> int:

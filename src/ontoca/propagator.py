@@ -21,7 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriticalSpectrum, DimensionMismatch
-from .gaussian import GaussianInt, GaussianIntVector, HamiltonianModel
+from .gaussian import (
+    GaussianInt,
+    GaussianIntVector,
+    HamiltonianModel,
+    _box,
+    _compile_rows,
+    _matvec_raw,
+    _raw,
+    _step_raw,
+)
 from .numerics import max_abs
 
 CRITICAL_TOL = 1e-12
@@ -122,60 +131,33 @@ class TransferPolynomial:
         dim = len(self.matrix)
         if len(v) != dim:
             raise DimensionMismatch(f"vector length {len(v)} vs matrix dim {dim}")
-        return GaussianIntVector(
-            sum((self.matrix[a][b] * v[b] for b in range(dim)), GaussianInt(0, 0))
-            for a in range(dim)
-        )
-
-    def plus(self, other: "TransferPolynomial") -> tuple[tuple[GaussianInt, ...], ...]:
-        return tuple(
-            tuple(x + y for x, y in zip(ra, rb))
-            for ra, rb in zip(self.matrix, other.matrix)
-        )
-
-
-def _gi_identity(dim):
-    return tuple(
-        tuple(GaussianInt(1 if a == b else 0, 0) for b in range(dim)) for a in range(dim)
-    )
-
-
-def _gi_zero(dim):
-    return tuple(tuple(GaussianInt(0, 0) for _ in range(dim)) for _ in range(dim))
-
-
-def _neg_i_h_times(h, m):
-    # -i H @ M, exact
-    dim = len(h)
-    out = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            acc = GaussianInt(0, 0)
-            for c in range(dim):
-                acc = acc + h[a][c] * m[c][b]
-            row.append(acc.times_minus_i())
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _gi_add(m1, m2):
-    return tuple(
-        tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2)
-    )
+        rows = _compile_rows(((c.re, c.im) for c in row) for row in self.matrix)
+        return _box(_matvec_raw(rows, _raw(v)))
 
 
 def transfer_sequence(model: HamiltonianModel, k_max: int) -> list[TransferPolynomial]:
     """T(0) .. T(k_max) via the exact three-term recursion T(k+1) = T(k-1) - iH T(k)."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    h = model.h_matrix
-    mats = [_gi_identity(model.dim)]
+    dim = model.dim
+    # Column c of T(k) obeys the update rule itself, starting from e_c, 0, so
+    # the recursion is the stepping kernel run on raw columns.
+    prev = [[(int(r == c), 0) for r in range(dim)] for c in range(dim)]
+    curr = [[(0, 0)] * dim for _ in range(dim)]
+    seq = [_box_columns(0, prev)]
     if k_max >= 1:
-        mats.append(_gi_zero(model.dim))
-    while len(mats) <= k_max:
-        mats.append(_gi_add(mats[-2], _neg_i_h_times(h, mats[-1])))
-    return [TransferPolynomial(order=k, matrix=m) for k, m in enumerate(mats)]
+        seq.append(_box_columns(1, curr))
+    for k in range(2, k_max + 1):
+        prev, curr = curr, [_step_raw(model.h_rows, p, c) for p, c in zip(prev, curr)]
+        seq.append(_box_columns(k, curr))
+    return seq
+
+
+def _box_columns(order: int, columns) -> TransferPolynomial:
+    return TransferPolynomial(
+        order=order,
+        matrix=tuple(tuple(GaussianInt(re, im) for re, im in row) for row in zip(*columns)),
+    )
 
 
 def transfer_polynomial(model: HamiltonianModel, k: int) -> TransferPolynomial:
@@ -187,8 +169,8 @@ def equal_initial_form(model: HamiltonianModel, psi0: GaussianIntVector, n: int)
     if n < 0:
         raise ValueError("n must be >= 0")
     seq = transfer_sequence(model, n + 1)
-    summed = TransferPolynomial(order=n, matrix=seq[n + 1].plus(seq[n]))
-    return summed.apply(GaussianIntVector(psi0))
+    psi0 = GaussianIntVector(psi0)
+    return seq[n + 1].apply(psi0) + seq[n].apply(psi0)
 
 
 # =============================================================================

@@ -201,7 +201,7 @@ def model_from_mapping(data: dict, origin: str = "model") -> HamiltonianModel:
             explicit = _matrices_from_mapping(data, origin)
             if explicit != (model.s_matrix, model.a_matrix):
                 raise ConfigInvalid(origin, f"S/A entries disagree with preset {name!r}")
-        if "dim" in data and int(data["dim"]) != model.dim:
+        if "dim" in data and _exact_int(data["dim"], origin, "dim") != model.dim:
             raise ConfigInvalid(origin, f"dim {data['dim']} disagrees with preset {name!r}")
         return model
     s, a = _matrices_from_mapping(data, origin)
@@ -209,21 +209,31 @@ def model_from_mapping(data: dict, origin: str = "model") -> HamiltonianModel:
         model = build_hamiltonian(s, a)
     except Exception as exc:
         raise ConfigInvalid(origin, str(exc)) from None
-    if "dim" in data and int(data["dim"]) != model.dim:
+    if "dim" in data and _exact_int(data["dim"], origin, "dim") != model.dim:
         raise ConfigInvalid(origin, f"declared dim {data['dim']} but matrices are {model.dim}x{model.dim}")
     return model
 
 
+def _exact_int(value, origin: str, what: str) -> int:
+    """A JSON integer; a float, bool or string is refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigInvalid(origin, f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _matrices_from_mapping(data: dict, origin: str):
+    matrices = []
     for key in ("S", "A"):
         if key not in data:
             raise ConfigInvalid(origin, f"missing matrix {key!r}")
-    try:
-        s = tuple(tuple(int(x) for x in row) for row in data["S"])
-        a = tuple(tuple(int(x) for x in row) for row in data["A"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(origin, f"matrix entries must be integers: {exc}") from None
-    return s, a
+        try:
+            matrices.append(tuple(
+                tuple(_exact_int(x, origin, f"{key}[{r}][{c}]") for c, x in enumerate(row))
+                for r, row in enumerate(data[key])
+            ))
+        except TypeError as exc:
+            raise ConfigInvalid(origin, f"matrix {key!r} must be a list of rows: {exc}") from None
+    return tuple(matrices)
 
 
 def model_to_mapping(model: HamiltonianModel) -> dict:
@@ -290,14 +300,13 @@ def vector_from_config(entry, origin: str = "vector") -> GaussianIntVector:
     """Vectors are lists of components; each component is [re, im] or a bare int."""
     try:
         comps = []
-        for item in entry:
-            if isinstance(item, (list, tuple)):
-                re, im = item
-                comps.append((int(re), int(im)))
-            else:
-                comps.append((int(item), 0))
+        for k, item in enumerate(entry):
+            re, im = item if isinstance(item, (list, tuple)) else (item, 0)
+            comps.append((_exact_int(re, origin, f"[{k}] re"), _exact_int(im, origin, f"[{k}] im")))
         from .gaussian import GaussianInt
 
         return GaussianIntVector(GaussianInt(r, i) for r, i in comps)
+    except ConfigInvalid:
+        raise
     except Exception as exc:
         raise ConfigInvalid(origin, f"bad vector entry: {exc}") from None

@@ -1,9 +1,15 @@
 """End-to-end subcommand behaviour: artifacts, exit codes, determinism."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ontoca
 from ontoca.cli import main
 from ontoca.serialize import atomic_write_text, dumps_json
 
@@ -70,6 +76,25 @@ class TestEvolve:
         out = tmp_path / "t.csv"
         assert run(["evolve", cfg, "--out", str(out)]) == 0
         assert "2,1,0,-1" in out.read_text()  # psi2 = (1, -i)
+
+
+    def test_info_log_reports_stages_without_changing_outputs(self, tmp_path):
+        src = str(Path(ontoca.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "ontoca.cli", "evolve", "--preset", "H2", "--steps", "13",
+                "--out", "traj.csv"]
+        runs = []
+        for level in ("WARNING", "INFO"):
+            workdir = tmp_path / level
+            workdir.mkdir()
+            env = {**os.environ, "PYTHONPATH": src, "ONTOCA_LOG": level}
+            done = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, text=True,
+                                  check=True)
+            runs.append((done, (workdir / "traj.csv").read_bytes()))
+        (quiet, quiet_csv), (loud, loud_csv) = runs
+        assert quiet.stderr == ""
+        assert "evolve: dim=2 steps=13 max_coeff_bits=1" in loud.stderr
+        assert re.search(r"evolve: stage times evolve=\S+s check=\S+s write=\S+s", loud.stderr)
+        assert (loud.stdout, loud_csv) == (quiet.stdout, quiet_csv)
 
 
 class TestOntologyScan:
@@ -281,3 +306,36 @@ class TestVerifyAll:
         doc = json.loads(out1.read_text())
         assert doc["all_passed"] is True
         assert all(c["passed"] for c in doc["checks"])
+
+
+class TestNumericInputs:
+    """Counts must be integers in range and matrix and vector entries exact integers."""
+
+    H2_PAIR = {"separable": [{"preset": "H2"}, {"preset": "H2"}]}
+
+    @pytest.mark.parametrize(
+        "command, fields, flags, path",
+        [
+            ("evolve", {"steps": "abc"}, [], "steps"),
+            ("evolve", {"steps": 1.5}, [], "steps"),
+            ("evolve", {}, ["--steps", "0"], "steps"),
+            ("evolve", {"model": {"S": [[0, 1.5], [1.5, 0]], "A": [[0, 0], [0, 0]]}}, [], "model"),
+            ("evolve", {"model": {"S": [[True, 0], [0, 0]], "A": [[0, 0], [0, 0]]}}, [], "model"),
+            ("evolve", {"model": {"S": [[0, 0], [0, 0]], "A": [["0", 0], [0, 0]]}}, [], "model"),
+            ("evolve", {"model": {"preset": "H2", "dim": 2.5}}, [], "model"),
+            ("evolve", {"psi0": [[1, 0.5], 0]}, [], "psi0"),
+            ("evolve", {"psi1": [0, "1"]}, [], "psi1"),
+            ("ontology-scan", {"max_steps": 0}, [], "max_steps"),
+            ("ontology-scan", {"max_steps": "8"}, [], "max_steps"),
+            ("multitime", {"mode": "first_order", "state": [1, 0, 0, 0], "steps": 0}, [], "steps"),
+            ("multitime", {"mode": "second_order", "prev": [1, 0, 0, 0], "curr": [0, 1, 0, 0],
+                           "steps": "x"}, [], "steps"),
+        ],
+    )
+    def test_bad_input_names_config_path(self, tmp_path, capsys, command, fields, flags, path):
+        doc = {"kind": command, "model": {"preset": "H2"}}
+        if command == "multitime":
+            doc = {"kind": command, "coupling": self.H2_PAIR}
+        cfg = write_json(tmp_path / "c.json", {**doc, **fields})
+        assert run([command, cfg, *flags, "--out", str(tmp_path / "o.out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")

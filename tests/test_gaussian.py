@@ -19,6 +19,7 @@ from ontoca.gaussian import (
     CAPairState,
     GaussianInt,
     GaussianIntVector,
+    Trajectory,
     build_hamiltonian,
     evolve,
     from_xp,
@@ -395,3 +396,94 @@ class TestProperties:
     def test_xp_round_trip(self, pairs):
         v = GaussianIntVector(GaussianInt(r, i) for r, i in pairs)
         assert from_xp(*to_xp(v)) == v
+
+
+# =============================================================================
+# The raw kernel against a dense reference built from h_matrix
+# =============================================================================
+
+wide_int = st.integers(min_value=-(2**70), max_value=2**70)
+sparse_wide_int = st.one_of(st.just(0), wide_int)
+
+
+def dense_h_times(model, v):
+    """H @ v with the boxed dense h_matrix, entry by entry."""
+    h = model.h_matrix
+    return GaussianIntVector(
+        sum((h[a][b] * v[b] for b in range(model.dim)), GaussianInt(0, 0))
+        for a in range(model.dim)
+    )
+
+
+@st.composite
+def wide_model(draw, max_dim=8):
+    """Hermitian models with wide complex entries; some rows (and columns) are zero."""
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=dim - 1)))
+    s = [[0] * dim for _ in range(dim)]
+    a = [[0] * dim for _ in range(dim)]
+    for r in range(dim):
+        for c in range(r, dim):
+            if r in zero_rows or c in zero_rows:
+                continue
+            s[r][c] = s[c][r] = draw(sparse_wide_int)
+            if c > r:
+                v = draw(sparse_wide_int)
+                a[r][c], a[c][r] = v, -v
+    return build_hamiltonian(s, a)
+
+
+def wide_vector(dim):
+    return st.lists(st.tuples(wide_int, wide_int), min_size=dim, max_size=dim).map(
+        lambda pairs: GaussianIntVector(GaussianInt(r, i) for r, i in pairs)
+    )
+
+
+class TestKernelAgainstDense:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_apply_h(self, data):
+        model = data.draw(wide_model())
+        v = data.draw(wide_vector(model.dim))
+        assert model.apply_h(v) == dense_h_times(model, v)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_forward_and_backward_step(self, data):
+        model = data.draw(wide_model())
+        pair = CAPairState(
+            data.draw(wide_vector(model.dim)), data.draw(wide_vector(model.dim)), index_n=3
+        )
+        fwd = step(pair, model, "forward")
+        forced = dense_h_times(model, pair.psi_curr)
+        assert fwd.psi_curr == pair.psi_prev - GaussianIntVector(c.times_i() for c in forced)
+        assert fwd.psi_prev == pair.psi_curr and fwd.index_n == 4
+        back = step(pair, model, "backward")
+        forced = dense_h_times(model, pair.psi_prev)
+        assert back.psi_prev == pair.psi_curr + GaussianIntVector(c.times_i() for c in forced)
+        assert back.psi_curr == pair.psi_prev and back.index_n == 2
+        assert step(fwd, model, "backward") == pair
+        assert step(back, model, "forward") == pair
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_residuals_locate_a_corrupted_state(self, data):
+        model = data.draw(wide_model())
+        pair = CAPairState(data.draw(wide_vector(model.dim)), data.draw(wide_vector(model.dim)))
+        traj = evolve(pair, model, steps=6)
+        interior = range(traj.start_index + 1, traj.start_index + len(traj) - 1)
+        assert all(traj.residual_at(n).is_zero() for n in interior)
+        assert traj.verify()
+
+        bad = data.draw(st.integers(min_value=0, max_value=len(traj) - 1))
+        delta = data.draw(wide_vector(model.dim).filter(lambda v: not v.is_zero()))
+        states = list(traj.states)
+        states[bad] = states[bad] + delta
+        broken = Trajectory(tuple(states), traj.start_index, model)
+        m = traj.start_index + bad
+        # psi[m] enters residual m-1 and m+1 directly, and residual m through i H psi[m].
+        moved_by_h = not dense_h_times(model, delta).is_zero()
+        for n in interior:
+            expect_zero = not (abs(n - m) == 1 or (n == m and moved_by_h))
+            assert broken.residual_at(n).is_zero() == expect_zero
+        assert not broken.verify()

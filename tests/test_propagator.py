@@ -10,6 +10,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ontoca.errors import CriticalSpectrum
 from ontoca.gaussian import (
@@ -194,6 +195,71 @@ class TestTransferPolynomial:
     def test_single_order_accessor(self):
         model = sigma1_model()
         assert transfer_polynomial(model, 7).matrix == transfer_sequence(model, 7)[7].matrix
+
+
+wide_int = st.integers(min_value=-(2**70), max_value=2**70)
+sparse_wide_int = st.one_of(st.just(0), wide_int)
+
+
+@st.composite
+def wide_model(draw, max_dim=8):
+    """Hermitian models with wide complex entries; some rows (and columns) are zero."""
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=dim - 1)))
+    s = [[0] * dim for _ in range(dim)]
+    a = [[0] * dim for _ in range(dim)]
+    for r in range(dim):
+        for c in range(r, dim):
+            if r in zero_rows or c in zero_rows:
+                continue
+            s[r][c] = s[c][r] = draw(sparse_wide_int)
+            if c > r:
+                v = draw(sparse_wide_int)
+                a[r][c], a[c][r] = v, -v
+    return build_hamiltonian(s, a)
+
+
+def dense_product(m1, m2):
+    """m1 @ m2 with boxed entries; m2 may be a single column."""
+    return tuple(
+        tuple(
+            sum((m1[r][t] * m2[t][c] for t in range(len(m2))), GaussianInt(0))
+            for c in range(len(m2[0]))
+        )
+        for r in range(len(m1))
+    )
+
+
+class TestTransferKernelAgainstDense:
+    @given(wide_model(), st.integers(min_value=0, max_value=12))
+    @settings(max_examples=30, deadline=None)
+    def test_sequence_matches_dense_recursion(self, model, k_max):
+        dim = model.dim
+        ident = tuple(tuple(GaussianInt(int(r == c)) for c in range(dim)) for r in range(dim))
+        zero = tuple(tuple(GaussianInt(0) for _ in range(dim)) for _ in range(dim))
+        expected = [ident, zero]
+        while len(expected) <= k_max:
+            h_t = dense_product(model.h_matrix, expected[-1])
+            expected.append(tuple(
+                tuple(p + x.times_minus_i() for p, x in zip(prev_row, row))
+                for prev_row, row in zip(expected[-2], h_t)
+            ))
+        seq = transfer_sequence(model, k_max)
+        assert [t.order for t in seq] == list(range(k_max + 1))
+        assert [t.matrix for t in seq] == expected[: k_max + 1]
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_apply_matches_dense_matvec(self, data):
+        model = data.draw(wide_model())
+        k = data.draw(st.integers(min_value=0, max_value=12))
+        comps = data.draw(
+            st.lists(st.tuples(wide_int, wide_int), min_size=model.dim, max_size=model.dim)
+        )
+        v = GaussianIntVector(GaussianInt(r, i) for r, i in comps)
+        poly = transfer_sequence(model, k)[k]
+        column = tuple((c,) for c in v)
+        assert poly.apply(v) == GaussianIntVector(row[0] for row in dense_product(poly.matrix, column))
 
 
 class TestEqualInitialForm:
