@@ -144,6 +144,16 @@ class _StageLog:
             log.info("%s: stage times %s", self.command, " ".join(self.stages))
 
 
+def _max_coeff_bits(numbers) -> int:
+    """Largest bit length of an exact coefficient; a fraction counts its denominator too."""
+    bits = 0
+    for x in numbers:
+        bits = max(bits, abs(x.numerator).bit_length())
+        if x.denominator > 1:
+            bits = max(bits, x.denominator.bit_length())
+    return bits
+
+
 # =============================================================================
 # Subcommand handlers
 # =============================================================================
@@ -186,9 +196,7 @@ def cmd_evolve(args) -> int:
         raise ConfigInvalid("format", f"unknown format {fmt!r}")
     stages.mark("write")
     if stages.enabled:
-        bits = max(
-            max(abs(c.re).bit_length(), abs(c.im).bit_length()) for st in traj.states for c in st
-        )
+        bits = _max_coeff_bits(x for st in traj.states for c in st for x in (c.re, c.im))
         log.info("evolve: dim=%d steps=%d max_coeff_bits=%d", model.dim, steps, bits)
     stages.emit()
 
@@ -258,6 +266,10 @@ def cmd_ontology_scan(args) -> int:
     basis_spec = config.get("basis", "standard")
     if basis_spec == "standard":
         basis = ontology.standard_basis_rays(model.dim)
+    elif not isinstance(basis_spec, list) or not basis_spec:
+        raise ConfigInvalid(
+            "basis", f"expected 'standard' or a nonempty list of vectors, got {basis_spec!r}"
+        )
     else:
         basis = tuple(
             ontology.canonical_ray(serialize.vector_from_config(v, "basis"))
@@ -288,38 +300,47 @@ def cmd_ontology_scan(args) -> int:
     return EXIT_OK
 
 
-def _complex_entries(entries, origin: str) -> list[complex]:
-    """Entries are [re, im] pairs or bare integers."""
-    out = []
-    try:
-        for item in entries:
-            if isinstance(item, (list, tuple)):
-                re, im = item
-                out.append(complex(int(re), int(im)))
-            else:
-                out.append(complex(int(item), 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(origin, f"bad complex entry: {exc}") from None
-    return out
-
-
 def _resolve_coupling(config: dict) -> multitime.TensorHamiltonian:
     spec = config.get("coupling")
     if not isinstance(spec, dict):
         raise ConfigInvalid("coupling", "expected a mapping with 'separable' or 'matrix'")
     if "separable" in spec:
-        factors = [serialize.model_from_mapping(m, "coupling.separable") for m in spec["separable"]]
-        return multitime.TensorHamiltonian.separable(*factors)
+        factors = spec["separable"]
+        if not isinstance(factors, list) or len(factors) < 2 or not all(
+            isinstance(m, dict) for m in factors
+        ):
+            raise ConfigInvalid("coupling.separable", "expected a list of at least two models")
+        return multitime.TensorHamiltonian.separable(
+            *(serialize.model_from_mapping(m, "coupling.separable") for m in factors)
+        )
     if "matrix" in spec:
-        dims = tuple(int(d) for d in spec.get("dims", ()))
-        if not dims:
-            raise ConfigInvalid("coupling", "general coupling needs 'dims'")
-        rows = [_complex_entries(row, "coupling.matrix") for row in spec["matrix"]]
+        dims = spec.get("dims")
+        if not isinstance(dims, list) or not dims:
+            raise ConfigInvalid("coupling.dims", f"expected a nonempty list, got {dims!r}")
+        dims = [_config_int(d, "coupling.dims", minimum=1) for d in dims]
+        matrix = spec["matrix"]
+        if not isinstance(matrix, list):
+            raise ConfigInvalid("coupling.matrix", "expected a list of rows")
+        rows = [serialize.vector_from_config(row, "coupling.matrix") for row in matrix]
         try:
             return multitime.TensorHamiltonian.general(rows, dims)
         except OntocaError as exc:
             raise ConfigInvalid("coupling.matrix", str(exc)) from None
     raise ConfigInvalid("coupling", "expected 'separable' or 'matrix'")
+
+
+def _coupling_vector(config: dict, key: str, coupling) -> GaussianIntVector:
+    vec = serialize.vector_from_config(_require(config, key), key)
+    if len(vec) != coupling.total_dim:
+        raise ConfigInvalid(key, f"expected {coupling.total_dim} components, got {len(vec)}")
+    return vec
+
+
+def _direction(config: dict) -> int:
+    direction = config.get("direction", 1)
+    if type(direction) is not int or direction not in (1, -1):
+        raise ConfigInvalid("direction", f"expected 1 or -1, got {direction!r}")
+    return direction
 
 
 def cmd_multitime(args) -> int:
@@ -337,34 +358,45 @@ def cmd_multitime(args) -> int:
         if not os.path.exists(field_path):
             raise ConfigInvalid(field_path, "file does not exist")
         with open(field_path) as fh:
-            field = serialize.parse_field_csv(fh.read(), (d1, d2))
+            field = serialize.parse_field_csv(fh.read(), (d1, d2), "initial_field")
 
+    stages = _StageLog("multitime")
     residual_ok = True
     if mode == "line":
         steps = _config_int(config.get("steps", 1), "steps", minimum=0)
         axis = config.get("axis", "n1")
-        direction = int(config.get("direction", 1))
-        periodic = bool(config.get("periodic", False))
+        if axis not in ("n1", "n2"):
+            raise ConfigInvalid("axis", f"expected 'n1' or 'n2', got {axis!r}")
+        direction = _direction(config)
+        periodic = config.get("periodic", False)
+        if not isinstance(periodic, bool):
+            raise ConfigInvalid("periodic", f"expected true or false, got {periodic!r}")
         accumulated = field
         current = field
         for _ in range(steps):
             current = multitime.propagate_line(current, coupling, axis, direction, periodic)
             accumulated = accumulated.union(current)
+        stages.mark("propagate")
         for point in multitime.interior_points(accumulated):
             res = multitime.equation_residual(accumulated, coupling, point)
             residual_ok = residual_ok and all(r.is_zero() for r in res)
+        stages.mark("check")
         export = accumulated
         summary = f"lines+{steps}"
     elif mode == "diagonal":
-        extra_point = tuple(int(x) for x in config.get("extra_point", ()))
-        if len(extra_point) != 2:
+        steps = 1
+        extra_point = config.get("extra_point")
+        if not isinstance(extra_point, list) or len(extra_point) != 2:
             raise ConfigInvalid("extra_point", "expected [n1, n2]")
-        extra_value = _complex_entries(config.get("extra_value", []), "extra_value")
+        extra_point = tuple(_config_int(x, "extra_point") for x in extra_point)
+        extra_value = _coupling_vector(config, "extra_value", coupling)
         stepped = multitime.propagate_diagonal(field, coupling, extra_point, extra_value)
         merged = field.union(stepped)
+        stages.mark("propagate")
         for point in multitime.interior_points(merged):
             res = multitime.equation_residual(merged, coupling, point)
             residual_ok = residual_ok and all(r.is_zero() for r in res)
+        stages.mark("check")
         export = merged
         summary = f"diagonal seed={extra_point}"
     else:
@@ -372,24 +404,30 @@ def cmd_multitime(args) -> int:
         minimum = 1 if mode == "first_order" else 0
         steps = _config_int(config.get("steps", 4), "steps", minimum=minimum)
         if mode == "second_order":
-            prev = serialize.vector_from_config(_require(config, "prev"), "prev")
-            curr = serialize.vector_from_config(_require(config, "curr"), "curr")
-            states = [multitime.as_exact_vector(prev, coupling.total_dim),
-                      multitime.as_exact_vector(curr, coupling.total_dim)]
+            states = [_coupling_vector(config, "prev", coupling),
+                      _coupling_vector(config, "curr", coupling)]
             for _ in range(steps):
                 states.append(multitime.sync_second_order(states[-2], states[-1], coupling))
+            direction = 1
         else:
-            start = serialize.vector_from_config(_require(config, "state"), "state")
-            run = multitime.sync_first_order(
-                start, coupling, steps, direction=int(config.get("direction", 1))
-            )
-            states = list(run.states)
+            # direction -1 is the backward-synchronized form: the same states
+            # at decreasing indices
+            direction = _direction(config)
+            start = _coupling_vector(config, "state", coupling)
+            states = multitime.sync_first_order(start, coupling, steps)
         export = multitime.MultiTimeField(
-            (d1, d2), {(n, n): vec for n, vec in enumerate(states)}
+            (d1, d2), {(direction * n, direction * n): vec for n, vec in enumerate(states)}
         )
+        stages.mark("propagate")
         summary = f"{mode} steps={steps}"
 
     out = _write_out(config, serialize.field_csv(export), "multitime.csv")
+    stages.mark("write")
+    if stages.enabled:
+        bits = _max_coeff_bits(x for vec in export.values.values() for pair in vec for x in pair)
+        log.info("multitime: mode=%s dims=%s steps=%d max_coeff_bits=%d",
+                 mode, "x".join(map(str, coupling.dims)), steps, bits)
+    stages.emit()
     print(
         f"multitime: {summary} points={len(export.points())} residuals_zero={residual_ok} out={out}"
     )

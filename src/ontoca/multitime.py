@@ -9,12 +9,18 @@ function lives on the (n1, n2) lattice and obeys
 with H acting on the flattened component index.  The equation can be read as
 an updating rule in several inequivalent ways (line-by-line, along diagonals
 from an extra seed point), and synchronization constraints reduce it to a
-single-time second-order or first-order update.  All field arithmetic is
-exact over Gaussian rationals.
+single-time second-order or first-order update.
+
+Every product with H runs on the exact kernel of `gaussian`: the compiled
+rows of one flattened HamiltonianModel acting on raw (re, im) pairs.  Field
+components are ints, or Fractions where an initial field supplied
+non-integral values; the kernel is duck-typed, so those stay exact as well.
+Values are boxed to GaussianRational only where they leave this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -27,122 +33,118 @@ from .errors import (
     LengthTooShort,
     MissingExtraPoint,
     NotSelfAdjoint,
+    SymmetryViolation,
 )
-from .gaussian import GaussianIntVector, GaussianRational, HamiltonianModel, Trajectory
+from .gaussian import (GaussianInt, GaussianRational, HamiltonianModel, Trajectory,
+                       _matvec_raw, _raw, _step_raw, build_hamiltonian)
 
 Point = tuple[int, int]
 
 
 # =============================================================================
-# Exact vectors and tensor Hamiltonians
+# Raw exact vectors and tensor Hamiltonians
 # =============================================================================
 
 
-def as_exact_vector(values, length: int) -> tuple[GaussianRational, ...]:
-    if isinstance(values, GaussianIntVector):
-        values = values.components
-    vec = tuple(GaussianRational._coerce(v) for v in values)
+def _exact(x):
+    """An int where the Fraction x is integral, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _pair(value) -> tuple:
+    """One component as a raw (re, im) pair."""
+    value = GaussianRational._coerce(value)
+    return _exact(value.re), _exact(value.im)
+
+
+def _raw_vector(values, length: int) -> tuple:
+    vec = tuple(_pair(v) for v in values)
     if len(vec) != length:
         raise DimensionMismatch(f"vector length {len(vec)} vs expected {length}")
     return vec
 
 
-def _exact_matvec(matrix, vec):
-    return tuple(
-        sum((m * v for m, v in zip(row, vec)), GaussianRational(0))
-        for row in matrix
-    )
+def _boxed(vec) -> tuple[GaussianRational, ...]:
+    return tuple(GaussianRational(re, im) for re, im in vec)
 
 
-def _exact_kron(a, b):
-    return tuple(
-        tuple(x * y for x in ra for y in rb)
-        for ra in a
-        for rb in b
-    )
+def as_exact_vector(values, length: int) -> tuple[GaussianRational, ...]:
+    return _boxed(_raw_vector(values, length))
 
 
-def _exact_identity(dim):
-    one = GaussianRational(1)
-    zero = GaussianRational(0)
-    return tuple(
-        tuple(one if r == c else zero for c in range(dim)) for r in range(dim)
-    )
-
-
-def _coerce_square(matrix) -> tuple[tuple[GaussianRational, ...], ...]:
-    if isinstance(matrix, HamiltonianModel):
-        matrix = matrix.h_matrix
-    rows = tuple(tuple(GaussianRational._coerce(x) for x in row) for row in matrix)
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise DimensionMismatch("expected a nonempty square matrix")
-    return rows
+def _hamiltonian(matrix) -> HamiltonianModel:
+    """H = S + iA from rows of Gaussian-integer entries; NotSelfAdjoint unless H = H^dagger."""
+    rows = [[GaussianInt._coerce(x) for x in row] for row in matrix]
+    try:
+        return build_hamiltonian(
+            [[z.re for z in row] for row in rows], [[z.im for z in row] for row in rows]
+        )
+    except SymmetryViolation as exc:
+        raise NotSelfAdjoint(str(exc)) from None
 
 
 @dataclass(frozen=True)
 class TensorHamiltonian:
     """Self-adjoint coupling on the flattened multi-component index.
 
-    The flattening is row-major: component (a1, a2, ...) maps to
-    a1 * d2 * d3 * ... + a2 * d3 * ... + ...  (first factor most significant).
+    The factor dims plus one flattened HamiltonianModel, whose compiled rows
+    carry every product with H.  The flattening is row-major: component
+    (a1, a2, ...) maps to a1 * d2 * d3 * ... + a2 * d3 * ... + ...  (first
+    factor most significant).
     """
 
     dims: tuple[int, ...]
-    matrix: tuple[tuple[GaussianRational, ...], ...]
-    kind: str = "general"
+    model: HamiltonianModel
 
     def __post_init__(self):
-        total = 1
-        for d in self.dims:
-            if d < 1:
-                raise ValueError(f"factor dimensions must be positive, got {self.dims}")
-            total *= d
-        if len(self.matrix) != total:
+        if any(d < 1 for d in self.dims):
+            raise ValueError(f"factor dimensions must be positive, got {self.dims}")
+        if math.prod(self.dims) != self.model.dim:
             raise DimensionMismatch(
-                f"matrix is {len(self.matrix)}x{len(self.matrix)} but dims {self.dims} need {total}"
+                f"matrix is {self.model.dim}x{self.model.dim} but dims {self.dims} "
+                f"need {math.prod(self.dims)}"
             )
-        for r in range(total):
-            for c in range(r, total):
-                if self.matrix[r][c] != self.matrix[c][r].conjugate():
-                    raise NotSelfAdjoint(f"entries ({r},{c}) and ({c},{r}) are not conjugate")
 
     @property
     def total_dim(self) -> int:
-        return len(self.matrix)
+        return self.model.dim
 
     @classmethod
     def general(cls, matrix, dims: Sequence[int]) -> "TensorHamiltonian":
-        return cls(dims=tuple(int(d) for d in dims), matrix=_coerce_square(matrix), kind="general")
+        if not isinstance(matrix, HamiltonianModel):
+            matrix = _hamiltonian(matrix)
+        return cls(dims=tuple(int(d) for d in dims), model=matrix)
 
     @classmethod
     def separable(cls, *factors) -> "TensorHamiltonian":
-        """Sum of single-factor couplings: H1 x 1 x ... + 1 x H2 x ... + ..."""
+        """Sum of single-factor couplings: H1 x 1 x ... + 1 x H2 x ... + ...
+
+        Each nonzero factor entry is written straight into the flat S and A;
+        the sum of self-adjoint terms needs no second symmetry check.
+        """
         if len(factors) < 2:
             raise ValueError("separable coupling needs at least two factors")
-        mats = [_coerce_square(f) for f in factors]
-        dims = tuple(len(m) for m in mats)
-        total = 1
-        for d in dims:
-            total *= d
-        zero = GaussianRational(0)
-        acc = [[zero for _ in range(total)] for _ in range(total)]
-        for i, m in enumerate(mats):
-            term = _exact_identity(1)
-            for j, d in enumerate(dims):
-                term = _exact_kron(term, m if j == i else _exact_identity(d))
+        models = [f if isinstance(f, HamiltonianModel) else _hamiltonian(f) for f in factors]
+        dims = tuple(m.dim for m in models)
+        total = math.prod(dims)
+        s = [[0] * total for _ in range(total)]
+        a = [[0] * total for _ in range(total)]
+        stride = total
+        for m in models:
+            stride //= m.dim
             for r in range(total):
-                for c in range(total):
-                    acc[r][c] = acc[r][c] + term[r][c]
-        return cls(dims=dims, matrix=tuple(tuple(row) for row in acc), kind="separable")
+                digit = r // stride % m.dim
+                for c, re, im in m.h_rows[digit]:
+                    s[r][r + (c - digit) * stride] += re
+                    a[r][r + (c - digit) * stride] += im
+        flat = HamiltonianModel(total, tuple(map(tuple, s)), tuple(map(tuple, a)))
+        return cls(dims=dims, model=flat)
 
     def apply(self, vec) -> tuple[GaussianRational, ...]:
-        return _exact_matvec(self.matrix, as_exact_vector(vec, self.total_dim))
-
-    def apply_minus_i(self, vec) -> tuple[GaussianRational, ...]:
-        return tuple(-c.times_i() for c in self.apply(vec))
+        return _boxed(_matvec_raw(self.model.h_rows, _raw_vector(vec, self.total_dim)))
 
     def as_complex_array(self) -> np.ndarray:
-        return np.array([[complex(x) for x in row] for row in self.matrix])
+        return self.model.as_complex_array()
 
 
 # =============================================================================
@@ -152,19 +154,30 @@ class TensorHamiltonian:
 
 @dataclass(frozen=True)
 class MultiTimeField:
-    """Values of the bipartite wave function on a finite set of (n1, n2) points."""
+    """Values of the bipartite wave function on a finite set of (n1, n2) points.
+
+    `values` holds each point's components as raw (re, im) pairs; `get`
+    boxes them.
+    """
 
     dims: tuple[int, int]
-    values: Mapping[Point, tuple[GaussianRational, ...]] = field(default_factory=dict)
+    values: Mapping[Point, tuple] = field(default_factory=dict)
 
     def __post_init__(self):
-        d1, d2 = self.dims
-        length = d1 * d2
-        clean = {}
-        for point, vec in dict(self.values).items():
-            n1, n2 = point
-            clean[(int(n1), int(n2))] = as_exact_vector(vec, length)
+        length = self.component_length
+        clean = {
+            (int(n1), int(n2)): _raw_vector(vec, length)
+            for (n1, n2), vec in dict(self.values).items()
+        }
         object.__setattr__(self, "values", clean)
+
+    @classmethod
+    def _of(cls, dims, values: dict) -> "MultiTimeField":
+        """A field over raw values that are already checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "dims", dims)
+        object.__setattr__(out, "values", values)
+        return out
 
     @property
     def component_length(self) -> int:
@@ -174,25 +187,26 @@ class MultiTimeField:
         return sorted(self.values)
 
     def get(self, point: Point) -> tuple[GaussianRational, ...]:
-        return self.values[point]
+        return _boxed(self.values[point])
 
     def __contains__(self, point: Point) -> bool:
         return tuple(point) in self.values
 
-    def with_point(self, point: Point, vec) -> "MultiTimeField":
-        merged = dict(self.values)
-        merged[tuple(point)] = vec
-        return MultiTimeField(self.dims, merged)
-
     def union(self, other: "MultiTimeField") -> "MultiTimeField":
         if other.dims != self.dims:
             raise DimensionMismatch(f"field dims differ: {self.dims} vs {other.dims}")
-        merged = dict(self.values)
-        merged.update(other.values)
-        return MultiTimeField(self.dims, merged)
+        return MultiTimeField._of(self.dims, {**self.values, **other.values})
 
     def restricted(self, points: Iterable[Point]) -> "MultiTimeField":
-        return MultiTimeField(self.dims, {p: self.values[p] for p in points})
+        return MultiTimeField._of(self.dims, {p: self.values[p] for p in points})
+
+
+def _coupling_rows(h: TensorHamiltonian, field_: MultiTimeField) -> tuple:
+    if h.total_dim != field_.component_length:
+        raise DimensionMismatch(
+            f"coupling dim {h.total_dim} vs field components {field_.component_length}"
+        )
+    return h.model.h_rows
 
 
 def product_field(
@@ -204,17 +218,15 @@ def product_field(
         n1_range = range(traj1.start_index, traj1.start_index + len(traj1))
     if n2_range is None:
         n2_range = range(traj2.start_index, traj2.start_index + len(traj2))
+    second_states = [(n2, _raw(traj2.state_at(n2))) for n2 in n2_range]
     values = {}
     for n1 in n1_range:
-        a = traj1.state_at(n1)
-        for n2 in n2_range:
-            b = traj2.state_at(n2)
+        a = _raw(traj1.state_at(n1))
+        for n2, b in second_states:
             values[(n1, n2)] = tuple(
-                GaussianRational._coerce(x) * GaussianRational._coerce(y)
-                for x in a
-                for y in b
+                (ar * br - ai * bi, ar * bi + ai * br) for ar, ai in a for br, bi in b
             )
-    return MultiTimeField((d1, d2), values)
+    return MultiTimeField._of((d1, d2), values)
 
 
 def equation_residual(
@@ -226,13 +238,14 @@ def equation_residual(
     missing = [p for p in needed if p not in field_]
     if missing:
         raise GeometryMismatch(f"stencil at {point} missing points {missing}")
-    forced = h.apply(field_.get((n1, n2)))
-    return tuple(
-        (field_.get((n1 + 1, n2))[k] - field_.get((n1 - 1, n2))[k])
-        + (field_.get((n1, n2 + 1))[k] - field_.get((n1, n2 - 1))[k])
-        + forced[k].times_i()
-        for k in range(field_.component_length)
-    )
+    rows = _coupling_rows(h, field_)
+    up1, down1, up2, down2, center = (field_.values[p] for p in needed)
+    differences = [
+        (a1 - b1 + a2 - b2, c1 - d1 + c2 - d2)
+        for (a1, c1), (b1, d1), (a2, c2), (b2, d2) in zip(up1, down1, up2, down2)
+    ]
+    # the differences plus i H psi[n1,n2]
+    return _boxed(_step_raw(rows, differences, center, sign=-1))
 
 
 def interior_points(field_: MultiTimeField) -> list[Point]:
@@ -289,10 +302,7 @@ def propagate_line(
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     axis_idx = 0 if axis == "n1" else 1
-    if h.total_dim != field_.component_length:
-        raise DimensionMismatch(
-            f"coupling dim {h.total_dim} vs field components {field_.component_length}"
-        )
+    rows = _coupling_rows(h, field_)
 
     lines = _lines_by_coord(field_, axis_idx)
     if len(lines) != 2:
@@ -332,20 +342,13 @@ def propagate_line(
     for o in targets:
         # direction +1 solves for the forward point, -1 for the rear point;
         # the transverse difference and the forcing term flip sign with it
-        forced = h.apply(center[o])
-        rear_vec = rear[across(o, 0) if periodic else o]
-        up = center[across(o, 1)]
-        down = center[across(o, -1)]
-        if direction == 1:
-            new_line[o] = tuple(
-                rear_vec[k] - up[k] + down[k] - forced[k].times_i()
-                for k in range(h.total_dim)
+        base = [
+            (rr - direction * (ur - dr), ri - direction * (ui - di))
+            for (rr, ri), (ur, ui), (dr, di) in zip(
+                rear[o], center[across(o, 1)], center[across(o, -1)]
             )
-        else:
-            new_line[o] = tuple(
-                rear_vec[k] + up[k] - down[k] + forced[k].times_i()
-                for k in range(h.total_dim)
-            )
+        ]
+        new_line[o] = tuple(_step_raw(rows, base, center[o], sign=direction))
     if not new_line:
         raise DomainTooSmall(
             f"no point on line {new_coord} has a complete stencil; "
@@ -357,7 +360,7 @@ def propagate_line(
 
     values = {as_point(center_coord, o): vec for o, vec in center.items()}
     values.update({as_point(new_coord, o): vec for o, vec in new_line.items()})
-    return MultiTimeField(field_.dims, values)
+    return MultiTimeField._of(field_.dims, values)
 
 
 # =============================================================================
@@ -385,10 +388,7 @@ def propagate_diagonal(
     different (equally valid) continuations; the updating rule is not unique.
     Returns diagonal s plus the determined points on s + 1.
     """
-    if h.total_dim != field_.component_length:
-        raise DimensionMismatch(
-            f"coupling dim {h.total_dim} vs field components {field_.component_length}"
-        )
+    rows = _coupling_rows(h, field_)
     diagonals: dict[int, dict[int, tuple]] = {}
     for (n1, n2), vec in field_.values.items():
         diagonals.setdefault(n1 + n2, {})[n1] = vec
@@ -411,42 +411,37 @@ def propagate_diagonal(
             f"seed point {extra_point} is not on diagonal n1+n2 = {s_hi + 1}"
         )
 
-    new_diag: dict[int, tuple] = {e1: as_exact_vector(extra_value, h.total_dim)}
+    new_diag: dict[int, tuple] = {e1: _raw_vector(extra_value, h.total_dim)}
 
-    def center_rhs(c1: int, c2: int):
-        # complete center on diagonal s_hi with both lower neighbours present
+    def next_value(c1: int, known: tuple):
+        # the center (c1, s_hi - c1) needs both lower neighbours, (c1-1, c2)
+        # and (c1, c2-1); the unknown is the rhs minus the known new neighbour
         if c1 not in upper or (c1 - 1) not in lower or c1 not in lower:
             return None
-        forced = h.apply(upper[c1])
-        below_left = lower[c1 - 1]   # (c1-1, c2)
-        below_down = lower[c1]       # (c1, c2-1)
-        return tuple(
-            below_left[k] + below_down[k] - forced[k].times_i()
-            for k in range(h.total_dim)
-        )
+        below = [(lr + dr, li + di) for (lr, li), (dr, di) in zip(lower[c1 - 1], lower[c1])]
+        rhs = _step_raw(rows, below, upper[c1])
+        return tuple((r0 - k0, r1 - k1) for (r0, r1), (k0, k1) in zip(rhs, known))
 
     # walk toward decreasing n1 on the new diagonal: unknown (a-1, b+1) via center (a-1, b)
     a = e1
     while True:
-        rhs = center_rhs(a - 1, s_hi - (a - 1))
-        if rhs is None:
+        value = next_value(a - 1, new_diag[a])
+        if value is None:
             break
-        known = new_diag[a]
-        new_diag[a - 1] = tuple(r - k for r, k in zip(rhs, known))
+        new_diag[a - 1] = value
         a -= 1
     # walk toward increasing n1: unknown (a+1, b-1) via center (a, b-1)
     a = e1
-    while True:
-        rhs = center_rhs(a, s_hi - a)
-        if rhs is None or (a + 1) in new_diag:
+    while (a + 1) not in new_diag:
+        value = next_value(a, new_diag[a])
+        if value is None:
             break
-        known = new_diag[a]
-        new_diag[a + 1] = tuple(r - k for r, k in zip(rhs, known))
+        new_diag[a + 1] = value
         a += 1
 
     values = {(n1, s_hi - n1): vec for n1, vec in upper.items()}
     values.update({(n1, s_hi + 1 - n1): vec for n1, vec in new_diag.items()})
-    return MultiTimeField(field_.dims, values)
+    return MultiTimeField._of(field_.dims, values)
 
 
 # =============================================================================
@@ -457,45 +452,27 @@ def propagate_diagonal(
 def sync_second_order(prev, curr, h: TensorHamiltonian) -> tuple[GaussianRational, ...]:
     """Diagonal synchronization: next = prev - i H curr (same algebra as a
     single flattened system, so it runs both ways exactly)."""
-    prev = as_exact_vector(prev, h.total_dim)
-    forced = h.apply(curr)
-    return tuple(p - f.times_i() for p, f in zip(prev, forced))
+    n = h.total_dim
+    return _boxed(_step_raw(h.model.h_rows, _raw_vector(prev, n), _raw_vector(curr, n)))
 
 
-@dataclass(frozen=True)
-class FirstOrderRun:
-    states: tuple[tuple[GaussianRational, ...], ...]
-    direction: int
+def sync_first_order(state, h: TensorHamiltonian, steps: int) -> tuple[tuple, ...]:
+    """Iterate the fully synchronized update psi -> -i H psi; returns steps + 1 states.
 
-    def __len__(self):
-        return len(self.states)
-
-    def __getitem__(self, k):
-        return self.states[k]
-
-
-def sync_first_order(
-    state,
-    h: TensorHamiltonian,
-    steps: int,
-    direction: int = 1,
-) -> FirstOrderRun:
-    """Iterate the fully synchronized update psi -> -i H psi.
-
-    One effective time variable remains.  direction=-1 generates states at
-    decreasing indices via the backward-synchronized form (the previous
-    state equals -i H times the current one).
+    One effective time variable remains.  The backward-synchronized form
+    (the previous state equals -i H times the current one) generates the
+    same states at decreasing indices.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if direction not in (1, -1):
-        raise ValueError(f"direction must be +1 or -1, got {direction}")
-    vec = as_exact_vector(state, h.total_dim)
+    vec = _raw_vector(state, h.total_dim)
+    zero = [(0, 0)] * len(vec)
     states = [vec]
     for _ in range(steps):
-        vec = tuple(-c.times_i() for c in h.apply(vec))
+        # -i H psi is the second-order rule with a zero base
+        vec = _step_raw(h.model.h_rows, zero, vec)
         states.append(vec)
-    return FirstOrderRun(states=tuple(states), direction=direction)
+    return tuple(_boxed(v) for v in states)
 
 
 def norm_sq_exact(vec) -> GaussianRational:

@@ -18,7 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigInvalid
-from .gaussian import GaussianIntVector, HamiltonianModel, Trajectory, build_hamiltonian
+from .gaussian import (GaussianInt, GaussianIntVector, GaussianRational, HamiltonianModel,
+                       Trajectory, build_hamiltonian)
 from .ising import GraphTopology, Schedule
 from .multitime import MultiTimeField
 from .ontology import preset_hamiltonian, preset_names
@@ -127,34 +128,37 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 
 def field_csv(field: MultiTimeField) -> str:
+    # the raw components are ints or Fractions, printed as the exact fractions they are
     rows = []
     for point in field.points():
-        vec = field.get(point)
-        for k, comp in enumerate(vec):
-            rows.append((point[0], point[1], k, str(comp.re), str(comp.im)))
+        for k, (re, im) in enumerate(field.values[point]):
+            rows.append((point[0], point[1], k, str(re), str(im)))
     return _csv_text(["n1", "n2", "component", "re", "im"], rows)
 
 
-def parse_field_csv(text: str, dims: tuple[int, int]) -> MultiTimeField:
+def parse_field_csv(text: str, dims: tuple[int, int], origin: str = "field csv") -> MultiTimeField:
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != ["n1", "n2", "component", "re", "im"]:
-        raise ConfigInvalid("field csv", f"unexpected header {header}")
+        raise ConfigInvalid(origin, f"unexpected header {header}")
     length = dims[0] * dims[1]
     staged: dict[tuple[int, int], list] = {}
-    for row in reader:
+    for line, row in enumerate(reader, 2):
         if not row:
             continue
-        n1, n2, k = int(row[0]), int(row[1]), int(row[2])
-        vec = staged.setdefault((n1, n2), [None] * length)
+        try:
+            n1, n2, k, re, im = row
+            point, k = (int(n1), int(n2)), int(k)
+            value = GaussianRational(Fraction(re), Fraction(im))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigInvalid(origin, f"line {line}: bad row {row}") from None
+        vec = staged.setdefault(point, [None] * length)
         if not 0 <= k < length:
-            raise ConfigInvalid("field csv", f"component index {k} out of range for dims {dims}")
-        from .gaussian import GaussianRational
-
-        vec[k] = GaussianRational(Fraction(row[3]), Fraction(row[4]))
+            raise ConfigInvalid(origin, f"component index {k} out of range for dims {dims}")
+        vec[k] = value
     for point, vec in staged.items():
         if any(v is None for v in vec):
-            raise ConfigInvalid("field csv", f"point {point} is missing components")
+            raise ConfigInvalid(origin, f"point {point} is missing components")
     return MultiTimeField(dims, staged)
 
 
@@ -303,8 +307,6 @@ def vector_from_config(entry, origin: str = "vector") -> GaussianIntVector:
         for k, item in enumerate(entry):
             re, im = item if isinstance(item, (list, tuple)) else (item, 0)
             comps.append((_exact_int(re, origin, f"[{k}] re"), _exact_int(im, origin, f"[{k}] im")))
-        from .gaussian import GaussianInt
-
         return GaussianIntVector(GaussianInt(r, i) for r, i in comps)
     except ConfigInvalid:
         raise

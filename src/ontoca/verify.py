@@ -360,12 +360,12 @@ def check_first_order_modes(seed: int):
         dims=(2, 2),
     )
     run = multitime.sync_first_order([1, 0, 0, 0], h_pair, steps=4)
-    period4 = run.states[4] == run.states[0] and run.states[2] != run.states[0]
-    ranks = [multitime.schmidt_rank(st, (2, 2)) for st in run.states]
+    period4 = run[4] == run[0] and run[2] != run[0]
+    ranks = [multitime.schmidt_rank(st, (2, 2)) for st in run]
     sep_run = multitime.sync_first_order([1, 0, 0, 0], h_int, steps=1)
-    rank_after = multitime.schmidt_rank(sep_run.states[1], (2, 2))
-    norm0 = multitime.norm_sq_exact(run.states[0])
-    norms_equal = all(multitime.norm_sq_exact(st) == norm0 for st in run.states)
+    rank_after = multitime.schmidt_rank(sep_run[1], (2, 2))
+    norm0 = multitime.norm_sq_exact(run[0])
+    norms_equal = all(multitime.norm_sq_exact(st) == norm0 for st in run)
     ok = period4 and all(r == 1 for r in ranks) and rank_after == 2 and norms_equal
     return ok, {
         "pair_coupling_period": 4,

@@ -203,7 +203,7 @@ def test_criterion_06_multitime_products_and_correlations():
         if all(m1.s_matrix[r][0] == 0 and m1.a_matrix[r][0] == 0 for r in range(1, d1)):
             continue  # degenerate draw: first column couples to nothing
         run = multitime.sync_first_order(state, h, steps=1)
-        rank = multitime.schmidt_rank(run.states[1], (d1, d2))
+        rank = multitime.schmidt_rank(run[1], (d1, d2))
         assert rank == 2, f"expected correlation generation, got rank {rank}"
     report("06 multitime-products", "(20x20 domains, rank-2 after one step)")
 

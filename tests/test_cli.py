@@ -1,13 +1,17 @@
 """End-to-end subcommand behaviour: artifacts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ontoca
 from ontoca.cli import main
@@ -16,6 +20,9 @@ from ontoca.serialize import atomic_write_text, dumps_json
 
 def run(argv):
     return main(argv)
+
+
+PAIR_FLIP = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
 
 
 def write_json(path, doc):
@@ -219,6 +226,196 @@ class TestMultitime:
             },
         )
         assert run(["multitime", cfg]) == 2
+
+
+    def test_first_order_backward_writes_decreasing_points(self, tmp_path):
+        cfg = write_json(
+            tmp_path / "c.json",
+            {
+                "kind": "multitime",
+                "mode": "first_order",
+                "coupling": {"matrix": PAIR_FLIP, "dims": [2, 2]},
+                "state": [1, 0, 0, 0],
+                "steps": 4,
+                "direction": -1,
+            },
+        )
+        out = tmp_path / "fo.csv"
+        assert run(["multitime", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().split("\n")
+        assert {line.split(",")[0] for line in lines[1:-1]} == {"0", "-1", "-2", "-3", "-4"}
+        assert "-1,-1,3,0,-1" in lines  # -i e11 one step back
+        assert "-4,-4,0,1,0" in lines   # back to e00 four steps back
+
+    @pytest.mark.parametrize(
+        "fields, path",
+        [
+            ({"mode": "first_order", "coupling": {"matrix": [[0, 1.5], [1.5, 0]], "dims": [2, 1]},
+              "state": [1, 0]}, "coupling.matrix"),
+            ({"mode": "diagonal", "extra_point": [0, 2], "extra_value": [1, 0, [0.5, 0], 0]},
+             "extra_value"),
+            ({"mode": "line", "direction": "x"}, "direction"),
+            ({"mode": "first_order", "state": [1, 0, 0, 0], "direction": 5}, "direction"),
+            ({"mode": "first_order", "state": [1, 0, 0, 0], "direction": True}, "direction"),
+            ({"mode": "second_order", "coupling": {"matrix": PAIR_FLIP, "dims": ["a", 1]},
+              "prev": [1, 0, 0, 0], "curr": [0, 1, 0, 0]}, "coupling.dims"),
+            ({"mode": "diagonal", "extra_point": ["a", 2], "extra_value": [1, 0, 0, 0]},
+             "extra_point"),
+            ({"mode": "diagonal", "extra_point": [0.5, 1.5], "extra_value": [1, 0, 0, 0]},
+             "extra_point"),
+            ({"mode": "line", "periodic": "false"}, "periodic"),
+            ({"mode": "line", "axis": "n3"}, "axis"),
+            ({"mode": "line", "initial_field": "abc"}, "initial_field"),
+            ({"mode": "second_order", "prev": [1, 0, 0], "curr": [0, 1, 0, 0]}, "prev"),
+            ({"mode": "first_order", "state": [1, 0, 0, 0],
+              "coupling": {"separable": [{"preset": "H2"}]}}, "coupling.separable"),
+            ({"kind": "ontology-scan", "model": {"preset": "H2"}, "basis": []}, "basis"),
+        ],
+    )
+    def test_bad_input_names_config_path(self, tmp_path, capsys, fields, path):
+        # two lines of a 2x2 field; the cell "abc" stands for the one bad CSV case
+        rows = [f"{n1},{n2},{k},{n1 + n2 + k},0"
+                for n1 in (0, 1) for n2 in range(5) for k in range(4)]
+        if fields.get("initial_field") == "abc":
+            rows[0] = "0,0,0,abc,0"
+        field_path = tmp_path / "field.csv"
+        field_path.write_text("\n".join(["n1,n2,component,re,im", *rows]) + "\n")
+        doc = {"kind": "multitime", "coupling": {"separable": [{"preset": "H2"}, {"preset": "H2"}]},
+               **fields, "initial_field": str(field_path)}
+        cfg = write_json(tmp_path / "c.json", doc)
+        assert run([doc["kind"], cfg, "--out", str(tmp_path / "o.out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
+    def test_info_log_reports_stages_without_changing_outputs(self, tmp_path):
+        src = str(Path(ontoca.__file__).resolve().parents[1])
+        doc = {"kind": "multitime", "mode": "second_order",
+               "coupling": {"separable": [{"preset": "H2"}, {"preset": "H3"}]},
+               "prev": [1, 0, 0, 0, 0, 0], "curr": [0, 0, 0, 0, 1, 0], "steps": 9}
+        runs = []
+        for level in ("WARNING", "INFO"):
+            workdir = tmp_path / level
+            workdir.mkdir()
+            cfg = write_json(workdir / "c.json", doc)
+            env = {**os.environ, "PYTHONPATH": src, "ONTOCA_LOG": level}
+            argv = [sys.executable, "-m", "ontoca.cli", "multitime", cfg, "--out", "mt.csv"]
+            done = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, text=True,
+                                  check=True)
+            runs.append((done, (workdir / "mt.csv").read_bytes()))
+        (quiet, quiet_csv), (loud, loud_csv) = runs
+        assert quiet.stderr == ""
+        assert "multitime: mode=second_order dims=2x3 steps=9 max_coeff_bits=" in loud.stderr
+        assert re.search(r"multitime: stage times propagate=\S+s write=\S+s", loud.stderr)
+        assert (loud.stdout, loud_csv) == (quiet.stdout, quiet_csv)
+
+
+def _field_text(points):
+    rows = [f"{n1},{n2},{k},{n1 - 2 * n2 + k},{k - n1}" for n1, n2 in points for k in range(4)]
+    return "\n".join(["n1,n2,component,re,im", *rows]) + "\n"
+
+
+# Valid values mixed with values of the wrong type or range; every config
+# below is either run or refused with exit 2 naming a config path.
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(-3, 3), st.text(max_size=2),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.just("a"), st.integers(), max_size=1),
+)
+
+
+def _or_junk(valid):
+    """Mostly `valid`, sometimes junk (a plain one_of would flatten to mostly junk)."""
+    return st.integers(0, 5).flatmap(lambda k: _JUNK if k == 5 else valid)
+
+
+def _entry():
+    return st.one_of(st.integers(-2, 2), st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+
+
+_VECTOR = _or_junk(st.lists(_or_junk(_entry()), min_size=4, max_size=4))
+
+
+@st.composite
+def _couplings(draw):
+    """Couplings on a 4-component index: two-factor separable or general, valid or not."""
+    kind = draw(st.sampled_from(["preset", "separable", "matrix"]))
+
+    def square(n):
+        return st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n,
+                        max_size=n)
+
+    if kind == "preset":
+        return {"separable": [{"preset": "H2"}, {"preset": "H2"}]}
+    if kind == "separable":
+        symmetric = square(2).map(
+            lambda m: [[m[r][c] + m[c][r] for c in range(2)] for r in range(2)]
+        )
+        return {"separable": draw(_or_junk(st.lists(
+            st.fixed_dictionaries({"S": _or_junk(symmetric), "A": square(2)}), min_size=1,
+            max_size=3)))}
+    if draw(st.booleans()):  # a self-adjoint matrix, from S and A
+        s, a = draw(square(4)), draw(square(4))
+        rows = [[[s[r][c] + s[c][r], a[r][c] - a[c][r]] for c in range(4)] for r in range(4)]
+    else:
+        rows = draw(st.lists(st.lists(_or_junk(_entry()), min_size=4, max_size=4), min_size=1,
+                             max_size=4))
+    dims = draw(_or_junk(st.sampled_from([[2, 2], [4, 1], [1, 4], [2, 3], [0, 4]])))
+    return {"matrix": rows, "dims": dims}
+
+
+@st.composite
+def _multitime_configs(draw):
+    mode = draw(_or_junk(st.sampled_from(["line", "diagonal", "second_order", "first_order"])))
+    doc = {"kind": "multitime", "mode": mode, "coupling": draw(_couplings())}
+    axis = draw(_or_junk(st.sampled_from(["n1", "n2"])))
+    optional = {
+        "steps": _or_junk(st.integers(-1, 4)),
+        "direction": _or_junk(st.sampled_from([1, -1, 0, 2])),
+        "periodic": _or_junk(st.booleans()),
+        "axis": st.just(axis),
+        "extra_point": _or_junk(st.integers(0, 9).map(lambda a: [a, 9 - a])),
+        "extra_value": _VECTOR,
+        "prev": _VECTOR,
+        "curr": _VECTOR,
+        "state": _VECTOR,
+    }
+    for key, strategy in optional.items():
+        if draw(st.integers(0, 5)) < 5:  # mostly present, sometimes missing
+            doc[key] = draw(strategy)
+    # the field geometry matches the mode, so a run can only fail on a config value
+    doc["initial_field"] = "diagonals.csv" if mode == "diagonal" else f"lines_{axis}.csv"
+    return doc
+
+
+class TestMultitimeFuzz:
+    FIELDS = {
+        "lines_n1.csv": [(n1, n2) for n1 in (0, 1) for n2 in range(12)],
+        "lines_n2.csv": [(n1, n2) for n2 in (0, 1) for n1 in range(12)],
+        "diagonals.csv": [(n1, s - n1) for s in (7, 8) for n1 in range(s + 1)],
+    }
+
+    @given(_multitime_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_exits_0_or_2_and_is_deterministic(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, points in self.FIELDS.items():
+                (tmp / name).write_text(_field_text(points))
+            doc = {**doc, "initial_field": str(tmp / doc["initial_field"])}
+            cfg = write_json(tmp / "c.json", doc)
+            results = []
+            for _ in range(2):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run(["multitime", cfg, "--out", str(tmp / "o.csv")])
+                written = (tmp / "o.csv").read_bytes() if code == 0 else b""
+                results.append((code, out.getvalue(), err.getvalue(), written))
+                if code == 0:
+                    (tmp / "o.csv").unlink()
+        code, _, err, _ = results[0]
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("config error: ")
+        assert results[0] == results[1]
 
 
 class TestIsing:

@@ -5,6 +5,7 @@ with an independently coded tensor product and stencil sum, so the field
 machinery is checked against first principles.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from ontoca.gaussian import (
     evolve,
 )
 from ontoca.multitime import (
-    FirstOrderRun,
     MultiTimeField,
     TensorHamiltonian,
     as_exact_vector,
@@ -58,6 +58,43 @@ def exact(value):
     return GaussianRational._coerce(value)
 
 
+def digits(index, dims):
+    """Row-major multi-index of a flattened component index."""
+    out = []
+    for d in reversed(dims):
+        index, digit = divmod(index, d)
+        out.append(digit)
+    return out[::-1]
+
+
+def dense_kron_sum(*factors):
+    """H1 x 1 x ... + 1 x H2 x ... + ... as a dense GaussianRational matrix,
+    written entry by entry from the factors' S and A."""
+    dims = [m.dim for m in factors]
+    total = math.prod(dims)
+    out = []
+    for r in range(total):
+        rd = digits(r, dims)
+        row = []
+        for c in range(total):
+            cd = digits(c, dims)
+            value = exact(0)
+            for i, m in enumerate(factors):
+                if all(rd[j] == cd[j] for j in range(len(dims)) if j != i):
+                    entry = (m.s_matrix[rd[i]][cd[i]], m.a_matrix[rd[i]][cd[i]])
+                    value = value + GaussianRational(*entry)
+            row.append(value)
+        out.append(row)
+    return out
+
+
+def dense_apply(matrix, vec):
+    return tuple(
+        sum((matrix[r][c] * exact(vec[c]) for c in range(len(vec))), exact(0))
+        for r in range(len(matrix))
+    )
+
+
 def const_field(dims, points, value):
     length = dims[0] * dims[1]
     return MultiTimeField(dims, {p: [value] * length for p in points})
@@ -81,7 +118,6 @@ class TestTensorHamiltonian:
         )
         assert np.array_equal(h.as_complex_array(), expected)
         assert h.dims == (2, 3)
-        assert h.kind == "separable"
 
     def test_three_factor_separable(self):
         import numpy as np
@@ -125,10 +161,7 @@ def independent_residual(t1, t2, h_matrix, n1, n2):
         return [exact(x) * exact(y) for x in a for y in b]
 
     center = prod(n1, n2)
-    forced = [
-        sum((h_matrix[r][c] * center[c] for c in range(len(center))), exact(0))
-        for r in range(len(center))
-    ]
+    forced = dense_apply(h_matrix, center)
     out = []
     for k in range(len(center)):
         value = (
@@ -156,7 +189,7 @@ class TestProductSolution:
             assert len(pts) == 8 * 8
             for point in pts:
                 assert all(r.is_zero() for r in equation_residual(field, h, point))
-                ind = independent_residual(t1, t2, h.matrix, *point)
+                ind = independent_residual(t1, t2, dense_kron_sum(m1, m2), *point)
                 assert all(r.is_zero() for r in ind)
 
     def test_residual_requires_full_stencil(self):
@@ -353,29 +386,29 @@ class TestSyncFirstOrder:
         h = TensorHamiltonian.general(PAIR_FLIP, dims=(2, 2))
         run = sync_first_order([1, 0, 0, 0], h, steps=4)
         e00 = as_exact_vector([1, 0, 0, 0], 4)
-        assert run.states[1] == (exact(0), exact(0), exact(0), exact(complex(0, -1)))
-        assert run.states[2] == tuple(-c for c in e00)
-        assert run.states[4] == e00
-        rays = [schmidt_rank(s, (2, 2)) for s in run.states]
+        assert run[1] == (exact(0), exact(0), exact(0), exact(complex(0, -1)))
+        assert run[2] == tuple(-c for c in e00)
+        assert run[4] == e00
+        rays = [schmidt_rank(s, (2, 2)) for s in run]
         assert rays == [1] * 5
 
     def test_identity_coupling_pure_phase(self):
         h = TensorHamiltonian.general(((1, 0), (0, 1)), dims=(2, 1))
         run = sync_first_order([1, 0], h, steps=3)
-        assert run.states[1] == (exact(complex(0, -1)), exact(0))
-        assert run.states[2] == (exact(-1), exact(0))
+        assert run[1] == (exact(complex(0, -1)), exact(0))
+        assert run[2] == (exact(-1), exact(0))
 
     def test_separable_coupling_generates_correlations(self):
         h = TensorHamiltonian.separable(SIGMA1, SIGMA1)
         run = sync_first_order([1, 0, 0, 0], h, steps=1)
         # -i (e10 + e01): two equal terms across the split
-        assert run.states[1] == (
+        assert run[1] == (
             exact(0),
             exact(complex(0, -1)),
             exact(complex(0, -1)),
             exact(0),
         )
-        assert schmidt_rank(run.states[1], (2, 2)) == 2
+        assert schmidt_rank(run[1], (2, 2)) == 2
 
     def test_permutation_coupling_preserves_norm(self):
         from ontoca.ising import GraphTopology, model_b_transfer
@@ -387,14 +420,151 @@ class TestSyncFirstOrder:
         h = TensorHamiltonian.general(h_matrix, dims=(2, 2, 2))
         state = [1, 2, 0, 0, 3, 0, 0, -1]
         run = sync_first_order(state, h, steps=9)
-        n0 = norm_sq_exact(run.states[0])
-        assert all(norm_sq_exact(s) == n0 for s in run.states)
+        n0 = norm_sq_exact(run[0])
+        assert all(norm_sq_exact(s) == n0 for s in run)
 
-    def test_direction_metadata(self):
-        h = TensorHamiltonian.general(((0, 1), (1, 0)), dims=(2, 1))
-        run = sync_first_order([1, 0], h, steps=2, direction=-1)
-        assert isinstance(run, FirstOrderRun)
-        assert run.direction == -1
+
+# =============================================================================
+# The Gaussian-integer kernel against the dense reference
+# =============================================================================
+
+BIG = 2**70
+
+
+@st.composite
+def models(draw, dim):
+    """Random self-adjoint H = S + iA with entries up to 2**70; zero rows happen."""
+    entry = st.one_of(st.just(0), st.integers(-BIG, BIG))
+    s = [[0] * dim for _ in range(dim)]
+    a = [[0] * dim for _ in range(dim)]
+    for r in range(dim):
+        for c in range(r, dim):
+            s[r][c] = s[c][r] = draw(entry)
+            if c > r:
+                a[r][c] = draw(entry)
+                a[c][r] = -a[r][c]
+    return build_hamiltonian(s, a)
+
+
+@st.composite
+def couplings(draw, factors=2):
+    """A general or separable coupling over dims 1..4 per factor, with its dense reference."""
+    dims = tuple(draw(st.integers(1, 4)) for _ in range(factors))
+    if draw(st.booleans()):
+        parts = [draw(models(d)) for d in dims]
+        return TensorHamiltonian.separable(*parts), dense_kron_sum(*parts)
+    total = math.prod(dims)
+    m = draw(models(total))
+    rows = [[GaussianInt(m.s_matrix[r][c], m.a_matrix[r][c]) for c in range(total)]
+            for r in range(total)]
+    return TensorHamiltonian.general(rows, dims), [[exact(z) for z in row] for row in rows]
+
+
+def vectors(length, rational):
+    part = st.integers(-BIG, BIG)
+    if rational:
+        part = st.builds(Fraction, part, st.integers(1, 30))
+    return st.lists(st.builds(GaussianRational, part, part), min_size=length, max_size=length)
+
+
+def draw_field(data, dims, points, rational):
+    length = dims[0] * dims[1]
+    return MultiTimeField(dims, {p: data.draw(vectors(length, rational)) for p in points})
+
+
+def dense_residual(field, h_dense, point, wrap=lambda p: p):
+    """The two-time equation's residual from the dense reference; `wrap`
+    maps a stencil point into a periodic domain."""
+    n1, n2 = point
+
+    def at(p):
+        return field.get(wrap(p))
+
+    forced = dense_apply(h_dense, at(point))
+    return tuple(
+        at((n1 + 1, n2))[k] - at((n1 - 1, n2))[k] + at((n1, n2 + 1))[k] - at((n1, n2 - 1))[k]
+        + forced[k].times_i()
+        for k in range(len(forced))
+    )
+
+
+class TestKernelAgainstDense:
+    @given(couplings(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_apply_and_synchronized_updates(self, coupling, data):
+        h, dense = coupling
+        rational = data.draw(st.booleans())
+        prev, curr = (data.draw(vectors(h.total_dim, rational)) for _ in range(2))
+        assert h.apply(curr) == dense_apply(dense, curr)
+        expected = tuple(p - f.times_i() for p, f in zip(prev, dense_apply(dense, curr)))
+        assert sync_second_order(prev, curr, h) == expected
+        run = sync_first_order(curr, h, steps=3)
+        state = tuple(curr)
+        for k in range(4):
+            assert run[k] == state
+            state = tuple(-f.times_i() for f in dense_apply(dense, state))
+
+    @given(couplings(factors=3), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_three_factor_apply(self, coupling, data):
+        h, dense = coupling
+        vec = data.draw(vectors(h.total_dim, data.draw(st.booleans())))
+        assert h.apply(vec) == dense_apply(dense, vec)
+
+    @given(couplings(), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equation_residual(self, coupling, rational, data):
+        h, dense = coupling
+        field = draw_field(data, h.dims, [(a, b) for a in range(3) for b in range(3)], rational)
+        assert equation_residual(field, h, (1, 1)) == dense_residual(field, dense, (1, 1))
+
+    @given(
+        couplings(), st.booleans(), st.sampled_from(["n1", "n2"]), st.sampled_from([1, -1]),
+        st.booleans(), st.integers(3, 5), st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_propagate_line(self, coupling, rational, axis, direction, periodic, length, data):
+        h, dense = coupling
+        # lines at coordinate 0 and 1 along `axis`, transverse coordinates 0..length-1
+        orient = (lambda c, o: (c, o)) if axis == "n1" else (lambda c, o: (o, c))
+        field = draw_field(
+            data, h.dims, [orient(c, o) for c in (0, 1) for o in range(length)], rational
+        )
+        stepped = propagate_line(field, h, axis=axis, direction=direction, periodic=periodic)
+        new_coord = 2 if direction == 1 else -1
+        center_coord = 1 if direction == 1 else 0
+        new = [p for p in stepped.points() if p[0 if axis == "n1" else 1] == new_coord]
+        transverse = range(length) if periodic else range(1, length - 1)
+        assert new == sorted(orient(new_coord, o) for o in transverse)
+        # every point solves the equation at its center, read from the dense reference
+        merged = field.union(stepped)
+
+        def wrap(p):
+            c, o = orient(*p)
+            return orient(c, o % length) if periodic else p
+
+        for o in transverse:
+            residual = dense_residual(merged, dense, orient(center_coord, o), wrap)
+            assert all(r.is_zero() for r in residual)
+
+    @given(couplings(), st.booleans(), st.integers(3, 5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_propagate_diagonal(self, coupling, rational, s, data):
+        h, dense = coupling
+        points = [(a, d - a) for d in (s - 1, s) for a in range(d + 1)]
+        field = draw_field(data, h.dims, points, rational)
+        seed_n1 = data.draw(st.integers(1, s))
+        seed_value = data.draw(vectors(h.total_dim, rational))
+        stepped = propagate_diagonal(field, h, (seed_n1, s + 1 - seed_n1), seed_value)
+        assert stepped.get((seed_n1, s + 1 - seed_n1)) == tuple(seed_value)
+        # the centers with both lower neighbours are (a, s - a) for a in 1..s-1;
+        # together they determine n1 = 1..s on the next diagonal
+        assert [p for p in stepped.points() if sum(p) == s + 1] == [
+            (a, s + 1 - a) for a in range(1, s + 1)
+        ]
+        merged = field.union(stepped)
+        for point in [(a, s - a) for a in range(1, s)]:
+            assert all(r.is_zero() for r in dense_residual(merged, dense, point))
 
 
 # =============================================================================
