@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -57,7 +58,7 @@ def _load_config(args, kind: str) -> dict:
         version = config.get("schema_version")
         if version is not None and version != serialize.SCHEMA_VERSION:
             raise ConfigInvalid(args.config, f"unsupported schema_version {version}")
-    for key in ("seed", "steps", "out", "format"):
+    for key in ("seed", "steps", "out", "format", "sites", "scale", "boundary", "samples"):
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
@@ -80,6 +81,12 @@ def _config_int(value, path: str, minimum=None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise ConfigInvalid(path, f"expected an integer{bound}, got {value!r}")
     return value
+
+
+def _config_positive(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ConfigInvalid(path, f"expected a positive finite number, got {value!r}")
+    return float(value)
 
 
 def _resolve_model(config: dict, args) -> HamiltonianModel:
@@ -489,6 +496,12 @@ def cmd_ising_a(args) -> int:
 def cmd_ising_b(args) -> int:
     config = _load_config(args, "ising-b")
     topology = _resolve_topology(config, args)
+    # the edge rule and the transfer map are 2^bits tables; refuse before building either
+    if topology.total_bits > ising.DEFAULT_MAX_BITS:
+        raise ConfigInvalid(
+            "topology", f"{topology.total_bits} vertex + edge bits exceed the "
+            f"{ising.DEFAULT_MAX_BITS}-bit limit"
+        )
     start_cfg = config.get("start", {})
     if not isinstance(start_cfg, dict):
         raise ConfigInvalid("start", "expected {vertices, edges}")
@@ -536,27 +549,38 @@ def cmd_ising_b(args) -> int:
 
 def cmd_gup(args) -> int:
     config = _load_config(args, "gup")
-    sites = int(getattr(args, "sites", None) or config.get("sites", 64))
-    scale = DiscretenessScale(float(getattr(args, "scale", None) or config.get("scale", 1.0)))
-    boundary = getattr(args, "boundary", None) or config.get("boundary", "periodic")
-    samples = int(getattr(args, "samples", None) or config.get("samples", 1000))
-    seed = int(config.get("seed", 0))
-    widths = config.get("widths") or [w for w in (4, 6, 8, 12, 16) if w <= sites / 8]
-    if not widths:
-        raise ConfigInvalid("widths", f"no admissible widths for {sites} sites")
+    sites = _config_int(config.get("sites", 64), "sites", minimum=1)
+    scale = DiscretenessScale(_config_positive(config.get("scale", 1.0), "scale"))
+    boundary = config.get("boundary", "periodic")
+    if boundary not in ("periodic", "open"):
+        raise ConfigInvalid("boundary", f"expected 'periodic' or 'open', got {boundary!r}")
+    samples = _config_int(config.get("samples", 1000), "samples", minimum=1)
+    seed = _config_int(config.get("seed", 0), "seed", minimum=0)
+    if "widths" in config:
+        widths = config["widths"]
+        if not isinstance(widths, list) or not widths:
+            raise ConfigInvalid("widths", f"expected a nonempty list of widths, got {widths!r}")
+        widths = [_config_positive(w, "widths") for w in widths]
+    else:
+        widths = [w for w in (4, 6, 8, 12, 16) if w <= sites / 8]
+        if not widths:
+            raise ConfigInvalid("widths", f"no admissible widths for {sites} sites")
 
-    x = gup.position_operator(sites, scale, boundary)
-    p = gup.momentum_operator(sites, scale, boundary)
+    stages = _StageLog("gup")
+    try:
+        family = gup.minimize_delta_x(scale, widths, sites, boundary)
+    except ValueError as exc:  # a width too large for the lattice
+        raise ConfigInvalid("widths", str(exc)) from None
+    sharp = gup.gup_bound_report(gup.single_site_state(sites, 0), scale, boundary)
+    stages.mark("family")
+
     violations = 0
     deformed_holds = 0
     for state in gup.random_states(sites, samples, seed):
-        if not gup.robertson_check(state, x, p).holds:
-            violations += 1
-        if gup.gup_bound_report(state, scale, boundary).satisfies_deformed_bound:
-            deformed_holds += 1
-
-    family = gup.minimize_delta_x(scale, widths, sites, boundary)
-    sharp = gup.gup_bound_report(gup.single_site_state(sites, 0), scale, boundary)
+        report = gup.gup_bound_report(state, scale, boundary)
+        violations += not report.robertson_holds
+        deformed_holds += report.satisfies_deformed_bound
+    stages.mark("samples")
 
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
@@ -567,7 +591,7 @@ def cmd_gup(args) -> int:
         "samples": samples,
         "seed": seed,
         "robertson_violations": violations,
-        "paper_bound_holds_fraction": deformed_holds / samples if samples else 0.0,
+        "paper_bound_holds_fraction": deformed_holds / samples,
         "realized_min_dx": family.realized_min_dx,
         "bound_min_dx": family.bound_min_dx,
         "best_tightness": family.best_tightness,
@@ -590,6 +614,10 @@ def cmd_gup(args) -> int:
         },
     }
     out = _write_out(config, serialize.dumps_json(doc), "gup.json")
+    stages.mark("write")
+    if stages.enabled:
+        log.info("gup: sites=%d samples=%d boundary=%s", sites, samples, boundary)
+    stages.emit()
     ok = violations == 0
     print(
         f"gup: sites={sites} samples={samples} robertson_violations={violations} "
@@ -600,7 +628,7 @@ def cmd_gup(args) -> int:
 
 def cmd_verify_all(args) -> int:
     config = _load_config(args, "verify-all")
-    seed = int(config.get("seed", 0))
+    seed = _config_int(config.get("seed", 0), "seed", minimum=0)
     report = verify.run_all(seed)
     text = serialize.dumps_json(report)
     out = config.get("out")

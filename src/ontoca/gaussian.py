@@ -12,6 +12,7 @@ this module.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -435,7 +436,7 @@ class HamiltonianModel:
 
 
 def _as_int_rows(matrix, name) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(int(x) for x in row) for row in matrix)
+    rows = tuple(tuple(operator.index(x) for x in row) for row in matrix)
     if not rows or any(len(row) != len(rows) for row in rows):
         raise DimensionMismatch(f"{name} must be a nonempty square matrix")
     return rows

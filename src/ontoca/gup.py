@@ -22,16 +22,13 @@ computed exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, FamilyTooNarrow, NotSelfAdjoint
-from .numerics import hermiticity_defect
+from .errors import DimensionMismatch, FamilyTooNarrow
 from .propagator import DiscretenessScale
-
-SELF_ADJOINT_TOL = 1e-12
 
 
 # =============================================================================
@@ -41,15 +38,27 @@ SELF_ADJOINT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LatticeOperator:
+    """X or P on `size` sites as an O(M) stencil: self-adjoint by construction."""
+
     size: int
     scale: DiscretenessScale
-    matrix: np.ndarray
     boundary: str
-    name: str = ""
+    name: str
 
     def __post_init__(self):
         if self.boundary not in ("periodic", "open"):
             raise ValueError(f"boundary must be 'periodic' or 'open', got {self.boundary!r}")
+        if self.name not in ("X", "P"):
+            raise ValueError(f"operator must be 'X' or 'P', got {self.name!r}")
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        if self.name == "X":
+            return (self.scale.l * site_labels(self.size)) * psi
+        up, down = np.roll(psi, -1), np.roll(psi, 1)  # psi[m + 1], psi[m - 1]
+        if self.boundary == "open":
+            up[-1] = down[0] = 0.0
+        coeff = 1.0 / (2.0 * self.scale.l)
+        return (-1j * coeff) * up + (1j * coeff) * down
 
 
 def site_labels(size: int) -> np.ndarray:
@@ -58,19 +67,11 @@ def site_labels(size: int) -> np.ndarray:
 
 
 def position_operator(size: int, scale: DiscretenessScale, boundary: str = "periodic") -> LatticeOperator:
-    matrix = np.diag(scale.l * site_labels(size)).astype(complex)
-    return LatticeOperator(size=size, scale=scale, matrix=matrix, boundary=boundary, name="X")
+    return LatticeOperator(size=size, scale=scale, boundary=boundary, name="X")
 
 
 def momentum_operator(size: int, scale: DiscretenessScale, boundary: str = "periodic") -> LatticeOperator:
-    matrix = np.zeros((size, size), dtype=complex)
-    coeff = 1.0 / (2.0 * scale.l)
-    for m in range(size):
-        if m + 1 < size or boundary == "periodic":
-            matrix[m, (m + 1) % size] += -1j * coeff
-        if m - 1 >= 0 or boundary == "periodic":
-            matrix[m, (m - 1) % size] += 1j * coeff
-    return LatticeOperator(size=size, scale=scale, matrix=matrix, boundary=boundary, name="P")
+    return LatticeOperator(size=size, scale=scale, boundary=boundary, name="P")
 
 
 @dataclass(frozen=True)
@@ -133,16 +134,17 @@ def random_states(size: int, count: int, seed: int) -> list[LatticeState]:
 def _check(state: LatticeState, op: LatticeOperator):
     if state.size != op.size:
         raise DimensionMismatch(f"state size {state.size} vs operator size {op.size}")
-    defect = hermiticity_defect(op.matrix)
-    if defect > SELF_ADJOINT_TOL:
-        raise NotSelfAdjoint(f"operator {op.name or '?'} deviates from self-adjoint by {defect:g}")
 
 
-def uncertainty(state: LatticeState, op: LatticeOperator) -> tuple[float, float]:
-    """Expectation value and spread <op>, Delta op (clamped at zero roundoff)."""
-    _check(state, op)
-    psi = state.amplitudes
-    applied = op.matrix @ psi
+class Moments(NamedTuple):
+    """<op>, Delta op (clamped at zero roundoff) and <op^2> in one state."""
+
+    mean: float
+    delta: float
+    second: float
+
+
+def _moments(psi: np.ndarray, applied: np.ndarray) -> Moments:
     mean = float(np.vdot(psi, applied).real)
     second = float(np.vdot(applied, applied).real)  # <op^2> since op is self-adjoint
     var = second - mean * mean
@@ -150,7 +152,14 @@ def uncertainty(state: LatticeState, op: LatticeOperator) -> tuple[float, float]
         if var < -1e-12:
             raise ArithmeticError(f"variance {var} below roundoff tolerance")
         var = 0.0
-    return mean, math.sqrt(var)
+    return Moments(mean, math.sqrt(var), second)
+
+
+def uncertainty(state: LatticeState, op: LatticeOperator) -> tuple[float, float]:
+    """Expectation value and spread <op>, Delta op (clamped at zero roundoff)."""
+    _check(state, op)
+    mean, delta, _ = _moments(state.amplitudes, op.apply(state.amplitudes))
+    return mean, delta
 
 
 @dataclass(frozen=True)
@@ -158,19 +167,20 @@ class RobertsonResult:
     lhs: float
     rhs: float
     holds: bool
+    moments_a: Moments
+    moments_b: Moments
 
 
 def robertson_check(state: LatticeState, a: LatticeOperator, b: LatticeOperator) -> RobertsonResult:
     """DeltaA * DeltaB against |<[A,B]>| / 2, the exact commutator bound."""
     _check(state, a)
     _check(state, b)
-    _, da = uncertainty(state, a)
-    _, db = uncertainty(state, b)
     psi = state.amplitudes
-    comm = a.matrix @ (b.matrix @ psi) - b.matrix @ (a.matrix @ psi)
-    rhs = abs(complex(np.vdot(psi, comm))) / 2.0
-    lhs = da * db
-    return RobertsonResult(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-12)
+    a_psi, b_psi = a.apply(psi), b.apply(psi)
+    ma, mb = _moments(psi, a_psi), _moments(psi, b_psi)
+    rhs = abs(complex(np.vdot(psi, a.apply(b_psi) - b.apply(a_psi)))) / 2.0
+    lhs = ma.delta * mb.delta
+    return RobertsonResult(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-12, moments_a=ma, moments_b=mb)
 
 
 @dataclass(frozen=True)
@@ -181,6 +191,9 @@ class GupBoundReport:
     satisfies_deformed_bound: bool
     mean_p: float
     mean_p_squared: float
+    delta_x: float
+    delta_p: float
+    robertson_holds: bool
 
 
 def gup_bound_report(
@@ -190,23 +203,23 @@ def gup_bound_report(
 
     Both right-hand sides are reported; only Robertson is a theorem.
     """
-    x = position_operator(state.size, scale, boundary)
-    p = momentum_operator(state.size, scale, boundary)
-    _, dx = uncertainty(state, x)
-    mean_p, dp = uncertainty(state, p)
-    psi = state.amplitudes
-    p_psi = p.matrix @ psi
-    p2 = float(np.vdot(p_psi, p_psi).real)
-    deformed_rhs = 0.5 * abs(1.0 + (scale.l**2 / 2.0) * p2)
-    robertson = robertson_check(state, x, p)
-    lhs = dx * dp
+    robertson = robertson_check(
+        state,
+        position_operator(state.size, scale, boundary),
+        momentum_operator(state.size, scale, boundary),
+    )
+    x, p = robertson.moments_a, robertson.moments_b
+    deformed_rhs = 0.5 * abs(1.0 + (scale.l**2 / 2.0) * p.second)
     return GupBoundReport(
-        lhs=lhs,
+        lhs=robertson.lhs,
         deformed_rhs=deformed_rhs,
         robertson_rhs=robertson.rhs,
-        satisfies_deformed_bound=lhs >= deformed_rhs - 1e-12,
-        mean_p=mean_p,
-        mean_p_squared=p2,
+        satisfies_deformed_bound=robertson.lhs >= deformed_rhs - 1e-12,
+        mean_p=p.mean,
+        mean_p_squared=p.second,
+        delta_x=x.delta,
+        delta_p=p.delta,
+        robertson_holds=robertson.holds,
     )
 
 
@@ -229,14 +242,10 @@ def bound_minimum(scale: DiscretenessScale) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(GupBoundReport):
+    """The bound report of one centered Gaussian envelope."""
+
     width: float
-    delta_x: float
-    delta_p: float
-    lhs: float
-    deformed_rhs: float
-    robertson_rhs: float
-    satisfies_deformed_bound: bool
 
 
 @dataclass(frozen=True)
@@ -274,23 +283,8 @@ def minimize_delta_x(
         )
     members = []
     for w in widths:
-        state = gaussian_envelope(sites, w)
-        x = position_operator(sites, scale, boundary)
-        p = momentum_operator(sites, scale, boundary)
-        _, dx = uncertainty(state, x)
-        _, dp = uncertainty(state, p)
-        report = gup_bound_report(state, scale, boundary)
-        members.append(
-            FamilyMember(
-                width=w,
-                delta_x=dx,
-                delta_p=dp,
-                lhs=report.lhs,
-                deformed_rhs=report.deformed_rhs,
-                robertson_rhs=report.robertson_rhs,
-                satisfies_deformed_bound=report.satisfies_deformed_bound,
-            )
-        )
+        report = gup_bound_report(gaussian_envelope(sites, w), scale, boundary)
+        members.append(FamilyMember(**asdict(report), width=w))
     bound_dx, bound_dp = bound_minimum(scale)
     satisfying = [m for m in members if m.satisfies_deformed_bound]
     realized_min_dx = None

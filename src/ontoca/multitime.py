@@ -21,6 +21,7 @@ Values are boxed to GaussianRational only where they leave this module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -113,7 +114,7 @@ class TensorHamiltonian:
     def general(cls, matrix, dims: Sequence[int]) -> "TensorHamiltonian":
         if not isinstance(matrix, HamiltonianModel):
             matrix = _hamiltonian(matrix)
-        return cls(dims=tuple(int(d) for d in dims), model=matrix)
+        return cls(dims=tuple(operator.index(d) for d in dims), model=matrix)
 
     @classmethod
     def separable(cls, *factors) -> "TensorHamiltonian":

@@ -5,10 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix - matrix.conj().T))) if matrix.size else 0.0
-
-
 def expm_hermitian(matrix: np.ndarray, prefactor: complex = 1.0) -> np.ndarray:
     """exp(prefactor * M) for self-adjoint M, via eigendecomposition."""
     evals, vecs = np.linalg.eigh(matrix)

@@ -258,7 +258,7 @@ def topology_from_mapping(data: dict, origin: str = "topology") -> GraphTopology
     try:
         if "preset" in data:
             preset = data["preset"]
-            n = int(data["n_vertices"])
+            n = _exact_int(data["n_vertices"], origin, "n_vertices")
             builders = {
                 "fully_connected": GraphTopology.fully_connected,
                 "ring": GraphTopology.ring,
@@ -267,8 +267,12 @@ def topology_from_mapping(data: dict, origin: str = "topology") -> GraphTopology
             if preset not in builders:
                 raise ConfigInvalid(origin, f"unknown topology preset {preset!r}")
             return builders[preset](n)
-        edges = tuple((int(i), int(j)) for i, j in data["edges"])
-        return GraphTopology(n_vertices=int(data["n_vertices"]), edges=edges)
+        edges = tuple(
+            (_exact_int(i, origin, f"edges[{k}]"), _exact_int(j, origin, f"edges[{k}]"))
+            for k, (i, j) in enumerate(data["edges"])
+        )
+        return GraphTopology(n_vertices=_exact_int(data["n_vertices"], origin, "n_vertices"),
+                             edges=edges)
     except ConfigInvalid:
         raise
     except Exception as exc:
@@ -284,11 +288,13 @@ def schedule_from_mapping(data: dict, origin: str = "schedule") -> Schedule:
     try:
         kind = data["kind"]
         if kind in ("periodic", "explicit"):
-            steps = [tuple(entry) for entry in data["steps"]]
+            steps = [tuple(_exact_int(x, origin, f"steps[{k}]") for x in entry)
+                     for k, entry in enumerate(data["steps"])]
             return Schedule.periodic(steps) if kind == "periodic" else Schedule.explicit(steps)
         if kind == "seeded_random":
-            pool = [tuple(e) for e in data["pool"]]
-            return Schedule.seeded_random(int(data["seed"]), pool)
+            pool = [tuple(_exact_int(x, origin, f"pool[{k}]") for x in e)
+                    for k, e in enumerate(data["pool"])]
+            return Schedule.seeded_random(_exact_int(data["seed"], origin, "seed"), pool)
         raise ConfigInvalid(origin, f"unknown schedule kind {kind!r}")
     except ConfigInvalid:
         raise

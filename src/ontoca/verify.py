@@ -7,8 +7,10 @@ rational equality) wherever the underlying arithmetic is exact.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
+import time
 
 import numpy as np
 
@@ -27,6 +29,8 @@ from .gaussian import (
 )
 from .numerics import max_abs
 from .propagator import DiscretenessScale
+
+log = logging.getLogger("ontoca")
 
 EXPECTED_PAIR_FLIP_STATES = [
     # scalar multiples (re, im) of alternating basis vectors, from the exact
@@ -558,7 +562,9 @@ def run_all(seed: int = 0) -> dict:
     checks = []
     all_passed = True
     for offset, (name, fn) in enumerate(CHECKS):
+        start = time.perf_counter()
         passed, details = fn(seed * 1009 + offset)
+        log.info("verify-all: check %s took %.6fs", name, time.perf_counter() - start)
         checks.append({"name": name, "passed": bool(passed), "details": details})
         all_passed = all_passed and bool(passed)
     return {

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ontoca
+from ontoca import ising
 from ontoca.cli import main
 from ontoca.serialize import atomic_write_text, dumps_json
 
@@ -451,6 +452,11 @@ class TestIsing:
             ("ising-b", {"start": {"vertices": "101", "edges": "110"}}, "start.edges"),
             ("ising-b", {"steps": -1}, "steps"),
             ("ising-b", {"edge_rule": {"seeded_random": "x"}}, "edge_rule.seeded_random"),
+            ("ising-a", {"topology": {"n_vertices": 3.9, "edges": [[0, 1], [1, 2]]}}, "topology"),
+            ("ising-a", {"topology": {"n_vertices": 3, "edges": [[0, 1.7], [1, 2]]}}, "topology"),
+            ("ising-a", {"schedule": {"kind": "periodic", "steps": [[0, 1.5, 1]]}}, "schedule"),
+            ("ising-a", {"schedule": {"kind": "seeded_random", "seed": 2.5, "pool": [[0, 1]]}},
+             "schedule"),
         ],
     )
     def test_bad_input_names_config_path(self, tmp_path, capsys, command, fields, path):
@@ -460,6 +466,20 @@ class TestIsing:
         cfg = write_json(tmp_path / "c.json", {**doc, **fields})
         assert run([command, cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
+    def test_size_limit_checked_before_any_table(self, tmp_path, capsys, monkeypatch):
+        # 13 vertices + 13 edges = 26 bits: the cyclic rule table alone would be 2^26 entries
+        def no_table(*args, **kwargs):
+            raise AssertionError("a 2^bits table was built")
+
+        for name in ("cyclic_edge_shift_rule", "model_b_transfer"):
+            monkeypatch.setattr(ising, name, no_table)
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "ising-b", "topology": {"preset": "ring", "n_vertices": 13},
+            "edge_rule": "cyclic",
+        })
+        assert run(["ising-b", cfg, "--out", str(tmp_path / "b.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: topology: 26 vertex + edge bits")
 
     def test_edge_gated_run(self, tmp_path, capsys):
         cfg = write_json(
@@ -493,6 +513,24 @@ class TestGup:
         assert "sharp_state_counterexample" in doc
         assert doc["sharp_state_counterexample"]["satisfies_deformed_bound"] is False
 
+    def test_info_log_reports_stages_without_changing_outputs(self, tmp_path):
+        src = str(Path(ontoca.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "ontoca.cli", "gup", "--sites", "64", "--samples", "20",
+                "--boundary", "open", "--out", "gup.json"]
+        runs = []
+        for level in ("WARNING", "INFO"):
+            workdir = tmp_path / level
+            workdir.mkdir()
+            env = {**os.environ, "PYTHONPATH": src, "ONTOCA_LOG": level}
+            done = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, text=True,
+                                  check=True)
+            runs.append((done, (workdir / "gup.json").read_bytes()))
+        (quiet, quiet_json), (loud, loud_json) = runs
+        assert quiet.stderr == ""
+        assert "gup: sites=64 samples=20 boundary=open" in loud.stderr
+        assert re.search(r"gup: stage times family=\S+s samples=\S+s write=\S+s", loud.stderr)
+        assert (loud.stdout, loud_json) == (quiet.stdout, quiet_json)
+
 
 class TestVerifyAll:
     def test_passes_and_is_deterministic(self, tmp_path):
@@ -503,6 +541,21 @@ class TestVerifyAll:
         doc = json.loads(out1.read_text())
         assert doc["all_passed"] is True
         assert all(c["passed"] for c in doc["checks"])
+
+    def test_info_log_reports_check_times_without_changing_outputs(self, tmp_path):
+        src = str(Path(ontoca.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "ontoca.cli", "verify-all", "--seed", "1"]
+        runs = []
+        for level in ("WARNING", "INFO"):
+            env = {**os.environ, "PYTHONPATH": src, "ONTOCA_LOG": level}
+            runs.append(subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True,
+                                       text=True, check=True))
+        quiet, loud = runs
+        assert quiet.stderr == ""
+        names = [c["name"] for c in json.loads(quiet.stdout.rsplit("\n", 2)[0])["checks"]]
+        timed = re.findall(r"verify-all: check (\S+) took \S+s", loud.stderr)
+        assert timed == names
+        assert loud.stdout == quiet.stdout
 
 
 class TestNumericInputs:
@@ -527,12 +580,30 @@ class TestNumericInputs:
             ("multitime", {"mode": "first_order", "state": [1, 0, 0, 0], "steps": 0}, [], "steps"),
             ("multitime", {"mode": "second_order", "prev": [1, 0, 0, 0], "curr": [0, 1, 0, 0],
                            "steps": "x"}, [], "steps"),
+            ("gup", {}, ["--sites", "0"], "sites"),
+            ("gup", {"sites": 0}, [], "sites"),
+            ("gup", {}, ["--samples", "0"], "samples"),
+            ("gup", {"samples": 0}, [], "samples"),
+            ("gup", {}, ["--scale", "0"], "scale"),
+            ("gup", {"scale": 0}, [], "scale"),
+            ("gup", {"scale": "1"}, [], "scale"),
+            ("gup", {"seed": 1.7}, [], "seed"),
+            ("gup", {"seed": "3"}, [], "seed"),
+            ("gup", {"widths": ["x"]}, [], "widths"),
+            ("gup", {"widths": []}, [], "widths"),
+            ("gup", {"widths": [4, -1]}, [], "widths"),
+            ("gup", {"widths": [100]}, [], "widths"),
+            ("gup", {"boundary": "closed"}, [], "boundary"),
+            ("verify-all", {"seed": 1.7}, [], "seed"),
+            ("verify-all", {"seed": "3"}, [], "seed"),
         ],
     )
     def test_bad_input_names_config_path(self, tmp_path, capsys, command, fields, flags, path):
         doc = {"kind": command, "model": {"preset": "H2"}}
         if command == "multitime":
             doc = {"kind": command, "coupling": self.H2_PAIR}
+        elif command == "gup":
+            doc = {"kind": command, "sites": 32, "samples": 4}
         cfg = write_json(tmp_path / "c.json", {**doc, **fields})
         assert run([command, cfg, *flags, "--out", str(tmp_path / "o.out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}:")

@@ -10,6 +10,7 @@ complex-form stepping, so agreement between the two is a real check.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +189,13 @@ class TestBuildHamiltonian:
     def test_rectangular_rejected(self):
         with pytest.raises(DimensionMismatch):
             build_hamiltonian(((0, 1),), ZERO2)
+
+    def test_non_integer_entries_refused(self):
+        # an entry such as 1.5 is refused, not truncated to 1
+        with pytest.raises(TypeError):
+            build_hamiltonian([[1.5]], [[0]])
+        with pytest.raises(TypeError):
+            build_hamiltonian([[0]], [[Fraction(0)]])
 
 
 # =============================================================================

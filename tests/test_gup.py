@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from ontoca.errors import DimensionMismatch, NotSelfAdjoint
+from ontoca.errors import DimensionMismatch
 from ontoca.gup import (
     LatticeOperator,
     bound_curve,
@@ -26,41 +27,126 @@ from ontoca.propagator import DiscretenessScale
 SCALE = DiscretenessScale(1.0)
 
 
+def applied_matrix(op: LatticeOperator) -> np.ndarray:
+    """The matrix of a stencil: column k is op.apply(e_k)."""
+    return np.column_stack([op.apply(e) for e in np.eye(op.size, dtype=complex)])
+
+
+def dense_oracle(op: LatticeOperator) -> np.ndarray:
+    """X[m][n] = l m delta[m,n] and P[m][n] = -i (delta[m,n-1] - delta[m,n+1]) / (2 l),
+    the seam entries of P dropped on an open boundary, built entry by entry."""
+    size, l = op.size, op.scale.l
+    matrix = np.zeros((size, size), dtype=complex)
+    for m, label in enumerate(range(-(size // 2), size - size // 2)):
+        if op.name == "X":
+            matrix[m, m] = l * label
+            continue
+        if m + 1 < size or op.boundary == "periodic":
+            matrix[m, (m + 1) % size] += -1j / (2.0 * l)
+        if m - 1 >= 0 or op.boundary == "periodic":
+            matrix[m, (m - 1) % size] += 1j / (2.0 * l)
+    return matrix
+
+
+def dense_report(psi, l: float, boundary: str) -> dict:
+    """gup_bound_report's fields from the dense oracle matrices."""
+    size = len(psi)
+    x = dense_oracle(position_operator(size, DiscretenessScale(l), boundary))
+    p = dense_oracle(momentum_operator(size, DiscretenessScale(l), boundary))
+
+    def spread(op):
+        mean = np.vdot(psi, op @ psi).real
+        return math.sqrt(max(np.vdot(psi, op @ (op @ psi)).real - mean**2, 0.0))
+
+    p2 = np.vdot(psi, p @ (p @ psi)).real
+    return {
+        "lhs": spread(x) * spread(p),
+        "deformed_rhs": 0.5 * abs(1.0 + (l**2 / 2.0) * p2),
+        "robertson_rhs": abs(np.vdot(psi, (x @ p - p @ x) @ psi)) / 2.0,
+        "mean_p": np.vdot(psi, p @ psi).real,
+        "mean_p_squared": p2,
+        "delta_x": spread(x),
+        "delta_p": spread(p),
+    }
+
+
 # =============================================================================
 # Operator structure
 # =============================================================================
 
 
+lattices = st.tuples(
+    st.integers(1, 64), st.sampled_from(("periodic", "open")), st.floats(0.05, 20.0)
+)
+
+
+class TestStencilAgainstDense:
+    """apply() against dense matrices written from the operator formulas."""
+
+    @given(lattices, st.integers(0, 2**32 - 1))
+    def test_apply_is_dense_matvec(self, lattice, seed):
+        size, boundary, l = lattice
+        psi = random_states(size, 1, seed)[0].amplitudes
+        for make in (position_operator, momentum_operator):
+            op = make(size, DiscretenessScale(l), boundary)
+            oracle = dense_oracle(op)
+            assert np.array_equal(applied_matrix(op), oracle)
+            assert np.allclose(op.apply(psi), oracle @ psi, rtol=0.0, atol=1e-12 * (l + 1 / l))
+
+    @given(lattices)
+    def test_oracle_is_hermitian(self, lattice):
+        size, boundary, l = lattice
+        for make in (position_operator, momentum_operator):
+            oracle = dense_oracle(make(size, DiscretenessScale(l), boundary))
+            assert np.array_equal(oracle, oracle.conj().T)
+
+    @given(lattices, st.integers(0, 2**32 - 1))
+    def test_bound_report_matches_dense_report(self, lattice, seed):
+        size, boundary, l = lattice
+        state = random_states(size, 1, seed)[0]
+        report = gup_bound_report(state, DiscretenessScale(l), boundary)
+        want = dense_report(state.amplitudes, l, boundary)
+        scale = max(abs(v) for v in want.values()) + 1.0
+        for key, value in want.items():
+            assert math.isclose(getattr(report, key), value, rel_tol=1e-12, abs_tol=1e-12 * scale), key
+        assert report.robertson_holds == (report.lhs >= report.robertson_rhs - 1e-12)
+
+    def test_only_x_and_p(self):
+        with pytest.raises(ValueError):
+            LatticeOperator(size=4, scale=SCALE, boundary="periodic", name="Q")
+
+
 class TestOperators:
     def test_position_is_diagonal_in_site_labels(self):
-        x = position_operator(8, DiscretenessScale(0.5))
-        assert np.array_equal(np.diag(x.matrix).real, 0.5 * site_labels(8))
-        assert np.count_nonzero(x.matrix - np.diag(np.diag(x.matrix))) == 0
+        x = applied_matrix(position_operator(8, DiscretenessScale(0.5)))
+        assert np.array_equal(np.diag(x).real, 0.5 * site_labels(8))
+        assert np.count_nonzero(x - np.diag(np.diag(x))) == 0
 
     def test_momentum_hopping_entries(self):
-        p = momentum_operator(6, DiscretenessScale(2.0))
+        p = applied_matrix(momentum_operator(6, DiscretenessScale(2.0)))
         coeff = 1.0 / 4.0
         for m in range(6):
-            assert p.matrix[m, (m + 1) % 6] == -1j * coeff
-            assert p.matrix[m, (m - 1) % 6] == 1j * coeff
-        assert np.count_nonzero(p.matrix) == 12
+            assert p[m, (m + 1) % 6] == -1j * coeff
+            assert p[m, (m - 1) % 6] == 1j * coeff
+        assert np.count_nonzero(p) == 12
 
     def test_open_boundary_truncates(self):
-        p = momentum_operator(6, SCALE, boundary="open")
-        assert p.matrix[0, 5] == 0
-        assert p.matrix[5, 0] == 0
-        assert np.array_equal(p.matrix, p.matrix.conj().T)
+        p = applied_matrix(momentum_operator(6, SCALE, boundary="open"))
+        assert p[0, 5] == 0
+        assert p[5, 0] == 0
+        assert np.array_equal(p, p.conj().T)
 
     def test_self_adjoint_by_construction(self):
         for boundary in ("periodic", "open"):
             for op in (position_operator(16, SCALE, boundary), momentum_operator(16, SCALE, boundary)):
-                assert np.max(np.abs(op.matrix - op.matrix.conj().T)) == 0.0
+                matrix = applied_matrix(op)
+                assert np.max(np.abs(matrix - matrix.conj().T)) == 0.0
 
     def test_commutator_is_half_i_hopping_sum(self):
         # [X, P] = (i/2)(shift_up + shift_down) away from the periodic seam
         m = 16
-        x = position_operator(m, SCALE).matrix
-        p = momentum_operator(m, SCALE).matrix
+        x = applied_matrix(position_operator(m, SCALE))
+        p = applied_matrix(momentum_operator(m, SCALE))
         comm = x @ p - p @ x
         expected = np.zeros((m, m), dtype=complex)
         for k in range(m - 1):
@@ -108,14 +194,6 @@ class TestUncertainty:
         _, dp2 = uncertainty(state, momentum_operator(m, DiscretenessScale(2.0)))
         assert dx2 == pytest.approx(2 * dx1, rel=1e-12)
         assert dp2 == pytest.approx(dp1 / 2, rel=1e-12)
-
-    def test_non_self_adjoint_rejected(self):
-        bad = LatticeOperator(
-            size=2, scale=SCALE, matrix=np.array([[0, 1], [0, 0]], dtype=complex),
-            boundary="open",
-        )
-        with pytest.raises(NotSelfAdjoint):
-            uncertainty(single_site_state(2, 0), bad)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -141,6 +141,11 @@ class TestTensorHamiltonian:
         with pytest.raises(DimensionMismatch):
             TensorHamiltonian.general(PAIR_FLIP, dims=(2, 3))
 
+    def test_general_dims_must_be_integers(self):
+        # (2.7, 1) is refused, not truncated to (2, 1)
+        with pytest.raises(TypeError):
+            TensorHamiltonian.general(PAIR_FLIP, dims=(2.7, 1))
+
     def test_apply_exact(self):
         h = TensorHamiltonian.general(PAIR_FLIP, dims=(2, 2))
         out = h.apply([1, 0, 0, 0])

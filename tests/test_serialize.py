@@ -164,6 +164,15 @@ class TestTopologyAndSchedule:
         with pytest.raises(ConfigInvalid):
             topology_from_mapping({"n_vertices": 2, "edges": [[0, 0]]})
 
+    @pytest.mark.parametrize("data", [
+        {"n_vertices": 3.9, "edges": [[0, 1], [1, 2]]},
+        {"n_vertices": 3, "edges": [[0, 1.7], [1, 2]]},
+        {"preset": "ring", "n_vertices": 4.0},
+    ])
+    def test_non_integer_topology_refused(self, data):
+        with pytest.raises(ConfigInvalid, match="must be an integer"):
+            topology_from_mapping(data)
+
     def test_schedule_kinds(self, tmp_path):
         periodic = schedule_from_mapping({"kind": "periodic", "steps": [[0, 1, 1]]})
         assert periodic.active(5) == ((0, 1), 1)
@@ -182,6 +191,16 @@ class TestTopologyAndSchedule:
             schedule_from_mapping({"kind": "periodic", "steps": []})
         with pytest.raises(ConfigInvalid):
             schedule_from_mapping({"kind": "nope"})
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "periodic", "steps": [[0, 1.5, 1]]},
+        {"kind": "explicit", "steps": [[0, 1, "-1"]]},
+        {"kind": "seeded_random", "seed": 2.5, "pool": [[0, 1]]},
+        {"kind": "seeded_random", "seed": 2, "pool": [[0, 1.0]]},
+    ])
+    def test_non_integer_schedule_refused(self, data):
+        with pytest.raises(ConfigInvalid, match="must be an integer"):
+            schedule_from_mapping(data)
 
 
 class TestVectorConfig:
