@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import gup, ising, multitime, ontology, propagator, serialize, verify
-from .errors import ConfigInvalid, OntocaError
+from .errors import ConfigInvalid, GeometryMismatch, OntocaError
 from .gaussian import (
     CAPairState,
     GaussianIntVector,
@@ -236,10 +236,13 @@ def cmd_dispersion(args) -> int:
     sweep_note = ""
     sweep = config.get("sweep")
     if sweep is not None:
-        if not isinstance(sweep, dict) or not sweep.get("epsilons"):
+        if not isinstance(sweep, dict):
             raise ConfigInvalid("sweep", "expected {epsilons, scale_product, out?}")
-        epsilons = tuple(float(e) for e in sweep["epsilons"])
-        scale_product = float(sweep.get("scale_product", 1.0))
+        raw = sweep.get("epsilons")
+        if not isinstance(raw, list) or not raw:
+            raise ConfigInvalid("sweep.epsilons", f"expected a nonempty list, got {raw!r}")
+        epsilons = tuple(_config_positive(e, f"sweep.epsilons[{k}]") for k, e in enumerate(raw))
+        scale_product = _config_positive(sweep.get("scale_product", 1.0), "sweep.scale_product")
         psi0 = (
             serialize.vector_from_config(sweep["psi0"], "sweep.psi0")
             if "psi0" in sweep
@@ -380,9 +383,12 @@ def cmd_multitime(args) -> int:
             raise ConfigInvalid("periodic", f"expected true or false, got {periodic!r}")
         accumulated = field
         current = field
-        for _ in range(steps):
-            current = multitime.propagate_line(current, coupling, axis, direction, periodic)
-            accumulated = accumulated.union(current)
+        try:
+            for _ in range(steps):
+                current = multitime.propagate_line(current, coupling, axis, direction, periodic)
+                accumulated = accumulated.union(current)
+        except GeometryMismatch as exc:  # only the initial field can be misshapen
+            raise ConfigInvalid("initial_field", f"{exc} (axis {axis})") from None
         stages.mark("propagate")
         for point in multitime.interior_points(accumulated):
             res = multitime.equation_residual(accumulated, coupling, point)
@@ -397,7 +403,10 @@ def cmd_multitime(args) -> int:
             raise ConfigInvalid("extra_point", "expected [n1, n2]")
         extra_point = tuple(_config_int(x, "extra_point") for x in extra_point)
         extra_value = _coupling_vector(config, "extra_value", coupling)
-        stepped = multitime.propagate_diagonal(field, coupling, extra_point, extra_value)
+        try:
+            stepped = multitime.propagate_diagonal(field, coupling, extra_point, extra_value)
+        except GeometryMismatch as exc:
+            raise ConfigInvalid("initial_field", str(exc)) from None
         merged = field.union(stepped)
         stages.mark("propagate")
         for point in multitime.interior_points(merged):
@@ -523,12 +532,17 @@ def cmd_ising_b(args) -> int:
     else:
         raise ConfigInvalid("edge_rule", f"unknown edge rule {rule_spec!r}")
 
+    stages = _StageLog("ising-b")
     transfer = ising.model_b_transfer(topology)
     combined = ising.edge_update_compose(transfer, rule, topology)
+    stages.mark("build")
     unitary = combined.is_unitary()
     exp_dev = None
+    identity_holds = True
     if topology.total_bits <= ising.EXPONENTIAL_FORM_MAX_BITS:
+        identity_holds = ising.exponential_identity_holds(topology)
         exp_dev = ising.verify_exponential_form(topology)
+    stages.mark("check")
 
     rows = []
     index, phase = start.basis_index, 0
@@ -538,7 +552,11 @@ def cmd_ising_b(args) -> int:
         index, ph = combined.apply(index)
         phase = (phase + ph) % 4
     out = _write_out(config, serialize.spin_trajectory_csv(rows), "ising_b.csv")
-    ok = unitary and (exp_dev is None or exp_dev <= 1e-9)
+    stages.mark("write")
+    if stages.enabled:
+        log.info("ising-b: bits=%d steps=%d", topology.total_bits, steps)
+    stages.emit()
+    ok = unitary and identity_holds and (exp_dev is None or exp_dev <= 1e-9)
     exp_text = "skipped" if exp_dev is None else f"{exp_dev:.3e}"
     print(
         f"ising-b: bits={topology.total_bits} steps={steps} unitary={unitary} "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -117,13 +117,12 @@ def single_site_state(size: int, site: int) -> LatticeState:
     return LatticeState(amplitudes=amp)
 
 
-def random_states(size: int, count: int, seed: int) -> list[LatticeState]:
+def random_states(size: int, count: int, seed: int) -> Iterator[LatticeState]:
+    """`count` random normalized states from one seeded stream, made one at a time."""
     rng = np.random.default_rng(seed)
-    out = []
     for _ in range(count):
         amp = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        out.append(LatticeState.from_amplitudes(amp))
-    return out
+        yield LatticeState.from_amplitudes(amp)
 
 
 # =============================================================================

@@ -22,6 +22,7 @@ Two update families are provided:
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +40,9 @@ from .errors import (
 from .numerics import expm_hermitian, max_abs
 
 DEFAULT_MAX_BITS = 24
-# The exponential-form check builds and diagonalizes a dense 2**bits matrix.
+# The exponential-form check diagonalizes 2**E generator blocks of 2**V x 2**V
+# each (one per edge-bit pattern); ising-b runs it and the exact identity up to
+# this many vertex + edge bits.
 EXPONENTIAL_FORM_MAX_BITS = 12
 
 Edge = tuple[int, int]
@@ -50,6 +53,12 @@ Edge = tuple[int, int]
 # =============================================================================
 
 
+def _sorted_pair(i, j) -> Edge:
+    """Two vertex labels as exact ints, smaller first; a float or string raises TypeError."""
+    i, j = operator.index(i), operator.index(j)
+    return (i, j) if i <= j else (j, i)
+
+
 @dataclass(frozen=True)
 class GraphTopology:
     """Vertices 0..N-1 plus an ordered list of undirected edges (i < j)."""
@@ -58,22 +67,22 @@ class GraphTopology:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if self.n_vertices < 2:
-            raise ValueError(f"need at least 2 vertices, got {self.n_vertices}")
+        n_vertices = operator.index(self.n_vertices)
+        if n_vertices < 2:
+            raise ValueError(f"need at least 2 vertices, got {n_vertices}")
         seen = set()
         norm = []
         for i, j in self.edges:
-            i, j = int(i), int(j)
+            i, j = _sorted_pair(i, j)
             if i == j:
                 raise ValueError(f"self-loop ({i},{j}) not allowed")
-            if not (0 <= i < self.n_vertices and 0 <= j < self.n_vertices):
+            if i < 0 or j >= n_vertices:
                 raise ValueError(f"edge ({i},{j}) out of range")
-            if i > j:
-                i, j = j, i
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
             norm.append((i, j))
+        object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "edges", tuple(norm))
 
     @property
@@ -305,8 +314,8 @@ class Schedule:
     def seeded_random(cls, seed: int, pool: Iterable[Edge]) -> "Schedule":
         return cls(
             kind="seeded_random",
-            seed=int(seed),
-            pool=tuple((min(e), max(e)) for e in pool),
+            seed=operator.index(seed),
+            pool=tuple(_sorted_pair(i, j) for i, j in pool),
         )
 
     def active(self, step_index: int) -> tuple[Edge, int]:
@@ -332,7 +341,7 @@ def _norm_steps(steps) -> tuple[tuple[int, int, int], ...]:
             sign = 1
         else:
             i, j, sign = entry
-        out.append((min(int(i), int(j)), max(int(i), int(j)), int(sign)))
+        out.append((*_sorted_pair(i, j), operator.index(sign)))
     return tuple(out)
 
 
@@ -458,18 +467,23 @@ def projector_identity_check(k: int) -> bool:
     return True
 
 
-def build_generator_matrix(topology: GraphTopology) -> np.ndarray:
-    """Sum over edges of the gated pair-flip involutions, as a dense matrix.
+def build_generator_blocks(topology: GraphTopology) -> np.ndarray:
+    """Sum over edges of the gated pair-flip involutions, as its diagonal blocks.
 
-    Each involution is the permutation matrix of `model_b_factor`, added
-    into one real array without forming it as a complex matrix.
+    No factor changes an edge bit, so the generator is block-diagonal over the
+    2**E edge patterns.  Block p is indexed by the vertex bits alone: every
+    edge that is down in p adds the identity, every edge that is up adds the
+    permutation v -> v ^ vertex_mask(edge).  Returns a real array of shape
+    (2**E, 2**V, 2**V); the dense 2**bits matrix is never formed.
     """
-    size = 1 << topology.total_bits
-    x = np.arange(size)
-    g = np.zeros((size, size))
-    for e in range(topology.n_edges):
-        np.add.at(g, (model_b_factor(topology, e).target, x), 1.0)
-    return g
+    patterns = np.arange(1 << topology.n_edges)[:, None]
+    v = np.arange(1 << topology.n_vertices)
+    blocks = np.zeros((patterns.size, v.size, v.size))
+    for e, edge in enumerate(topology.edges):
+        rows = v ^ (((patterns >> e) & 1) * topology.vertex_mask(edge))
+        # one entry per (pattern, column), so plain fancy indexing accumulates
+        blocks[patterns, rows, v] += 1.0
+    return blocks
 
 
 def verify_exponential_form(
@@ -479,20 +493,52 @@ def verify_exponential_form(
 
     The generator is the commuting sum of gated pair-flip involutions; its
     exponential exp(-i pi/2 * G) reproduces the transfer map up to one
-    overall phase, which is fitted before comparing entrywise.
+    overall phase, which is fitted before comparing entrywise.  Both sides
+    keep the edge bits, so the comparison runs on the 2**E edge-pattern
+    blocks: one batched eigendecomposition of 2**V x 2**V blocks, the
+    overlap summed and the deviation maximized over all blocks.  Entries
+    outside the blocks are exactly zero on both sides.
     """
     if topology.total_bits > max_bits:
         raise DimensionOverflow(
-            f"dense exponential limited to {max_bits} bits, got {topology.total_bits}"
+            f"exponential form limited to {max_bits} bits, got {topology.total_bits}"
         )
-    exact = model_b_transfer(topology).to_dense()
-    g = build_generator_matrix(topology)
-    u = expm_hermitian(g, prefactor=-1j * np.pi / 2.0)
-    overlap = np.trace(exact.conj().T @ u)
+    transfer = model_b_transfer(topology)
+    n_v = topology.n_vertices
+    shape = (1 << topology.n_edges, 1 << n_v)
+    # model_b_transfer only XORs vertex bits, so each target stays in its block
+    rows = transfer.target.reshape(shape) & ((1 << n_v) - 1)
+    pattern, column = np.indices(shape)
+    u = expm_hermitian(build_generator_blocks(topology), prefactor=-1j * np.pi / 2.0)
+    exact = np.zeros_like(u)
+    exact[pattern, rows, column] = PHASES[transfer.phase_exponent].reshape(shape)
+    overlap = np.vdot(exact, u)  # sum over blocks of trace(exact^H u)
     if abs(overlap) == 0.0:
         return max_abs(u - exact)
     phase = overlap / abs(overlap)
     return max_abs(u - phase * exact)
+
+
+def exponential_identity_holds(topology: GraphTopology) -> bool:
+    """The exponential form as an exact identity of phased permutations.
+
+    Each gated pair flip F_e is an involution and the F_e commute, so
+    exp(-i pi/2 * sum F_e) = (-i)**E * prod F_e.  Checks F_e o F_e = 1, that
+    every pair of factors commutes, and that the composed factors with phase
+    -i equal the transfer map, so the two agree up to one constant phase.
+    """
+    size = 1 << topology.total_bits
+    identity = PhasedPermutation.identity(size)
+    factors = [model_b_factor(topology, e) for e in range(topology.n_edges)]
+    if any(f.compose_after(f) != identity for f in factors):
+        return False
+    for k, a in enumerate(factors):
+        if any(a.compose_after(b) != b.compose_after(a) for b in factors[k + 1:]):
+            return False
+    composed = PhasedPermutation(np.arange(size), np.full(size, 3))
+    for f in factors:
+        composed = f.compose_after(composed)
+    return composed == model_b_transfer(topology)
 
 
 def gauge_check(

@@ -267,6 +267,9 @@ class TestMultitime:
             ({"mode": "line", "periodic": "false"}, "periodic"),
             ({"mode": "line", "axis": "n3"}, "axis"),
             ({"mode": "line", "initial_field": "abc"}, "initial_field"),
+            ({"mode": "line", "axis": "n2"}, "initial_field"),
+            ({"mode": "diagonal", "extra_point": [0, 7], "extra_value": [1, 0, 0, 0]},
+             "initial_field"),
             ({"mode": "second_order", "prev": [1, 0, 0], "curr": [0, 1, 0, 0]}, "prev"),
             ({"mode": "first_order", "state": [1, 0, 0, 0],
               "coupling": {"separable": [{"preset": "H2"}]}}, "coupling.separable"),
@@ -499,6 +502,36 @@ class TestIsing:
         assert lines[0] == "step,vertex_bits,edge_bits,phase_exponent"
         assert len(lines) == 6
 
+    def test_failed_exact_identity_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "ising-b", "topology": {"preset": "ring", "n_vertices": 3}, "steps": 4,
+        })
+        assert run(["ising-b", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+        passed = capsys.readouterr().out
+        monkeypatch.setattr(ising, "exponential_identity_holds", lambda topology: False)
+        assert run(["ising-b", cfg, "--out", str(tmp_path / "b.csv")]) == 1
+        assert capsys.readouterr().out == passed
+
+    def test_info_log_reports_stages_without_changing_outputs(self, tmp_path):
+        src = str(Path(ontoca.__file__).resolve().parents[1])
+        cfg = {"kind": "ising-b", "topology": {"preset": "ring", "n_vertices": 4},
+               "start": {"vertices": "1000", "edges": "1010"}, "steps": 5, "edge_rule": "cyclic"}
+        argv = [sys.executable, "-m", "ontoca.cli", "ising-b", "c.json", "--out", "b.csv"]
+        runs = []
+        for level in ("WARNING", "INFO"):
+            workdir = tmp_path / level
+            workdir.mkdir()
+            write_json(workdir / "c.json", cfg)
+            env = {**os.environ, "PYTHONPATH": src, "ONTOCA_LOG": level}
+            done = subprocess.run(argv, cwd=workdir, env=env, capture_output=True, text=True,
+                                  check=True)
+            runs.append((done, (workdir / "b.csv").read_bytes()))
+        (quiet, quiet_csv), (loud, loud_csv) = runs
+        assert quiet.stderr == ""
+        assert "ising-b: bits=8 steps=5" in loud.stderr
+        assert re.search(r"ising-b: stage times build=\S+s check=\S+s write=\S+s", loud.stderr)
+        assert (loud.stdout, loud_csv) == (quiet.stdout, quiet_csv)
+
 
 class TestGup:
     def test_report_schema_and_exit(self, tmp_path):
@@ -596,6 +629,15 @@ class TestNumericInputs:
             ("gup", {"boundary": "closed"}, [], "boundary"),
             ("verify-all", {"seed": 1.7}, [], "seed"),
             ("verify-all", {"seed": "3"}, [], "seed"),
+            ("dispersion", {"sweep": {"epsilons": ["abc"]}}, [], "sweep.epsilons[0]"),
+            ("dispersion", {"sweep": {"epsilons": [0.1, 0]}}, [], "sweep.epsilons[1]"),
+            ("dispersion", {"sweep": {"epsilons": [0.1, "0.05"]}}, [], "sweep.epsilons[1]"),
+            ("dispersion", {"sweep": {"epsilons": 0.1}}, [], "sweep.epsilons"),
+            ("dispersion", {"sweep": {"epsilons": []}}, [], "sweep.epsilons"),
+            ("dispersion", {"sweep": {"epsilons": [0.1], "scale_product": 0}}, [],
+             "sweep.scale_product"),
+            ("dispersion", {"sweep": {"epsilons": [0.1], "scale_product": "abc"}}, [],
+             "sweep.scale_product"),
         ],
     )
     def test_bad_input_names_config_path(self, tmp_path, capsys, command, fields, flags, path):

@@ -86,7 +86,7 @@ class TestStencilAgainstDense:
     @given(lattices, st.integers(0, 2**32 - 1))
     def test_apply_is_dense_matvec(self, lattice, seed):
         size, boundary, l = lattice
-        psi = random_states(size, 1, seed)[0].amplitudes
+        psi = next(random_states(size, 1, seed)).amplitudes
         for make in (position_operator, momentum_operator):
             op = make(size, DiscretenessScale(l), boundary)
             oracle = dense_oracle(op)
@@ -103,7 +103,7 @@ class TestStencilAgainstDense:
     @given(lattices, st.integers(0, 2**32 - 1))
     def test_bound_report_matches_dense_report(self, lattice, seed):
         size, boundary, l = lattice
-        state = random_states(size, 1, seed)[0]
+        state = next(random_states(size, 1, seed))
         report = gup_bound_report(state, DiscretenessScale(l), boundary)
         want = dense_report(state.amplitudes, l, boundary)
         scale = max(abs(v) for v in want.values()) + 1.0

@@ -1,6 +1,7 @@
 """Phased-permutation spin models: driven pair flips and edge-gated transfer."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,14 +14,17 @@ from ontoca.errors import (
     NotPermutation,
     ScheduleExhausted,
 )
+from ontoca import ising
 from ontoca.ising import (
     GraphTopology,
     PhasedPermutation,
     Schedule,
     SpinConfiguration,
+    build_generator_blocks,
     commutator_report,
     cyclic_edge_shift_rule,
     edge_update_compose,
+    exponential_identity_holds,
     frozen_edges_rule,
     gauge_check,
     global_vertex_flip,
@@ -33,6 +37,7 @@ from ontoca.ising import (
     verify_exponential_form,
     vertex_sign_flip,
 )
+from ontoca.numerics import expm_hermitian
 
 
 # =============================================================================
@@ -62,6 +67,21 @@ class TestTopology:
         assert topo.edge_number((1, 0)) == 0
         with pytest.raises(EdgeNotInTopology):
             topo.edge_number((0, 2))
+
+    @pytest.mark.parametrize("bad", [1.7, Fraction(3, 2), "1"])
+    def test_non_integer_labels_raise_instead_of_truncating(self, bad):
+        with pytest.raises(TypeError):
+            GraphTopology(3, ((0, bad),))
+        with pytest.raises(TypeError):
+            GraphTopology(bad, ())
+        with pytest.raises(TypeError):
+            Schedule.periodic([(0, bad, 1)])
+        with pytest.raises(TypeError):
+            Schedule.explicit([(0, 1, bad)])
+        with pytest.raises(TypeError):
+            Schedule.seeded_random(bad, [(0, 1)])
+        with pytest.raises(TypeError):
+            Schedule.seeded_random(3, [(0, bad)])
 
 
 class TestSpinConfiguration:
@@ -330,6 +350,137 @@ class TestExponentialForm:
     def test_overflow_guard(self):
         with pytest.raises(DimensionOverflow):
             verify_exponential_form(GraphTopology.fully_connected(5))
+
+
+@st.composite
+def small_graphs(draw, max_bits=8):
+    """Random graphs of at most `max_bits` vertex + edge bits."""
+    n = draw(st.integers(2, max_bits))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_bits - n))
+    return GraphTopology(n, tuple(edges))
+
+
+NAMED_GRAPHS = [
+    GraphTopology(2, ()),
+    GraphTopology.ring(3),
+    GraphTopology.ring(4),
+    GraphTopology.path(4),
+    GraphTopology.path(5),
+    GraphTopology.fully_connected(3),
+    GraphTopology.fully_connected(4),
+]
+
+
+def dense_generator(topo):
+    """The sum of the gated pair flips as one dense 2**bits matrix (test oracle)."""
+    size = 1 << topo.total_bits
+    x = np.arange(size)
+    g = np.zeros((size, size))
+    for e in range(topo.n_edges):
+        g[model_b_factor(topo, e).target, x] += 1.0
+    return g
+
+
+def dense_deviation(topo):
+    """The exponential-form deviation by one dense eigh (test oracle)."""
+    exact = model_b_transfer(topo).to_dense()
+    evals, vecs = np.linalg.eigh(dense_generator(topo))
+    u = (vecs * np.exp(-0.5j * np.pi * evals)) @ vecs.conj().T
+    overlap = np.trace(exact.conj().T @ u)
+    return np.abs(u - overlap / abs(overlap) * exact).max()
+
+
+class TestBlockedExponentialForm:
+    """The edge-pattern blocks against the dense generator and a dense eigh."""
+
+    @staticmethod
+    def check_blocks(topo):
+        g = dense_generator(topo)
+        width = 1 << topo.n_vertices
+        blocks = build_generator_blocks(topo)
+        assert blocks.shape == (1 << topo.n_edges, width, width)
+        on_block = np.zeros_like(g, dtype=bool)
+        for p, block in enumerate(blocks):
+            window = slice(p * width, (p + 1) * width)
+            assert np.array_equal(block, g[window, window])
+            on_block[window, window] = True
+        assert not g[~on_block].any()
+
+    @staticmethod
+    def check_deviation(topo):
+        blocked = verify_exponential_form(topo)
+        assert blocked <= 1e-9
+        assert abs(blocked - dense_deviation(topo)) <= 1e-12
+
+    @given(small_graphs())
+    def test_blocks_are_the_dense_diagonal_blocks(self, topo):
+        self.check_blocks(topo)
+
+    @given(small_graphs())
+    def test_deviation_matches_dense_eigh(self, topo):
+        self.check_deviation(topo)
+
+    @pytest.mark.parametrize("topo", NAMED_GRAPHS, ids=str)
+    def test_named_graphs(self, topo):
+        self.check_blocks(topo)
+        self.check_deviation(topo)
+
+    @pytest.mark.parametrize("topo", NAMED_GRAPHS, ids=str)
+    def test_corrupted_transfer_deviates_by_one(self, topo, monkeypatch):
+        real = model_b_transfer(topo)
+        target = real.target.copy()
+        target[[0, 1]] = target[[1, 0]]  # two columns of the all-down edge block swap rows
+        monkeypatch.setattr(
+            ising, "model_b_transfer", lambda t: PhasedPermutation(target, real.phase_exponent)
+        )
+        assert abs(verify_exponential_form(topo) - 1.0) <= 1e-9
+
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_expm_equals_per_matrix_calls(self, count, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        stack = a + np.swapaxes(a.conj(), -1, -2)
+        batched = expm_hermitian(stack, prefactor=-0.5j * np.pi)
+        assert batched.shape == stack.shape
+        for m, got in zip(stack, batched):
+            assert np.allclose(got, expm_hermitian(m, prefactor=-0.5j * np.pi), rtol=0.0, atol=1e-12)
+
+
+class TestExponentialIdentity:
+    @pytest.mark.parametrize("topo", NAMED_GRAPHS, ids=str)
+    def test_holds_on_named_graphs(self, topo):
+        assert exponential_identity_holds(topo)
+
+    @given(small_graphs())
+    def test_holds_on_random_graphs(self, topo):
+        assert exponential_identity_holds(topo)
+
+    @pytest.mark.parametrize(
+        "mask, phase",
+        [
+            (0b001, 0),  # one vertex only: still an involution that commutes, wrong product
+            (0b011 | 1 << 4, 0),  # also flips the next edge bit: no longer commutes
+            (0b011, 1),  # right mask, phase i: squares to -1
+        ],
+    )
+    def test_fails_on_an_altered_factor(self, mask, phase, monkeypatch):
+        topo = GraphTopology.ring(3)  # edges (0,1), (0,2), (1,2); edge bits 3, 4, 5
+        real_factor = model_b_factor
+
+        def altered(t, e):
+            if e != 0:
+                return real_factor(t, e)
+            x = np.arange(1 << t.total_bits)
+            gate = (x >> t.n_vertices) & 1
+            return PhasedPermutation(x ^ (gate * mask), np.full_like(x, phase))
+
+        monkeypatch.setattr(ising, "model_b_factor", altered)
+        assert not exponential_identity_holds(topo)
 
 
 class TestProjectorIdentity:
