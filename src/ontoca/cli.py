@@ -17,7 +17,13 @@ import os
 import sys
 
 from . import gup, ising, multitime, ontology, propagator, serialize, verify
-from .errors import ConfigInvalid, GeometryMismatch, OntocaError
+from .errors import (
+    ConfigInvalid,
+    EdgeNotInTopology,
+    GeometryMismatch,
+    OntocaError,
+    ScheduleExhausted,
+)
 from .gaussian import (
     CAPairState,
     GaussianIntVector,
@@ -218,6 +224,7 @@ def cmd_evolve(args) -> int:
 def cmd_dispersion(args) -> int:
     config = _load_config(args, "dispersion")
     model = _resolve_model(config, args)
+    stages = _StageLog("dispersion")
     dec = propagator.phi_operator(model)
     rows = []
     worst = 0.0
@@ -231,7 +238,9 @@ def cmd_dispersion(args) -> int:
             vec = dec.eigenvectors[:, k]
             res = np.exp(-1j * omega * 2) * vec - vec + 1j * (h @ (np.exp(-1j * omega) * vec))
             worst = max(worst, float(np.max(np.abs(res))))
+    stages.mark("modes")
     out = _write_out(config, serialize.dispersion_csv(rows), "dispersion.csv")
+    stages.mark("write")
 
     sweep_note = ""
     sweep = config.get("sweep")
@@ -260,6 +269,11 @@ def cmd_dispersion(args) -> int:
         sweep_out = sweep.get("out", "deviation_sweep.json")
         serialize.atomic_write_text(sweep_out, serialize.dumps_json(doc))
         sweep_note = f" sweep_out={sweep_out}"
+        stages.mark("sweep")
+
+    if stages.enabled:
+        log.info("dispersion: dim=%d modes=%d", model.dim, len(rows))
+    stages.emit()
 
     ok = worst <= 1e-10
     print(
@@ -288,10 +302,14 @@ def cmd_ontology_scan(args) -> int:
     max_steps = config.get("max_steps")
     if max_steps is not None:
         max_steps = _config_int(max_steps, "max_steps", minimum=1)
+    stages = _StageLog("ontology-scan")
     report = ontology.detect_phased_permutation(
         model, pair.psi_prev, pair.psi_curr, basis, max_steps=max_steps
     )
+    stages.mark("scan")
     traj = evolve(pair, model, steps=max(report.steps_scanned, 1))
+    norms = list(ontology.norm_trace(traj))
+    stages.mark("norms")
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
         "kind": "ontology-scan",
@@ -300,9 +318,13 @@ def cmd_ontology_scan(args) -> int:
         "ray_period": report.ray_period,
         "ray_cycle": [str(ray) for ray in report.ray_cycle],
         "failure_step": report.failure_step,
-        "norm_trace": list(ontology.norm_trace(traj)),
+        "norm_trace": norms,
     }
     out = _write_out(config, serialize.dumps_json(doc), "ontology_scan.json")
+    stages.mark("write")
+    if stages.enabled:
+        log.info("ontology-scan: dim=%d steps_scanned=%d", model.dim, report.steps_scanned)
+    stages.emit()
     print(
         f"ontology-scan: dim={model.dim} ontological={report.is_ontological} "
         f"ray_period={report.ray_period} exact_period={report.exact_state_period} out={out}"
@@ -365,10 +387,8 @@ def cmd_multitime(args) -> int:
         field_path = config.get("initial_field")
         if not isinstance(field_path, str):
             raise ConfigInvalid("initial_field", "expected a CSV file path")
-        if not os.path.exists(field_path):
-            raise ConfigInvalid(field_path, "file does not exist")
-        with open(field_path) as fh:
-            field = serialize.parse_field_csv(fh.read(), (d1, d2), "initial_field")
+        text = serialize.read_text_file(field_path)
+        field = serialize.parse_field_csv(text, (d1, d2), "initial_field")
 
     stages = _StageLog("multitime")
     residual_ok = True
@@ -471,6 +491,12 @@ def _spin_string(value, length: int, path: str) -> str:
 def cmd_ising_a(args) -> int:
     config = _load_config(args, "ising-a")
     topology = _resolve_topology(config, args)
+    # the composition check builds 2^vertices tables
+    if topology.n_vertices > ising.DEFAULT_MAX_BITS:
+        raise ConfigInvalid(
+            "topology", f"{topology.n_vertices} vertices exceed the "
+            f"{ising.DEFAULT_MAX_BITS}-bit limit"
+        )
     schedule_spec = config.get("schedule")
     if isinstance(schedule_spec, str):
         schedule = serialize.load_schedule_file(schedule_spec)
@@ -482,7 +508,12 @@ def cmd_ising_a(args) -> int:
         _spin_string(config.get("start", "0" * topology.n_vertices), topology.n_vertices, "start")
     )
     steps = _config_int(config.get("steps", 8), "steps", minimum=0)
-    run = ising.model_a_evolve(topology, start, schedule, steps)
+    stages = _StageLog("ising-a")
+    try:
+        run = ising.model_a_evolve(topology, start, schedule, steps)
+    except (EdgeNotInTopology, ScheduleExhausted) as exc:  # the schedule does not fit
+        raise ConfigInvalid("schedule", str(exc)) from None
+    stages.mark("evolve")
 
     composed = ising.PhasedPermutation.identity(1 << topology.n_vertices)
     for n in range(steps):
@@ -490,11 +521,16 @@ def cmd_ising_a(args) -> int:
         composed = ising.model_a_step_operator(topology, edge, sign).compose_after(composed)
     target, phase = composed.apply(start.basis_index)
     ok = target == run[-1][0].basis_index and phase == run[-1][1]
+    stages.mark("check")
 
     rows = [
         (n, conf.vertex_string, "", ph) for n, (conf, ph) in enumerate(run)
     ]
     out = _write_out(config, serialize.spin_trajectory_csv(rows), "ising_a.csv")
+    stages.mark("write")
+    if stages.enabled:
+        log.info("ising-a: vertices=%d steps=%d", topology.n_vertices, steps)
+    stages.emit()
     print(
         f"ising-a: vertices={topology.n_vertices} steps={steps} "
         f"composition_ok={ok} out={out}"
@@ -505,7 +541,8 @@ def cmd_ising_a(args) -> int:
 def cmd_ising_b(args) -> int:
     config = _load_config(args, "ising-b")
     topology = _resolve_topology(config, args)
-    # the edge rule and the transfer map are 2^bits tables; refuse before building either
+    # The orbit and the unitarity check use 2^E edge-pattern tables only; the
+    # input limit stays that of the library's 2^bits table builders.
     if topology.total_bits > ising.DEFAULT_MAX_BITS:
         raise ConfigInvalid(
             "topology", f"{topology.total_bits} vertex + edge bits exceed the "
@@ -521,22 +558,22 @@ def cmd_ising_b(args) -> int:
     )
     steps = _config_int(config.get("steps", 8), "steps", minimum=0)
 
+    stages = _StageLog("ising-b")
     rule_spec = config.get("edge_rule", "frozen")
     if rule_spec == "frozen":
-        rule = ising.frozen_edges_rule(topology)
+        rule = ising.frozen_pattern_rule(topology)
     elif rule_spec == "cyclic":
-        rule = ising.cyclic_edge_shift_rule(topology)
+        rule = ising.cyclic_pattern_rule(topology)
     elif isinstance(rule_spec, dict) and "seeded_random" in rule_spec:
         seed = _config_int(rule_spec["seeded_random"], "edge_rule.seeded_random")
-        rule = ising.seeded_edge_permutation_rule(topology, seed)
+        rule = ising.seeded_pattern_rule(topology, seed)
     else:
         raise ConfigInvalid("edge_rule", f"unknown edge rule {rule_spec!r}")
-
-    stages = _StageLog("ising-b")
-    transfer = ising.model_b_transfer(topology)
-    combined = ising.edge_update_compose(transfer, rule, topology)
+    run = ising.model_b_evolve(topology, start, rule, steps)
     stages.mark("build")
-    unitary = combined.is_unitary()
+    # each edge pattern translates the vertex bits by a fixed XOR, so the
+    # combined map is a bijection iff the rule permutes the edge patterns
+    unitary = rule.is_unitary()
     exp_dev = None
     identity_holds = True
     if topology.total_bits <= ising.EXPONENTIAL_FORM_MAX_BITS:
@@ -544,17 +581,12 @@ def cmd_ising_b(args) -> int:
         exp_dev = ising.verify_exponential_form(topology)
     stages.mark("check")
 
-    rows = []
-    index, phase = start.basis_index, 0
-    for n in range(steps + 1):
-        conf = ising.SpinConfiguration.from_index(index, n_vertices, n_edges)
-        rows.append((n, conf.vertex_string, conf.edge_string, phase))
-        index, ph = combined.apply(index)
-        phase = (phase + ph) % 4
+    rows = [(n, conf.vertex_string, conf.edge_string, ph) for n, (conf, ph) in enumerate(run)]
     out = _write_out(config, serialize.spin_trajectory_csv(rows), "ising_b.csv")
     stages.mark("write")
     if stages.enabled:
-        log.info("ising-b: bits=%d steps=%d", topology.total_bits, steps)
+        log.info("ising-b: bits=%d steps=%d edge_patterns=%d",
+                 topology.total_bits, steps, rule.size)
     stages.emit()
     ok = unitary and identity_holds and (exp_dev is None or exp_dev <= 1e-9)
     exp_text = "skipped" if exp_dev is None else f"{exp_dev:.3e}"

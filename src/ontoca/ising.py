@@ -11,6 +11,12 @@ an index array and a phase-exponent array over all 2**bits basis states.
 Each constructor below is one array expression over the basis indices
 x = 0 .. 2**bits - 1, and every operation on the type is fancy indexing.
 
+Model B (the edge-gated transfer map followed by an edge-spin rule) never
+moves an edge bit by vertex bits, so its edge rules are phased permutations
+of the 2**E edge-bit patterns only, and one step of an orbit is a table
+lookup and an XOR.  The 2**bits tables of the same maps are lifts of these,
+kept for the composition APIs and as the reference route in the tests.
+
 Two update families are provided:
 
   * pair flips driven by an external schedule that activates exactly one
@@ -171,6 +177,22 @@ class SpinConfiguration:
 PHASES = np.array((1 + 0j, 1j, -1 + 0j, -1j))  # i**k
 
 
+def _phased(target: np.ndarray, phase_exponent: np.ndarray) -> "PhasedPermutation":
+    """Wrap arrays that already form a bijection, such as a composition or
+    inverse of validated bijections.
+
+    `target` must be a fresh intp array; the O(N log N) bijection check and
+    the copy of the public constructor are skipped.
+    """
+    perm = object.__new__(PhasedPermutation)
+    phase = (phase_exponent % 4).astype(np.uint8, copy=False)
+    target.flags.writeable = False
+    phase.flags.writeable = False
+    object.__setattr__(perm, "target", target)
+    object.__setattr__(perm, "phase_exponent", phase)
+    return perm
+
+
 @dataclass(frozen=True, eq=False)
 class PhasedPermutation:
     """Bijection on basis indices with a fourth-root-of-unity phase per index.
@@ -213,7 +235,7 @@ class PhasedPermutation:
 
     @classmethod
     def identity(cls, size: int) -> "PhasedPermutation":
-        return cls(np.arange(size), np.zeros(size, dtype=np.uint8))
+        return _phased(np.arange(size, dtype=np.intp), np.zeros(size, dtype=np.uint8))
 
     def is_identity_permutation(self) -> bool:
         return np.array_equal(self.target, np.arange(self.size))
@@ -222,7 +244,7 @@ class PhasedPermutation:
         """self o inner: apply `inner` first, then self."""
         if inner.size != self.size:
             raise DimensionMismatch(f"sizes differ: {self.size} vs {inner.size}")
-        return PhasedPermutation(
+        return _phased(
             self.target[inner.target],
             inner.phase_exponent + self.phase_exponent[inner.target],
         )
@@ -232,7 +254,7 @@ class PhasedPermutation:
         target = np.empty_like(self.target)
         target[self.target] = np.arange(self.size)
         # uint8 negation wraps mod 256, a multiple of 4
-        return PhasedPermutation(target, -self.phase_exponent[target])
+        return _phased(target, -self.phase_exponent[target])
 
     def power(self, k: int) -> "PhasedPermutation":
         if k < 0:
@@ -412,13 +434,60 @@ def model_b_transfer(
             f"{topology.n_vertices} vertex + {topology.n_edges} edge bits exceed the "
             f"{max_bits}-bit limit"
         )
-    # vertex-flip mask for every edge-bit pattern
-    patterns = np.arange(1 << topology.n_edges)
-    pattern_mask = np.zeros_like(patterns)
-    for e, edge in enumerate(topology.edges):
-        pattern_mask ^= ((patterns >> e) & 1) * topology.vertex_mask(edge)
     x = np.arange(1 << bits)
-    return PhasedPermutation(x ^ pattern_mask[x >> topology.n_vertices], np.full_like(x, 3))
+    masks = edge_pattern_masks(topology)
+    return PhasedPermutation(x ^ masks[x >> topology.n_vertices], np.full_like(x, 3))
+
+
+def edge_pattern_masks(topology: GraphTopology) -> np.ndarray:
+    """Vertex-flip mask of every edge-bit pattern: the XOR of the vertex masks
+    of its up edges.  Entry p is what the transfer map XORs into the vertex
+    bits of any state whose edge bits read p."""
+    patterns = np.arange(1 << topology.n_edges)
+    masks = np.zeros_like(patterns)
+    for e, edge in enumerate(topology.edges):
+        masks ^= ((patterns >> e) & 1) * topology.vertex_mask(edge)
+    return masks
+
+
+def model_b_evolve(
+    topology: GraphTopology,
+    config: SpinConfiguration,
+    pattern_rule: PhasedPermutation,
+    steps: int,
+) -> list[tuple[SpinConfiguration, int]]:
+    """Exact orbit of the transfer map followed by an edge-pattern rule.
+
+    One step sends (v, p) to (v ^ mask[p], rule.target[p]) with phase
+    exponent 3 + rule.phase_exponent[p], so the orbit costs O(steps) lookups
+    in 2**E-entry tables and no 2**bits table is built.  Returns steps + 1
+    entries starting from (config, 0), the orbit of
+    `edge_update_compose(model_b_transfer(t), lift_pattern_rule(t, rule), t)`.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    n_vertices, n_edges = topology.n_vertices, topology.n_edges
+    if (len(config.vertex_bits), len(config.edge_bits)) != (n_vertices, n_edges):
+        raise DimensionMismatch(
+            f"configuration has {len(config.vertex_bits)}+{len(config.edge_bits)} bits, "
+            f"topology {n_vertices}+{n_edges}"
+        )
+    if pattern_rule.size != 1 << n_edges:
+        raise DimensionMismatch(
+            f"edge rule size {pattern_rule.size} vs {1 << n_edges} edge patterns"
+        )
+    masks = edge_pattern_masks(topology)
+    index = config.basis_index
+    vertices, pattern = index & ((1 << n_vertices) - 1), index >> n_vertices
+    phase = 0
+    out = [(config, 0)]
+    for _ in range(steps):
+        vertices ^= int(masks[pattern])
+        phase = (phase + 3 + int(pattern_rule.phase_exponent[pattern])) % 4
+        pattern = int(pattern_rule.target[pattern])
+        index = vertices | (pattern << n_vertices)
+        out.append((SpinConfiguration.from_index(index, n_vertices, n_edges), phase))
+    return out
 
 
 def model_b_factor(topology: GraphTopology, edge_number: int) -> PhasedPermutation:
@@ -611,26 +680,49 @@ def edge_update_compose(
     return edge_rule.compose_after(transfer)
 
 
+def frozen_pattern_rule(topology: GraphTopology) -> PhasedPermutation:
+    """Edge spins never change."""
+    return PhasedPermutation.identity(1 << topology.n_edges)
+
+
+def cyclic_pattern_rule(topology: GraphTopology) -> PhasedPermutation:
+    """Rotate the edge-bit register by one position."""
+    n_edges = topology.n_edges
+    if n_edges < 2:
+        return frozen_pattern_rule(topology)
+    p = np.arange(1 << n_edges)
+    shifted = ((p << 1) | (p >> (n_edges - 1))) & ((1 << n_edges) - 1)
+    return PhasedPermutation(shifted, np.zeros_like(p))
+
+
+def seeded_pattern_rule(topology: GraphTopology, seed: int) -> PhasedPermutation:
+    """A fixed random permutation of edge-bit patterns, reproducible per seed."""
+    patterns = list(range(1 << topology.n_edges))
+    random.Random(seed).shuffle(patterns)
+    return PhasedPermutation(patterns, np.zeros(len(patterns), dtype=np.uint8))
+
+
+def lift_pattern_rule(topology: GraphTopology, rule: PhasedPermutation) -> PhasedPermutation:
+    """An edge-pattern rule as a map on all 2**bits states, vertex bits kept."""
+    if rule.size != 1 << topology.n_edges:
+        raise DimensionMismatch(
+            f"edge rule size {rule.size} vs {1 << topology.n_edges} edge patterns"
+        )
+    n = topology.n_vertices
+    x = np.arange(1 << topology.total_bits)
+    pattern = x >> n
+    # a bijection on patterns times the identity on vertex bits is a bijection
+    return _phased((x & ((1 << n) - 1)) | (rule.target[pattern] << n),
+                   rule.phase_exponent[pattern])
+
+
 def frozen_edges_rule(topology: GraphTopology) -> PhasedPermutation:
-    return PhasedPermutation.identity(1 << topology.total_bits)
+    return lift_pattern_rule(topology, frozen_pattern_rule(topology))
 
 
 def cyclic_edge_shift_rule(topology: GraphTopology) -> PhasedPermutation:
-    """Rotate the edge-bit register by one position."""
-    n, n_edges = topology.n_vertices, topology.n_edges
-    x = np.arange(1 << topology.total_bits)
-    if n_edges < 2:
-        return PhasedPermutation.identity(x.size)
-    pattern = x >> n
-    shifted = ((pattern << 1) | (pattern >> (n_edges - 1))) & ((1 << n_edges) - 1)
-    return PhasedPermutation((x & ((1 << n) - 1)) | (shifted << n), np.zeros_like(x))
+    return lift_pattern_rule(topology, cyclic_pattern_rule(topology))
 
 
 def seeded_edge_permutation_rule(topology: GraphTopology, seed: int) -> PhasedPermutation:
-    """A fixed random permutation of edge-bit patterns, reproducible per seed."""
-    n = topology.n_vertices
-    patterns = list(range(1 << topology.n_edges))
-    random.Random(seed).shuffle(patterns)
-    x = np.arange(1 << topology.total_bits)
-    target = (x & ((1 << n) - 1)) | (np.array(patterns)[x >> n] << n)
-    return PhasedPermutation(target, np.zeros_like(x))
+    return lift_pattern_rule(topology, seeded_pattern_rule(topology, seed))

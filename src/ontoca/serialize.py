@@ -180,13 +180,22 @@ def dispersion_csv(rows) -> str:
 # =============================================================================
 
 
-def load_json_file(path) -> dict:
-    path = Path(path)
-    if not path.exists():
+def read_text_file(path) -> str:
+    """The text of a file named in a config; a missing or unreadable file is a
+    config error naming `path` as given."""
+    if not os.path.exists(path):
         raise ConfigInvalid(str(path), "file does not exist")
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable or not text
+        raise ConfigInvalid(str(path), f"cannot read: {exc}") from None
+
+
+def load_json_file(path) -> dict:
+    path = Path(path)
+    try:
+        data = json.loads(read_text_file(path))
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(str(path), f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import ontoca
 from ontoca import ising
 from ontoca.cli import main
-from ontoca.serialize import atomic_write_text, dumps_json
+from ontoca.serialize import atomic_write_text, dumps_json, spin_trajectory_csv
 
 
 def run(argv):
@@ -29,6 +29,26 @@ PAIR_FLIP = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
 def write_json(path, doc):
     atomic_write_text(path, dumps_json(doc))
     return str(path)
+
+
+def run_at_warning_and_info(tmp_path, argv, artifact, config=None):
+    """Run `ontoca argv` in a subprocess at ONTOCA_LOG=WARNING and at INFO.
+
+    Returns (quiet, loud) as (CompletedProcess, artifact bytes) pairs; a
+    config, when given, is written to c.json in each run's directory.
+    """
+    src = str(Path(ontoca.__file__).resolve().parents[1])
+    runs = []
+    for level in ("WARNING", "INFO"):
+        workdir = tmp_path / level
+        workdir.mkdir()
+        if config is not None:
+            write_json(workdir / "c.json", config)
+        env = {**os.environ, "PYTHONPATH": src, "ONTOCA_LOG": level}
+        done = subprocess.run([sys.executable, "-m", "ontoca.cli", *argv], cwd=workdir, env=env,
+                              capture_output=True, text=True, check=True)
+        runs.append((done, (workdir / artifact).read_bytes()))
+    return runs
 
 
 class TestEvolve:
@@ -117,6 +137,15 @@ class TestOntologyScan:
         assert doc["failure_step"] is None
         assert set(doc["norm_trace"]) == {1}
 
+    def test_info_log_reports_stages_without_changing_outputs(self, tmp_path):
+        (quiet, quiet_json), (loud, loud_json) = run_at_warning_and_info(
+            tmp_path, ["ontology-scan", "--preset", "H3", "--out", "r.json"], "r.json")
+        assert quiet.stderr == ""
+        assert "ontology-scan: dim=3 steps_scanned=" in loud.stderr
+        assert re.search(r"ontology-scan: stage times scan=\S+s norms=\S+s write=\S+s",
+                         loud.stderr)
+        assert (loud.stdout, loud_json) == (quiet.stdout, quiet_json)
+
     def test_non_ontological_case(self, tmp_path):
         cfg = write_json(
             tmp_path / "c.json",
@@ -141,6 +170,20 @@ class TestDispersion:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "lambda,re_omega,im_omega"
         assert len(lines) == 3
+
+    def test_info_log_reports_stages_without_changing_outputs(self, tmp_path):
+        cfg = {"kind": "dispersion", "model": {"preset": "H2"},
+               "sweep": {"epsilons": [0.2, 0.1], "out": "sweep.json"}}
+        runs = run_at_warning_and_info(tmp_path, ["dispersion", "c.json", "--out", "d.csv"],
+                                       "d.csv", cfg)
+        (quiet, quiet_csv), (loud, loud_csv) = runs
+        assert quiet.stderr == ""
+        assert "dispersion: dim=2 modes=2" in loud.stderr
+        assert re.search(r"dispersion: stage times modes=\S+s write=\S+s sweep=\S+s",
+                         loud.stderr)
+        assert (loud.stdout, loud_csv) == (quiet.stdout, quiet_csv)
+        sweeps = [(tmp_path / level / "sweep.json").read_bytes() for level in ("WARNING", "INFO")]
+        assert sweeps[0] == sweeps[1]
 
     def test_deviation_sweep_export(self, tmp_path):
         sweep_out = tmp_path / "sweep.json"
@@ -228,6 +271,15 @@ class TestMultitime:
         )
         assert run(["multitime", cfg]) == 2
 
+
+    def test_field_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "multitime", "mode": "line",
+            "coupling": {"separable": [{"preset": "H2"}, {"preset": "H2"}]},
+            "initial_field": str(tmp_path),
+        })
+        assert run(["multitime", cfg, "--out", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {tmp_path}: cannot read")
 
     def test_first_order_backward_writes_decreasing_points(self, tmp_path):
         cfg = write_json(
@@ -422,6 +474,87 @@ class TestMultitimeFuzz:
         assert results[0] == results[1]
 
 
+@st.composite
+def _ising_configs(draw):
+    """ising-a/ising-b configs on graphs of 2 to 8 vertices, valid or not.
+
+    Schedules mostly name edges of the graph, so valid runs are common.
+    """
+    kind = draw(st.sampled_from(["ising-a", "ising-b"]))
+    n = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    preset = draw(st.sampled_from([None, "ring", "path", "fully_connected"]))
+    if preset is None:
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
+        topology = {"n_vertices": n, "edges": [list(e) for e in edges]}
+        if draw(st.integers(0, 5)) == 5:  # a self-loop, an out-of-range or a repeated edge
+            topology["edges"].append(draw(st.sampled_from([[1, 1], [0, n], [0, 1]])))
+    else:
+        edges = list(getattr(ising.GraphTopology, preset)(n).edges)
+        topology = {"preset": preset, "n_vertices": n}
+    doc = {"kind": kind, "topology": draw(_or_junk(st.just(topology)))}
+
+    bits = _or_junk(st.text("01", min_size=n, max_size=n))
+    if kind == "ising-a":
+        step = st.tuples(st.sampled_from(edges or pairs), _or_junk(st.sampled_from([1, -1, 0])))
+        step = _or_junk(step.map(lambda t: [*t[0], t[1]]))
+        listed = st.fixed_dictionaries({
+            "kind": _or_junk(st.sampled_from(["periodic", "explicit"])),
+            "steps": _or_junk(st.lists(step, min_size=1, max_size=6)),
+        })
+        seeded = st.fixed_dictionaries({
+            "kind": _or_junk(st.just("seeded_random")),
+            "seed": _or_junk(st.integers(-3, 3)),
+            "pool": _or_junk(st.lists(st.sampled_from(edges or pairs).map(list), min_size=1,
+                                      max_size=3)),
+        })
+        schedule = st.one_of(listed, seeded)
+        optional = {"schedule": _or_junk(schedule), "start": bits}
+    else:
+        rule = st.one_of(st.sampled_from(["frozen", "cyclic"]),
+                         st.fixed_dictionaries({"seeded_random": _or_junk(st.integers(-5, 5))}))
+        optional = {
+            "start": _or_junk(st.fixed_dictionaries({}, optional={"vertices": bits,
+                                                                  "edges": _BITS})),
+            "edge_rule": _or_junk(rule),
+        }
+    optional["steps"] = _or_junk(st.integers(-1, 12))
+    for key, strategy in optional.items():
+        if draw(st.integers(0, 5)) < 5:  # mostly present, sometimes missing
+            doc[key] = draw(strategy)
+    return doc
+
+
+_BITS = _or_junk(st.text("01", max_size=10))
+
+
+class TestIsingFuzz:
+    """ising-a and ising-b configs: exit 0 or 2, never a traceback, and equal
+    bytes for equal configs.  Graphs stay within 8 vertices, so no large
+    table is built."""
+
+    @given(_ising_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_exits_0_or_2_and_is_deterministic(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = write_json(tmp / "c.json", doc)
+            results = []
+            for _ in range(2):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run([doc["kind"], cfg, "--out", str(tmp / "o.csv")])
+                written = (tmp / "o.csv").read_bytes() if code == 0 else b""
+                results.append((code, out.getvalue(), err.getvalue(), written))
+                if code == 0:
+                    (tmp / "o.csv").unlink()
+        code, _, err, _ = results[0]
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("config error: ")
+        assert results[0] == results[1]
+
+
 class TestIsing:
     def test_driven_run(self, tmp_path):
         topo = write_json(tmp_path / "topo.json", {"n_vertices": 3, "edges": [[0, 1], [1, 2]]})
@@ -531,6 +664,96 @@ class TestIsing:
         assert "ising-b: bits=8 steps=5" in loud.stderr
         assert re.search(r"ising-b: stage times build=\S+s check=\S+s write=\S+s", loud.stderr)
         assert (loud.stdout, loud_csv) == (quiet.stdout, quiet_csv)
+
+    def test_ising_a_info_log_reports_stages_without_changing_outputs(self, tmp_path):
+        cfg = {"kind": "ising-a", "topology": {"preset": "ring", "n_vertices": 4},
+               "schedule": {"kind": "periodic", "steps": [[0, 1, 1], [1, 2, -1], [0, 3, 1]]},
+               "start": "1000", "steps": 7}
+        runs = run_at_warning_and_info(tmp_path, ["ising-a", "c.json", "--out", "a.csv"],
+                                       "a.csv", cfg)
+        (quiet, quiet_csv), (loud, loud_csv) = runs
+        assert quiet.stderr == ""
+        assert "ising-a: vertices=4 steps=7" in loud.stderr
+        assert re.search(r"ising-a: stage times evolve=\S+s check=\S+s write=\S+s", loud.stderr)
+        assert (loud.stdout, loud_csv) == (quiet.stdout, quiet_csv)
+
+    def test_ising_b_info_log_counts_edge_patterns(self, tmp_path):
+        cfg = {"kind": "ising-b", "topology": {"preset": "fully_connected", "n_vertices": 4},
+               "start": {"vertices": "1000", "edges": "101100"}, "steps": 5,
+               "edge_rule": {"seeded_random": 3}}
+        runs = run_at_warning_and_info(tmp_path, ["ising-b", "c.json", "--out", "b.csv"],
+                                       "b.csv", cfg)
+        (quiet, quiet_csv), (loud, loud_csv) = runs
+        assert quiet.stderr == ""
+        assert "ising-b: bits=10 steps=5 edge_patterns=64" in loud.stderr
+        assert (loud.stdout, loud_csv) == (quiet.stdout, quiet_csv)
+
+    @pytest.mark.parametrize("rule", ["frozen", "cyclic", {"seeded_random": 11}])
+    def test_large_run_builds_no_full_size_table(self, tmp_path, capsys, monkeypatch, rule):
+        topo = ising.GraphTopology.ring(9)  # 18 bits
+        if rule == "frozen":
+            lifted = ising.frozen_edges_rule(topo)
+        elif rule == "cyclic":
+            lifted = ising.cyclic_edge_shift_rule(topo)
+        else:
+            lifted = ising.seeded_edge_permutation_rule(topo, 11)
+        combined = ising.edge_update_compose(ising.model_b_transfer(topo), lifted, topo)
+        start = ising.SpinConfiguration.from_strings("110010001", "101000011")
+        index, phase, rows = start.basis_index, 0, []
+        for n in range(25):
+            conf = ising.SpinConfiguration.from_index(index, 9, 9)
+            rows.append((n, conf.vertex_string, conf.edge_string, phase))
+            index, ph = combined.apply(index)
+            phase = (phase + ph) % 4
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a 2^bits table was built")
+
+        for name in ("model_b_transfer", "frozen_edges_rule", "cyclic_edge_shift_rule",
+                     "seeded_edge_permutation_rule"):
+            monkeypatch.setattr(ising, name, no_table)
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "ising-b", "topology": {"preset": "ring", "n_vertices": 9},
+            "start": {"vertices": "110010001", "edges": "101000011"}, "steps": 24,
+            "edge_rule": rule,
+        })
+        out = tmp_path / "b.csv"
+        assert run(["ising-b", cfg, "--out", str(out)]) == 0
+        assert out.read_text() == spin_trajectory_csv(rows)
+        assert capsys.readouterr().out == (
+            f"ising-b: bits=18 steps=24 unitary=True exponential_dev=skipped out={out}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "schedule, steps",
+        [
+            ({"kind": "periodic", "steps": [[0, 1, 1], [0, 2, 1]]}, 3),  # (0,2) not an edge
+            ({"kind": "explicit", "steps": [[0, 1, 1]]}, 2),  # one step, two asked for
+            ({"kind": "seeded_random", "seed": 1, "pool": [[1, 3]]}, 1),  # vertex 3 absent
+        ],
+    )
+    def test_schedule_that_does_not_fit_exits_2(self, tmp_path, capsys, schedule, steps):
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "ising-a", "topology": {"preset": "path", "n_vertices": 3},
+            "schedule": schedule, "steps": steps,
+        })
+        assert run(["ising-a", cfg, "--out", str(tmp_path / "a.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: schedule:")
+
+    def test_ising_a_vertex_limit_checked_before_any_table(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "ising-a", "topology": {"preset": "path", "n_vertices": 25},
+            "schedule": {"kind": "periodic", "steps": [[0, 1, 1]]}, "steps": 1,
+        })
+        assert run(["ising-a", cfg, "--out", str(tmp_path / "a.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: topology: 25 vertices")
+
+    def test_topology_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "ising-b", "topology": str(tmp_path),
+        })
+        assert run(["ising-b", cfg, "--out", str(tmp_path / "b.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {tmp_path}: cannot read")
 
 
 class TestGup:

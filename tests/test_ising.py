@@ -23,17 +23,23 @@ from ontoca.ising import (
     build_generator_blocks,
     commutator_report,
     cyclic_edge_shift_rule,
+    cyclic_pattern_rule,
+    edge_pattern_masks,
     edge_update_compose,
     exponential_identity_holds,
     frozen_edges_rule,
+    frozen_pattern_rule,
     gauge_check,
     global_vertex_flip,
+    lift_pattern_rule,
     model_a_evolve,
     model_a_step_operator,
+    model_b_evolve,
     model_b_factor,
     model_b_transfer,
     projector_identity_check,
     seeded_edge_permutation_rule,
+    seeded_pattern_rule,
     verify_exponential_form,
     vertex_sign_flip,
 )
@@ -192,6 +198,34 @@ class TestArrayKernelAgainstDense:
             perm.target[0] = 0
         with pytest.raises(ValueError):
             perm.phase_exponent[0] = 0
+
+
+class TestUncheckedResults:
+    """compose_after, inverse, power and identity skip the bijection check;
+    their results must pass it anyway."""
+
+    @staticmethod
+    def check(perm):
+        rebuilt = PhasedPermutation(perm.target, perm.phase_exponent)
+        assert rebuilt == perm
+        assert perm.target.dtype == np.intp and perm.phase_exponent.dtype == np.uint8
+        assert perm.phase_exponent.max(initial=0) < 4
+        assert not perm.target.flags.writeable and not perm.phase_exponent.flags.writeable
+
+    @given(phased_pairs())
+    def test_results_pass_the_public_constructor(self, pair):
+        a, b = pair
+        self.check(a.compose_after(b))
+        self.check(a.inverse())
+        self.check(PhasedPermutation.identity(a.size))
+        for k in range(-3, 6):
+            self.check(a.power(k))
+
+    def test_results_do_not_share_the_operands_arrays(self):
+        a = PhasedPermutation((1, 2, 0), (3, 0, 1))
+        for result in (a.compose_after(PhasedPermutation.identity(3)), a.inverse(), a.power(1)):
+            assert not np.shares_memory(result.target, a.target)
+            assert not np.shares_memory(result.phase_exponent, a.phase_exponent)
 
 
 # =============================================================================
@@ -562,6 +596,100 @@ class TestEdgeRules:
         transfer = model_b_transfer(topo)
         with pytest.raises(NotPermutation):
             edge_update_compose(transfer, global_vertex_flip(topo), topo)
+
+
+def old_full_size_rule(topo, rule_name, seed):
+    """The 2**bits edge rules as written before the edge-pattern rules (test oracle)."""
+    n, n_edges = topo.n_vertices, topo.n_edges
+    x = np.arange(1 << topo.total_bits)
+    if rule_name == "frozen" or (rule_name == "cyclic" and n_edges < 2):
+        return PhasedPermutation(x, np.zeros_like(x))
+    pattern = x >> n
+    if rule_name == "cyclic":
+        shifted = ((pattern << 1) | (pattern >> (n_edges - 1))) & ((1 << n_edges) - 1)
+    else:
+        patterns = list(range(1 << n_edges))
+        random.Random(seed).shuffle(patterns)
+        shifted = np.array(patterns)[pattern]
+    return PhasedPermutation((x & ((1 << n) - 1)) | (shifted << n), np.zeros_like(x))
+
+
+def pattern_and_lifted(topo, rule_name, seed):
+    if rule_name == "frozen":
+        return frozen_pattern_rule(topo), frozen_edges_rule(topo)
+    if rule_name == "cyclic":
+        return cyclic_pattern_rule(topo), cyclic_edge_shift_rule(topo)
+    return seeded_pattern_rule(topo, seed), seeded_edge_permutation_rule(topo, seed)
+
+
+class TestEdgePatternRoute:
+    """The bit-operation orbit and the 2**E rules against the 2**bits tables."""
+
+    RULES = st.sampled_from(["frozen", "cyclic", "seeded"])
+
+    @given(small_graphs(max_bits=16), st.sampled_from(["frozen", "cyclic", "seeded", "phased"]),
+           st.integers(-2**40, 2**40), st.data())
+    def test_orbit_matches_the_combined_table(self, topo, rule_name, seed, data):
+        if rule_name == "phased":  # a random phased permutation of the edge patterns
+            rng = np.random.default_rng(seed % 2**32)
+            size = 1 << topo.n_edges
+            pattern = PhasedPermutation(rng.permutation(size), rng.integers(0, 4, size))
+            lifted = lift_pattern_rule(topo, pattern)
+        else:
+            pattern, lifted = pattern_and_lifted(topo, rule_name, seed)
+        combined = edge_update_compose(model_b_transfer(topo), lifted, topo)
+        start = data.draw(st.integers(0, combined.size - 1))
+        steps = data.draw(st.integers(0, 40))
+        config = SpinConfiguration.from_index(start, topo.n_vertices, topo.n_edges)
+        orbit = model_b_evolve(topo, config, pattern, steps)
+        assert len(orbit) == steps + 1
+        index, phase = start, 0
+        for conf, ph in orbit:
+            assert (conf.basis_index, ph) == (index, phase)
+            index, step_phase = combined.apply(index)
+            phase = (phase + step_phase) % 4
+
+    @given(small_graphs(max_bits=16), RULES, st.integers(-2**40, 2**40))
+    def test_lifted_rules_equal_the_full_size_formula(self, topo, rule_name, seed):
+        pattern, lifted = pattern_and_lifted(topo, rule_name, seed)
+        assert lifted == old_full_size_rule(topo, rule_name, seed)
+        assert lifted == lift_pattern_rule(topo, pattern)
+        combined = edge_update_compose(model_b_transfer(topo), lifted, topo)
+        assert pattern.is_unitary() == combined.is_unitary()
+
+    @given(small_graphs(max_bits=12))
+    def test_masks_are_the_transfer_map_translations(self, topo):
+        transfer = model_b_transfer(topo)
+        x = np.arange(transfer.size)
+        masks = edge_pattern_masks(topo)
+        assert masks.shape == (1 << topo.n_edges,)
+        assert np.array_equal(transfer.target ^ x, masks[x >> topo.n_vertices])
+
+    def test_orbit_builds_no_full_size_table(self, monkeypatch):
+        topo = GraphTopology.ring(12)  # 24 bits; edges (0,1), (0,11), (1,2), (2,3), ...
+        for name in ("model_b_transfer", "cyclic_edge_shift_rule", "lift_pattern_rule"):
+            monkeypatch.setattr(ising, name, None)
+        config = SpinConfiguration.from_strings("1" + "0" * 11, "1" + "0" * 11)
+        orbit = model_b_evolve(topo, config, cyclic_pattern_rule(topo), 3)
+        assert [(c.vertex_string, c.edge_string, ph) for c, ph in orbit] == [
+            ("100000000000", "100000000000", 0),
+            ("010000000000", "010000000000", 3),
+            ("110000000001", "001000000000", 2),
+            ("101000000001", "000100000000", 1),
+        ]
+
+    def test_orbit_rejects_mismatched_sizes(self):
+        topo = GraphTopology.ring(3)
+        config = SpinConfiguration.from_strings("000", "000")
+        with pytest.raises(DimensionMismatch):
+            model_b_evolve(topo, config, PhasedPermutation.identity(4), 1)
+        with pytest.raises(DimensionMismatch):
+            model_b_evolve(topo, SpinConfiguration.from_strings("000", "00"),
+                           frozen_pattern_rule(topo), 1)
+        with pytest.raises(ValueError):
+            model_b_evolve(topo, config, frozen_pattern_rule(topo), -1)
+        with pytest.raises(DimensionMismatch):
+            lift_pattern_rule(topo, PhasedPermutation.identity(4))
 
 
 class TestCompositionSoundness:
