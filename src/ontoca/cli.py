@@ -1,18 +1,18 @@
 """Command-line entry point: run configured experiments, emit machine-readable
 artifacts, and gate on invariant checks.
 
-Experiments are defined by JSON config documents (reproducible, diffable);
-flags only override generic fields (--seed, --steps, --out, --format) or
-provide shortcuts for the common cases.  Identical config + seed produces
-byte-identical artifacts.  The exit status is 0 only when every invariant
-asserted by the chosen experiment holds; config errors exit with status 2.
+Experiments are defined by JSON config documents (reproducible, diffable).
+A subcommand reads only the keys it names in CONFIG_KEYS and refuses any
+other; each flag overrides the key of its name.  Identical config + seed
+produces byte-identical artifacts.  The exit status is 0 only when every
+invariant asserted by the chosen experiment holds; config errors exit with
+status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 
@@ -27,8 +27,8 @@ from .errors import (
 from .gaussian import (
     CAPairState,
     GaussianIntVector,
-    HamiltonianModel,
     evolve,
+    step,
     two_time_correlation,
 )
 from .propagator import DiscretenessScale
@@ -52,81 +52,75 @@ def _configure_logging():
 # Config plumbing
 # =============================================================================
 
+# The top-level config keys each subcommand reads, besides `kind` and
+# `schema_version`; any other key exits 2.  A flag overrides the key of its
+# name, and `--preset NAME` the `model` key, so every flag is one of these.
+CONFIG_KEYS = {
+    "evolve": ("model", "psi0", "psi1", "steps", "format", "out"),
+    "dispersion": ("model", "sweep", "out"),
+    "ontology-scan": ("model", "psi0", "psi1", "basis", "max_steps", "out"),
+    # the union over the four modes
+    "multitime": ("mode", "coupling", "initial_field", "steps", "axis", "direction", "periodic",
+                  "extra_point", "extra_value", "prev", "curr", "state", "out"),
+    "ising-a": ("topology", "schedule", "start", "steps", "out"),
+    "ising-b": ("topology", "start", "edge_rule", "steps", "out"),
+    "gup": ("sites", "scale", "boundary", "samples", "seed", "widths", "out"),
+    "verify-all": ("seed", "out"),
+}
+
+# The deviation sweep keeps every state of its run of n = scale_product / epsilon
+# steps, so n is bounded.
+SWEEP_MAX_STEPS = 100_000
+# gup's scale and widths: further out, the bound's l**2 and 1/l terms and an
+# envelope's 1/width**2 leave the float range.
+GUP_NUMBER_RANGE = (1e-100, 1e100)
+
 
 def _load_config(args, kind: str) -> dict:
-    """Load and pre-validate the experiment config; flags override fields."""
+    """Load the experiment config and apply the flag overrides."""
     config: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         config = serialize.load_json_file(args.config)
-        declared = config.get("kind")
-        if declared is not None and declared != kind:
-            raise ConfigInvalid(args.config, f"config kind {declared!r} does not match subcommand {kind!r}")
-        version = config.get("schema_version")
-        if version is not None and version != serialize.SCHEMA_VERSION:
-            raise ConfigInvalid(args.config, f"unsupported schema_version {version}")
-    for key in ("seed", "steps", "out", "format", "sites", "scale", "boundary", "samples"):
+        serialize.config_choice(config.get("kind", kind), "kind", (kind,))
+        version = config.get("schema_version", serialize.SCHEMA_VERSION)
+        serialize.config_choice(version, "schema_version", (serialize.SCHEMA_VERSION,))
+    if getattr(args, "preset", None):
+        config["model"] = {"preset": args.preset}
+    for key in CONFIG_KEYS[kind]:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    if config.get("format") not in (None, "csv", "json"):
-        raise ConfigInvalid("format", f"unknown format {config['format']!r}")
     log.debug("running %s with config keys %s", kind, sorted(config))
     return config
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigInvalid(key, "required config field is missing")
-    return config[key]
-
-
-def _config_int(value, path: str, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or (
-        minimum is not None and value < minimum
-    ):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigInvalid(path, f"expected an integer{bound}, got {value!r}")
-    return value
-
-
-def _config_positive(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-        raise ConfigInvalid(path, f"expected a positive finite number, got {value!r}")
-    return float(value)
-
-
-def _resolve_model(config: dict, args) -> HamiltonianModel:
-    if getattr(args, "preset", None):
-        return ontology.preset_hamiltonian(args.preset)
-    spec = config.get("model")
-    if spec is None:
-        raise ConfigInvalid("model", "no model given; use --preset or a config with a 'model' field")
-    if isinstance(spec, str):
-        return serialize.load_model_file(spec)
-    if isinstance(spec, dict):
-        return serialize.model_from_mapping(spec)
-    raise ConfigInvalid("model", f"expected mapping or file path, got {type(spec).__name__}")
+def _refuse_unread(config: dict, kind: str):
+    """Refuse a key the subcommand does not read, once its own keys are read."""
+    serialize.config_mapping(config, "", CONFIG_KEYS[kind] + ("kind", "schema_version"))
 
 
 def _resolve_pair(config: dict, model) -> CAPairState:
-    if "psi0" in config:
-        psi0 = serialize.vector_from_config(config["psi0"], "psi0")
-    else:
-        psi0 = GaussianIntVector.basis(model.dim, 0)
-    if "psi1" in config:
-        psi1 = serialize.vector_from_config(config["psi1"], "psi1")
-    else:
-        psi1 = GaussianIntVector.basis(model.dim, min(1, model.dim - 1))
-    if len(psi0) != model.dim or len(psi1) != model.dim:
-        raise ConfigInvalid("psi0/psi1", f"vectors must have model dimension {model.dim}")
-    return CAPairState(psi0, psi1, index_n=1)
+    def vector(key, default_index):
+        if key in config:
+            return serialize.vector_from_config(config[key], key, model.dim)
+        return GaussianIntVector.basis(model.dim, default_index)
+
+    return CAPairState(vector("psi0", 0), vector("psi1", min(1, model.dim - 1)), index_n=1)
+
+
+def _write_artifact(path: str, text: str, key: str) -> str:
+    """Write an artifact; a path that cannot be written exits 2 naming `key`."""
+    try:
+        serialize.atomic_write_text(path, text)
+    except OSError as exc:
+        raise ConfigInvalid(key, f"cannot write {path!r}: {exc.strerror or exc}") from None
+    log.debug("wrote %d bytes to %s", len(text), path)
+    return path
 
 
 def _write_out(config: dict, text: str, default_name: str) -> str:
-    out = config.get("out") or default_name
-    serialize.atomic_write_text(out, text)
-    log.debug("wrote %d bytes to %s", len(text), out)
-    return out
+    out = serialize.config_path(config.get("out", default_name), "out")
+    return _write_artifact(out, text, "out")
 
 
 class _StageLog:
@@ -174,9 +168,11 @@ def _max_coeff_bits(numbers) -> int:
 
 def cmd_evolve(args) -> int:
     config = _load_config(args, "evolve")
-    model = _resolve_model(config, args)
+    model = serialize.config_document(config.get("model"), "model", serialize.model_from_mapping)
     pair = _resolve_pair(config, model)
-    steps = _config_int(config.get("steps", 12), "steps", minimum=1)
+    steps = serialize.config_int(config.get("steps", 12), "steps", minimum=1)
+    fmt = serialize.config_choice(config.get("format", "csv"), "format", ("csv", "json"))
+    _refuse_unread(config, "evolve")
     stages = _StageLog("evolve")
     traj = evolve(pair, model, steps)
     stages.mark("evolve")
@@ -189,11 +185,9 @@ def cmd_evolve(args) -> int:
     residuals_zero = traj.verify()
     stages.mark("check")
 
-    fmt = config.get("format", "csv")
     if fmt == "csv":
-        text = serialize.trajectory_csv(traj)
-        out = _write_out(config, text, "evolve.csv")
-    elif fmt == "json":
+        out = _write_out(config, serialize.trajectory_csv(traj), "evolve.csv")
+    else:
         doc = {
             "schema_version": serialize.SCHEMA_VERSION,
             "kind": "evolve",
@@ -205,8 +199,6 @@ def cmd_evolve(args) -> int:
             "rows": [list(row) for row in serialize.trajectory_rows(traj)],
         }
         out = _write_out(config, serialize.dumps_json(doc), "evolve.json")
-    else:
-        raise ConfigInvalid("format", f"unknown format {fmt!r}")
     stages.mark("write")
     if stages.enabled:
         bits = _max_coeff_bits(x for st in traj.states for c in st for x in (c.re, c.im))
@@ -223,7 +215,26 @@ def cmd_evolve(args) -> int:
 
 def cmd_dispersion(args) -> int:
     config = _load_config(args, "dispersion")
-    model = _resolve_model(config, args)
+    model = serialize.config_document(config.get("model"), "model", serialize.model_from_mapping)
+    sweep = config.get("sweep")
+    if sweep is not None:
+        sweep = serialize.config_mapping(sweep, "sweep",
+                                         ("epsilons", "scale_product", "psi0", "out"))
+        epsilons = tuple(
+            serialize.config_positive(e, f"sweep.epsilons[{k}]")
+            for k, e in enumerate(serialize.config_list(sweep.get("epsilons"), "sweep.epsilons"))
+        )
+        scale_product = serialize.config_positive(sweep.get("scale_product", 1.0),
+                                                  "sweep.scale_product")
+        for k, eps in enumerate(epsilons):
+            if scale_product / eps > SWEEP_MAX_STEPS:
+                raise ConfigInvalid(f"sweep.epsilons[{k}]", f"scale_product / epsilon exceeds "
+                                    f"the {SWEEP_MAX_STEPS}-step limit of the sweep")
+        psi0 = GaussianIntVector.basis(model.dim, 0)
+        if "psi0" in sweep:
+            psi0 = serialize.vector_from_config(sweep["psi0"], "sweep.psi0", model.dim)
+        sweep_out = serialize.config_path(sweep.get("out", "deviation_sweep.json"), "sweep.out")
+    _refuse_unread(config, "dispersion")
     stages = _StageLog("dispersion")
     dec = propagator.phi_operator(model)
     rows = []
@@ -243,31 +254,15 @@ def cmd_dispersion(args) -> int:
     stages.mark("write")
 
     sweep_note = ""
-    sweep = config.get("sweep")
     if sweep is not None:
-        if not isinstance(sweep, dict):
-            raise ConfigInvalid("sweep", "expected {epsilons, scale_product, out?}")
-        raw = sweep.get("epsilons")
-        if not isinstance(raw, list) or not raw:
-            raise ConfigInvalid("sweep.epsilons", f"expected a nonempty list, got {raw!r}")
-        epsilons = tuple(_config_positive(e, f"sweep.epsilons[{k}]") for k, e in enumerate(raw))
-        scale_product = _config_positive(sweep.get("scale_product", 1.0), "sweep.scale_product")
-        psi0 = (
-            serialize.vector_from_config(sweep["psi0"], "sweep.psi0")
-            if "psi0" in sweep
-            else GaussianIntVector.basis(model.dim, 0)
-        )
         sweep_rows = propagator.continuum_limit_check(model, psi0, epsilons, scale_product)
         doc = {
             "schema_version": serialize.SCHEMA_VERSION,
             "kind": "dispersion-sweep",
             "scale_product": scale_product,
-            "rows": [
-                {"epsilon": eps, "n": n, "deviation": dev} for eps, n, dev in sweep_rows
-            ],
+            "rows": [{"epsilon": eps, "n": n, "deviation": dev} for eps, n, dev in sweep_rows],
         }
-        sweep_out = sweep.get("out", "deviation_sweep.json")
-        serialize.atomic_write_text(sweep_out, serialize.dumps_json(doc))
+        _write_artifact(sweep_out, serialize.dumps_json(doc), "sweep.out")
         sweep_note = f" sweep_out={sweep_out}"
         stages.mark("sweep")
 
@@ -285,30 +280,32 @@ def cmd_dispersion(args) -> int:
 
 def cmd_ontology_scan(args) -> int:
     config = _load_config(args, "ontology-scan")
-    model = _resolve_model(config, args)
+    model = serialize.config_document(config.get("model"), "model", serialize.model_from_mapping)
     pair = _resolve_pair(config, model)
     basis_spec = config.get("basis", "standard")
     if basis_spec == "standard":
         basis = ontology.standard_basis_rays(model.dim)
-    elif not isinstance(basis_spec, list) or not basis_spec:
-        raise ConfigInvalid(
-            "basis", f"expected 'standard' or a nonempty list of vectors, got {basis_spec!r}"
-        )
     else:
-        basis = tuple(
-            ontology.canonical_ray(serialize.vector_from_config(v, "basis"))
-            for v in basis_spec
-        )
+        basis = []
+        for k, entry in enumerate(serialize.config_list(basis_spec, "basis")):
+            vec = serialize.vector_from_config(entry, f"basis[{k}]", model.dim)
+            if vec.is_zero():
+                raise ConfigInvalid(f"basis[{k}]", "a zero vector has no ray")
+            basis.append(ontology.canonical_ray(vec))
     max_steps = config.get("max_steps")
     if max_steps is not None:
-        max_steps = _config_int(max_steps, "max_steps", minimum=1)
+        max_steps = serialize.config_int(max_steps, "max_steps", minimum=1)
+    _refuse_unread(config, "ontology-scan")
     stages = _StageLog("ontology-scan")
     report = ontology.detect_phased_permutation(
         model, pair.psi_prev, pair.psi_curr, basis, max_steps=max_steps
     )
     stages.mark("scan")
-    traj = evolve(pair, model, steps=max(report.steps_scanned, 1))
-    norms = list(ontology.norm_trace(traj))
+    # the norms of psi[0] .. psi[max(steps_scanned, 1) + 1]; a scan that
+    # stopped at psi[0] or psi[1] has not reached psi[2]
+    norms = list(report.norms)
+    if report.steps_scanned == 0:
+        norms.append(step(pair, model).psi_curr.norm_sq())
     stages.mark("norms")
     doc = {
         "schema_version": serialize.SCHEMA_VERSION,
@@ -333,27 +330,22 @@ def cmd_ontology_scan(args) -> int:
 
 
 def _resolve_coupling(config: dict) -> multitime.TensorHamiltonian:
-    spec = config.get("coupling")
-    if not isinstance(spec, dict):
-        raise ConfigInvalid("coupling", "expected a mapping with 'separable' or 'matrix'")
+    spec = serialize.config_mapping(config.get("coupling"), "coupling",
+                                    ("separable", "matrix", "dims"))
     if "separable" in spec:
-        factors = spec["separable"]
-        if not isinstance(factors, list) or len(factors) < 2 or not all(
-            isinstance(m, dict) for m in factors
-        ):
+        factors = serialize.config_list(spec["separable"], "coupling.separable")
+        if len(factors) < 2:
             raise ConfigInvalid("coupling.separable", "expected a list of at least two models")
-        return multitime.TensorHamiltonian.separable(
-            *(serialize.model_from_mapping(m, "coupling.separable") for m in factors)
-        )
+        return multitime.TensorHamiltonian.separable(*(
+            serialize.model_from_mapping(serialize.config_mapping(m, "coupling.separable"),
+                                         "coupling.separable")
+            for m in factors
+        ))
     if "matrix" in spec:
-        dims = spec.get("dims")
-        if not isinstance(dims, list) or not dims:
-            raise ConfigInvalid("coupling.dims", f"expected a nonempty list, got {dims!r}")
-        dims = [_config_int(d, "coupling.dims", minimum=1) for d in dims]
-        matrix = spec["matrix"]
-        if not isinstance(matrix, list):
-            raise ConfigInvalid("coupling.matrix", "expected a list of rows")
-        rows = [serialize.vector_from_config(row, "coupling.matrix") for row in matrix]
+        dims = [serialize.config_int(d, "coupling.dims", minimum=1)
+                for d in serialize.config_list(spec.get("dims"), "coupling.dims")]
+        rows = [serialize.vector_from_config(row, "coupling.matrix")
+                for row in serialize.config_list(spec["matrix"], "coupling.matrix")]
         try:
             return multitime.TensorHamiltonian.general(rows, dims)
         except OntocaError as exc:
@@ -361,101 +353,81 @@ def _resolve_coupling(config: dict) -> multitime.TensorHamiltonian:
     raise ConfigInvalid("coupling", "expected 'separable' or 'matrix'")
 
 
-def _coupling_vector(config: dict, key: str, coupling) -> GaussianIntVector:
-    vec = serialize.vector_from_config(_require(config, key), key)
-    if len(vec) != coupling.total_dim:
-        raise ConfigInvalid(key, f"expected {coupling.total_dim} components, got {len(vec)}")
-    return vec
-
-
-def _direction(config: dict) -> int:
-    direction = config.get("direction", 1)
-    if type(direction) is not int or direction not in (1, -1):
-        raise ConfigInvalid("direction", f"expected 1 or -1, got {direction!r}")
-    return direction
-
-
 def cmd_multitime(args) -> int:
     config = _load_config(args, "multitime")
-    mode = config.get("mode")
-    if mode not in ("line", "diagonal", "second_order", "first_order"):
-        raise ConfigInvalid("mode", f"unknown multitime mode {mode!r}")
+    mode = serialize.config_choice(config.get("mode"), "mode",
+                                   ("line", "diagonal", "second_order", "first_order"))
     coupling = _resolve_coupling(config)
     d1, d2 = coupling.dims if len(coupling.dims) == 2 else (coupling.total_dim, 1)
 
+    def vector(key):
+        return serialize.vector_from_config(config.get(key), key, coupling.total_dim)
+
     if mode in ("line", "diagonal"):
-        field_path = config.get("initial_field")
-        if not isinstance(field_path, str):
-            raise ConfigInvalid("initial_field", "expected a CSV file path")
+        field_path = serialize.config_path(config.get("initial_field"), "initial_field")
         text = serialize.read_text_file(field_path)
         field = serialize.parse_field_csv(text, (d1, d2), "initial_field")
+    direction = 1
+    if mode == "line":
+        steps = serialize.config_int(config.get("steps", 1), "steps", minimum=0)
+        axis = serialize.config_choice(config.get("axis", "n1"), "axis", ("n1", "n2"))
+        direction = serialize.config_choice(config.get("direction", 1), "direction", (1, -1))
+        periodic = serialize.config_choice(config.get("periodic", False), "periodic",
+                                           (False, True))
+    elif mode == "diagonal":
+        steps = 1
+        extra_point = tuple(
+            serialize.config_int(x, "extra_point")
+            for x in serialize.config_list(config.get("extra_point"), "extra_point", length=2)
+        )
+        extra_value = vector("extra_value")
+    elif mode == "second_order":
+        steps = serialize.config_int(config.get("steps", 4), "steps", minimum=0)
+        states = [vector("prev"), vector("curr")]
+    else:
+        # sync_first_order needs at least one step; direction -1 is the
+        # backward-synchronized form: the same states at decreasing indices
+        steps = serialize.config_int(config.get("steps", 4), "steps", minimum=1)
+        direction = serialize.config_choice(config.get("direction", 1), "direction", (1, -1))
+        start = vector("state")
+    _refuse_unread(config, "multitime")
 
     stages = _StageLog("multitime")
-    residual_ok = True
     if mode == "line":
-        steps = _config_int(config.get("steps", 1), "steps", minimum=0)
-        axis = config.get("axis", "n1")
-        if axis not in ("n1", "n2"):
-            raise ConfigInvalid("axis", f"expected 'n1' or 'n2', got {axis!r}")
-        direction = _direction(config)
-        periodic = config.get("periodic", False)
-        if not isinstance(periodic, bool):
-            raise ConfigInvalid("periodic", f"expected true or false, got {periodic!r}")
-        accumulated = field
-        current = field
+        export = current = field
         try:
             for _ in range(steps):
                 current = multitime.propagate_line(current, coupling, axis, direction, periodic)
-                accumulated = accumulated.union(current)
+                export = export.union(current)
         except GeometryMismatch as exc:  # only the initial field can be misshapen
             raise ConfigInvalid("initial_field", f"{exc} (axis {axis})") from None
-        stages.mark("propagate")
-        for point in multitime.interior_points(accumulated):
-            res = multitime.equation_residual(accumulated, coupling, point)
-            residual_ok = residual_ok and all(r.is_zero() for r in res)
-        stages.mark("check")
-        export = accumulated
         summary = f"lines+{steps}"
     elif mode == "diagonal":
-        steps = 1
-        extra_point = config.get("extra_point")
-        if not isinstance(extra_point, list) or len(extra_point) != 2:
-            raise ConfigInvalid("extra_point", "expected [n1, n2]")
-        extra_point = tuple(_config_int(x, "extra_point") for x in extra_point)
-        extra_value = _coupling_vector(config, "extra_value", coupling)
         try:
             stepped = multitime.propagate_diagonal(field, coupling, extra_point, extra_value)
         except GeometryMismatch as exc:
             raise ConfigInvalid("initial_field", str(exc)) from None
-        merged = field.union(stepped)
-        stages.mark("propagate")
-        for point in multitime.interior_points(merged):
-            res = multitime.equation_residual(merged, coupling, point)
-            residual_ok = residual_ok and all(r.is_zero() for r in res)
-        stages.mark("check")
-        export = merged
+        export = field.union(stepped)
         summary = f"diagonal seed={extra_point}"
     else:
-        # sync_first_order needs at least one step; second_order may run none
-        minimum = 1 if mode == "first_order" else 0
-        steps = _config_int(config.get("steps", 4), "steps", minimum=minimum)
         if mode == "second_order":
-            states = [_coupling_vector(config, "prev", coupling),
-                      _coupling_vector(config, "curr", coupling)]
             for _ in range(steps):
                 states.append(multitime.sync_second_order(states[-2], states[-1], coupling))
-            direction = 1
         else:
-            # direction -1 is the backward-synchronized form: the same states
-            # at decreasing indices
-            direction = _direction(config)
-            start = _coupling_vector(config, "state", coupling)
             states = multitime.sync_first_order(start, coupling, steps)
         export = multitime.MultiTimeField(
             (d1, d2), {(direction * n, direction * n): vec for n, vec in enumerate(states)}
         )
-        stages.mark("propagate")
         summary = f"{mode} steps={steps}"
+    stages.mark("propagate")
+    residual_ok = True
+    if mode in ("line", "diagonal"):
+        residual_ok = all(
+            r.is_zero()
+            for point in multitime.interior_points(export)
+            for r in multitime.equation_residual(export, coupling, point)
+        )
+        stages.mark("check")
 
     out = _write_out(config, serialize.field_csv(export), "multitime.csv")
     stages.mark("write")
@@ -470,17 +442,6 @@ def cmd_multitime(args) -> int:
     return EXIT_OK if residual_ok else EXIT_INVARIANT
 
 
-def _resolve_topology(config: dict, args) -> ising.GraphTopology:
-    spec = config.get("topology")
-    if getattr(args, "topology", None):
-        spec = args.topology
-    if spec is None:
-        raise ConfigInvalid("topology", "no topology given")
-    if isinstance(spec, str):
-        return serialize.load_topology_file(spec)
-    return serialize.topology_from_mapping(spec)
-
-
 def _spin_string(value, length: int, path: str) -> str:
     """A bit string with one '0'/'1' character per vertex or edge."""
     if not isinstance(value, str) or len(value) != length or set(value) - {"0", "1"}:
@@ -490,24 +451,21 @@ def _spin_string(value, length: int, path: str) -> str:
 
 def cmd_ising_a(args) -> int:
     config = _load_config(args, "ising-a")
-    topology = _resolve_topology(config, args)
+    topology = serialize.config_document(config.get("topology"), "topology",
+                                         serialize.topology_from_mapping)
     # the composition check builds 2^vertices tables
     if topology.n_vertices > ising.DEFAULT_MAX_BITS:
         raise ConfigInvalid(
             "topology", f"{topology.n_vertices} vertices exceed the "
             f"{ising.DEFAULT_MAX_BITS}-bit limit"
         )
-    schedule_spec = config.get("schedule")
-    if isinstance(schedule_spec, str):
-        schedule = serialize.load_schedule_file(schedule_spec)
-    elif isinstance(schedule_spec, dict):
-        schedule = serialize.schedule_from_mapping(schedule_spec)
-    else:
-        raise ConfigInvalid("schedule", "no schedule given")
+    schedule = serialize.config_document(config.get("schedule"), "schedule",
+                                         serialize.schedule_from_mapping)
     start = ising.SpinConfiguration.from_strings(
         _spin_string(config.get("start", "0" * topology.n_vertices), topology.n_vertices, "start")
     )
-    steps = _config_int(config.get("steps", 8), "steps", minimum=0)
+    steps = serialize.config_int(config.get("steps", 8), "steps", minimum=0)
+    _refuse_unread(config, "ising-a")
     stages = _StageLog("ising-a")
     try:
         run = ising.model_a_evolve(topology, start, schedule, steps)
@@ -523,9 +481,7 @@ def cmd_ising_a(args) -> int:
     ok = target == run[-1][0].basis_index and phase == run[-1][1]
     stages.mark("check")
 
-    rows = [
-        (n, conf.vertex_string, "", ph) for n, (conf, ph) in enumerate(run)
-    ]
+    rows = [(n, conf.vertex_string, "", ph) for n, (conf, ph) in enumerate(run)]
     out = _write_out(config, serialize.spin_trajectory_csv(rows), "ising_a.csv")
     stages.mark("write")
     if stages.enabled:
@@ -540,7 +496,8 @@ def cmd_ising_a(args) -> int:
 
 def cmd_ising_b(args) -> int:
     config = _load_config(args, "ising-b")
-    topology = _resolve_topology(config, args)
+    topology = serialize.config_document(config.get("topology"), "topology",
+                                         serialize.topology_from_mapping)
     # The orbit and the unitarity check use 2^E edge-pattern tables only; the
     # input limit stays that of the library's 2^bits table builders.
     if topology.total_bits > ising.DEFAULT_MAX_BITS:
@@ -548,27 +505,24 @@ def cmd_ising_b(args) -> int:
             "topology", f"{topology.total_bits} vertex + edge bits exceed the "
             f"{ising.DEFAULT_MAX_BITS}-bit limit"
         )
-    start_cfg = config.get("start", {})
-    if not isinstance(start_cfg, dict):
-        raise ConfigInvalid("start", "expected {vertices, edges}")
+    start_cfg = serialize.config_mapping(config.get("start", {}), "start", ("vertices", "edges"))
     n_vertices, n_edges = topology.n_vertices, topology.n_edges
     start = ising.SpinConfiguration.from_strings(
         _spin_string(start_cfg.get("vertices", "0" * n_vertices), n_vertices, "start.vertices"),
         _spin_string(start_cfg.get("edges", "0" * n_edges), n_edges, "start.edges"),
     )
-    steps = _config_int(config.get("steps", 8), "steps", minimum=0)
-
-    stages = _StageLog("ising-b")
+    steps = serialize.config_int(config.get("steps", 8), "steps", minimum=0)
     rule_spec = config.get("edge_rule", "frozen")
-    if rule_spec == "frozen":
-        rule = ising.frozen_pattern_rule(topology)
-    elif rule_spec == "cyclic":
-        rule = ising.cyclic_pattern_rule(topology)
-    elif isinstance(rule_spec, dict) and "seeded_random" in rule_spec:
-        seed = _config_int(rule_spec["seeded_random"], "edge_rule.seeded_random")
+    stages = _StageLog("ising-b")
+    if isinstance(rule_spec, dict):
+        serialize.config_mapping(rule_spec, "edge_rule", ("seeded_random",))
+        seed = serialize.config_int(rule_spec.get("seeded_random"), "edge_rule.seeded_random")
         rule = ising.seeded_pattern_rule(topology, seed)
+    elif serialize.config_choice(rule_spec, "edge_rule", ("frozen", "cyclic")) == "frozen":
+        rule = ising.frozen_pattern_rule(topology)
     else:
-        raise ConfigInvalid("edge_rule", f"unknown edge rule {rule_spec!r}")
+        rule = ising.cyclic_pattern_rule(topology)
+    _refuse_unread(config, "ising-b")
     run = ising.model_b_evolve(topology, start, rule, steps)
     stages.mark("build")
     # each edge pattern translates the vertex bits by a fixed XOR, so the
@@ -599,22 +553,21 @@ def cmd_ising_b(args) -> int:
 
 def cmd_gup(args) -> int:
     config = _load_config(args, "gup")
-    sites = _config_int(config.get("sites", 64), "sites", minimum=1)
-    scale = DiscretenessScale(_config_positive(config.get("scale", 1.0), "scale"))
-    boundary = config.get("boundary", "periodic")
-    if boundary not in ("periodic", "open"):
-        raise ConfigInvalid("boundary", f"expected 'periodic' or 'open', got {boundary!r}")
-    samples = _config_int(config.get("samples", 1000), "samples", minimum=1)
-    seed = _config_int(config.get("seed", 0), "seed", minimum=0)
+    sites = serialize.config_int(config.get("sites", 64), "sites", minimum=1)
+    scale = DiscretenessScale(serialize.config_positive(config.get("scale", 1.0), "scale",
+                                                        *GUP_NUMBER_RANGE))
+    boundary = serialize.config_choice(config.get("boundary", "periodic"), "boundary",
+                                       ("periodic", "open"))
+    samples = serialize.config_int(config.get("samples", 1000), "samples", minimum=1)
+    seed = serialize.config_int(config.get("seed", 0), "seed", minimum=0)
     if "widths" in config:
-        widths = config["widths"]
-        if not isinstance(widths, list) or not widths:
-            raise ConfigInvalid("widths", f"expected a nonempty list of widths, got {widths!r}")
-        widths = [_config_positive(w, "widths") for w in widths]
+        widths = [serialize.config_positive(w, "widths", *GUP_NUMBER_RANGE)
+                  for w in serialize.config_list(config["widths"], "widths")]
     else:
         widths = [w for w in (4, 6, 8, 12, 16) if w <= sites / 8]
         if not widths:
             raise ConfigInvalid("widths", f"no admissible widths for {sites} sites")
+    _refuse_unread(config, "gup")
 
     stages = _StageLog("gup")
     try:
@@ -678,14 +631,15 @@ def cmd_gup(args) -> int:
 
 def cmd_verify_all(args) -> int:
     config = _load_config(args, "verify-all")
-    seed = _config_int(config.get("seed", 0), "seed", minimum=0)
+    seed = serialize.config_int(config.get("seed", 0), "seed", minimum=0)
+    out = serialize.config_path(config["out"], "out") if "out" in config else None
+    _refuse_unread(config, "verify-all")
     report = verify.run_all(seed)
     text = serialize.dumps_json(report)
-    out = config.get("out")
-    if out:
-        serialize.atomic_write_text(out, text)
-    else:
+    if out is None:
         sys.stdout.write(text)
+    else:
+        _write_artifact(out, text, "out")
     passed = sum(1 for c in report["checks"] if c["passed"])
     total = len(report["checks"])
     print(f"verify-all: seed={seed} passed={passed}/{total} all_passed={report['all_passed']}"
@@ -704,56 +658,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact integer-arithmetic cellular-automaton experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_steps=True):
+    steps = ("--steps", {"type": int})
+    seed = ("--seed", {"type": int})
+    preset = ("--preset", {"choices": ontology.preset_names()})
+    topology = ("--topology", {"help": "topology JSON file"})
+    # each flag overrides the config key of its name (see CONFIG_KEYS)
+    commands = (
+        ("evolve", "exact trajectory of a single model", cmd_evolve,
+         (steps, ("--format", {"choices": ("csv", "json")}), preset)),
+        ("dispersion", "eigenfrequency table and stationary-mode check", cmd_dispersion,
+         (preset,)),
+        ("ontology-scan", "detect permutation-with-phase dynamics", cmd_ontology_scan, (preset,)),
+        ("multitime", "two-time field propagation modes", cmd_multitime, (steps,)),
+        ("ising-a", "externally scheduled pair flips", cmd_ising_a, (steps, topology)),
+        ("ising-b", "edge-gated transfer dynamics", cmd_ising_b, (steps, topology)),
+        ("gup", "lattice uncertainty reports", cmd_gup,
+         (seed, ("--sites", {"type": int}), ("--scale", {"type": float}),
+          ("--boundary", {"choices": ("periodic", "open")}), ("--samples", {"type": int}))),
+        ("verify-all", "run the full invariant battery", cmd_verify_all, (seed,)),
+    )
+    for name, help_text, handler, flags in commands:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("config", nargs="?", help="JSON experiment config")
-        p.add_argument("--seed", type=int, default=None)
-        if with_steps:
-            p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-
-    p = sub.add_parser("evolve", help="exact trajectory of a single model")
-    add_common(p)
-    p.add_argument("--preset", choices=ontology.preset_names())
-    p.set_defaults(handler=cmd_evolve)
-
-    p = sub.add_parser("dispersion", help="eigenfrequency table and stationary-mode check")
-    add_common(p, with_steps=False)
-    p.add_argument("--preset", choices=ontology.preset_names())
-    p.set_defaults(handler=cmd_dispersion)
-
-    p = sub.add_parser("ontology-scan", help="detect permutation-with-phase dynamics")
-    add_common(p, with_steps=False)
-    p.add_argument("--preset", choices=ontology.preset_names())
-    p.set_defaults(handler=cmd_ontology_scan)
-
-    p = sub.add_parser("multitime", help="two-time field propagation modes")
-    add_common(p)
-    p.set_defaults(handler=cmd_multitime)
-
-    p = sub.add_parser("ising-a", help="externally scheduled pair flips")
-    add_common(p)
-    p.add_argument("--topology", help="topology JSON file")
-    p.set_defaults(handler=cmd_ising_a)
-
-    p = sub.add_parser("ising-b", help="edge-gated transfer dynamics")
-    add_common(p)
-    p.add_argument("--topology", help="topology JSON file")
-    p.set_defaults(handler=cmd_ising_b)
-
-    p = sub.add_parser("gup", help="lattice uncertainty reports")
-    add_common(p, with_steps=False)
-    p.add_argument("--sites", type=int)
-    p.add_argument("--scale", type=float)
-    p.add_argument("--boundary", choices=("periodic", "open"))
-    p.add_argument("--samples", type=int)
-    p.set_defaults(handler=cmd_gup)
-
-    p = sub.add_parser("verify-all", help="run the full invariant battery")
-    add_common(p, with_steps=False)
-    p.set_defaults(handler=cmd_verify_all)
-
+        p.add_argument("--out")
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 

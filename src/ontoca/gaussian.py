@@ -289,9 +289,6 @@ class GaussianIntVector:
     def as_complex(self) -> list[complex]:
         return [complex(c) for c in self.components]
 
-    def as_pairs(self) -> list[tuple[int, int]]:
-        return [(c.re, c.im) for c in self.components]
-
     @staticmethod
     def basis(dim: int, index: int) -> "GaussianIntVector":
         return GaussianIntVector(

@@ -505,8 +505,6 @@ def schmidt_rank(state, dims: tuple[int, int], rel_tol: float = 1e-10) -> int:
 class LeibnizReport:
     modified_residuals: tuple[GaussianRational, ...]
     naive_residuals: tuple[GaussianRational, ...]
-    max_modified: float
-    max_naive: float
 
     @property
     def modified_exact(self) -> bool:
@@ -548,6 +546,4 @@ def leibniz_identity_check(phi1, phi2) -> LeibnizReport:
     return LeibnizReport(
         modified_residuals=tuple(modified),
         naive_residuals=tuple(naive),
-        max_modified=max((abs(complex(r)) for r in modified), default=0.0),
-        max_naive=max((abs(complex(r)) for r in naive), default=0.0),
     )

@@ -107,6 +107,7 @@ class PermutationReport:
     phase_log: tuple[GaussianRational, ...]
     failure_step: Optional[int]
     steps_scanned: int
+    norms: tuple[int, ...]  # squared norms of psi[0] .. psi[steps_scanned + 1]
 
 
 def detect_phased_permutation(
@@ -139,6 +140,7 @@ def detect_phased_permutation(
 
     rays: list[CanonicalRay] = []
     phases: list[GaussianRational] = []
+    norms = [psi0.norm_sq(), psi1.norm_sq()]
     failure_step = None
 
     def admit(state: GaussianIntVector, step_index: int) -> bool:
@@ -164,6 +166,7 @@ def detect_phased_permutation(
         for n in range(1, max_steps + 1):
             pair = next(walker)  # pair (psi[n], psi[n+1])
             steps_scanned = n
+            norms.append(pair.psi_curr.norm_sq())
             if not admit(pair.psi_curr, n + 1):
                 break
             if ray_period is None and rays[n] == rays[0] and rays[n + 1] == rays[1]:
@@ -186,6 +189,7 @@ def detect_phased_permutation(
         phase_log=tuple(phases),
         failure_step=failure_step,
         steps_scanned=steps_scanned,
+        norms=tuple(norms),
     )
 
 

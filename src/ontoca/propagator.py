@@ -59,9 +59,6 @@ class SpectralDecomposition:
     def has_critical(self) -> bool:
         return "critical" in self.classifications
 
-    def is_subcritical(self) -> bool:
-        return all(c == "subcritical" for c in self.classifications)
-
 
 def phi_operator(model: HamiltonianModel) -> SpectralDecomposition:
     """Diagonalize H and attach the auxiliary angles phi with 2 sin(phi) = lambda."""

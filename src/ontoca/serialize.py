@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -176,6 +177,101 @@ def dispersion_csv(rows) -> str:
 
 
 # =============================================================================
+# Config readers
+# =============================================================================
+#
+# Each reader takes a config value and the path that names it, and returns the
+# value or raises ConfigInvalid(path, ...).  Nothing is coerced: a float, bool
+# or string is never read as an integer, and a number never as a string.
+
+
+def config_int(value, path: str, minimum: int | None = None, what: str = "value") -> int:
+    """A JSON integer, at least `minimum` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+        minimum is not None and value < minimum
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigInvalid(path, f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def config_positive(value, path: str, low: float = 0.0,
+                    high: float = sys.float_info.max) -> float:
+    """A JSON number in (low, high]; by default any positive finite one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not low < value <= high:
+        span = ("a positive finite number" if (low, high) == (0.0, sys.float_info.max)
+                else f"a number in ({low:g}, {high:g}]")
+        raise ConfigInvalid(path, f"expected {span}, got {value!r}")
+    return float(value)
+
+
+def config_choice(value, path: str, choices: tuple):
+    """One of `choices`, of the same JSON type (`true` is not `1`, nor `1.0`)."""
+    if not any(type(value) is type(c) and value == c for c in choices):
+        listed = ", ".join(json.dumps(c) for c in choices)
+        raise ConfigInvalid(path, f"expected one of {listed}, got {value!r}")
+    return value
+
+
+def config_list(value, path: str, length: int | None = None) -> list:
+    """A nonempty JSON list, of exactly `length` entries when one is given."""
+    fits = isinstance(value, list) and (len(value) > 0 if length is None else len(value) == length)
+    if not fits:
+        size = "nonempty" if length is None else f"{length}-entry"
+        raise ConfigInvalid(path, f"expected a {size} list, got {value!r}")
+    return value
+
+
+def config_path(value, path: str) -> str:
+    """A nonempty string naming a file."""
+    if not isinstance(value, str) or not value:
+        raise ConfigInvalid(path, f"expected a file path, got {value!r}")
+    return value
+
+
+def config_mapping(value, path: str, keys: tuple | None = None) -> dict:
+    """A JSON object; with `keys`, any other key is refused, named by its own path."""
+    if not isinstance(value, dict):
+        raise ConfigInvalid(path, f"expected an object, got {value!r}")
+    if keys is not None:
+        for key in value:
+            if key not in keys:
+                where = f"{path}.{key}" if path else key
+                raise ConfigInvalid(where, f"unknown key; expected one of {', '.join(keys)}")
+    return value
+
+
+def config_document(value, path: str, from_mapping):
+    """A schema given inline as an object or as the path of a JSON file holding one."""
+    if isinstance(value, str):
+        return from_mapping(load_json_file(value), value)
+    if isinstance(value, dict):
+        return from_mapping(value, path)
+    raise ConfigInvalid(path, f"expected an object or a file path, got {value!r}")
+
+
+def vector_from_config(entry, origin: str = "vector", length: int | None = None) -> GaussianIntVector:
+    """Vectors are lists of components; each component is [re, im] or a bare int.
+
+    With `length`, a vector of any other length is refused.
+    """
+    if not isinstance(entry, (list, tuple)):
+        raise ConfigInvalid(origin, f"expected a list of components, got {entry!r}")
+    if length is not None and len(entry) != length:
+        raise ConfigInvalid(origin, f"expected {length} components, got {len(entry)}")
+    comps = []
+    for k, item in enumerate(entry):
+        pair = item if isinstance(item, (list, tuple)) else (item, 0)
+        if len(pair) != 2:
+            raise ConfigInvalid(origin, f"bad vector entry [{k}]: expected an integer or [re, im]")
+        re, im = pair  # a plain int skips the reader call, as in _matrices_from_mapping
+        re = re if type(re) is int else config_int(re, origin, what=f"[{k}] re")
+        im = im if type(im) is int else config_int(im, origin, what=f"[{k}] im")
+        comps.append(GaussianInt(re, im))
+    return GaussianIntVector(comps)
+
+
+# =============================================================================
 # Input file schemas
 # =============================================================================
 
@@ -210,28 +306,19 @@ def model_from_mapping(data: dict, origin: str = "model") -> HamiltonianModel:
         if name not in preset_names():
             raise ConfigInvalid(origin, f"unknown preset {name!r}; available {preset_names()}")
         model = preset_hamiltonian(name)
-        if "S" in data or "A" in data:
-            explicit = _matrices_from_mapping(data, origin)
-            if explicit != (model.s_matrix, model.a_matrix):
-                raise ConfigInvalid(origin, f"S/A entries disagree with preset {name!r}")
-        if "dim" in data and _exact_int(data["dim"], origin, "dim") != model.dim:
-            raise ConfigInvalid(origin, f"dim {data['dim']} disagrees with preset {name!r}")
-        return model
-    s, a = _matrices_from_mapping(data, origin)
-    try:
-        model = build_hamiltonian(s, a)
-    except Exception as exc:
-        raise ConfigInvalid(origin, str(exc)) from None
-    if "dim" in data and _exact_int(data["dim"], origin, "dim") != model.dim:
-        raise ConfigInvalid(origin, f"declared dim {data['dim']} but matrices are {model.dim}x{model.dim}")
+        if ("S" in data or "A" in data) and (
+            _matrices_from_mapping(data, origin) != (model.s_matrix, model.a_matrix)
+        ):
+            raise ConfigInvalid(origin, f"S/A entries disagree with preset {name!r}")
+    else:
+        s, a = _matrices_from_mapping(data, origin)
+        try:
+            model = build_hamiltonian(s, a)
+        except Exception as exc:
+            raise ConfigInvalid(origin, str(exc)) from None
+    if "dim" in data and config_int(data["dim"], origin, what="dim") != model.dim:
+        raise ConfigInvalid(origin, f"declared dim {data['dim']} but the model has dim {model.dim}")
     return model
-
-
-def _exact_int(value, origin: str, what: str) -> int:
-    """A JSON integer; a float, bool or string is refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigInvalid(origin, f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _matrices_from_mapping(data: dict, origin: str):
@@ -240,8 +327,10 @@ def _matrices_from_mapping(data: dict, origin: str):
         if key not in data:
             raise ConfigInvalid(origin, f"missing matrix {key!r}")
         try:
+            # a plain int skips the reader call: a dim-64 model has 8192 entries
             matrices.append(tuple(
-                tuple(_exact_int(x, origin, f"{key}[{r}][{c}]") for c, x in enumerate(row))
+                tuple(x if type(x) is int else config_int(x, origin, what=f"{key}[{r}][{c}]")
+                      for c, x in enumerate(row))
                 for r, row in enumerate(data[key])
             ))
         except TypeError as exc:
@@ -265,23 +354,17 @@ def load_model_file(path) -> HamiltonianModel:
 def topology_from_mapping(data: dict, origin: str = "topology") -> GraphTopology:
     """Topology schema: {n_vertices, edges: [[i, j], ...]} or {preset, n_vertices}."""
     try:
+        n_vertices = config_int(data["n_vertices"], origin, what="n_vertices")
         if "preset" in data:
             preset = data["preset"]
-            n = _exact_int(data["n_vertices"], origin, "n_vertices")
-            builders = {
-                "fully_connected": GraphTopology.fully_connected,
-                "ring": GraphTopology.ring,
-                "path": GraphTopology.path,
-            }
-            if preset not in builders:
+            if preset not in ("fully_connected", "ring", "path"):
                 raise ConfigInvalid(origin, f"unknown topology preset {preset!r}")
-            return builders[preset](n)
+            return getattr(GraphTopology, preset)(n_vertices)
         edges = tuple(
-            (_exact_int(i, origin, f"edges[{k}]"), _exact_int(j, origin, f"edges[{k}]"))
+            (config_int(i, origin, what=f"edges[{k}]"), config_int(j, origin, what=f"edges[{k}]"))
             for k, (i, j) in enumerate(data["edges"])
         )
-        return GraphTopology(n_vertices=_exact_int(data["n_vertices"], origin, "n_vertices"),
-                             edges=edges)
+        return GraphTopology(n_vertices=n_vertices, edges=edges)
     except ConfigInvalid:
         raise
     except Exception as exc:
@@ -297,13 +380,13 @@ def schedule_from_mapping(data: dict, origin: str = "schedule") -> Schedule:
     try:
         kind = data["kind"]
         if kind in ("periodic", "explicit"):
-            steps = [tuple(_exact_int(x, origin, f"steps[{k}]") for x in entry)
+            steps = [tuple(config_int(x, origin, what=f"steps[{k}]") for x in entry)
                      for k, entry in enumerate(data["steps"])]
             return Schedule.periodic(steps) if kind == "periodic" else Schedule.explicit(steps)
         if kind == "seeded_random":
-            pool = [tuple(_exact_int(x, origin, f"pool[{k}]") for x in e)
+            pool = [tuple(config_int(x, origin, what=f"pool[{k}]") for x in e)
                     for k, e in enumerate(data["pool"])]
-            return Schedule.seeded_random(_exact_int(data["seed"], origin, "seed"), pool)
+            return Schedule.seeded_random(config_int(data["seed"], origin, what="seed"), pool)
         raise ConfigInvalid(origin, f"unknown schedule kind {kind!r}")
     except ConfigInvalid:
         raise
@@ -313,17 +396,3 @@ def schedule_from_mapping(data: dict, origin: str = "schedule") -> Schedule:
 
 def load_schedule_file(path) -> Schedule:
     return schedule_from_mapping(load_json_file(path), origin=str(path))
-
-
-def vector_from_config(entry, origin: str = "vector") -> GaussianIntVector:
-    """Vectors are lists of components; each component is [re, im] or a bare int."""
-    try:
-        comps = []
-        for k, item in enumerate(entry):
-            re, im = item if isinstance(item, (list, tuple)) else (item, 0)
-            comps.append((_exact_int(re, origin, f"[{k}] re"), _exact_int(im, origin, f"[{k}] im")))
-        return GaussianIntVector(GaussianInt(r, i) for r, i in comps)
-    except ConfigInvalid:
-        raise
-    except Exception as exc:
-        raise ConfigInvalid(origin, f"bad vector entry: {exc}") from None

@@ -593,6 +593,11 @@ class TestIsing:
             ("ising-a", {"schedule": {"kind": "periodic", "steps": [[0, 1.5, 1]]}}, "schedule"),
             ("ising-a", {"schedule": {"kind": "seeded_random", "seed": 2.5, "pool": [[0, 1]]}},
              "schedule"),
+            ("ising-a", {"edge_rule": "cyclic"}, "edge_rule"),
+            ("ising-b", {"schedule": {"kind": "periodic", "steps": [[0, 1, 1]]}}, "schedule"),
+            ("ising-b", {"start": {"vertex": "101"}}, "start.vertex"),
+            ("ising-b", {"edge_rule": "shuffled"}, "edge_rule"),
+            ("ising-b", {"edge_rule": {"seeded_random": 3, "seed": 4}}, "edge_rule.seed"),
         ],
     )
     def test_bad_input_names_config_path(self, tmp_path, capsys, command, fields, path):
@@ -861,6 +866,31 @@ class TestNumericInputs:
              "sweep.scale_product"),
             ("dispersion", {"sweep": {"epsilons": [0.1], "scale_product": "abc"}}, [],
              "sweep.scale_product"),
+            ("ontology-scan", {"basis": [[1, 0], [0, 0]]}, [], "basis[1]"),
+            ("ontology-scan", {"basis": [[1, 0, 0], [0, 1, 0]]}, [], "basis[0]"),
+            ("dispersion", {"sweep": {"epsilons": [0.1], "psi0": [1, 0, 0]}}, [], "sweep.psi0"),
+            ("dispersion", {"sweep": {"epsilons": [0.1], "scale_prodcut": 2.0}}, [],
+             "sweep.scale_prodcut"),
+            ("evolve", {"step": 3}, [], "step"),
+            ("evolve", {"format": "xml"}, [], "format"),
+            ("evolve", {"psi1": [1, 0, 0]}, [], "psi1"),
+            ("ontology-scan", {"steps": 5}, [], "steps"),
+            ("dispersion", {"format": "json"}, [], "format"),
+            ("gup", {"format": "csv"}, [], "format"),
+            ("gup", {"scale": 5e-324}, [], "scale"),
+            ("gup", {"scale": 1e300}, [], "scale"),
+            ("gup", {"scale": 10**400}, [], "scale"),
+            ("gup", {"widths": [2, 1e-200]}, [], "widths"),
+            ("dispersion", {"sweep": {"epsilons": [0.1, 1e-300]}}, [], "sweep.epsilons[1]"),
+            ("dispersion", {"sweep": {"epsilons": [0.1], "scale_product": 1e300}}, [],
+             "sweep.epsilons[0]"),
+            ("gup", {"boundary": True}, [], "boundary"),
+            ("verify-all", {}, [], "model"),
+            ("multitime", {"mode": "first_order", "state": [1, 0, 0, 0], "stpes": 2}, [],
+             "stpes"),
+            ("multitime", {"mode": "first_order", "state": [1, 0, 0, 0],
+                           "coupling": {"separable": [{"preset": "H2"}, 2]}}, [],
+             "coupling.separable"),
         ],
     )
     def test_bad_input_names_config_path(self, tmp_path, capsys, command, fields, flags, path):
@@ -872,3 +902,283 @@ class TestNumericInputs:
         cfg = write_json(tmp_path / "c.json", {**doc, **fields})
         assert run([command, cfg, *flags, "--out", str(tmp_path / "o.out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
+
+class TestUnwritableOutput:
+    """An output path that is a directory exits 2 naming its key and leaves no temp file."""
+
+    @pytest.mark.parametrize(
+        "argv, config, key",
+        [
+            (["gup", "--sites", "32", "--samples", "2", "--out", "{dir}"], None, "out"),
+            (["evolve", "--preset", "H2", "--out", "{dir}"], None, "out"),
+            (["verify-all", "c.json"], {"out": "{dir}"}, "out"),
+            (["dispersion", "c.json", "--out", "d.csv"],
+             {"model": {"preset": "H2"}, "sweep": {"epsilons": [0.2], "out": "{dir}"}},
+             "sweep.out"),
+        ],
+    )
+    def test_directory_as_output_exits_2(self, tmp_path, capsys, monkeypatch, argv, config, key):
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "target"
+        target.mkdir()
+        if config is not None:
+            text = json.dumps(config).replace("{dir}", str(target))
+            (tmp_path / "c.json").write_text(text)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert run([arg.replace("{dir}", str(target)) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: cannot write")
+        written = {"d.csv"} if key == "sweep.out" else set()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*before, *written})
+        assert list(target.iterdir()) == []
+
+
+class TestOntologyScanOnePass:
+    """The norm trace comes from the scan itself; no second `evolve` runs."""
+
+    @pytest.mark.parametrize(
+        "fields, outcome",
+        [
+            ({"model": {"preset": "H3"}}, "ontological"),
+            ({"model": {"preset": "H2"}, "psi0": [1, 0], "psi1": [1, 1]}, "fails at psi1"),
+            ({"model": {"preset": "H2"}, "psi0": [0, 0], "psi1": [1, 0]}, "fails at psi0"),
+            ({"model": {"preset": "H2"}, "psi0": [1, 0], "psi1": [1, 0]}, "fails later"),
+            ({"model": {"preset": "H4"}, "max_steps": 3}, "max_steps exhausted"),
+        ],
+    )
+    def test_json_matches_the_two_pass_route(self, tmp_path, monkeypatch, fields, outcome):
+        from ontoca import cli, ontology
+        from ontoca.gaussian import CAPairState, GaussianIntVector, evolve
+        from ontoca.serialize import model_from_mapping, vector_from_config
+
+        model = model_from_mapping(fields["model"])
+        psi0 = (vector_from_config(fields["psi0"]) if "psi0" in fields
+                else GaussianIntVector.basis(model.dim, 0))
+        psi1 = (vector_from_config(fields["psi1"]) if "psi1" in fields
+                else GaussianIntVector.basis(model.dim, 1))
+        report = ontology.detect_phased_permutation(
+            model, psi0, psi1, ontology.standard_basis_rays(model.dim),
+            max_steps=fields.get("max_steps"))
+        assert outcome == {
+            (True, None): "ontological",
+            (False, 1): "fails at psi1",
+            (False, 0): "fails at psi0",
+            (False, 2): "fails later",
+            (False, None): "max_steps exhausted",
+        }[report.is_ontological, report.failure_step]
+        # the route the scan replaced: a second run of max(steps_scanned, 1) steps
+        trace = ontology.norm_trace(evolve(CAPairState(psi0, psi1), model,
+                                           max(report.steps_scanned, 1)))
+        expected = dumps_json({
+            "schema_version": 1,
+            "kind": "ontology-scan",
+            "ontological": report.is_ontological,
+            "exact_period": report.exact_state_period,
+            "ray_period": report.ray_period,
+            "ray_cycle": [str(ray) for ray in report.ray_cycle],
+            "failure_step": report.failure_step,
+            "norm_trace": list(trace),
+        })
+
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("ontology-scan ran a second evolve")
+
+        monkeypatch.setattr(cli, "evolve", no_evolve)
+        cfg = write_json(tmp_path / "c.json", {"kind": "ontology-scan", **fields})
+        out = tmp_path / "r.json"
+        assert run(["ontology-scan", cfg, "--out", str(out)]) == 0
+        assert out.read_text() == expected
+
+
+def test_every_flag_overrides_a_key_its_subcommand_reads():
+    import argparse
+
+    from ontoca.cli import CONFIG_KEYS, build_parser
+
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(CONFIG_KEYS)
+    for name, sub in commands.choices.items():
+        flags = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+        keys = {"model" if dest == "preset" else dest for dest in flags}
+        assert keys <= set(CONFIG_KEYS[name]), name
+        assert "out" in keys, name
+
+
+# =============================================================================
+# Config fuzzers for evolve, ontology-scan, dispersion, gup and verify-all
+# =============================================================================
+
+
+def _run_config_twice(command, doc):
+    """Run `ontoca command c.json` twice in a fresh working directory.
+
+    The strings "@OUT" and "@DIR" anywhere in `doc` stand for a new file and
+    for an existing directory there.  Returns each run's (exit code, stdout,
+    stderr, artifacts by name) and what is left in the directory afterwards.
+    """
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        tmp = Path(tmp)
+        (tmp / "dir").mkdir()
+        text = json.dumps(doc)
+        for mark, place in (("@OUT", tmp / "o.out"), ("@DIR", tmp / "dir")):
+            text = text.replace(json.dumps(mark), json.dumps(str(place)))
+        (tmp / "c.json").write_text(text)
+        results = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([command, str(tmp / "c.json")])
+            written = {}
+            for path in tmp.iterdir():
+                if path.is_file() and path.name != "c.json":
+                    written[path.name] = path.read_bytes()
+                    path.unlink()
+            results.append((code, out.getvalue(), err.getvalue(), written))
+        left = sorted(str(p.relative_to(tmp)) for p in tmp.rglob("*"))
+    return results, left
+
+
+def _check_runs(results, left):
+    code, _, err, _ = results[0]
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("config error: "), err
+    assert results[0] == results[1]
+    assert left == ["c.json", "dir"]
+
+
+# a path, an existing directory, or a value that is no path
+_OUT_VALUE = st.sampled_from(["@OUT", "@OUT", "@DIR", "@DIR", "", None, 0])
+
+
+# mostly a moderate number, sometimes one at the edge of the float range
+_FLOAT = st.one_of(st.floats(0.1, 4.0), st.floats(0.1, 4.0), st.floats(0.1, 4.0),
+                   st.sampled_from([5e-324, 1e-200, 1e300]))
+
+
+def _maybe(doc, draw, optional):
+    """Add each optional key to `doc` mostly, and now and then one unread key."""
+    for key, strategy in optional.items():
+        if draw(st.integers(0, 5)) < 5:
+            doc[key] = draw(strategy)
+    if draw(st.integers(0, 5)) == 5:
+        doc[draw(st.sampled_from(["step", "seed", "format", "model", "basis", "sweep"]))] = 1
+    return doc
+
+
+def _fuzz_vector(dim):
+    """Mostly `dim` components, sometimes one more or one fewer, sometimes junk."""
+    return _or_junk(st.sampled_from([dim, dim, dim, dim + 1, dim - 1]).flatmap(
+        lambda n: st.lists(_entry(), min_size=n, max_size=n)))
+
+
+@st.composite
+def _models(draw):
+    """A model of dim <= 4 and its dim: a preset or a self-adjoint integer matrix."""
+    preset = draw(st.sampled_from([None, "H2", "H3", "H4"]))
+    if preset is not None:
+        return {"preset": preset}, int(preset[1])
+    dim = draw(st.integers(1, 4))
+    square = st.lists(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim), min_size=dim,
+                      max_size=dim)
+    s, a = draw(square), draw(square)
+    return {"S": [[s[r][c] + s[c][r] for c in range(dim)] for r in range(dim)],
+            "A": [[a[r][c] - a[c][r] for c in range(dim)] for r in range(dim)]}, dim
+
+
+@st.composite
+def _evolve_configs(draw):
+    model, dim = draw(_models())
+    doc = {"kind": "evolve", "model": draw(_or_junk(st.just(model)))}
+    return _maybe(doc, draw, {
+        "psi0": _fuzz_vector(dim),
+        "psi1": _fuzz_vector(dim),
+        "steps": _or_junk(st.integers(0, 8)),
+        "format": _or_junk(st.sampled_from(["csv", "json"])),
+        "out": _OUT_VALUE,
+    })
+
+
+@st.composite
+def _scan_configs(draw):
+    model, dim = draw(_models())
+    doc = {"kind": "ontology-scan", "model": draw(_or_junk(st.just(model)))}
+    vectors = st.one_of(_fuzz_vector(dim), st.just([0] * dim))
+    basis = st.one_of(st.just("standard"), st.lists(vectors, max_size=3))
+    return _maybe(doc, draw, {
+        "psi0": _fuzz_vector(dim),
+        "psi1": _fuzz_vector(dim),
+        "basis": _or_junk(basis),
+        "max_steps": _or_junk(st.integers(0, 8)),
+        "out": _OUT_VALUE,
+    })
+
+
+@st.composite
+def _dispersion_configs(draw):
+    # H3 sits on the critical |lambda| = 2, where a sweep is a model error (exit 1)
+    model, dim = draw(st.sampled_from([({"preset": "H2"}, 2), ({"preset": "H4"}, 4)]))
+    doc = {"kind": "dispersion", "model": draw(_or_junk(st.just(model)))}
+    sweep = {}
+    _maybe(sweep, draw, {
+        "epsilons": _or_junk(st.lists(_or_junk(_FLOAT.filter(lambda x: x <= 1)), max_size=3)),
+        "scale_product": _or_junk(_FLOAT),
+        "psi0": _fuzz_vector(dim),
+        "out": _OUT_VALUE,
+    })
+    return _maybe(doc, draw, {"sweep": _or_junk(st.just(sweep)), "out": _OUT_VALUE})
+
+
+@st.composite
+def _gup_configs(draw):
+    doc = {"kind": "gup"}
+    return _maybe(doc, draw, {
+        "sites": _or_junk(st.integers(0, 64)),
+        "samples": _or_junk(st.integers(1, 4)),
+        "scale": _or_junk(_FLOAT),
+        "boundary": _or_junk(st.sampled_from(["periodic", "open"])),
+        "seed": _or_junk(st.integers(0, 9)),
+        "widths": _or_junk(st.lists(_FLOAT.map(lambda x: 2 * x), min_size=1, max_size=3)),
+        "out": _OUT_VALUE,
+    })
+
+
+@st.composite
+def _verify_all_configs(draw):
+    return _maybe({"kind": "verify-all"}, draw, {
+        "seed": _or_junk(st.integers(-1, 3)),
+        "out": _OUT_VALUE,
+    })
+
+
+class TestConfigFuzz:
+    """Every subcommand config exits 0 or 2, never with a traceback, and equal
+    configs write equal bytes; an output that cannot be written leaves no
+    temp file.  Inputs stay small: dim <= 4, gup <= 64 sites and 4 samples."""
+
+    @given(_evolve_configs())
+    @settings(max_examples=120, deadline=None)
+    def test_evolve(self, doc):
+        _check_runs(*_run_config_twice("evolve", doc))
+
+    @given(_scan_configs())
+    @settings(max_examples=120, deadline=None)
+    def test_ontology_scan(self, doc):
+        _check_runs(*_run_config_twice("ontology-scan", doc))
+
+    @given(_dispersion_configs())
+    @settings(max_examples=80, deadline=None)
+    def test_dispersion(self, doc):
+        _check_runs(*_run_config_twice("dispersion", doc))
+
+    @given(_gup_configs())
+    @settings(max_examples=60, deadline=None)
+    def test_gup(self, doc):
+        _check_runs(*_run_config_twice("gup", doc))
+
+    @given(_verify_all_configs())
+    @settings(max_examples=8, deadline=None)
+    def test_verify_all(self, doc):
+        # each valid example runs the whole battery twice
+        _check_runs(*_run_config_twice("verify-all", doc))

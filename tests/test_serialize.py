@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ontoca import serialize
 from ontoca.errors import ConfigInvalid
 from ontoca.gaussian import (
     CAPairState,
@@ -211,3 +212,65 @@ class TestVectorConfig:
     def test_garbage_rejected(self):
         with pytest.raises(ConfigInvalid):
             vector_from_config([[1, 2, 3]])
+
+
+class TestConfigReaders:
+    """Each reader returns a valid value unchanged and names its path on a bad one."""
+
+    @pytest.mark.parametrize("reader, options, value", [
+        ("config_int", {"minimum": 1}, 3),
+        ("config_positive", {}, 0.5),
+        ("config_positive", {"low": 1e-3, "high": 10.0}, 10),
+        ("config_choice", {"choices": (1, -1)}, -1),
+        ("config_choice", {"choices": ("n1", "n2")}, "n2"),
+        ("config_choice", {"choices": (False, True)}, False),
+        ("config_list", {}, [0]),
+        ("config_list", {"length": 2}, [0, 1]),
+        ("config_path", {}, "a.json"),
+        ("config_mapping", {"keys": ("a", "b")}, {"b": 1}),
+    ])
+    def test_valid_value_passes(self, reader, options, value):
+        assert getattr(serialize, reader)(value, "p", **options) == value
+
+    @pytest.mark.parametrize("reader, options, value, path", [
+        ("config_int", {}, True, "p"),
+        ("config_int", {}, 2.0, "p"),
+        ("config_int", {"minimum": 1}, 0, "p"),
+        ("config_positive", {}, 0, "p"),
+        ("config_positive", {}, float("inf"), "p"),
+        ("config_positive", {}, float("nan"), "p"),
+        ("config_positive", {}, 10**400, "p"),
+        ("config_positive", {}, "1", "p"),
+        ("config_positive", {"low": 1e-3, "high": 10.0}, 11, "p"),
+        ("config_choice", {"choices": (1, -1)}, True, "p"),
+        ("config_choice", {"choices": (1, -1)}, 1.0, "p"),
+        ("config_choice", {"choices": ("n1", "n2")}, "n3", "p"),
+        ("config_choice", {"choices": (False, True)}, 0, "p"),
+        ("config_list", {}, [], "p"),
+        ("config_list", {}, (1,), "p"),
+        ("config_list", {"length": 2}, [0], "p"),
+        ("config_path", {}, "", "p"),
+        ("config_path", {}, 3, "p"),
+        ("config_mapping", {}, [], "p"),
+        ("config_mapping", {"keys": ("a",)}, {"a": 1, "c": 2}, "p.c"),
+        ("config_document", {"from_mapping": model_from_mapping}, 3, "p"),
+        ("vector_from_config", {"length": 2}, [1, 0, 0], "p"),
+        ("vector_from_config", {}, None, "p"),
+        ("vector_from_config", {}, [[1, 2, 3]], "p"),
+    ])
+    def test_bad_value_names_its_path(self, reader, options, value, path):
+        with pytest.raises(ConfigInvalid) as info:
+            getattr(serialize, reader)(value, "p", **options)
+        assert info.value.path == path
+
+    def test_top_level_unknown_key_is_named_alone(self):
+        with pytest.raises(ConfigInvalid) as info:
+            serialize.config_mapping({"c": 2}, "", ("a",))
+        assert info.value.path == "c"
+
+    def test_document_from_file_or_inline(self, tmp_path):
+        model = preset_hamiltonian("H2")
+        path = tmp_path / "m.json"
+        atomic_write_text(path, dumps_json(model_to_mapping(model)))
+        for value in (str(path), {"preset": "H2"}):
+            assert serialize.config_document(value, "model", model_from_mapping) == model
