@@ -52,24 +52,27 @@ def _configure_logging():
 # Config plumbing
 # =============================================================================
 
-# The top-level config keys each subcommand reads, besides `kind` and
-# `schema_version`; any other key exits 2.  A flag overrides the key of its
-# name, and `--preset NAME` the `model` key, so every flag is one of these.
+# The top-level config keys each subcommand (multitime: each mode) reads, besides
+# `kind` and `schema_version`; any other key exits 2.  A flag overrides the key of
+# its name, and `--preset NAME` the `model` key, so every flag is one of these.
 CONFIG_KEYS = {
     "evolve": ("model", "psi0", "psi1", "steps", "format", "out"),
     "dispersion": ("model", "sweep", "out"),
     "ontology-scan": ("model", "psi0", "psi1", "basis", "max_steps", "out"),
-    # the union over the four modes
-    "multitime": ("mode", "coupling", "initial_field", "steps", "axis", "direction", "periodic",
-                  "extra_point", "extra_value", "prev", "curr", "state", "out"),
+    "multitime": {mode: ("mode", "coupling", "out") + keys for mode, keys in (
+        ("line", ("initial_field", "steps", "axis", "direction", "periodic")),
+        ("diagonal", ("initial_field", "extra_point", "extra_value")),
+        ("second_order", ("steps", "prev", "curr")),
+        ("first_order", ("steps", "direction", "state")),
+    )},
     "ising-a": ("topology", "schedule", "start", "steps", "out"),
     "ising-b": ("topology", "start", "edge_rule", "steps", "out"),
     "gup": ("sites", "scale", "boundary", "samples", "seed", "widths", "out"),
     "verify-all": ("seed", "out"),
 }
 
-# The deviation sweep keeps every state of its run of n = scale_product / epsilon
-# steps, so n is bounded.
+# A sweep run keeps two states, but its n = scale_product / epsilon steps take
+# about 2.3 s per 100000 at dim 4 (2-vCPU host), per epsilon; n is bounded for run time.
 SWEEP_MAX_STEPS = 100_000
 # gup's scale and widths: further out, the bound's l**2 and 1/l terms and an
 # envelope's 1/width**2 leave the float range.
@@ -86,7 +89,8 @@ def _load_config(args, kind: str) -> dict:
         serialize.config_choice(version, "schema_version", (serialize.SCHEMA_VERSION,))
     if getattr(args, "preset", None):
         config["model"] = {"preset": args.preset}
-    for key in CONFIG_KEYS[kind]:
+    keys = CONFIG_KEYS[kind]
+    for key in set().union(*keys.values()) if isinstance(keys, dict) else keys:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
@@ -94,9 +98,10 @@ def _load_config(args, kind: str) -> dict:
     return config
 
 
-def _refuse_unread(config: dict, kind: str):
-    """Refuse a key the subcommand does not read, once its own keys are read."""
-    serialize.config_mapping(config, "", CONFIG_KEYS[kind] + ("kind", "schema_version"))
+def _refuse_unread(config: dict, kind: str, mode: str | None = None):
+    """Refuse a key the subcommand (in `mode`) does not read, once its own keys are read."""
+    keys = CONFIG_KEYS[kind] if mode is None else CONFIG_KEYS[kind][mode]
+    serialize.config_mapping(config, "", keys + ("kind", "schema_version"))
 
 
 def _resolve_pair(config: dict, model) -> CAPairState:
@@ -178,10 +183,8 @@ def cmd_evolve(args) -> int:
     stages.mark("evolve")
 
     q0 = two_time_correlation(pair)
-    conserved = all(
-        two_time_correlation(traj.pair_at(n)) == q0
-        for n in range(traj.start_index + 1, traj.start_index + len(traj))
-    )
+    pair_indices = range(traj.start_index + 1, traj.start_index + len(traj))
+    conserved = all(traj.correlation_at(n) == q0 for n in pair_indices)
     residuals_zero = traj.verify()
     stages.mark("check")
 
@@ -201,7 +204,7 @@ def cmd_evolve(args) -> int:
         out = _write_out(config, serialize.dumps_json(doc), "evolve.json")
     stages.mark("write")
     if stages.enabled:
-        bits = _max_coeff_bits(x for st in traj.states for c in st for x in (c.re, c.im))
+        bits = _max_coeff_bits(x for st in traj.raw_states for pair in st for x in pair)
         log.info("evolve: dim=%d steps=%d max_coeff_bits=%d", model.dim, steps, bits)
     stages.emit()
 
@@ -337,9 +340,7 @@ def _resolve_coupling(config: dict) -> multitime.TensorHamiltonian:
         if len(factors) < 2:
             raise ConfigInvalid("coupling.separable", "expected a list of at least two models")
         return multitime.TensorHamiltonian.separable(*(
-            serialize.model_from_mapping(serialize.config_mapping(m, "coupling.separable"),
-                                         "coupling.separable")
-            for m in factors
+            serialize.model_from_mapping(m, "coupling.separable") for m in factors
         ))
     if "matrix" in spec:
         dims = [serialize.config_int(d, "coupling.dims", minimum=1)
@@ -383,14 +384,14 @@ def cmd_multitime(args) -> int:
         extra_value = vector("extra_value")
     elif mode == "second_order":
         steps = serialize.config_int(config.get("steps", 4), "steps", minimum=0)
-        states = [vector("prev"), vector("curr")]
+        start = (vector("prev"), vector("curr"))
     else:
-        # sync_first_order needs at least one step; direction -1 is the
+        # first_order runs at least one step, as sync_first_order; direction -1 is the
         # backward-synchronized form: the same states at decreasing indices
         steps = serialize.config_int(config.get("steps", 4), "steps", minimum=1)
         direction = serialize.config_choice(config.get("direction", 1), "direction", (1, -1))
-        start = vector("state")
-    _refuse_unread(config, "multitime")
+        start = (vector("state"),)
+    _refuse_unread(config, "multitime", mode)
 
     stages = _StageLog("multitime")
     if mode == "line":
@@ -410,12 +411,8 @@ def cmd_multitime(args) -> int:
         export = field.union(stepped)
         summary = f"diagonal seed={extra_point}"
     else:
-        if mode == "second_order":
-            for _ in range(steps):
-                states.append(multitime.sync_second_order(states[-2], states[-1], coupling))
-        else:
-            states = multitime.sync_first_order(start, coupling, steps)
-        export = multitime.MultiTimeField(
+        states = multitime.synchronized_states(start, coupling, steps)
+        export = multitime.MultiTimeField._of(
             (d1, d2), {(direction * n, direction * n): vec for n, vec in enumerate(states)}
         )
         summary = f"{mode} steps={steps}"

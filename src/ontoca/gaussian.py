@@ -12,6 +12,7 @@ this module.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -174,9 +175,6 @@ class GaussianRational:
 
     def times_i(self) -> "GaussianRational":
         return GaussianRational(-self.im, self.re)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def norm_sq(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -486,36 +484,50 @@ class CAPairState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A contiguous run of states; states[k] sits at absolute index start_index + k."""
+    """A contiguous run of states; state k sits at absolute index start_index + k."""
 
-    states: tuple[GaussianIntVector, ...]
+    raw_states: tuple  # each state's (re, im) int pairs; state_at, [] and states box them
     start_index: int
     model: HamiltonianModel
 
     def __len__(self):
-        return len(self.states)
+        return len(self.raw_states)
 
     def __getitem__(self, k):
-        return self.states[k]
+        if isinstance(k, slice):
+            return tuple(map(_box, self.raw_states[k]))
+        return _box(self.raw_states[k])
+
+    @property
+    def states(self) -> tuple[GaussianIntVector, ...]:
+        return tuple(map(_box, self.raw_states))
 
     def state_at(self, n: int) -> GaussianIntVector:
-        return self.states[n - self.start_index]
+        return _box(self._raw_at(n))
 
     def pair_at(self, n: int) -> CAPairState:
         return CAPairState(self.state_at(n - 1), self.state_at(n), index_n=n)
 
+    def _raw_at(self, n: int):
+        return self.raw_states[n - self.start_index]
+
+    def correlation_at(self, n: int) -> int:
+        """two_time_correlation of (psi[n-1], psi[n]), read from the raw states."""
+        return _correlation_raw(self._raw_at(n - 1), self._raw_at(n))
+
+    def _residual_raw(self, n: int) -> list[tuple[int, int]]:
+        # psi[n+1] minus the update rule's psi[n-1] - i H psi[n]
+        stepped = _step_raw(self.model.h_rows, self._raw_at(n - 1), self._raw_at(n))
+        return [(are - bre, aim - bim)
+                for (are, aim), (bre, bim) in zip(self._raw_at(n + 1), stepped)]
+
     def residual_at(self, n: int) -> GaussianIntVector:
         """psi[n+1] - psi[n-1] + i H psi[n]; exactly zero on valid trajectories."""
-        h_curr = _matvec_raw(self.model.h_rows, _raw(self.state_at(n)))
-        return _box(
-            (nxt.re - prv.re - him, nxt.im - prv.im + hre)
-            for nxt, prv, (hre, him) in zip(self.state_at(n + 1), self.state_at(n - 1), h_curr)
-        )
+        return _box(self._residual_raw(n))
 
     def verify(self) -> bool:
-        first = self.start_index + 1
-        last = self.start_index + len(self.states) - 2
-        return all(self.residual_at(n).is_zero() for n in range(first, last + 1))
+        interior = range(self.start_index + 1, self.start_index + len(self.raw_states) - 1)
+        return not any(re or im for n in interior for re, im in self._residual_raw(n))
 
 
 def _check_pair_model(pair: CAPairState, model: HamiltonianModel):
@@ -540,14 +552,9 @@ def step(pair: CAPairState, model: HamiltonianModel, direction: str = "forward")
 def stream(pair: CAPairState, model: HamiltonianModel) -> Iterator[CAPairState]:
     """Yield successive forward pairs indefinitely, keeping only a 2-state window."""
     _check_pair_model(pair, model)
-    rows = model.h_rows
-    prev = _raw(pair.psi_prev)
-    curr = _raw(pair.psi_curr)
-    boxed = pair.psi_curr
-    index = pair.index_n
-    while True:
-        prev, curr = curr, _step_raw(rows, prev, curr)
-        index += 1
+    prev, curr, boxed = _raw(pair.psi_prev), _raw(pair.psi_curr), pair.psi_curr
+    for index in itertools.count(pair.index_n + 1):
+        prev, curr = curr, _step_raw(model.h_rows, prev, curr)
         boxed_prev, boxed = boxed, _box(curr)
         yield CAPairState(boxed_prev, boxed, index_n=index)
 
@@ -557,15 +564,10 @@ def evolve(pair: CAPairState, model: HamiltonianModel, steps: int) -> Trajectory
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _check_pair_model(pair, model)
-    rows = model.h_rows
-    prev = _raw(pair.psi_prev)
-    curr = _raw(pair.psi_curr)
-    # Only the two-state raw window is kept; each new state is boxed at once.
-    states = [pair.psi_prev, pair.psi_curr]
+    states = [_raw(pair.psi_prev), _raw(pair.psi_curr)]
     for _ in range(steps):
-        prev, curr = curr, _step_raw(rows, prev, curr)
-        states.append(_box(curr))
-    return Trajectory(states=tuple(states), start_index=pair.index_n - 1, model=model)
+        states.append(_step_raw(model.h_rows, states[-2], states[-1]))
+    return Trajectory(raw_states=tuple(states), start_index=pair.index_n - 1, model=model)
 
 
 def two_time_correlation(pair: CAPairState) -> int:
@@ -575,9 +577,10 @@ def two_time_correlation(pair: CAPairState) -> int:
     integer.  Conservation under the update rule holds for every self-adjoint
     H and is enforced by the test suite through brute-force iteration.
     """
-    total = 0
-    for a, b in zip(pair.psi_curr, pair.psi_prev):
-        total += a.re * b.re + a.im * b.im
-    return 2 * total
+    return _correlation_raw(_raw(pair.psi_prev), _raw(pair.psi_curr))
+
+
+def _correlation_raw(prev, curr) -> int:
+    return 2 * sum(are * bre + aim * bim for (are, aim), (bre, bim) in zip(curr, prev))
 
 

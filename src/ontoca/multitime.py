@@ -37,7 +37,7 @@ from .errors import (
     SymmetryViolation,
 )
 from .gaussian import (GaussianInt, GaussianRational, HamiltonianModel, Trajectory,
-                       _matvec_raw, _raw, _step_raw, build_hamiltonian)
+                       _matvec_raw, _step_raw, build_hamiltonian)
 
 Point = tuple[int, int]
 
@@ -219,10 +219,10 @@ def product_field(
         n1_range = range(traj1.start_index, traj1.start_index + len(traj1))
     if n2_range is None:
         n2_range = range(traj2.start_index, traj2.start_index + len(traj2))
-    second_states = [(n2, _raw(traj2.state_at(n2))) for n2 in n2_range]
+    second_states = [(n2, traj2.raw_states[n2 - traj2.start_index]) for n2 in n2_range]
     values = {}
     for n1 in n1_range:
-        a = _raw(traj1.state_at(n1))
+        a = traj1.raw_states[n1 - traj1.start_index]
         for n2, b in second_states:
             values[(n1, n2)] = tuple(
                 (ar * br - ai * bi, ar * bi + ai * br) for ar, ai in a for br, bi in b
@@ -450,11 +450,21 @@ def propagate_diagonal(
 # =============================================================================
 
 
+def synchronized_states(start, h: TensorHamiltonian, steps: int) -> list[tuple]:
+    """The `start` states and `steps` more, as raw vectors: from two states by the
+    second-order update next = prev - i H curr, from one by psi -> -i H psi."""
+    states = [_raw_vector(v, h.total_dim) for v in start]
+    zero = ((0, 0),) * h.total_dim
+    for _ in range(steps):
+        base = states[-2] if len(start) == 2 else zero
+        states.append(tuple(_step_raw(h.model.h_rows, base, states[-1])))
+    return states
+
+
 def sync_second_order(prev, curr, h: TensorHamiltonian) -> tuple[GaussianRational, ...]:
     """Diagonal synchronization: next = prev - i H curr (same algebra as a
     single flattened system, so it runs both ways exactly)."""
-    n = h.total_dim
-    return _boxed(_step_raw(h.model.h_rows, _raw_vector(prev, n), _raw_vector(curr, n)))
+    return _boxed(synchronized_states((prev, curr), h, 1)[-1])
 
 
 def sync_first_order(state, h: TensorHamiltonian, steps: int) -> tuple[tuple, ...]:
@@ -466,22 +476,11 @@ def sync_first_order(state, h: TensorHamiltonian, steps: int) -> tuple[tuple, ..
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    vec = _raw_vector(state, h.total_dim)
-    zero = [(0, 0)] * len(vec)
-    states = [vec]
-    for _ in range(steps):
-        # -i H psi is the second-order rule with a zero base
-        vec = _step_raw(h.model.h_rows, zero, vec)
-        states.append(vec)
-    return tuple(_boxed(v) for v in states)
+    return tuple(_boxed(v) for v in synchronized_states((state,), h, steps))
 
 
 def norm_sq_exact(vec) -> GaussianRational:
-    total = GaussianRational(0)
-    for c in vec:
-        c = GaussianRational._coerce(c)
-        total = total + c * c.conjugate()
-    return total
+    return GaussianRational(sum(re * re + im * im for re, im in map(_pair, vec)))
 
 
 # =============================================================================

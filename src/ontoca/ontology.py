@@ -195,4 +195,4 @@ def detect_phased_permutation(
 
 def norm_trace(trajectory: Trajectory) -> tuple[int, ...]:
     """Squared norm of every state, exact integers."""
-    return tuple(state.norm_sq() for state in trajectory.states)
+    return tuple(sum(re * re + im * im for re, im in state) for state in trajectory.raw_states)

@@ -121,15 +121,23 @@ def closed_form_state(model: HamiltonianModel, psi0, psi1, n: int) -> np.ndarray
 
 @dataclass(frozen=True)
 class TransferPolynomial:
+    """T(order), held as compiled raw rows: each row's nonzero entries as
+    (col, re, im) triples.  `matrix` boxes it on read."""
+
     order: int
-    matrix: tuple[tuple[GaussianInt, ...], ...]
+    rows: tuple
+
+    @property
+    def matrix(self) -> tuple[tuple[GaussianInt, ...], ...]:
+        dim = len(self.rows)
+        boxed = [{c: GaussianInt(re, im) for c, re, im in row} for row in self.rows]
+        return tuple(tuple(row.get(c, GaussianInt(0, 0)) for c in range(dim)) for row in boxed)
 
     def apply(self, v: GaussianIntVector) -> GaussianIntVector:
-        dim = len(self.matrix)
+        dim = len(self.rows)
         if len(v) != dim:
             raise DimensionMismatch(f"vector length {len(v)} vs matrix dim {dim}")
-        rows = _compile_rows(((c.re, c.im) for c in row) for row in self.matrix)
-        return _box(_matvec_raw(rows, _raw(v)))
+        return _box(_matvec_raw(self.rows, _raw(v)))
 
 
 def transfer_sequence(model: HamiltonianModel, k_max: int) -> list[TransferPolynomial]:
@@ -141,20 +149,13 @@ def transfer_sequence(model: HamiltonianModel, k_max: int) -> list[TransferPolyn
     # the recursion is the stepping kernel run on raw columns.
     prev = [[(int(r == c), 0) for r in range(dim)] for c in range(dim)]
     curr = [[(0, 0)] * dim for _ in range(dim)]
-    seq = [_box_columns(0, prev)]
+    seq = [TransferPolynomial(0, _compile_rows(zip(*prev)))]
     if k_max >= 1:
-        seq.append(_box_columns(1, curr))
+        seq.append(TransferPolynomial(1, _compile_rows(zip(*curr))))
     for k in range(2, k_max + 1):
         prev, curr = curr, [_step_raw(model.h_rows, p, c) for p, c in zip(prev, curr)]
-        seq.append(_box_columns(k, curr))
+        seq.append(TransferPolynomial(k, _compile_rows(zip(*curr))))
     return seq
-
-
-def _box_columns(order: int, columns) -> TransferPolynomial:
-    return TransferPolynomial(
-        order=order,
-        matrix=tuple(tuple(GaussianInt(re, im) for re, im in row) for row in zip(*columns)),
-    )
 
 
 def transfer_polynomial(model: HamiltonianModel, k: int) -> TransferPolynomial:
@@ -193,34 +194,28 @@ def _as_complex_vec(v, dim) -> np.ndarray:
     return arr
 
 
-def _iterate_float(h: np.ndarray, psi_prev: np.ndarray, psi_curr: np.ndarray, steps: int):
-    states = [psi_prev, psi_curr]
-    for _ in range(steps):
-        psi_prev, psi_curr = psi_curr, psi_prev - 1j * (h @ psi_curr)
-        states.append(psi_curr)
-    return states
-
-
 def continuum_deviation(model: HamiltonianModel, psi0, epsilon: float, n_max: int) -> float:
     """Max deviation between the scaled recurrence and its continuum exponential.
 
     Runs the recurrence for H' = epsilon * H starting from psi1 = psi0 and
-    compares each state against exp(-i H' n / 2) psi0.  The comparison is
-    floating point; the recurrence itself introduces no additional error
-    beyond roundoff.
+    compares each state, as it is made, against exp(-i H' n / 2) psi0; only the
+    two latest states are kept.  The comparison is floating point; the
+    recurrence itself introduces no additional error beyond roundoff.
     """
     dec = phi_operator(model)
     if dec.has_critical():
         raise CriticalSpectrum("rescale the model away from |lambda| = 2 first")
     h = epsilon * model.as_complex_array()
     psi0 = _as_complex_vec(psi0, model.dim)
-    states = _iterate_float(h, psi0.copy(), psi0.copy(), n_max)
-    worst = 0.0
     evals, vecs = np.linalg.eigh(h)
     coeff0 = vecs.conj().T @ psi0
-    for n, state in enumerate(states):
+    worst = 0.0
+    prev = curr = psi0  # psi[0] = psi[1] = psi0
+    for n in range(n_max + 2):
+        if n >= 2:
+            prev, curr = curr, prev - 1j * (h @ curr)
         expected = vecs @ (np.exp(-1j * evals * n / 2.0) * coeff0)
-        worst = max(worst, max_abs(state - expected))
+        worst = max(worst, max_abs(curr - expected))
     return worst
 
 

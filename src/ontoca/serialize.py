@@ -116,12 +116,8 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def trajectory_rows(traj: Trajectory) -> list[tuple[int, int, int, int]]:
-    rows = []
-    for k, state in enumerate(traj.states):
-        n = traj.start_index + k
-        for alpha, comp in enumerate(state):
-            rows.append((n, alpha, comp.re, comp.im))
-    return rows
+    return [(traj.start_index + k, alpha, re, im)
+            for k, state in enumerate(traj.raw_states) for alpha, (re, im) in enumerate(state)]
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -300,7 +296,10 @@ def load_json_file(path) -> dict:
 
 
 def model_from_mapping(data: dict, origin: str = "model") -> HamiltonianModel:
-    """Model schema: {dim, S: rows, A: rows} and/or {preset: name}."""
+    """Model schema: {dim, S: rows, A: rows} and/or {preset: name}, and schema_version."""
+    config_mapping(data, origin, ("schema_version", "dim", "preset", "S", "A"))
+    if "schema_version" in data:
+        config_choice(data["schema_version"], f"{origin}.schema_version", (SCHEMA_VERSION,))
     if "preset" in data:
         name = data["preset"]
         if name not in preset_names():
@@ -353,6 +352,8 @@ def load_model_file(path) -> HamiltonianModel:
 
 def topology_from_mapping(data: dict, origin: str = "topology") -> GraphTopology:
     """Topology schema: {n_vertices, edges: [[i, j], ...]} or {preset, n_vertices}."""
+    config_mapping(data, origin, ("preset", "n_vertices") if "preset" in data
+                   else ("n_vertices", "edges"))
     try:
         n_vertices = config_int(data["n_vertices"], origin, what="n_vertices")
         if "preset" in data:
@@ -380,10 +381,12 @@ def schedule_from_mapping(data: dict, origin: str = "schedule") -> Schedule:
     try:
         kind = data["kind"]
         if kind in ("periodic", "explicit"):
+            config_mapping(data, origin, ("kind", "steps"))
             steps = [tuple(config_int(x, origin, what=f"steps[{k}]") for x in entry)
                      for k, entry in enumerate(data["steps"])]
             return Schedule.periodic(steps) if kind == "periodic" else Schedule.explicit(steps)
         if kind == "seeded_random":
+            config_mapping(data, origin, ("kind", "seed", "pool"))
             pool = [tuple(config_int(x, origin, what=f"pool[{k}]") for x in e)
                     for k, e in enumerate(data["pool"])]
             return Schedule.seeded_random(config_int(data["seed"], origin, what="seed"), pool)

@@ -248,13 +248,14 @@ def check_transfer_composition(seed: int):
         # three-term recursion identity, rechecked via independent multiplication
         h = model.h_matrix
         for k in range(1, 31):
+            before, at, after = (seq[j].matrix for j in (k - 1, k, k + 1))
             for r in range(dim):
                 for c in range(dim):
                     acc = GaussianInt(0, 0)
                     for t in range(dim):
-                        acc = acc + h[r][t] * seq[k].matrix[t][c]
-                    expect = seq[k - 1].matrix[r][c] + acc.times_minus_i()
-                    ok = ok and seq[k + 1].matrix[r][c] == expect
+                        acc = acc + h[r][t] * at[t][c]
+                    expect = before[r][c] + acc.times_minus_i()
+                    ok = ok and after[r][c] == expect
     return ok, {"models": 3, "pairs_checked": "0<=m<n<=20", "recursion_orders": 30}
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -123,6 +124,55 @@ class TestEvolve:
         assert "evolve: dim=2 steps=13 max_coeff_bits=1" in loud.stderr
         assert re.search(r"evolve: stage times evolve=\S+s check=\S+s write=\S+s", loud.stderr)
         assert (loud.stdout, loud_csv) == (quiet.stdout, quiet_csv)
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_same_bytes_with_state_boxing_disabled(self, tmp_path, monkeypatch, capsys, caplog,
+                                                   fmt):
+        """evolve boxes no trajectory state to step, check, log or write it."""
+        from ontoca import gaussian
+
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "evolve",
+            "model": {"S": [[1, 2, 0], [2, -1, 1], [0, 1, 2]], "A": [[0, 1, -1], [-1, 0, 2], [1, -2, 0]]},
+            "psi0": [[1, -1], 2, 0], "psi1": [0, [1, 1], -2], "steps": 30, "format": fmt,
+        })
+        assert run(["evolve", cfg, "--out", str(tmp_path / "boxed.out")]) == 0
+        boxed_stdout = capsys.readouterr().out
+
+        def refuse(pairs):
+            raise AssertionError("a trajectory state was boxed")
+
+        monkeypatch.setattr(gaussian, "_box", refuse)
+        caplog.set_level(logging.INFO, logger="ontoca")  # the INFO line reads every coefficient
+        assert run(["evolve", cfg, "--out", str(tmp_path / "raw.out")]) == 0
+        assert capsys.readouterr().out.replace("raw.out", "boxed.out") == boxed_stdout
+        assert (tmp_path / "raw.out").read_bytes() == (tmp_path / "boxed.out").read_bytes()
+        assert "evolve: dim=3 steps=30 max_coeff_bits=" in caplog.text
+
+
+    @pytest.mark.parametrize("bad, neighbour", [(0, 1), (7, 6), (-1, -2)])
+    def test_a_corrupted_state_fails_both_gates(self, tmp_path, monkeypatch, capsys, bad,
+                                                neighbour):
+        """Adding psi[j] to psi[k] moves Q of their pair by 2 |psi[j]|^2, at either
+        end of the run too, so the conservation and residual gates both see it."""
+        from ontoca import cli, gaussian
+
+        def corrupted(pair, model, steps):
+            traj = gaussian.evolve(pair, model, steps)
+            states = list(traj.raw_states)
+            states[bad] = [(a + c, b + d)
+                           for (a, b), (c, d) in zip(states[bad], states[neighbour])]
+            return gaussian.Trajectory(tuple(states), traj.start_index, model)
+
+        monkeypatch.setattr(cli, "evolve", corrupted)
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "evolve", "model": {"preset": "H3"}, "steps": 12,
+            "psi0": [[1, 1], 2, 0], "psi1": [0, [1, -1], 1],
+        })
+        assert run(["evolve", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        out = capsys.readouterr().out
+        assert "conserved=False" in out and "residuals_zero=False" in out
 
 
 class TestOntologyScan:
@@ -342,6 +392,80 @@ class TestMultitime:
         assert run([doc["kind"], cfg, "--out", str(tmp_path / "o.out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
+    @pytest.mark.parametrize(
+        "fields, flags, path",
+        [
+            ({"mode": "first_order", "state": [1, 0, 0, 0], "prev": [1, 0, 0, 0]}, [], "prev"),
+            ({"mode": "first_order", "state": [1, 0, 0, 0], "periodic": True}, [], "periodic"),
+            ({"mode": "first_order", "state": [1, 0, 0, 0], "axis": "n2"}, [], "axis"),
+            ({"mode": "first_order", "state": [1, 0, 0, 0], "initial_field": "lines_n1.csv"}, [],
+             "initial_field"),
+            ({"mode": "second_order", "prev": [1, 0, 0, 0], "curr": [0, 1, 0, 0],
+              "direction": -1}, [], "direction"),
+            ({"mode": "second_order", "prev": [1, 0, 0, 0], "curr": [0, 1, 0, 0],
+              "state": [1, 0, 0, 0]}, [], "state"),
+            ({"mode": "diagonal", "initial_field": "diagonals.csv", "extra_point": [4, 5],
+              "extra_value": [1, 0, 0, 0], "steps": 7}, [], "steps"),
+            ({"mode": "diagonal", "initial_field": "diagonals.csv", "extra_point": [4, 5],
+              "extra_value": [1, 0, 0, 0]}, ["--steps", "3"], "steps"),
+            ({"mode": "diagonal", "initial_field": "diagonals.csv", "extra_point": [4, 5],
+              "extra_value": [1, 0, 0, 0], "periodic": True}, [], "periodic"),
+            ({"mode": "line", "initial_field": "lines_n1.csv", "extra_point": [0, 2]}, [],
+             "extra_point"),
+            ({"mode": "line", "initial_field": "lines_n1.csv", "curr": [1, 0, 0, 0]}, [], "curr"),
+        ],
+    )
+    def test_key_of_another_mode_exits_2(self, tmp_path, capsys, fields, flags, path):
+        for name, points in TestMultitimeFuzz.FIELDS.items():
+            (tmp_path / name).write_text(_field_text(points))
+        doc = {"kind": "multitime", "coupling": {"separable": [{"preset": "H2"}, {"preset": "H2"}]},
+               **fields}
+        if "initial_field" in doc:
+            doc["initial_field"] = str(tmp_path / doc["initial_field"])
+        out = str(tmp_path / "o.csv")
+        assert run(["multitime", write_json(tmp_path / "c.json", doc), *flags, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: unknown key")
+        # the same config without the key runs
+        doc = {key: value for key, value in doc.items() if key != path}
+        assert run(["multitime", write_json(tmp_path / "c.json", doc), "--out", out]) == 0
+
+    def test_synchronized_modes_write_the_dense_boxed_route(self, tmp_path):
+        """second_order and first_order write the states of a dense GaussianInt
+        iteration of H, as the field CSV of those boxed states."""
+        from ontoca.gaussian import GaussianInt
+        from ontoca.multitime import MultiTimeField, TensorHamiltonian
+        from ontoca.ontology import preset_hamiltonian
+        from ontoca.serialize import field_csv, vector_from_config
+
+        h = TensorHamiltonian.separable(preset_hamiltonian("H2"), preset_hamiltonian("H3"))
+        dense = h.model.h_matrix
+
+        def minus_i_h(v):
+            return [-sum((dense[r][c] * v[c] for c in range(6)), GaussianInt(0)).times_i()
+                    for r in range(6)]
+
+        prev, curr = [1, 0, [0, 1], 0, 0, -1], [0, 2, 0, 0, [1, 1], 0]
+        second = [list(vector_from_config(prev)), list(vector_from_config(curr))]
+        first = second[:1]
+        for _ in range(9):
+            second.append([a + b for a, b in zip(second[-2], minus_i_h(second[-1]))])
+            first.append(minus_i_h(first[-1]))
+        runs = {
+            "second": ({"mode": "second_order", "prev": prev, "curr": curr, "steps": 9}, second, 1),
+            "first": ({"mode": "first_order", "state": prev, "steps": 9, "direction": -1},
+                      first, -1),
+        }
+        for name, (fields, boxed, direction) in runs.items():
+            cfg = write_json(tmp_path / f"{name}.json", {
+                "kind": "multitime",
+                "coupling": {"separable": [{"preset": "H2"}, {"preset": "H3"}]}, **fields,
+            })
+            out = tmp_path / f"{name}.csv"
+            assert run(["multitime", cfg, "--out", str(out)]) == 0
+            field = MultiTimeField((2, 3), {(direction * n, direction * n): vec
+                                            for n, vec in enumerate(boxed)})
+            assert out.read_text() == field_csv(field)
+
     def test_info_log_reports_stages_without_changing_outputs(self, tmp_path):
         src = str(Path(ontoca.__file__).resolve().parents[1])
         doc = {"kind": "multitime", "mode": "second_order",
@@ -434,12 +558,24 @@ def _multitime_configs(draw):
         "curr": _VECTOR,
         "state": _VECTOR,
     }
+    own = _MODE_KEYS.get(mode, ()) if isinstance(mode, str) else ()
     for key, strategy in optional.items():
-        if draw(st.integers(0, 5)) < 5:  # mostly present, sometimes missing
+        # a key of the mode mostly, sometimes missing; a key of another mode now and then
+        if draw(st.integers(0, 11)) < (10 if key in own else 1):
             doc[key] = draw(strategy)
-    # the field geometry matches the mode, so a run can only fail on a config value
-    doc["initial_field"] = "diagonals.csv" if mode == "diagonal" else f"lines_{axis}.csv"
+    if "initial_field" in own or draw(st.integers(0, 11)) == 0:
+        # the field geometry matches the mode, so a run can only fail on a config value
+        doc["initial_field"] = "diagonals.csv" if mode == "diagonal" else f"lines_{axis}.csv"
     return doc
+
+
+# the keys each multitime mode reads besides kind, mode and coupling
+_MODE_KEYS = {
+    "line": ("initial_field", "steps", "axis", "direction", "periodic", "out"),
+    "diagonal": ("initial_field", "extra_point", "extra_value", "out"),
+    "second_order": ("steps", "prev", "curr", "out"),
+    "first_order": ("steps", "direction", "state", "out"),
+}
 
 
 class TestMultitimeFuzz:
@@ -456,7 +592,8 @@ class TestMultitimeFuzz:
             tmp = Path(tmp)
             for name, points in self.FIELDS.items():
                 (tmp / name).write_text(_field_text(points))
-            doc = {**doc, "initial_field": str(tmp / doc["initial_field"])}
+            if "initial_field" in doc:
+                doc = {**doc, "initial_field": str(tmp / doc["initial_field"])}
             cfg = write_json(tmp / "c.json", doc)
             results = []
             for _ in range(2):
@@ -472,6 +609,10 @@ class TestMultitimeFuzz:
         if code == 2:
             assert err.startswith("config error: ")
         assert results[0] == results[1]
+        mode = doc["mode"]
+        if isinstance(mode, str) and mode in _MODE_KEYS:
+            if set(doc) - {"kind", "mode", "coupling", *_MODE_KEYS[mode]}:
+                assert code == 2, "a key of another mode was not refused"
 
 
 @st.composite
@@ -492,6 +633,8 @@ def _ising_configs(draw):
     else:
         edges = list(getattr(ising.GraphTopology, preset)(n).edges)
         topology = {"preset": preset, "n_vertices": n}
+    if draw(st.integers(0, 9)) == 9:
+        topology[draw(st.sampled_from(_MISSPELT_DOCUMENT_KEYS))] = 1
     doc = {"kind": kind, "topology": draw(_or_junk(st.just(topology)))}
 
     bits = _or_junk(st.text("01", min_size=n, max_size=n))
@@ -522,7 +665,18 @@ def _ising_configs(draw):
     for key, strategy in optional.items():
         if draw(st.integers(0, 5)) < 5:  # mostly present, sometimes missing
             doc[key] = draw(strategy)
+    if isinstance(doc.get("schedule"), dict) and draw(st.integers(0, 9)) == 9:
+        doc["schedule"][draw(st.sampled_from(_MISSPELT_DOCUMENT_KEYS))] = 4
     return doc
+
+
+# keys one typo away from a model, topology or schedule key; a document
+# holding one is refused
+_MISSPELT_DOCUMENT_KEYS = ("dimm", "presets", "s", "a", "edge", "n_vertex", "sed", "kinds")
+
+
+def _misspelt(document) -> bool:
+    return isinstance(document, dict) and any(key in document for key in _MISSPELT_DOCUMENT_KEYS)
 
 
 _BITS = _or_junk(st.text("01", max_size=10))
@@ -553,6 +707,8 @@ class TestIsingFuzz:
         if code == 2:
             assert err.startswith("config error: ")
         assert results[0] == results[1]
+        if _misspelt(doc["topology"]) or _misspelt(doc.get("schedule")):
+            assert code == 2, "a misspelled document key was not refused"
 
 
 class TestIsing:
@@ -990,6 +1146,57 @@ class TestOntologyScanOnePass:
         assert out.read_text() == expected
 
 
+RING3 = {"n_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+
+
+class TestDocumentKeys:
+    """A key that a model, topology or schedule document does not read exits 2,
+    named by its path."""
+
+    @pytest.mark.parametrize(
+        "command, fields, path",
+        [
+            ("evolve", {"model": {"preset": "H2", "dimm": 3}}, "model.dimm"),
+            ("evolve", {"model": {"S": [[0, 1], [1, 0]], "A": [[0, 0], [0, 0]], "s": [[0]]}},
+             "model.s"),
+            ("ontology-scan", {"model": {"preset": "H4", "Preset": "H2"}}, "model.Preset"),
+            ("multitime", {"mode": "first_order", "state": [1, 0, 0, 0], "coupling": {
+                "separable": [{"preset": "H2"}, {"preset": "H2", "dimm": 2}]}},
+             "coupling.separable.dimm"),
+            ("ising-a", {"topology": {**RING3, "edge": [[1, 2]]},
+                         "schedule": {"kind": "periodic", "steps": [[0, 1, 1]]}}, "topology.edge"),
+            ("ising-b", {"topology": {"preset": "ring", "n_vertices": 3, "edges": [[0, 1]]}},
+             "topology.edges"),
+            ("ising-a", {"topology": RING3,
+                         "schedule": {"kind": "seeded_random", "seed": 1, "pool": [[0, 1]],
+                                      "sed": 4}}, "schedule.sed"),
+            ("ising-a", {"topology": RING3,
+                         "schedule": {"kind": "explicit", "steps": [[0, 1, 1]] * 8, "seed": 4}},
+             "schedule.seed"),
+        ],
+    )
+    def test_unread_key_exits_2(self, tmp_path, capsys, command, fields, path):
+        cfg = write_json(tmp_path / "c.json", {"kind": command, **fields})
+        assert run([command, cfg, "--out", str(tmp_path / "o.out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: unknown key")
+
+    def test_model_files_carry_schema_version(self, tmp_path, capsys):
+        from ontoca.ontology import preset_hamiltonian
+        from ontoca.serialize import model_to_mapping
+
+        written = model_to_mapping(preset_hamiltonian("H3"))
+        assert "schema_version" in written
+        for name, doc, code in (("m.json", written, 0),
+                                ("v2.json", {**written, "schema_version": 2}, 2),
+                                ("typo.json", {**written, "dimm": 3}, 2)):
+            model_file = write_json(tmp_path / name, doc)
+            cfg = write_json(tmp_path / "c.json", {"kind": "evolve", "model": model_file})
+            assert run(["evolve", cfg, "--out", str(tmp_path / "a.csv")]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"config error: {tmp_path / 'v2.json'}.schema_version:")
+        assert err[1].startswith(f"config error: {tmp_path / 'typo.json'}.dimm: unknown key")
+
+
 def test_every_flag_overrides_a_key_its_subcommand_reads():
     import argparse
 
@@ -1001,7 +1208,10 @@ def test_every_flag_overrides_a_key_its_subcommand_reads():
     for name, sub in commands.choices.items():
         flags = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
         keys = {"model" if dest == "preset" else dest for dest in flags}
-        assert keys <= set(CONFIG_KEYS[name]), name
+        read = CONFIG_KEYS[name]
+        if isinstance(read, dict):  # one key set per mode; a flag is read in some mode
+            read = set().union(*read.values())
+        assert keys <= set(read), name
         assert "out" in keys, name
 
 
@@ -1039,11 +1249,13 @@ def _run_config_twice(command, doc):
     return results, left
 
 
-def _check_runs(results, left):
+def _check_runs(results, left, refused=False):
     code, _, err, _ = results[0]
     assert code in (0, 2), err
     if code == 2:
         assert err.startswith("config error: "), err
+    if refused:
+        assert code == 2, "a misspelled document key was not refused"
     assert results[0] == results[1]
     assert left == ["c.json", "dir"]
 
@@ -1078,13 +1290,17 @@ def _models(draw):
     """A model of dim <= 4 and its dim: a preset or a self-adjoint integer matrix."""
     preset = draw(st.sampled_from([None, "H2", "H3", "H4"]))
     if preset is not None:
-        return {"preset": preset}, int(preset[1])
-    dim = draw(st.integers(1, 4))
-    square = st.lists(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim), min_size=dim,
-                      max_size=dim)
-    s, a = draw(square), draw(square)
-    return {"S": [[s[r][c] + s[c][r] for c in range(dim)] for r in range(dim)],
-            "A": [[a[r][c] - a[c][r] for c in range(dim)] for r in range(dim)]}, dim
+        model, dim = {"preset": preset}, int(preset[1])
+    else:
+        dim = draw(st.integers(1, 4))
+        square = st.lists(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim),
+                          min_size=dim, max_size=dim)
+        s, a = draw(square), draw(square)
+        model = {"S": [[s[r][c] + s[c][r] for c in range(dim)] for r in range(dim)],
+                 "A": [[a[r][c] - a[c][r] for c in range(dim)] for r in range(dim)]}
+    if draw(st.integers(0, 5)) == 5:
+        model[draw(st.sampled_from(_MISSPELT_DOCUMENT_KEYS))] = dim
+    return model, dim
 
 
 @st.composite
@@ -1160,12 +1376,12 @@ class TestConfigFuzz:
     @given(_evolve_configs())
     @settings(max_examples=120, deadline=None)
     def test_evolve(self, doc):
-        _check_runs(*_run_config_twice("evolve", doc))
+        _check_runs(*_run_config_twice("evolve", doc), refused=_misspelt(doc["model"]))
 
     @given(_scan_configs())
     @settings(max_examples=120, deadline=None)
     def test_ontology_scan(self, doc):
-        _check_runs(*_run_config_twice("ontology-scan", doc))
+        _check_runs(*_run_config_twice("ontology-scan", doc), refused=_misspelt(doc["model"]))
 
     @given(_dispersion_configs())
     @settings(max_examples=80, deadline=None)

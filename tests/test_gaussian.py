@@ -487,7 +487,8 @@ class TestKernelAgainstDense:
         delta = data.draw(wide_vector(model.dim).filter(lambda v: not v.is_zero()))
         states = list(traj.states)
         states[bad] = states[bad] + delta
-        broken = Trajectory(tuple(states), traj.start_index, model)
+        broken = Trajectory(tuple(tuple((c.re, c.im) for c in state) for state in states),
+                            traj.start_index, model)
         m = traj.start_index + bad
         # psi[m] enters residual m-1 and m+1 directly, and residual m through i H psi[m].
         moved_by_h = not dense_h_times(model, delta).is_zero()
@@ -495,3 +496,46 @@ class TestKernelAgainstDense:
             expect_zero = not (abs(n - m) == 1 or (n == m and moved_by_h))
             assert broken.residual_at(n).is_zero() == expect_zero
         assert not broken.verify()
+
+
+class TestRawTrajectory:
+    """A Trajectory holds raw pairs; every reader agrees with the boxed states
+    that `stream` rebuilds one step at a time."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_readers_match_streamed_states(self, data):
+        from ontoca.ontology import norm_trace
+        from ontoca.serialize import trajectory_rows
+
+        model = data.draw(wide_model(max_dim=5))
+        pair = CAPairState(data.draw(wide_vector(model.dim)), data.draw(wide_vector(model.dim)),
+                           index_n=data.draw(st.integers(min_value=-3, max_value=3)))
+        steps = data.draw(st.integers(min_value=1, max_value=8))
+        traj = evolve(pair, model, steps)
+        walker = stream(pair, model)
+        boxed = [pair.psi_prev, pair.psi_curr] + [next(walker).psi_curr for _ in range(steps)]
+        start = pair.index_n - 1
+
+        assert traj.start_index == start and len(traj) == len(boxed)
+        assert traj.states == tuple(boxed) and traj[1:3] == tuple(boxed[1:3])
+        for k, state in enumerate(boxed):
+            assert traj.state_at(start + k) == state and traj[k] == state
+        for k in range(1, len(boxed) - 1):
+            n = start + k
+            forced = GaussianIntVector(c.times_i() for c in dense_h_times(model, boxed[k]))
+            assert traj.residual_at(n) == boxed[k + 1] - boxed[k - 1] + forced
+            assert traj.pair_at(n) == CAPairState(boxed[k - 1], boxed[k], index_n=n)
+            assert traj.correlation_at(n) == two_time_correlation(traj.pair_at(n))
+        assert traj.verify()
+        assert norm_trace(traj) == tuple(state.norm_sq() for state in boxed)
+        # on states that are no trajectory, Q differs from pair to pair
+        loose = [data.draw(wide_vector(model.dim)) for _ in range(4)]
+        raw = Trajectory(tuple(tuple((c.re, c.im) for c in v) for v in loose), start, model)
+        for k in range(1, 4):
+            assert raw.correlation_at(start + k) == two_time_correlation(
+                CAPairState(loose[k - 1], loose[k]))
+        assert trajectory_rows(traj) == [
+            (start + k, alpha, c.re, c.im) for k, state in enumerate(boxed)
+            for alpha, c in enumerate(state)
+        ]

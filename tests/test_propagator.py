@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ontoca import gaussian, propagator
 from ontoca.errors import CriticalSpectrum
 from ontoca.gaussian import (
     CAPairState,
@@ -261,6 +262,29 @@ class TestTransferKernelAgainstDense:
         column = tuple((c,) for c in v)
         assert poly.apply(v) == GaussianIntVector(row[0] for row in dense_product(poly.matrix, column))
 
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_sequence_and_apply_box_no_matrix(self, data):
+        """T(k) stays raw rows: with the state boxing helper and the matrix
+        entry type made to raise, transfer_sequence and apply give the same vector."""
+        model = data.draw(wide_model())
+        k = data.draw(st.integers(min_value=0, max_value=12))
+        j = data.draw(st.integers(min_value=0, max_value=k))
+        comps = data.draw(
+            st.lists(st.tuples(wide_int, wide_int), min_size=model.dim, max_size=model.dim)
+        )
+        v = GaussianIntVector(GaussianInt(r, i) for r, i in comps)
+        expected = transfer_sequence(model, k)[j].apply(v)
+
+        def refuse(*args):
+            raise AssertionError("boxed inside transfer_sequence or apply")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gaussian, "_box", refuse)
+            patch.setattr(propagator, "GaussianInt", refuse)
+            got = transfer_sequence(model, k)[j].apply(v)
+        assert got == expected
+
 
 class TestEqualInitialForm:
     def test_order_zero_is_identity(self):
@@ -353,3 +377,44 @@ class TestContinuumLimit:
         with pytest.raises(ValueError):
             DiscretenessScale(0.0)
         assert DiscretenessScale(0.5).l == 0.5
+
+    @given(
+        st.sampled_from(["sigma1", "subcritical"]),
+        st.floats(min_value=0.01, max_value=0.5),
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_list_based_route(self, kind, epsilon, n_max, seed):
+        """The two-state sweep gives the very float of the route that keeps
+        every state and compares afterwards."""
+        rng = random.Random(seed)
+        model = sigma1_model() if kind == "sigma1" else random_subcritical_model(rng, 3)
+        psi0 = [complex(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(model.dim)]
+        psi0[0] += 3  # never the zero vector
+
+        h = epsilon * model.as_complex_array()
+        start = np.asarray(psi0, dtype=complex)
+        states = [start.copy(), start.copy()]
+        for _ in range(n_max):
+            states.append(states[-2] - 1j * (h @ states[-1]))
+        evals, vecs = np.linalg.eigh(h)
+        coeff0 = vecs.conj().T @ start
+        worst = 0.0
+        for n, state in enumerate(states):
+            expected = vecs @ (np.exp(-1j * evals * n / 2.0) * coeff0)
+            worst = max(worst, float(np.max(np.abs(state - expected))))
+
+        assert continuum_deviation(model, psi0, epsilon, n_max) == worst
+
+    def test_memory_does_not_grow_with_steps(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            continuum_deviation(sigma1_model(), [1, 0], 1e-4, 20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # keeping all 20002 states of dim 2 would take about 2.5 MB
+        assert peak < 500_000
