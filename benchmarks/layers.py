@@ -1,0 +1,203 @@
+"""Layer micro-benchmark: the wall time of one call of each exact kernel and
+of the CLI parser build.
+
+    python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
+
+The source tree under test is this checkout's `src/` (or `--src`).  With
+`--parent`, a second tree (for example `src/` of a `git archive` of the parent
+commit) is timed the same way, and each row carries both figures.  Each tree
+is timed in a fresh interpreter (this file re-run with `--child`), so the two
+never share imports or caches, and OpenBLAS runs on one thread.
+
+A sample repeats one call until at least MIN_SAMPLE_S has passed and records
+the mean time per call; a row reports the median and the minimum over the
+samples.  Inputs are fixed (seeded), so every run times the same work.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+MIN_SAMPLE_S = 0.05
+REPO = Path(__file__).resolve().parents[1]
+
+ROWS = {
+    "gaussian_step": "one Gaussian-integer step (_step_raw), dim-64 unit-weight ring",
+    "transfer_sequence": "propagator.transfer_sequence, dense dim-12 model, entries in [-3, 3], k=40",
+    "model_a_step_compose": "ising.model_a_step_operator on a 12-vertex ring plus one compose_after",
+    "permutation_power": "PhasedPermutation.power(64), random 16-bit phased permutation",
+    "lattice_stencil": "gup momentum operator apply, 256 sites, periodic",
+    "build_parser_first": "cli.build_parser, first call in a fresh process (one sample each)",
+    "build_parser": "cli.build_parser, every later call (what each cli.main call pays)",
+}
+
+
+# =============================================================================
+# Child: time one source tree
+# =============================================================================
+
+
+def _calls():
+    """Zero-argument callables, one per row, with their inputs built untimed."""
+    import random
+
+    from ontoca import cli, gup, ising, propagator
+    from ontoca.gaussian import _step_raw, build_hamiltonian
+
+    rng = random.Random(12)
+
+    dim = 64
+    s = [[0] * dim for _ in range(dim)]
+    for r in range(dim):
+        s[r][(r + 1) % dim] = s[(r + 1) % dim][r] = 1
+    ring = build_hamiltonian(s, [[0] * dim for _ in range(dim)])
+    prev = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(dim)]
+    curr = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(dim)]
+
+    dim = 12
+    s = [[0] * dim for _ in range(dim)]
+    a = [[0] * dim for _ in range(dim)]
+    for r in range(dim):
+        for c in range(r, dim):
+            s[r][c] = s[c][r] = rng.randint(-3, 3)
+            if c > r:
+                a[r][c] = rng.randint(-3, 3)
+                a[c][r] = -a[r][c]
+    dense = build_hamiltonian(s, a)
+
+    topology = ising.GraphTopology.ring(12)
+    first = ising.model_a_step_operator(topology, (0, 1))
+
+    np_rng = np.random.default_rng(12)
+    perm = ising.PhasedPermutation(np_rng.permutation(1 << 16), np_rng.integers(0, 4, 1 << 16))
+
+    momentum = gup.momentum_operator(256, propagator.DiscretenessScale(1.0))
+    psi = np_rng.standard_normal(256) + 1j * np_rng.standard_normal(256)
+
+    return {
+        "gaussian_step": lambda: _step_raw(ring.h_rows, prev, curr),
+        "transfer_sequence": lambda: propagator.transfer_sequence(dense, 40),
+        "model_a_step_compose":
+            lambda: ising.model_a_step_operator(topology, (3, 4), -1).compose_after(first),
+        "permutation_power": lambda: perm.power(64),
+        "lattice_stencil": lambda: momentum.apply(psi),
+        "build_parser": cli.build_parser,
+    }
+
+
+def _sample(call) -> float:
+    """Mean seconds per call over a run of at least MIN_SAMPLE_S."""
+    n = 0
+    start = time.perf_counter()
+    while True:
+        call()
+        n += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= MIN_SAMPLE_S:
+            return elapsed / n
+
+
+def child(src: str, samples: int) -> dict:
+    """Seconds per call, `samples` per row; with samples=0 only the first
+    parser build is timed."""
+    sys.path.insert(0, src)
+    from ontoca import cli
+
+    start = time.perf_counter()
+    cli.build_parser()
+    timings = {"build_parser_first": [time.perf_counter() - start]}
+    if samples:
+        for name, call in _calls().items():
+            call()  # warm-up
+            timings[name] = [_sample(call) for _ in range(samples)]
+    return timings
+
+
+# =============================================================================
+# Parent: run the children and write the report
+# =============================================================================
+
+
+def _run_child(src: Path, samples: int) -> dict:
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("PYTHONPATH", None)
+    done = subprocess.run(
+        [sys.executable, __file__, "--child", str(src), "--samples", str(samples)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def _time_tree(src: Path, samples: int) -> dict:
+    """Per row: median and minimum seconds per call.  One child times every
+    row; the first parser build gets one fresh child per sample."""
+    runs = [_run_child(src, samples)] + [_run_child(src, 0) for _ in range(samples - 1)]
+    timings = {name: [t for run in runs for t in run.get(name, [])] for name in ROWS}
+    return {
+        name: {"median_s": statistics.median(ts), "min_s": min(ts), "samples": len(ts)}
+        for name, ts in timings.items()
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="JSON report to write (required)")
+    parser.add_argument("--src", default=str(REPO / "src"), help="source tree under test")
+    parser.add_argument("--parent", help="source tree to compare against")
+    parser.add_argument("--samples", type=int, default=7)
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        json.dump(child(args.child, args.samples), sys.stdout)
+        return 0
+    if not args.out:
+        parser.error("--out is required")
+    if args.samples < 1:
+        parser.error("--samples must be >= 1")
+
+    trees = {"change": Path(args.src)}
+    if args.parent:
+        trees = {"parent": Path(args.parent), **trees}
+    measured = {label: _time_tree(src, args.samples) for label, src in trees.items()}
+    rows = []
+    for name, description in ROWS.items():
+        row = {"row": name, "what": description}
+        for label, result in measured.items():
+            row[f"{label}_median_s"] = result[name]["median_s"]
+            row[f"{label}_min_s"] = result[name]["min_s"]
+            row["samples"] = result[name]["samples"]
+        if "parent" in measured:
+            row["parent_over_change"] = row["parent_median_s"] / row["change_median_s"]
+        rows.append(row)
+    report = {
+        "kind": "ontoca-layer-bench",
+        "command": f"python3 benchmarks/layers.py --samples {args.samples}"
+                   + (" --parent PARENT/src" if args.parent else "") + " --out OUT",
+        "host": {
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "min_sample_s": MIN_SAMPLE_S,
+        "rows": rows,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    for row in rows:
+        figures = "  ".join(f"{label}={row[f'{label}_median_s']:.3e}s" for label in measured)
+        print(f"{row['row']:<22} {figures}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

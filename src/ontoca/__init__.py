@@ -34,6 +34,7 @@ from .propagator import (
     continuum_limit_check,
     dispersion_omega,
     equal_initial_form,
+    is_critical,
     phi_operator,
     transfer_polynomial,
     transfer_sequence,

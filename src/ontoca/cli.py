@@ -12,6 +12,7 @@ status 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -649,7 +650,10 @@ def cmd_verify_all(args) -> int:
 # =============================================================================
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; each `parse_args` call
+    returns a fresh Namespace, so no state passes between `main` calls."""
     parser = argparse.ArgumentParser(
         prog="ontoca",
         description="Exact integer-arithmetic cellular-automaton experiments",

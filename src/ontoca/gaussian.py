@@ -232,7 +232,7 @@ class GaussianIntVector:
     @staticmethod
     def _coerce_component(c) -> GaussianInt:
         if isinstance(c, (tuple, list)) and len(c) == 2:
-            return GaussianInt(int(c[0]), int(c[1]))
+            return GaussianInt(*c)  # a non-int component raises TypeError
         return GaussianInt._coerce(c)
 
     def __setattr__(self, name, value):
@@ -358,6 +358,40 @@ def _step_raw(rows, base, v, sign: int = 1) -> list[tuple[int, int]]:
         (bre + sign * him, bim - sign * hre)
         for (bre, bim), (hre, him) in zip(base, _matvec_raw(rows, v))
     ]
+
+
+def _det_raw(matrix) -> tuple[int, int]:
+    """Determinant of a square matrix of raw (re, im) pairs.
+
+    Fraction-free (Bareiss) elimination: each entry update divides by the
+    previous pivot, and that division is exact in the Gaussian integers.
+    """
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign = 1
+    pre, pim = 1, 0
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if m[r][k] != (0, 0)), None)
+        if pivot is None:
+            return (0, 0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        kre, kim = m[k][k]
+        norm = pre * pre + pim * pim
+        for r in range(k + 1, n):
+            rre, rim = m[r][k]
+            row = m[r]
+            for c in range(k + 1, n):
+                cre, cim = m[k][c]
+                xre, xim = row[c]
+                # (pivot * m[r][c] - m[r][k] * m[k][c]) / previous pivot
+                nre = kre * xre - kim * xim - (rre * cre - rim * cim)
+                nim = kre * xim + kim * xre - (rre * cim + rim * cre)
+                row[c] = ((nre * pre + nim * pim) // norm, (nim * pre - nre * pim) // norm)
+        pre, pim = kre, kim
+    re, im = m[n - 1][n - 1]
+    return (sign * re, sign * im)
 
 
 def _raw(v: GaussianIntVector) -> list[tuple[int, int]]:

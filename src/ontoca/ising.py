@@ -257,11 +257,17 @@ class PhasedPermutation:
         return _phased(target, -self.phase_exponent[target])
 
     def power(self, k: int) -> "PhasedPermutation":
+        """self**k by repeated squaring: O(log |k|) compositions."""
         if k < 0:
             return self.inverse().power(-k)
         acc = PhasedPermutation.identity(self.size)
-        for _ in range(k):
-            acc = self.compose_after(acc)
+        square = self
+        while k:
+            if k & 1:
+                acc = square.compose_after(acc)
+            k >>= 1
+            if k:
+                square = square.compose_after(square)
         return acc
 
     def to_dense(self) -> np.ndarray:
@@ -378,9 +384,10 @@ def model_a_step_operator(
     topology.edge_number(active_edge)  # raises EdgeNotInTopology
     if sign not in (1, -1):
         raise ValueError(f"coefficient must be +1 or -1, got {sign}")
-    x = np.arange(1 << topology.n_vertices)
+    x = np.arange(1 << topology.n_vertices, dtype=np.intp)
     mask = topology.vertex_mask((min(active_edge), max(active_edge)))
-    return PhasedPermutation(x ^ mask, np.full_like(x, 3 if sign == 1 else 1))
+    # an XOR by a fixed mask is its own inverse, so a bijection by construction
+    return _phased(x ^ mask, np.full(x.size, 3 if sign == 1 else 1, dtype=np.uint8))
 
 
 def model_a_evolve(

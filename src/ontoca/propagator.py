@@ -27,13 +27,13 @@ from .gaussian import (
     HamiltonianModel,
     _box,
     _compile_rows,
+    _det_raw,
     _matvec_raw,
     _raw,
     _step_raw,
 )
 from .numerics import max_abs
 
-CRITICAL_TOL = 1e-12
 SPECTRAL_RECON_TOL = 1e-10
 
 
@@ -53,11 +53,26 @@ class SpectralDecomposition:
     eigenvalues: tuple[float, ...]
     eigenvectors: np.ndarray  # orthonormal columns
     phi_eigenvalues: tuple[complex, ...]
-    classifications: tuple[str, ...]  # subcritical | critical | supercritical
     reconstruction_error: float
 
-    def has_critical(self) -> bool:
-        return "critical" in self.classifications
+
+def is_critical(model: HamiltonianModel) -> bool:
+    """Whether some eigenvalue of H is exactly +2 or -2: det(4*1 - H^2) == 0.
+
+    The determinant is an exact Gaussian-integer one, so the decision holds
+    for entries of any size, where a float eigenvalue would miss 2 by roundoff.
+    """
+    # H is self-adjoint, so column c of H is the conjugate of its row c and
+    # column c of H^2 is H times that.
+    h2_cols = [
+        _matvec_raw(model.h_rows, [(s, -a) for s, a in zip(model.s_matrix[c], model.a_matrix[c])])
+        for c in range(model.dim)
+    ]
+    four_minus_h2 = [
+        [(4 * (r == c) - h2_cols[c][r][0], -h2_cols[c][r][1]) for c in range(model.dim)]
+        for r in range(model.dim)
+    ]
+    return _det_raw(four_minus_h2) == (0, 0)
 
 
 def phi_operator(model: HamiltonianModel) -> SpectralDecomposition:
@@ -69,21 +84,10 @@ def phi_operator(model: HamiltonianModel) -> SpectralDecomposition:
     err = max_abs(recon - h)
     if err > SPECTRAL_RECON_TOL * scale:
         raise ArithmeticError(f"eigendecomposition reconstruction error {err:g}")
-    phis = []
-    kinds = []
-    for lam in evals:
-        if abs(abs(lam) - 2.0) <= CRITICAL_TOL:
-            kinds.append("critical")
-        elif abs(lam) < 2.0:
-            kinds.append("subcritical")
-        else:
-            kinds.append("supercritical")
-        phis.append(cmath.asin(complex(lam) / 2.0))
     return SpectralDecomposition(
         eigenvalues=tuple(float(x) for x in evals),
         eigenvectors=vecs,
-        phi_eigenvalues=tuple(phis),
-        classifications=tuple(kinds),
+        phi_eigenvalues=tuple(cmath.asin(complex(lam) / 2.0) for lam in evals),
         reconstruction_error=err,
     )
 
@@ -98,7 +102,7 @@ def closed_form_state(model: HamiltonianModel, psi0, psi1, n: int) -> np.ndarray
     where the prefactor diverges; use the transfer polynomials there.
     """
     dec = phi_operator(model)
-    if dec.has_critical():
+    if is_critical(model):
         raise CriticalSpectrum(
             f"eigenvalues {dec.eigenvalues} contain |lambda| = 2; closed form is singular"
         )
@@ -146,14 +150,24 @@ def transfer_sequence(model: HamiltonianModel, k_max: int) -> list[TransferPolyn
         raise ValueError("k_max must be >= 0")
     dim = model.dim
     # Column c of T(k) obeys the update rule itself, starting from e_c, 0, so
-    # the recursion is the stepping kernel run on raw columns.
+    # the recursion is the stepping kernel run on raw columns.  T(k) is
+    # F_{k-1}(-iH), a polynomial of parity k in the self-adjoint H, so
+    # T(k)^dagger = (-1)^k T(k): only rows 0..c of column c are stepped, and
+    # each entry below the diagonal is (-1)^k times the conjugate of its
+    # stepped mirror image.
+    prefixes = [model.h_rows[:c + 1] for c in range(dim)]
     prev = [[(int(r == c), 0) for r in range(dim)] for c in range(dim)]
     curr = [[(0, 0)] * dim for _ in range(dim)]
     seq = [TransferPolynomial(0, _compile_rows(zip(*prev)))]
     if k_max >= 1:
         seq.append(TransferPolynomial(1, _compile_rows(zip(*curr))))
     for k in range(2, k_max + 1):
-        prev, curr = curr, [_step_raw(model.h_rows, p, c) for p, c in zip(prev, curr)]
+        upper = [_step_raw(prefixes[c], prev[c][:c + 1], curr[c]) for c in range(dim)]
+        sign = 1 if k % 2 == 0 else -1
+        prev, curr = curr, [
+            col + [(sign * upper[r][c][0], -sign * upper[r][c][1]) for r in range(c + 1, dim)]
+            for c, col in enumerate(upper)
+        ]
         seq.append(TransferPolynomial(k, _compile_rows(zip(*curr))))
     return seq
 
@@ -202,8 +216,7 @@ def continuum_deviation(model: HamiltonianModel, psi0, epsilon: float, n_max: in
     two latest states are kept.  The comparison is floating point; the
     recurrence itself introduces no additional error beyond roundoff.
     """
-    dec = phi_operator(model)
-    if dec.has_critical():
+    if is_critical(model):
         raise CriticalSpectrum("rescale the model away from |lambda| = 2 first")
     h = epsilon * model.as_complex_array()
     psi0 = _as_complex_vec(psi0, model.dim)

@@ -949,6 +949,42 @@ class TestGup:
         assert (loud.stdout, loud_json) == (quiet.stdout, quiet_json)
 
 
+class TestParserOncePerProcess:
+    """main reuses one argparse tree, built on first use."""
+
+    def test_built_once(self):
+        from ontoca.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_a_flag_does_not_carry_over_to_the_next_call(self, tmp_path, capsys):
+        out = str(tmp_path / "g.json")
+        assert run(["gup", "--sites", "32", "--samples", "10", "--boundary", "open",
+                    "--out", out]) == 0
+        assert "gup: sites=32 samples=10 " in capsys.readouterr().out
+        assert run(["gup", "--samples", "10", "--out", out]) == 0
+        assert "gup: sites=64 samples=10 " in capsys.readouterr().out
+        from ontoca.cli import build_parser
+
+        args = build_parser().parse_args(["gup"])
+        assert (args.sites, args.boundary, args.samples, args.out) == (None, None, None, None)
+
+    def test_a_parse_error_is_followed_by_a_good_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["gup", "--sites", "abc"])
+        assert exc.value.code == 2
+        assert "--sites: invalid int value" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(["no-such-command"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(["gup", "--sites", "32", "--samples", "4",
+                    "--out", str(tmp_path / "g.json")]) == 0
+        captured = capsys.readouterr()
+        assert "gup: sites=32 samples=4 " in captured.out
+        assert captured.err == ""
+
+
 class TestVerifyAll:
     def test_passes_and_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"

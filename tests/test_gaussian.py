@@ -148,6 +148,20 @@ class TestVectors:
     def test_norm_sq(self):
         assert gvec((1, -1), (0, 0)).norm_sq() == 2
 
+    @pytest.mark.parametrize("components", [
+        [(1.5, 0), [2.7, True]],
+        [(1, 0), [2.0, 1]],
+        [(1, "2")],
+        [[1, None]],
+    ])
+    def test_pair_components_must_be_ints(self, components):
+        """A non-int pair component is refused, not truncated with int()."""
+        with pytest.raises(TypeError):
+            GaussianIntVector(components)
+
+    def test_int_pairs_are_read_as_re_im(self):
+        assert GaussianIntVector([(1, -2), [3, 0]]) == gvec((1, -2), (3, 0))
+
 
 # =============================================================================
 # Model validation

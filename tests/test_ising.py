@@ -221,6 +221,21 @@ class TestUncheckedResults:
         for k in range(-3, 6):
             self.check(a.power(k))
 
+    @given(phased_pairs(), st.integers(-40, 70))
+    def test_power_by_squaring_matches_repeated_composition(self, pair, k):
+        a, _ = pair
+
+        def repeated(j):
+            step = a if j >= 0 else a.inverse()
+            out = PhasedPermutation.identity(a.size)
+            for _ in range(abs(j)):
+                out = step.compose_after(out)
+            return out
+
+        for j in (k, 0, 1, -1):
+            assert a.power(j) == repeated(j)
+        self.check(a.power(k))
+
     def test_results_do_not_share_the_operands_arrays(self):
         a = PhasedPermutation((1, 2, 0), (3, 0, 1))
         for result in (a.compose_after(PhasedPermutation.identity(3)), a.inverse(), a.power(1)):
@@ -258,15 +273,32 @@ class TestDrivenModel:
         assert set(plus.phase_exponent) == {3}
         assert set(minus.phase_exponent) == {1}
 
+    @pytest.mark.parametrize("topo", [GraphTopology.path(3), GraphTopology.ring(5),
+                                      GraphTopology.fully_connected(4)])
+    def test_step_table_matches_validated_constructor(self, topo):
+        """The table is built without the bijection check; the public
+        constructor accepts it and builds the same map."""
+        x = np.arange(1 << topo.n_vertices)
+        for i, j in topo.edges:
+            for sign in (1, -1):
+                op = model_a_step_operator(topo, (j, i), sign)
+                TestUncheckedResults.check(op)
+                validated = PhasedPermutation(x ^ ((1 << i) | (1 << j)),
+                                              np.full(x.size, 3 if sign == 1 else 1))
+                assert op == validated
+
     def test_edge_must_exist(self):
         topo = GraphTopology.path(3)
         with pytest.raises(EdgeNotInTopology):
             model_a_step_operator(topo, (0, 2))
+        with pytest.raises(EdgeNotInTopology):
+            model_a_step_operator(topo, (1, 5))
 
     def test_coefficient_magnitude_restricted(self):
         topo = GraphTopology.fully_connected(2)
-        with pytest.raises(ValueError):
-            model_a_step_operator(topo, (0, 1), sign=2)
+        for sign in (2, 0, -2):
+            with pytest.raises(ValueError):
+                model_a_step_operator(topo, (0, 1), sign=sign)
 
     def test_path_trajectory(self):
         topo = GraphTopology.path(3)

@@ -29,6 +29,7 @@ from ontoca.propagator import (
     continuum_limit_check,
     dispersion_omega,
     equal_initial_form,
+    is_critical,
     phi_operator,
     transfer_polynomial,
     transfer_sequence,
@@ -54,7 +55,7 @@ class TestPhiOperator:
         assert dec.eigenvalues == pytest.approx((-1.0, 1.0))
         phis = sorted(p.real for p in dec.phi_eigenvalues)
         assert phis == pytest.approx([-math.pi / 6, math.pi / 6])
-        assert dec.classifications == ("subcritical", "subcritical")
+        assert not is_critical(sigma1_model())
 
     def test_zero_model(self):
         dec = phi_operator(zero_model(3))
@@ -63,14 +64,16 @@ class TestPhiOperator:
     def test_twice_sigma3_is_critical(self):
         model = build_hamiltonian(((2, 0), (0, -2)), ZERO2)
         dec = phi_operator(model)
-        assert set(dec.classifications) == {"critical"}
+        assert is_critical(model)
+        assert dec.eigenvalues == pytest.approx((-2.0, 2.0))
         for phi in dec.phi_eigenvalues:
             assert abs(cmath.cos(phi)) < 1e-7
 
     def test_supercritical_angles_have_half_pi_real_part(self):
         model = build_hamiltonian(((0, 3), (3, 0)), ZERO2)
         dec = phi_operator(model)
-        assert set(dec.classifications) == {"supercritical"}
+        assert not is_critical(model)
+        assert dec.eigenvalues == pytest.approx((-3.0, 3.0))
         for phi in dec.phi_eigenvalues:
             assert abs(abs(phi.real) - math.pi / 2) < 1e-12
             assert phi.imag != 0
@@ -83,6 +86,69 @@ class TestPhiOperator:
             h = model.as_complex_array()
             scale = max(1.0, float(np.max(np.abs(h))))
             assert dec.reconstruction_error <= 1e-10 * scale
+
+
+class TestIsCritical:
+    """is_critical is exact: det(4*1 - H^2) == 0 over the Gaussian integers."""
+
+    @staticmethod
+    def float_oracle(model):
+        """det(2*1 - H) * det(2*1 + H) == 0 in floats; exact after rounding for
+        the small entries drawn below."""
+        h = model.as_complex_array()
+        two = 2 * np.eye(model.dim)
+        return round(np.linalg.det(two - h).real) == 0 or round(np.linalg.det(two + h).real) == 0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_small_determinants(self, data):
+        dim = data.draw(st.integers(min_value=1, max_value=4))
+        entry = st.integers(min_value=-2, max_value=2)
+        s = [[0] * dim for _ in range(dim)]
+        a = [[0] * dim for _ in range(dim)]
+        for r in range(dim):
+            for c in range(r, dim):
+                s[r][c] = s[c][r] = data.draw(entry)
+                if c > r:
+                    v = data.draw(entry)
+                    a[r][c], a[c][r] = v, -v
+        model = build_hamiltonian(s, a)
+        assert is_critical(model) == self.float_oracle(model)
+
+    def test_every_dim2_model_with_unit_entries(self):
+        criticals = 0
+        for s00, s01, s11, a01 in np.ndindex(3, 3, 3, 3):
+            s00, s01, s11, a01 = s00 - 1, s01 - 1, s11 - 1, a01 - 1
+            model = build_hamiltonian(((s00, s01), (s01, s11)), ((0, a01), (-a01, 0)))
+            criticals += is_critical(model)
+            assert is_critical(model) == self.float_oracle(model)
+        assert criticals > 0
+
+    @pytest.mark.parametrize("k", [1, 10**6, 10**8])
+    def test_exact_eigenvalue_two_with_large_entries(self, k):
+        """H = [[2+k, -k], [-k, 2+k]] has eigenvalue 2 for every k; float eigh
+        misses it by roundoff at large k, the exact test does not."""
+        model = build_hamiltonian(((2 + k, -k), (-k, 2 + k)), ZERO2)
+        assert is_critical(model)
+        with pytest.raises(CriticalSpectrum):
+            closed_form_state(model, [1, 0], [0, 1], 3)
+        with pytest.raises(CriticalSpectrum):
+            continuum_deviation(model, [1, 0], 0.1, 10)
+
+    def test_near_critical_large_model_is_not_critical(self):
+        k = 10**6
+        model = build_hamiltonian(((3 + k, -k), (-k, 3 + k)), ZERO2)
+        assert not is_critical(model)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_det_raw_matches_numpy_on_small_matrices(self, data):
+        dim = data.draw(st.integers(min_value=1, max_value=5))
+        entry = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        m = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                               min_size=dim, max_size=dim))
+        det = np.linalg.det(np.array([[complex(re, im) for re, im in row] for row in m]))
+        assert gaussian._det_raw(m) == (round(det.real), round(det.imag))
 
 
 # =============================================================================
@@ -284,6 +350,66 @@ class TestTransferKernelAgainstDense:
             patch.setattr(propagator, "GaussianInt", refuse)
             got = transfer_sequence(model, k)[j].apply(v)
         assert got == expected
+
+
+@st.composite
+def small_model(draw, max_dim=6):
+    """Hermitian models with entries in [-3, 3]; supercritical ones included."""
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    entry = st.integers(min_value=-3, max_value=3)
+    s = [[0] * dim for _ in range(dim)]
+    a = [[0] * dim for _ in range(dim)]
+    for r in range(dim):
+        for c in range(r, dim):
+            s[r][c] = s[c][r] = draw(entry)
+            if c > r:
+                v = draw(entry)
+                a[r][c], a[c][r] = v, -v
+    return build_hamiltonian(s, a)
+
+
+def dense_of(poly):
+    return [[(z.re, z.im) for z in row] for row in poly.matrix]
+
+
+class TestTransferParity:
+    """transfer_sequence steps only the upper triangle and mirrors the rest by
+    T(k)^dagger = (-1)^k T(k)."""
+
+    @given(small_model(), st.integers(min_value=0, max_value=30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_column_recursion(self, model, k_max):
+        dim = model.dim
+        h = [[(model.s_matrix[r][c], model.a_matrix[r][c]) for c in range(dim)]
+             for r in range(dim)]
+
+        def step(prev, curr):
+            """prev - i H curr on one full column of (re, im) pairs."""
+            out = []
+            for r in range(dim):
+                hre = sum(h[r][j][0] * curr[j][0] - h[r][j][1] * curr[j][1] for j in range(dim))
+                him = sum(h[r][j][0] * curr[j][1] + h[r][j][1] * curr[j][0] for j in range(dim))
+                out.append((prev[r][0] + him, prev[r][1] - hre))
+            return out
+
+        cols = [[[(int(r == c), 0) for r in range(dim)] for c in range(dim)],
+                [[(0, 0)] * dim for _ in range(dim)]]
+        while len(cols) <= k_max:
+            cols.append([step(p, c) for p, c in zip(cols[-2], cols[-1])])
+        expected = [[list(row) for row in zip(*t)] for t in cols[: k_max + 1]]
+        seq = transfer_sequence(model, k_max)
+        assert [dense_of(t) for t in seq] == expected
+
+    @given(small_model(), st.integers(min_value=0, max_value=30))
+    @settings(max_examples=60, deadline=None)
+    def test_adjoint_is_parity_times_self(self, model, k_max):
+        for k, poly in enumerate(transfer_sequence(model, k_max)):
+            t = dense_of(poly)
+            sign = 1 if k % 2 == 0 else -1
+            for r in range(model.dim):
+                for c in range(model.dim):
+                    re, im = t[c][r]
+                    assert t[r][c] == (sign * re, -sign * im)
 
 
 class TestEqualInitialForm:
