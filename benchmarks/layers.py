@@ -1,17 +1,20 @@
-"""Layer micro-benchmark: the wall time of one call of each exact kernel and
-of the CLI parser build.
+"""Layer micro-benchmark: the wall time of one call of each exact kernel, of
+the boxing layer and of the CLI parser build.
 
     python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
 
 The source tree under test is this checkout's `src/` (or `--src`).  With
 `--parent`, a second tree (for example `src/` of a `git archive` of the parent
-commit) is timed the same way, and each row carries both figures.  Each tree
-is timed in a fresh interpreter (this file re-run with `--child`), so the two
-never share imports or caches, and OpenBLAS runs on one thread.
+commit) is timed the same way, and each row carries both figures.  Each
+sample is one fresh interpreter per tree (this file re-run with `--child`),
+so the trees never share imports or caches, and OpenBLAS runs on one
+thread.  The trees take turns, sample by sample, so a drift in host load
+falls on both alike.
 
-A sample repeats one call until at least MIN_SAMPLE_S has passed and records
-the mean time per call; a row reports the median and the minimum over the
-samples.  Inputs are fixed (seeded), so every run times the same work.
+In a sample, each row repeats one call until at least MIN_SAMPLE_S has
+passed and records the mean time per call; a row reports the median and the
+minimum over the samples.  Inputs are fixed (seeded), so every run times the
+same work.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ ROWS = {
     "model_a_step_compose": "ising.model_a_step_operator on a 12-vertex ring plus one compose_after",
     "permutation_power": "PhasedPermutation.power(64), random 16-bit phased permutation",
     "lattice_stencil": "gup momentum operator apply, 256 sites, periodic",
+    "state_boxing": "Trajectory.states of a 3-state dim-64 ring trajectory, every component read",
+    "transfer_check": "T(80).apply(psi[1]) + T(79).apply(psi[0]) == psi[79], the dense dim-12 "
+                      "model (T entries and psi[79] of about 300 bits)",
     "build_parser_first": "cli.build_parser, first call in a fresh process (one sample each)",
     "build_parser": "cli.build_parser, every later call (what each cli.main call pays)",
 }
@@ -52,7 +58,7 @@ def _calls():
     import random
 
     from ontoca import cli, gup, ising, propagator
-    from ontoca.gaussian import _step_raw, build_hamiltonian
+    from ontoca.gaussian import CAPairState, GaussianIntVector, _step_raw, build_hamiltonian, evolve
 
     rng = random.Random(12)
 
@@ -63,6 +69,8 @@ def _calls():
     ring = build_hamiltonian(s, [[0] * dim for _ in range(dim)])
     prev = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(dim)]
     curr = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(dim)]
+    # the boxing rows use public API only, so every tree can run them
+    ring_run = evolve(CAPairState(GaussianIntVector(prev), GaussianIntVector(curr)), ring, 1)
 
     dim = 12
     s = [[0] * dim for _ in range(dim)]
@@ -74,6 +82,11 @@ def _calls():
                 a[r][c] = rng.randint(-3, 3)
                 a[c][r] = -a[r][c]
     dense = build_hamiltonian(s, a)
+    start = [GaussianIntVector((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(dim))
+             for _ in range(2)]
+    dense_run = evolve(CAPairState(*start), dense, 78)
+    psi0, psi1, psi79 = (dense_run.state_at(n) for n in (0, 1, 79))
+    t79, t80 = propagator.transfer_sequence(dense, 80)[79:]
 
     topology = ising.GraphTopology.ring(12)
     first = ising.model_a_step_operator(topology, (0, 1))
@@ -91,6 +104,8 @@ def _calls():
             lambda: ising.model_a_step_operator(topology, (3, 4), -1).compose_after(first),
         "permutation_power": lambda: perm.power(64),
         "lattice_stencil": lambda: momentum.apply(psi),
+        "state_boxing": lambda: [c.re for state in ring_run.states for c in state],
+        "transfer_check": lambda: t80.apply(psi1) + t79.apply(psi0) == psi79,
         "build_parser": cli.build_parser,
     }
 
@@ -107,19 +122,17 @@ def _sample(call) -> float:
             return elapsed / n
 
 
-def child(src: str, samples: int) -> dict:
-    """Seconds per call, `samples` per row; with samples=0 only the first
-    parser build is timed."""
+def child(src: str) -> dict:
+    """One sample: seconds per call of every row."""
     sys.path.insert(0, src)
     from ontoca import cli
 
     start = time.perf_counter()
     cli.build_parser()
-    timings = {"build_parser_first": [time.perf_counter() - start]}
-    if samples:
-        for name, call in _calls().items():
-            call()  # warm-up
-            timings[name] = [_sample(call) for _ in range(samples)]
+    timings = {"build_parser_first": time.perf_counter() - start}
+    for name, call in _calls().items():
+        call()  # warm-up
+        timings[name] = _sample(call)
     return timings
 
 
@@ -128,24 +141,30 @@ def child(src: str, samples: int) -> dict:
 # =============================================================================
 
 
-def _run_child(src: Path, samples: int) -> dict:
+def _run_child(src: Path) -> dict:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     env.pop("PYTHONPATH", None)
     done = subprocess.run(
-        [sys.executable, __file__, "--child", str(src), "--samples", str(samples)],
+        [sys.executable, __file__, "--child", str(src)],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
 
 
-def _time_tree(src: Path, samples: int) -> dict:
-    """Per row: median and minimum seconds per call.  One child times every
-    row; the first parser build gets one fresh child per sample."""
-    runs = [_run_child(src, samples)] + [_run_child(src, 0) for _ in range(samples - 1)]
-    timings = {name: [t for run in runs for t in run.get(name, [])] for name in ROWS}
+def _time_trees(trees: dict, samples: int) -> dict:
+    """Per tree and row: median and minimum seconds per call, over `samples`
+    fresh children per tree, the trees taking turns."""
+    runs = {label: [] for label in trees}
+    for _ in range(samples):
+        for label, src in trees.items():
+            runs[label].append(_run_child(src))
     return {
-        name: {"median_s": statistics.median(ts), "min_s": min(ts), "samples": len(ts)}
-        for name, ts in timings.items()
+        label: {
+            name: {"median_s": statistics.median(ts), "min_s": min(ts), "samples": len(ts)}
+            for name in ROWS
+            for ts in [[run[name] for run in label_runs]]
+        }
+        for label, label_runs in runs.items()
     }
 
 
@@ -158,7 +177,7 @@ def main(argv=None) -> int:
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        json.dump(child(args.child, args.samples), sys.stdout)
+        json.dump(child(args.child), sys.stdout)
         return 0
     if not args.out:
         parser.error("--out is required")
@@ -168,7 +187,7 @@ def main(argv=None) -> int:
     trees = {"change": Path(args.src)}
     if args.parent:
         trees = {"parent": Path(args.parent), **trees}
-    measured = {label: _time_tree(src, args.samples) for label, src in trees.items()}
+    measured = _time_trees(trees, args.samples)
     rows = []
     for name, description in ROWS.items():
         row = {"row": name, "what": description}

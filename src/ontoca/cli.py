@@ -471,12 +471,7 @@ def cmd_ising_a(args) -> int:
         raise ConfigInvalid("schedule", str(exc)) from None
     stages.mark("evolve")
 
-    composed = ising.PhasedPermutation.identity(1 << topology.n_vertices)
-    for n in range(steps):
-        edge, sign = schedule.active(n)
-        composed = ising.model_a_step_operator(topology, edge, sign).compose_after(composed)
-    target, phase = composed.apply(start.basis_index)
-    ok = target == run[-1][0].basis_index and phase == run[-1][1]
+    ok = ising.model_a_composition_holds(topology, schedule, run)
     stages.mark("check")
 
     rows = [(n, conf.vertex_string, "", ph) for n, (conf, ph) in enumerate(run)]

@@ -26,16 +26,24 @@ from .errors import DimensionMismatch, SymmetryViolation
 # =============================================================================
 
 
+def _exact_int(x) -> int:
+    """The one input rule for Gaussian-integer components: an exact int.
+
+    bool is an int subclass and is refused, as are float, complex and str.
+    """
+    if type(x) is not int:
+        raise TypeError(f"a Gaussian-integer component must be an int, got {x!r}")
+    return x
+
+
 class GaussianInt:
     """Complex number with arbitrary-precision integer components."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: int = 0, im: int = 0):
-        if not isinstance(re, int) or not isinstance(im, int):
-            raise TypeError("GaussianInt components must be Python ints")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "re", _exact_int(re))
+        object.__setattr__(self, "im", _exact_int(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianInt is immutable")
@@ -44,14 +52,7 @@ class GaussianInt:
     def _coerce(value) -> "GaussianInt":
         if isinstance(value, GaussianInt):
             return value
-        if isinstance(value, int):
-            return GaussianInt(value, 0)
-        if isinstance(value, complex):
-            re, im = value.real, value.imag
-            if re != int(re) or im != int(im):
-                raise ValueError(f"{value!r} has non-integer components")
-            return GaussianInt(int(re), int(im))
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian integer")
+        return GaussianInt(value, 0)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -97,7 +98,7 @@ class GaussianInt:
     def __eq__(self, other):
         try:
             other = self._coerce(other)
-        except (TypeError, ValueError):
+        except TypeError:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
@@ -219,103 +220,133 @@ def format_exact_complex(re, im) -> str:
 
 
 class GaussianIntVector:
-    """Fixed-length vector of Gaussian integers; one component per degree of freedom."""
+    """Fixed-length vector of Gaussian integers; one component per degree of freedom.
 
-    __slots__ = ("components",)
+    It holds `pairs`, each component's raw (re, im) ints: what the stepping
+    kernel reads and returns.  A component is boxed to a GaussianInt only
+    when read through `components`, iteration or indexing.
+    """
+
+    __slots__ = ("pairs",)
 
     def __init__(self, components: Iterable):
-        comps = tuple(self._coerce_component(c) for c in components)
-        if not comps:
+        if isinstance(components, GaussianIntVector):
+            pairs = components.pairs
+        else:
+            pairs = tuple(map(_component_pair, components))
+        if not pairs:
             raise ValueError("vector must have at least one component")
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "pairs", pairs)
 
-    @staticmethod
-    def _coerce_component(c) -> GaussianInt:
-        if isinstance(c, (tuple, list)) and len(c) == 2:
-            return GaussianInt(*c)  # a non-int component raises TypeError
-        return GaussianInt._coerce(c)
+    @classmethod
+    def _of(cls, pairs) -> "GaussianIntVector":
+        """Wrap (re, im) int pairs as the kernel makes them, without checks."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "pairs", tuple(pairs))
+        return v
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianIntVector is immutable")
 
+    @property
+    def components(self) -> tuple[GaussianInt, ...]:
+        return tuple(itertools.starmap(GaussianInt, self.pairs))
+
     def __len__(self):
-        return len(self.components)
+        return len(self.pairs)
 
     def __iter__(self):
-        return iter(self.components)
+        return itertools.starmap(GaussianInt, self.pairs)
 
     def __getitem__(self, idx):
-        return self.components[idx]
+        if isinstance(idx, slice):
+            return tuple(itertools.starmap(GaussianInt, self.pairs[idx]))
+        return GaussianInt(*self.pairs[idx])
 
     def __eq__(self, other):
         if not isinstance(other, GaussianIntVector):
             return NotImplemented
-        return self.components == other.components
+        return self.pairs == other.pairs
 
     def __hash__(self):
-        return hash(self.components)
+        return hash(self.pairs)
 
     def __add__(self, other):
-        self._check_dim(other)
-        return GaussianIntVector(a + b for a, b in zip(self, other))
+        return GaussianIntVector._of(
+            (a + c, b + d) for (a, b), (c, d) in zip(self.pairs, self._pairs_of(other))
+        )
 
     def __sub__(self, other):
-        self._check_dim(other)
-        return GaussianIntVector(a - b for a, b in zip(self, other))
+        return GaussianIntVector._of(
+            (a - c, b - d) for (a, b), (c, d) in zip(self.pairs, self._pairs_of(other))
+        )
 
     def __neg__(self):
-        return GaussianIntVector(-a for a in self)
+        return GaussianIntVector._of((-a, -b) for a, b in self.pairs)
 
     def scaled(self, scalar) -> "GaussianIntVector":
         scalar = GaussianInt._coerce(scalar)
-        return GaussianIntVector(scalar * a for a in self)
+        sre, sim = scalar.re, scalar.im
+        return GaussianIntVector._of((sre * a - sim * b, sre * b + sim * a) for a, b in self.pairs)
 
     def dot_conj(self, other: "GaussianIntVector") -> GaussianInt:
         """Inner product conj(self) . other, exact."""
-        self._check_dim(other)
-        total = GaussianInt(0, 0)
-        for a, b in zip(self, other):
-            total = total + a.conjugate() * b
-        return total
+        re = im = 0
+        for (a, b), (c, d) in zip(self.pairs, self._pairs_of(other)):
+            re += a * c + b * d
+            im += a * d - b * c
+        return GaussianInt(re, im)
 
     def norm_sq(self) -> int:
-        return sum(c.norm_sq() for c in self)
+        return sum(a * a + b * b for a, b in self.pairs)
 
     def is_zero(self) -> bool:
-        return not any(c.re or c.im for c in self.components)
+        return not any(a or b for a, b in self.pairs)
 
     def as_complex(self) -> list[complex]:
-        return [complex(c) for c in self.components]
+        return [complex(a, b) for a, b in self.pairs]
 
     @staticmethod
     def basis(dim: int, index: int) -> "GaussianIntVector":
-        return GaussianIntVector(
-            GaussianInt(1 if k == index else 0, 0) for k in range(dim)
-        )
+        return GaussianIntVector((int(k == index), 0) for k in range(dim))
 
     @staticmethod
     def zero(dim: int) -> "GaussianIntVector":
-        return GaussianIntVector(GaussianInt(0, 0) for _ in range(dim))
+        return GaussianIntVector([(0, 0)] * dim)
 
-    def _check_dim(self, other):
-        if len(self) != len(other):
+    def _pairs_of(self, other) -> tuple:
+        """The pairs of `other`, a vector or anything the constructor reads, of this length."""
+        pairs = GaussianIntVector(other).pairs
+        if len(self.pairs) != len(pairs):
             raise DimensionMismatch(
-                f"vector dimensions differ: {len(self)} vs {len(other)}"
+                f"vector dimensions differ: {len(self.pairs)} vs {len(pairs)}"
             )
+        return pairs
 
     def __repr__(self):
-        return f"GaussianIntVector([{', '.join(str(c) for c in self)}])"
+        parts = ", ".join(format_exact_complex(a, b) for a, b in self.pairs)
+        return f"GaussianIntVector([{parts}])"
+
+
+def _component_pair(c) -> tuple[int, int]:
+    """One vector component as a raw pair: an int, a GaussianInt, or an (re, im)
+    pair of ints; each int by the one rule of `_exact_int`."""
+    if isinstance(c, GaussianInt):
+        return (c.re, c.im)
+    if isinstance(c, (tuple, list)) and len(c) == 2:
+        return (_exact_int(c[0]), _exact_int(c[1]))
+    return (_exact_int(c), 0)
 
 
 def to_xp(v: GaussianIntVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split psi = x + i p into its integer coordinate and momentum vectors."""
-    return tuple(c.re for c in v), tuple(c.im for c in v)
+    return tuple(a for a, _ in v.pairs), tuple(b for _, b in v.pairs)
 
 
 def from_xp(x: Sequence[int], p: Sequence[int]) -> GaussianIntVector:
     if len(x) != len(p):
         raise DimensionMismatch(f"x and p lengths differ: {len(x)} vs {len(p)}")
-    return GaussianIntVector(GaussianInt(a, b) for a, b in zip(x, p))
+    return GaussianIntVector(zip(x, p))
 
 
 # =============================================================================
@@ -394,33 +425,6 @@ def _det_raw(matrix) -> tuple[int, int]:
     return (sign * re, sign * im)
 
 
-def _raw(v: GaussianIntVector) -> list[tuple[int, int]]:
-    return [(c.re, c.im) for c in v.components]
-
-
-_new = object.__new__
-_set_re = GaussianInt.re.__set__
-_set_im = GaussianInt.im.__set__
-
-
-def _gaussian(re: int, im: int) -> GaussianInt:
-    z = _new(GaussianInt)
-    _set_re(z, re)
-    _set_im(z, im)
-    return z
-
-
-def _box(pairs) -> GaussianIntVector:
-    """Box raw pairs at the API boundary.
-
-    The pairs come out of exact int arithmetic, so the type checks and the
-    coercion of the public constructors are skipped.
-    """
-    v = _new(GaussianIntVector)
-    object.__setattr__(v, "components", tuple(_gaussian(re, im) for re, im in pairs))
-    return v
-
-
 # =============================================================================
 # Hamiltonian models
 # =============================================================================
@@ -453,7 +457,7 @@ class HamiltonianModel:
     def apply_h(self, v: GaussianIntVector) -> GaussianIntVector:
         if len(v) != self.dim:
             raise DimensionMismatch(f"vector length {len(v)} vs model dim {self.dim}")
-        return _box(_matvec_raw(self.h_rows, _raw(v)))
+        return GaussianIntVector._of(_matvec_raw(self.h_rows, v.pairs))
 
     def as_complex_array(self):
         import numpy as np
@@ -520,7 +524,7 @@ class CAPairState:
 class Trajectory:
     """A contiguous run of states; state k sits at absolute index start_index + k."""
 
-    raw_states: tuple  # each state's (re, im) int pairs; state_at, [] and states box them
+    raw_states: tuple  # each state's (re, im) int pairs; state_at, [] and states wrap them
     start_index: int
     model: HamiltonianModel
 
@@ -529,15 +533,15 @@ class Trajectory:
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return tuple(map(_box, self.raw_states[k]))
-        return _box(self.raw_states[k])
+            return tuple(map(GaussianIntVector._of, self.raw_states[k]))
+        return GaussianIntVector._of(self.raw_states[k])
 
     @property
     def states(self) -> tuple[GaussianIntVector, ...]:
-        return tuple(map(_box, self.raw_states))
+        return tuple(map(GaussianIntVector._of, self.raw_states))
 
     def state_at(self, n: int) -> GaussianIntVector:
-        return _box(self._raw_at(n))
+        return GaussianIntVector._of(self._raw_at(n))
 
     def pair_at(self, n: int) -> CAPairState:
         return CAPairState(self.state_at(n - 1), self.state_at(n), index_n=n)
@@ -557,7 +561,7 @@ class Trajectory:
 
     def residual_at(self, n: int) -> GaussianIntVector:
         """psi[n+1] - psi[n-1] + i H psi[n]; exactly zero on valid trajectories."""
-        return _box(self._residual_raw(n))
+        return GaussianIntVector._of(self._residual_raw(n))
 
     def verify(self) -> bool:
         interior = range(self.start_index + 1, self.start_index + len(self.raw_states) - 1)
@@ -572,25 +576,23 @@ def _check_pair_model(pair: CAPairState, model: HamiltonianModel):
 def step(pair: CAPairState, model: HamiltonianModel, direction: str = "forward") -> CAPairState:
     """Advance or rewind the pair by one index.  Exact in both directions."""
     _check_pair_model(pair, model)
-    prev = _raw(pair.psi_prev)
-    curr = _raw(pair.psi_curr)
+    prev, curr = pair.psi_prev.pairs, pair.psi_curr.pairs
     if direction == "forward":
         nxt = _step_raw(model.h_rows, prev, curr)
-        return CAPairState(pair.psi_curr, _box(nxt), index_n=pair.index_n + 1)
+        return CAPairState(pair.psi_curr, GaussianIntVector._of(nxt), index_n=pair.index_n + 1)
     if direction == "backward":
         before = _step_raw(model.h_rows, curr, prev, sign=-1)
-        return CAPairState(_box(before), pair.psi_prev, index_n=pair.index_n - 1)
+        return CAPairState(GaussianIntVector._of(before), pair.psi_prev, index_n=pair.index_n - 1)
     raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
 
 
 def stream(pair: CAPairState, model: HamiltonianModel) -> Iterator[CAPairState]:
     """Yield successive forward pairs indefinitely, keeping only a 2-state window."""
     _check_pair_model(pair, model)
-    prev, curr, boxed = _raw(pair.psi_prev), _raw(pair.psi_curr), pair.psi_curr
+    prev, curr = pair.psi_prev, pair.psi_curr
     for index in itertools.count(pair.index_n + 1):
-        prev, curr = curr, _step_raw(model.h_rows, prev, curr)
-        boxed_prev, boxed = boxed, _box(curr)
-        yield CAPairState(boxed_prev, boxed, index_n=index)
+        prev, curr = curr, GaussianIntVector._of(_step_raw(model.h_rows, prev.pairs, curr.pairs))
+        yield CAPairState(prev, curr, index_n=index)
 
 
 def evolve(pair: CAPairState, model: HamiltonianModel, steps: int) -> Trajectory:
@@ -598,7 +600,7 @@ def evolve(pair: CAPairState, model: HamiltonianModel, steps: int) -> Trajectory
     if steps < 1:
         raise ValueError("steps must be >= 1")
     _check_pair_model(pair, model)
-    states = [_raw(pair.psi_prev), _raw(pair.psi_curr)]
+    states = [pair.psi_prev.pairs, pair.psi_curr.pairs]
     for _ in range(steps):
         states.append(_step_raw(model.h_rows, states[-2], states[-1]))
     return Trajectory(raw_states=tuple(states), start_index=pair.index_n - 1, model=model)
@@ -611,7 +613,7 @@ def two_time_correlation(pair: CAPairState) -> int:
     integer.  Conservation under the update rule holds for every self-adjoint
     H and is enforced by the test suite through brute-force iteration.
     """
-    return _correlation_raw(_raw(pair.psi_prev), _raw(pair.psi_curr))
+    return _correlation_raw(pair.psi_prev.pairs, pair.psi_curr.pairs)
 
 
 def _correlation_raw(prev, curr) -> int:

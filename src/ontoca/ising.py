@@ -421,14 +421,27 @@ def model_a_evolve(
     return out
 
 
+def model_a_composition_holds(
+    topology: GraphTopology,
+    schedule: Schedule,
+    run: list[tuple[SpinConfiguration, int]],
+) -> bool:
+    """Whether the step operators of the schedule, composed over the run of
+    `model_a_evolve`, send its first state to its last one with the same phase."""
+    composed = PhasedPermutation.identity(1 << topology.n_vertices)
+    for n in range(len(run) - 1):
+        edge, sign = schedule.active(n)
+        composed = model_a_step_operator(topology, edge, sign).compose_after(composed)
+    target, phase = composed.apply(run[0][0].basis_index)
+    return target == run[-1][0].basis_index and phase == run[-1][1]
+
+
 # =============================================================================
 # Edge-gated transfer model
 # =============================================================================
 
 
-def model_b_transfer(
-    topology: GraphTopology, max_bits: int = DEFAULT_MAX_BITS
-) -> PhasedPermutation:
+def model_b_transfer(topology: GraphTopology) -> PhasedPermutation:
     """One-step map on vertex + edge bits: every up edge flips its vertex pair.
 
     Edge bits are untouched; the overall phase is -i (exponent 3).  The
@@ -436,10 +449,10 @@ def model_b_transfer(
     irrelevant to the result.
     """
     bits = topology.total_bits
-    if bits > max_bits:
+    if bits > DEFAULT_MAX_BITS:
         raise DimensionOverflow(
             f"{topology.n_vertices} vertex + {topology.n_edges} edge bits exceed the "
-            f"{max_bits}-bit limit"
+            f"{DEFAULT_MAX_BITS}-bit limit"
         )
     x = np.arange(1 << bits)
     masks = edge_pattern_masks(topology)
@@ -562,9 +575,7 @@ def build_generator_blocks(topology: GraphTopology) -> np.ndarray:
     return blocks
 
 
-def verify_exponential_form(
-    topology: GraphTopology, max_bits: int = EXPONENTIAL_FORM_MAX_BITS
-) -> float:
+def verify_exponential_form(topology: GraphTopology) -> float:
     """Max deviation between the exact transfer map and its exponential form.
 
     The generator is the commuting sum of gated pair-flip involutions; its
@@ -575,9 +586,10 @@ def verify_exponential_form(
     overlap summed and the deviation maximized over all blocks.  Entries
     outside the blocks are exactly zero on both sides.
     """
-    if topology.total_bits > max_bits:
+    if topology.total_bits > EXPONENTIAL_FORM_MAX_BITS:
         raise DimensionOverflow(
-            f"exponential form limited to {max_bits} bits, got {topology.total_bits}"
+            f"exponential form limited to {EXPONENTIAL_FORM_MAX_BITS} bits, "
+            f"got {topology.total_bits}"
         )
     transfer = model_b_transfer(topology)
     n_v = topology.n_vertices
@@ -721,15 +733,3 @@ def lift_pattern_rule(topology: GraphTopology, rule: PhasedPermutation) -> Phase
     # a bijection on patterns times the identity on vertex bits is a bijection
     return _phased((x & ((1 << n) - 1)) | (rule.target[pattern] << n),
                    rule.phase_exponent[pattern])
-
-
-def frozen_edges_rule(topology: GraphTopology) -> PhasedPermutation:
-    return lift_pattern_rule(topology, frozen_pattern_rule(topology))
-
-
-def cyclic_edge_shift_rule(topology: GraphTopology) -> PhasedPermutation:
-    return lift_pattern_rule(topology, cyclic_pattern_rule(topology))
-
-
-def seeded_edge_permutation_rule(topology: GraphTopology, seed: int) -> PhasedPermutation:
-    return lift_pattern_rule(topology, seeded_pattern_rule(topology, seed))

@@ -36,7 +36,7 @@ from .errors import (
     NotSelfAdjoint,
     SymmetryViolation,
 )
-from .gaussian import (GaussianInt, GaussianRational, HamiltonianModel, Trajectory,
+from .gaussian import (GaussianIntVector, GaussianRational, HamiltonianModel, Trajectory,
                        _matvec_raw, _step_raw, build_hamiltonian)
 
 Point = tuple[int, int]
@@ -59,7 +59,7 @@ def _pair(value) -> tuple:
 
 
 def _raw_vector(values, length: int) -> tuple:
-    vec = tuple(_pair(v) for v in values)
+    vec = values.pairs if isinstance(values, GaussianIntVector) else tuple(map(_pair, values))
     if len(vec) != length:
         raise DimensionMismatch(f"vector length {len(vec)} vs expected {length}")
     return vec
@@ -75,10 +75,10 @@ def as_exact_vector(values, length: int) -> tuple[GaussianRational, ...]:
 
 def _hamiltonian(matrix) -> HamiltonianModel:
     """H = S + iA from rows of Gaussian-integer entries; NotSelfAdjoint unless H = H^dagger."""
-    rows = [[GaussianInt._coerce(x) for x in row] for row in matrix]
+    rows = [GaussianIntVector(row).pairs for row in matrix]
     try:
         return build_hamiltonian(
-            [[z.re for z in row] for row in rows], [[z.im for z in row] for row in rows]
+            [[re for re, _ in row] for row in rows], [[im for _, im in row] for row in rows]
         )
     except SymmetryViolation as exc:
         raise NotSelfAdjoint(str(exc)) from None

@@ -43,8 +43,8 @@ class CanonicalRay:
 
 
 def canonical_ray(v) -> CanonicalRay:
-    """Divide out the first nonzero component, exactly."""
-    comps = [GaussianRational._coerce(c) for c in v]
+    """Divide out the first nonzero component of a Gaussian-integer vector, exactly."""
+    comps = [GaussianRational(re, im) for re, im in GaussianIntVector(v).pairs]
     pivot_index = next((k for k, c in enumerate(comps) if not c.is_zero()), None)
     if pivot_index is None:
         raise ZeroVector("zero vector has no ray")
@@ -150,7 +150,7 @@ def detect_phased_permutation(
             return False
         ray = canonical_ray(state)
         rays.append(ray)
-        phases.append(GaussianRational._coerce(state[ray.pivot_index]))
+        phases.append(GaussianRational(*state.pairs[ray.pivot_index]))
         if ray not in basis:
             failure_step = step_index
             return False

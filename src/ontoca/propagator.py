@@ -25,11 +25,9 @@ from .gaussian import (
     GaussianInt,
     GaussianIntVector,
     HamiltonianModel,
-    _box,
     _compile_rows,
     _det_raw,
     _matvec_raw,
-    _raw,
     _step_raw,
 )
 from .numerics import max_abs
@@ -141,7 +139,7 @@ class TransferPolynomial:
         dim = len(self.rows)
         if len(v) != dim:
             raise DimensionMismatch(f"vector length {len(v)} vs matrix dim {dim}")
-        return _box(_matvec_raw(self.rows, _raw(v)))
+        return GaussianIntVector._of(_matvec_raw(self.rows, v.pairs))
 
 
 def transfer_sequence(model: HamiltonianModel, k_max: int) -> list[TransferPolynomial]:

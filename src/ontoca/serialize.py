@@ -19,8 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigInvalid
-from .gaussian import (GaussianInt, GaussianIntVector, GaussianRational, HamiltonianModel,
-                       Trajectory, build_hamiltonian)
+from .gaussian import (GaussianIntVector, GaussianRational, HamiltonianModel, Trajectory,
+                       build_hamiltonian)
 from .ising import GraphTopology, Schedule
 from .multitime import MultiTimeField
 from .ontology import preset_hamiltonian, preset_names
@@ -255,7 +255,9 @@ def vector_from_config(entry, origin: str = "vector", length: int | None = None)
         raise ConfigInvalid(origin, f"expected a list of components, got {entry!r}")
     if length is not None and len(entry) != length:
         raise ConfigInvalid(origin, f"expected {length} components, got {len(entry)}")
-    comps = []
+    if not entry:
+        raise ConfigInvalid(origin, "expected at least one component")
+    pairs = []
     for k, item in enumerate(entry):
         pair = item if isinstance(item, (list, tuple)) else (item, 0)
         if len(pair) != 2:
@@ -263,8 +265,8 @@ def vector_from_config(entry, origin: str = "vector", length: int | None = None)
         re, im = pair  # a plain int skips the reader call, as in _matrices_from_mapping
         re = re if type(re) is int else config_int(re, origin, what=f"[{k}] re")
         im = im if type(im) is int else config_int(im, origin, what=f"[{k}] im")
-        comps.append(GaussianInt(re, im))
-    return GaussianIntVector(comps)
+        pairs.append((re, im))
+    return GaussianIntVector(pairs)
 
 
 # =============================================================================

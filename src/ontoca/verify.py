@@ -65,9 +65,7 @@ def random_model(rng: random.Random, dim: int, lo: int = -3, hi: int = 3) -> Ham
 
 
 def random_vector(rng: random.Random, dim: int, lo: int = -5, hi: int = 5) -> GaussianIntVector:
-    return GaussianIntVector(
-        GaussianInt(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(dim)
-    )
+    return GaussianIntVector((rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(dim))
 
 
 def random_subcritical_model(
@@ -435,12 +433,7 @@ def check_driven_flips(seed: int):
     steps = 12
     run = ising.model_a_evolve(topo, start, schedule, steps)
     first_flips = run[1][0].vertex_string == "110" and run[2][0].vertex_string == "101"
-    composed = ising.PhasedPermutation.identity(1 << topo.n_vertices)
-    for n in range(steps):
-        edge, sign = schedule.active(n)
-        composed = ising.model_a_step_operator(topo, edge, sign).compose_after(composed)
-    target, phase = composed.apply(start.basis_index)
-    matches = target == run[-1][0].basis_index and phase == run[-1][1]
+    matches = ising.model_a_composition_holds(topo, schedule, run)
     return first_flips and matches, {
         "steps": steps,
         "first_flips": first_flips,
@@ -468,7 +461,8 @@ def check_gauge_candidates(seed: int):
 def check_edge_rules(seed: int):
     topo = ising.GraphTopology.fully_connected(2)
     transfer = ising.model_b_transfer(topo)
-    frozen = ising.edge_update_compose(transfer, ising.frozen_edges_rule(topo), topo)
+    frozen_rule = ising.lift_pattern_rule(topo, ising.frozen_pattern_rule(topo))
+    frozen = ising.edge_update_compose(transfer, frozen_rule, topo)
     start = ising.SpinConfiguration.from_strings("00", "1").basis_index
     index, phase = start, 0
     period = None
@@ -479,9 +473,8 @@ def check_edge_rules(seed: int):
             period = k
             break
     ring = ising.GraphTopology.ring(3)
-    shifted = ising.edge_update_compose(
-        ising.model_b_transfer(ring), ising.cyclic_edge_shift_rule(ring), ring
-    )
+    cyclic_rule = ising.lift_pattern_rule(ring, ising.cyclic_pattern_rule(ring))
+    shifted = ising.edge_update_compose(ising.model_b_transfer(ring), cyclic_rule, ring)
     ok = period == 4 and shifted.is_unitary()
     return ok, {"frozen_edge_period": period, "shift_rule_unitary": shifted.is_unitary()}
 

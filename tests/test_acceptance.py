@@ -236,7 +236,7 @@ def test_criterion_07_transfer_map_structure():
         nonzero = dense[dense != 0]
         assert np.all(np.abs(nonzero) == 1.0), f"{topo} has non-unit entries"
         assert transfer.is_unitary(), f"{topo} transfer not unitary"
-        dev = ising.verify_exponential_form(topo, max_bits=10)
+        dev = ising.verify_exponential_form(topo)
         worst_dev = max(worst_dev, dev)
         assert dev <= 1e-9, f"{topo} exponential deviation {dev:g}"
     elapsed = time.perf_counter() - t0

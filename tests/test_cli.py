@@ -129,7 +129,7 @@ class TestEvolve:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_same_bytes_with_state_boxing_disabled(self, tmp_path, monkeypatch, capsys, caplog,
                                                    fmt):
-        """evolve boxes no trajectory state to step, check, log or write it."""
+        """evolve boxes no state component to step, check, log or write a state."""
         from ontoca import gaussian
 
         cfg = write_json(tmp_path / "c.json", {
@@ -140,10 +140,10 @@ class TestEvolve:
         assert run(["evolve", cfg, "--out", str(tmp_path / "boxed.out")]) == 0
         boxed_stdout = capsys.readouterr().out
 
-        def refuse(pairs):
-            raise AssertionError("a trajectory state was boxed")
+        def refuse(*args):
+            raise AssertionError("a state component was boxed")
 
-        monkeypatch.setattr(gaussian, "_box", refuse)
+        monkeypatch.setattr(gaussian.GaussianInt, "__init__", refuse)
         caplog.set_level(logging.INFO, logger="ontoca")  # the INFO line reads every coefficient
         assert run(["evolve", cfg, "--out", str(tmp_path / "raw.out")]) == 0
         assert capsys.readouterr().out.replace("raw.out", "boxed.out") == boxed_stdout
@@ -355,6 +355,8 @@ class TestMultitime:
         [
             ({"mode": "first_order", "coupling": {"matrix": [[0, 1.5], [1.5, 0]], "dims": [2, 1]},
               "state": [1, 0]}, "coupling.matrix"),
+            ({"mode": "first_order", "coupling": {"matrix": [[]], "dims": [1, 1]},
+              "state": [1]}, "coupling.matrix"),
             ({"mode": "diagonal", "extra_point": [0, 2], "extra_value": [1, 0, [0.5, 0], 0]},
              "extra_value"),
             ({"mode": "line", "direction": "x"}, "direction"),
@@ -769,7 +771,7 @@ class TestIsing:
         def no_table(*args, **kwargs):
             raise AssertionError("a 2^bits table was built")
 
-        for name in ("cyclic_edge_shift_rule", "model_b_transfer"):
+        for name in ("lift_pattern_rule", "model_b_transfer"):
             monkeypatch.setattr(ising, name, no_table)
         cfg = write_json(tmp_path / "c.json", {
             "kind": "ising-b", "topology": {"preset": "ring", "n_vertices": 13},
@@ -853,11 +855,12 @@ class TestIsing:
     def test_large_run_builds_no_full_size_table(self, tmp_path, capsys, monkeypatch, rule):
         topo = ising.GraphTopology.ring(9)  # 18 bits
         if rule == "frozen":
-            lifted = ising.frozen_edges_rule(topo)
+            pattern = ising.frozen_pattern_rule(topo)
         elif rule == "cyclic":
-            lifted = ising.cyclic_edge_shift_rule(topo)
+            pattern = ising.cyclic_pattern_rule(topo)
         else:
-            lifted = ising.seeded_edge_permutation_rule(topo, 11)
+            pattern = ising.seeded_pattern_rule(topo, 11)
+        lifted = ising.lift_pattern_rule(topo, pattern)
         combined = ising.edge_update_compose(ising.model_b_transfer(topo), lifted, topo)
         start = ising.SpinConfiguration.from_strings("110010001", "101000011")
         index, phase, rows = start.basis_index, 0, []
@@ -870,8 +873,7 @@ class TestIsing:
         def no_table(*args, **kwargs):
             raise AssertionError("a 2^bits table was built")
 
-        for name in ("model_b_transfer", "frozen_edges_rule", "cyclic_edge_shift_rule",
-                     "seeded_edge_permutation_rule"):
+        for name in ("model_b_transfer", "lift_pattern_rule"):
             monkeypatch.setattr(ising, name, no_table)
         cfg = write_json(tmp_path / "c.json", {
             "kind": "ising-b", "topology": {"preset": "ring", "n_vertices": 9},

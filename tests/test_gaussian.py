@@ -163,6 +163,100 @@ class TestVectors:
         assert GaussianIntVector([(1, -2), [3, 0]]) == gvec((1, -2), (3, 0))
 
 
+BAD_COMPONENTS = [True, False, 2.0, 1.5, 2 + 0j, 1.5 + 0j, "2"]
+COMPONENT_POSITIONS = {
+    "GaussianInt re": lambda bad: GaussianInt(bad, 0),
+    "GaussianInt im": lambda bad: GaussianInt(0, bad),
+    "operand +": lambda bad: GaussianInt(1, 1) + bad,
+    "operand + (reflected)": lambda bad: bad + GaussianInt(1, 1),
+    "operand -": lambda bad: GaussianInt(1, 1) - bad,
+    "operand - (reflected)": lambda bad: bad - GaussianInt(1, 1),
+    "operand *": lambda bad: GaussianInt(1, 1) * bad,
+    "operand * (reflected)": lambda bad: bad * GaussianInt(1, 1),
+    "vector scalar": lambda bad: GaussianIntVector([1, bad]),
+    "vector pair re": lambda bad: GaussianIntVector([(1, 0), (bad, 0)]),
+    "vector pair im": lambda bad: GaussianIntVector([(1, 0), [0, bad]]),
+    "vector scaled": lambda bad: gvec((1, 1)).scaled(bad),
+    "from_xp": lambda bad: from_xp([1, bad], [0, 0]),
+}
+
+
+class TestOneInputRule:
+    """A Gaussian-integer component is an exact int; bool, float, complex and
+    str are refused with TypeError wherever a component is read."""
+
+    @pytest.mark.parametrize("bad", BAD_COMPONENTS, ids=repr)
+    @pytest.mark.parametrize("position", COMPONENT_POSITIONS)
+    def test_refused(self, position, bad):
+        with pytest.raises(TypeError):
+            COMPONENT_POSITIONS[position](bad)
+
+    @pytest.mark.parametrize("bad", BAD_COMPONENTS, ids=repr)
+    def test_never_equal(self, bad):
+        assert GaussianInt(1, 0) != bad
+        assert GaussianInt(2, 0) != bad
+
+    def test_ints_still_read(self):
+        assert GaussianIntVector([2, (1, -1), [0, 3], GaussianInt(4, 5)]) == gvec(
+            (2, 0), (1, -1), (0, 3), (4, 5)
+        )
+        assert GaussianInt(1, 1) * 2 == 2 * GaussianInt(1, 1) == GaussianInt(2, 2)
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two equally long lists of wide (re, im) pairs, the second often a copy."""
+    entry = st.tuples(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70))
+    dim = draw(st.integers(min_value=1, max_value=6))
+    u = draw(st.lists(st.one_of(st.just((0, 0)), entry), min_size=dim, max_size=dim))
+    v = draw(st.one_of(st.just(list(u)), st.lists(entry, min_size=dim, max_size=dim)))
+    return u, v
+
+
+class TestVectorAgainstComponentwise:
+    """Every vector operation against a tuple of GaussianInt components."""
+
+    @given(vector_pairs(), st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+           st.integers(-8, 8), st.integers(-8, 8), st.sampled_from([None, 1, 2, -1]))
+    @settings(max_examples=150, deadline=None)
+    def test_operations(self, pairs, scalar, start, stop, stride):
+        ru = tuple(GaussianInt(a, b) for a, b in pairs[0])
+        rv = tuple(GaussianInt(a, b) for a, b in pairs[1])
+        u, v = GaussianIntVector(pairs[0]), GaussianIntVector(pairs[1])
+        s = GaussianInt(*scalar)
+
+        assert (u + v).components == tuple(a + b for a, b in zip(ru, rv))
+        assert (u - v).components == tuple(a - b for a, b in zip(ru, rv))
+        assert (-u).components == tuple(-a for a in ru)
+        assert u.scaled(s).components == tuple(s * a for a in ru)
+        assert u.scaled(scalar[0]).components == tuple(scalar[0] * a for a in ru)
+        assert u.dot_conj(v) == sum((a.conjugate() * b for a, b in zip(ru, rv)), GaussianInt())
+        assert u.norm_sq() == sum(a.norm_sq() for a in ru)
+        assert u.is_zero() == all(a.is_zero() for a in ru)
+        assert (u == v) == (ru == rv)
+        assert (u != v) == (ru != rv)
+        assert u == GaussianIntVector(ru) and hash(u) == hash(GaussianIntVector(ru))
+        assert len(u) == len(ru)
+        assert list(u) == list(ru)
+        assert all(type(c) is GaussianInt for c in u.components)
+        assert u.components == ru
+        for k in range(-len(ru), len(ru)):
+            assert u[k] == ru[k]
+        assert u[start:stop:stride] == ru[start:stop:stride]
+        assert to_xp(u) == (tuple(a.re for a in ru), tuple(a.im for a in ru))
+        assert from_xp(*to_xp(u)) == u
+        assert u.as_complex() == [complex(a) for a in ru]
+        assert repr(u) == f"GaussianIntVector([{', '.join(str(a) for a in ru)}])"
+
+    def test_dimension_mismatch_and_bad_index(self):
+        u = gvec((1, 0), (0, 1))
+        for op in (u.__add__, u.__sub__, u.dot_conj):
+            with pytest.raises(DimensionMismatch):
+                op(gvec((1, 0)))
+        with pytest.raises(IndexError):
+            u[2]
+
+
 # =============================================================================
 # Model validation
 # =============================================================================

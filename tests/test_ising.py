@@ -22,23 +22,21 @@ from ontoca.ising import (
     SpinConfiguration,
     build_generator_blocks,
     commutator_report,
-    cyclic_edge_shift_rule,
     cyclic_pattern_rule,
     edge_pattern_masks,
     edge_update_compose,
     exponential_identity_holds,
-    frozen_edges_rule,
     frozen_pattern_rule,
     gauge_check,
     global_vertex_flip,
     lift_pattern_rule,
+    model_a_composition_holds,
     model_a_evolve,
     model_a_step_operator,
     model_b_evolve,
     model_b_factor,
     model_b_transfer,
     projector_identity_check,
-    seeded_edge_permutation_rule,
     seeded_pattern_rule,
     verify_exponential_form,
     vertex_sign_flip,
@@ -325,6 +323,19 @@ class TestDrivenModel:
         assert target == run[-1][0].basis_index
         assert phase == run[-1][1]
 
+    @pytest.mark.parametrize("steps", [1, 2, 25])
+    def test_composition_check_accepts_the_run_only(self, steps):
+        topo = GraphTopology.fully_connected(3)
+        schedule = Schedule.seeded_random(99, topo.edges)
+        start = SpinConfiguration.from_strings("010")
+        assert model_a_composition_holds(topo, schedule, model_a_evolve(topo, start, schedule, 0))
+        run = model_a_evolve(topo, start, schedule, steps)
+        assert model_a_composition_holds(topo, schedule, run)
+        last, phase = run[-1]
+        assert not model_a_composition_holds(topo, schedule, run[:-1] + [(last, (phase + 1) % 4)])
+        moved = SpinConfiguration.from_index(last.basis_index ^ 1, topo.n_vertices)
+        assert not model_a_composition_holds(topo, schedule, run[:-1] + [(moved, phase)])
+
     def test_outputs_are_always_single_basis_states(self):
         topo = GraphTopology.ring(4)
         schedule = Schedule.seeded_random(3, topo.edges)
@@ -394,10 +405,8 @@ class TestTransferModel:
             assert acc == model_b_transfer(topo)
 
     def test_dimension_overflow(self):
-        with pytest.raises(DimensionOverflow):
-            model_b_transfer(GraphTopology.fully_connected(7))
-        with pytest.raises(DimensionOverflow):
-            model_b_transfer(GraphTopology.fully_connected(3), max_bits=5)
+        with pytest.raises(DimensionOverflow, match="the 24-bit limit"):
+            model_b_transfer(GraphTopology.fully_connected(7))  # 7 + 21 = 28 bits
 
 
 class TestExponentialForm:
@@ -594,23 +603,26 @@ class TestEdgeRules:
     def test_identity_rule_returns_transfer(self):
         topo = GraphTopology.ring(3)
         transfer = model_b_transfer(topo)
-        assert edge_update_compose(transfer, frozen_edges_rule(topo), topo) == transfer
+        frozen = lift_pattern_rule(topo, frozen_pattern_rule(topo))
+        assert edge_update_compose(transfer, frozen, topo) == transfer
 
     def test_cyclic_shift_keeps_phases(self):
         topo = GraphTopology.ring(3)
         transfer = model_b_transfer(topo)
-        combined = edge_update_compose(transfer, cyclic_edge_shift_rule(topo), topo)
+        cyclic = lift_pattern_rule(topo, cyclic_pattern_rule(topo))
+        combined = edge_update_compose(transfer, cyclic, topo)
         assert combined.is_unitary()
         assert set(combined.phase_exponent) == {3}
 
     def test_seeded_rule_is_reproducible(self):
         topo = GraphTopology.ring(3)
-        assert seeded_edge_permutation_rule(topo, 5) == seeded_edge_permutation_rule(topo, 5)
-        assert seeded_edge_permutation_rule(topo, 5) != seeded_edge_permutation_rule(topo, 6)
+        assert seeded_pattern_rule(topo, 5) == seeded_pattern_rule(topo, 5)
+        assert seeded_pattern_rule(topo, 5) != seeded_pattern_rule(topo, 6)
 
     def test_frozen_single_edge_period_four(self):
         topo = GraphTopology.fully_connected(2)
-        combined = edge_update_compose(model_b_transfer(topo), frozen_edges_rule(topo), topo)
+        frozen = lift_pattern_rule(topo, frozen_pattern_rule(topo))
+        combined = edge_update_compose(model_b_transfer(topo), frozen, topo)
         for start_vertices in ("00", "01", "10", "11"):
             start = SpinConfiguration.from_strings(start_vertices, "1").basis_index
             index, phase = start, 0
@@ -648,10 +660,12 @@ def old_full_size_rule(topo, rule_name, seed):
 
 def pattern_and_lifted(topo, rule_name, seed):
     if rule_name == "frozen":
-        return frozen_pattern_rule(topo), frozen_edges_rule(topo)
-    if rule_name == "cyclic":
-        return cyclic_pattern_rule(topo), cyclic_edge_shift_rule(topo)
-    return seeded_pattern_rule(topo, seed), seeded_edge_permutation_rule(topo, seed)
+        pattern = frozen_pattern_rule(topo)
+    elif rule_name == "cyclic":
+        pattern = cyclic_pattern_rule(topo)
+    else:
+        pattern = seeded_pattern_rule(topo, seed)
+    return pattern, lift_pattern_rule(topo, pattern)
 
 
 class TestEdgePatternRoute:
@@ -685,7 +699,6 @@ class TestEdgePatternRoute:
     def test_lifted_rules_equal_the_full_size_formula(self, topo, rule_name, seed):
         pattern, lifted = pattern_and_lifted(topo, rule_name, seed)
         assert lifted == old_full_size_rule(topo, rule_name, seed)
-        assert lifted == lift_pattern_rule(topo, pattern)
         combined = edge_update_compose(model_b_transfer(topo), lifted, topo)
         assert pattern.is_unitary() == combined.is_unitary()
 
@@ -699,7 +712,7 @@ class TestEdgePatternRoute:
 
     def test_orbit_builds_no_full_size_table(self, monkeypatch):
         topo = GraphTopology.ring(12)  # 24 bits; edges (0,1), (0,11), (1,2), (2,3), ...
-        for name in ("model_b_transfer", "cyclic_edge_shift_rule", "lift_pattern_rule"):
+        for name in ("model_b_transfer", "lift_pattern_rule"):
             monkeypatch.setattr(ising, name, None)
         config = SpinConfiguration.from_strings("1" + "0" * 11, "1" + "0" * 11)
         orbit = model_b_evolve(topo, config, cyclic_pattern_rule(topo), 3)

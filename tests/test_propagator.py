@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ontoca import gaussian, propagator
+from ontoca import gaussian
 from ontoca.errors import CriticalSpectrum
 from ontoca.gaussian import (
     CAPairState,
@@ -331,8 +331,9 @@ class TestTransferKernelAgainstDense:
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_sequence_and_apply_box_no_matrix(self, data):
-        """T(k) stays raw rows: with the state boxing helper and the matrix
-        entry type made to raise, transfer_sequence and apply give the same vector."""
+        """T(k) stays raw rows and vectors stay raw pairs: with the construction
+        of every GaussianInt made to raise, transfer_sequence and apply give the
+        same vector."""
         model = data.draw(wide_model())
         k = data.draw(st.integers(min_value=0, max_value=12))
         j = data.draw(st.integers(min_value=0, max_value=k))
@@ -346,8 +347,7 @@ class TestTransferKernelAgainstDense:
             raise AssertionError("boxed inside transfer_sequence or apply")
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(gaussian, "_box", refuse)
-            patch.setattr(propagator, "GaussianInt", refuse)
+            patch.setattr(gaussian.GaussianInt, "__init__", refuse)
             got = transfer_sequence(model, k)[j].apply(v)
         assert got == expected
 
