@@ -1,5 +1,6 @@
 """Layer micro-benchmark: the wall time of one call of each exact kernel, of
-the boxing layer and of the CLI parser build.
+the boxing layer, of the ontology scan's ray division, of a trajectory check
+and its CSV, and of the CLI parser build.
 
     python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
 
@@ -41,6 +42,10 @@ ROWS = {
     "permutation_power": "PhasedPermutation.power(64), random 16-bit phased permutation",
     "lattice_stencil": "gup momentum operator apply, 256 sites, periodic",
     "state_boxing": "Trajectory.states of a 3-state dim-64 ring trajectory, every component read",
+    "canonical_ray": "ontology.canonical_ray of a dim-64 vector with every component nonzero "
+                     "(the rational division behind the ontology scan)",
+    "trajectory_verify": "Trajectory.verify of a 50-step dim-64 ring trajectory",
+    "trajectory_csv": "serialize.trajectory_csv of that 50-step dim-64 ring trajectory",
     "transfer_check": "T(80).apply(psi[1]) + T(79).apply(psi[0]) == psi[79], the dense dim-12 "
                       "model (T entries and psi[79] of about 300 bits)",
     "build_parser_first": "cli.build_parser, first call in a fresh process (one sample each)",
@@ -57,7 +62,7 @@ def _calls():
     """Zero-argument callables, one per row, with their inputs built untimed."""
     import random
 
-    from ontoca import cli, gup, ising, propagator
+    from ontoca import cli, gup, ising, ontology, propagator, serialize
     from ontoca.gaussian import CAPairState, GaussianIntVector, _step_raw, build_hamiltonian, evolve
 
     rng = random.Random(12)
@@ -69,8 +74,9 @@ def _calls():
     ring = build_hamiltonian(s, [[0] * dim for _ in range(dim)])
     prev = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(dim)]
     curr = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(dim)]
-    # the boxing rows use public API only, so every tree can run them
+    # the boxing, ray, check and CSV rows use public API only, so every tree can run them
     ring_run = evolve(CAPairState(GaussianIntVector(prev), GaussianIntVector(curr)), ring, 1)
+    ring_long = evolve(CAPairState(GaussianIntVector(prev), GaussianIntVector(curr)), ring, 50)
 
     dim = 12
     s = [[0] * dim for _ in range(dim)]
@@ -87,6 +93,8 @@ def _calls():
     dense_run = evolve(CAPairState(*start), dense, 78)
     psi0, psi1, psi79 = (dense_run.state_at(n) for n in (0, 1, 79))
     t79, t80 = propagator.transfer_sequence(dense, 80)[79:]
+    # drawn after the inputs of the older rows, which so stay as they were
+    full = GaussianIntVector((rng.randint(1, 9), rng.randint(-9, 9)) for _ in range(64))
 
     topology = ising.GraphTopology.ring(12)
     first = ising.model_a_step_operator(topology, (0, 1))
@@ -105,6 +113,9 @@ def _calls():
         "permutation_power": lambda: perm.power(64),
         "lattice_stencil": lambda: momentum.apply(psi),
         "state_boxing": lambda: [c.re for state in ring_run.states for c in state],
+        "canonical_ray": lambda: ontology.canonical_ray(full),
+        "trajectory_verify": ring_long.verify,
+        "trajectory_csv": lambda: serialize.trajectory_csv(ring_long),
         "transfer_check": lambda: t80.apply(psi1) + t79.apply(psi0) == psi79,
         "build_parser": cli.build_parser,
     }

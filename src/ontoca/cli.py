@@ -243,16 +243,11 @@ def cmd_dispersion(args) -> int:
     dec = propagator.phi_operator(model)
     rows = []
     worst = 0.0
-    import numpy as np
-
     h = model.as_complex_array()
-    for k, lam in enumerate(dec.eigenvalues):
-        omega = propagator.dispersion_omega(lam)
+    for k, (lam, omega) in enumerate(zip(dec.eigenvalues, dec.phi_eigenvalues)):
         rows.append((lam, omega.real, omega.imag))
         if abs(lam) <= 2:
-            vec = dec.eigenvectors[:, k]
-            res = np.exp(-1j * omega * 2) * vec - vec + 1j * (h @ (np.exp(-1j * omega) * vec))
-            worst = max(worst, float(np.max(np.abs(res))))
+            worst = max(worst, propagator.stationary_residual(h, omega, dec.eigenvectors[:, k], 1))
     stages.mark("modes")
     out = _write_out(config, serialize.dispersion_csv(rows), "dispersion.csv")
     stages.mark("write")

@@ -36,40 +36,61 @@ def _exact_int(x) -> int:
     return x
 
 
-class GaussianInt:
-    """Complex number with arbitrary-precision integer components."""
+def _exact_rational(x) -> Fraction:
+    """The one input rule for Gaussian-rational components: an exact int or
+    Fraction, stored as a Fraction.  bool, float, complex and str are refused."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise TypeError(f"a Gaussian-rational component must be an int or a Fraction, got {x!r}")
+
+
+class _GaussianScalar:
+    """The complex arithmetic shared by GaussianInt and GaussianRational.
+
+    Each subclass's __init__ applies its component rule to re and im.  An
+    operation between the two classes, in either order, gives a
+    GaussianRational; any other operand is read by the class's `_coerce`.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: int = 0, im: int = 0):
-        object.__setattr__(self, "re", _exact_int(re))
-        object.__setattr__(self, "im", _exact_int(im))
-
     def __setattr__(self, name, value):
-        raise AttributeError("GaussianInt is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def _coerce(value) -> "GaussianInt":
-        if isinstance(value, GaussianInt):
+    @classmethod
+    def _coerce(cls, value):
+        """`value` as this class: a Gaussian scalar, or a bare component."""
+        if type(value) is cls:
             return value
-        return GaussianInt(value, 0)
+        if isinstance(value, _GaussianScalar):
+            return cls(value.re, value.im)
+        return cls(value, 0)
+
+    def _operand(self, other):
+        """`other` as a scalar, and the class of the result."""
+        if isinstance(other, _GaussianScalar):
+            return other, GaussianRational if type(other) is GaussianRational else type(self)
+        return self._coerce(other), type(self)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return GaussianInt(self.re + other.re, self.im + other.im)
+        other, cls = self._operand(other)
+        return cls(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return GaussianInt(self.re - other.re, self.im - other.im)
+        other, cls = self._operand(other)
+        return cls(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other, cls = self._operand(other)
+        return cls(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return GaussianInt(
+        other, cls = self._operand(other)
+        return cls(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -77,19 +98,19 @@ class GaussianInt:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaussianInt(-self.re, -self.im)
+        return type(self)(-self.re, -self.im)
 
-    def times_i(self) -> "GaussianInt":
+    def times_i(self):
         """Multiply by i: (re, im) -> (-im, re)."""
-        return GaussianInt(-self.im, self.re)
+        return type(self)(-self.im, self.re)
 
-    def times_minus_i(self) -> "GaussianInt":
-        return GaussianInt(self.im, -self.re)
+    def times_minus_i(self):
+        return type(self)(self.im, -self.re)
 
-    def conjugate(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
+    def conjugate(self):
+        return type(self)(self.re, -self.im)
 
-    def norm_sq(self) -> int:
+    def norm_sq(self):
         return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
@@ -97,7 +118,7 @@ class GaussianInt:
 
     def __eq__(self, other):
         try:
-            other = self._coerce(other)
+            other, _ = self._operand(other)
         except TypeError:
             return NotImplemented
         return self.re == other.re and self.im == other.im
@@ -109,57 +130,30 @@ class GaussianInt:
         return complex(self.re, self.im)
 
     def __repr__(self):
-        return f"GaussianInt({self.re}, {self.im})"
+        return f"{type(self).__name__}({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return format_exact_complex(self.re, self.im)
 
 
-class GaussianRational:
+class GaussianInt(_GaussianScalar):
+    """Complex number with arbitrary-precision integer components."""
+
+    __slots__ = ()
+
+    def __init__(self, re: int = 0, im: int = 0):
+        object.__setattr__(self, "re", _exact_int(re))
+        object.__setattr__(self, "im", _exact_int(im))
+
+
+class GaussianRational(_GaussianScalar):
     """Complex number with exact rational components (used for rays and phases)."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ()
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def _coerce(value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, GaussianInt):
-            return GaussianRational(value.re, value.im)
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value, 0)
-        if isinstance(value, complex):
-            return GaussianRational(Fraction(value.real), Fraction(value.imag))
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
+        object.__setattr__(self, "re", _exact_rational(re))
+        object.__setattr__(self, "im", _exact_rational(im))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -171,36 +165,8 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / denom,
         )
 
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def times_i(self) -> "GaussianRational":
-        return GaussianRational(-self.im, self.re)
-
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        return format_exact_complex(self.re, self.im)
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
 
 
 def format_exact_complex(re, im) -> str:

@@ -98,16 +98,12 @@ class LatticeState:
         return len(self.amplitudes)
 
 
-def gaussian_envelope(
-    size: int, width: float, center: float = 0.0, carrier: float = 0.0
-) -> LatticeState:
-    """Normalized Gaussian envelope of the given width in sites, optional
-    plane-wave carrier (radians per site)."""
+def gaussian_envelope(size: int, width: float) -> LatticeState:
+    """Normalized real Gaussian envelope of the given width in sites, centered on site 0."""
     if width <= 0:
         raise ValueError("width must be positive")
     m = site_labels(size)
-    env = np.exp(-((m - center) ** 2) / (4.0 * width**2))
-    return LatticeState.from_amplitudes(env * np.exp(1j * carrier * m))
+    return LatticeState.from_amplitudes(np.exp(-(m**2) / (4.0 * width**2)))
 
 
 def single_site_state(size: int, site: int) -> LatticeState:

@@ -32,7 +32,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -629,31 +629,14 @@ def exponential_identity_holds(topology: GraphTopology) -> bool:
     return composed == model_b_transfer(topology)
 
 
-def gauge_check(
-    transform: Union[PhasedPermutation, np.ndarray],
-    topology: GraphTopology,
-    tol: float = 1e-10,
-) -> tuple[bool, float]:
-    """Does `transform` commute with the edge-gated transfer map?
-
-    Exact for phased permutations; dense unitaries are compared entrywise
-    with the given tolerance.
-    """
+def gauge_check(transform: PhasedPermutation, topology: GraphTopology) -> tuple[bool, float]:
+    """Does `transform` commute with the edge-gated transfer map?  Exact."""
     transfer = model_b_transfer(topology)
-    if isinstance(transform, PhasedPermutation):
-        if transform.size != transfer.size:
-            raise DimensionMismatch(
-                f"transform size {transform.size} vs state space {transfer.size}"
-            )
-        return commutator_report(transform, transfer)
-    dense = np.asarray(transform, dtype=complex)
-    if dense.shape != (transfer.size, transfer.size):
+    if transform.size != transfer.size:
         raise DimensionMismatch(
-            f"transform shape {dense.shape} vs state space {transfer.size}"
+            f"transform size {transform.size} vs state space {transfer.size}"
         )
-    t = transfer.to_dense()
-    worst = max_abs(dense @ t - t @ dense)
-    return worst <= tol, worst
+    return commutator_report(transform, transfer)
 
 
 def global_vertex_flip(topology: GraphTopology) -> PhasedPermutation:

@@ -16,6 +16,8 @@ rows of one flattened HamiltonianModel acting on raw (re, im) pairs.  Field
 components are ints, or Fractions where an initial field supplied
 non-integral values; the kernel is duck-typed, so those stay exact as well.
 Values are boxed to GaussianRational only where they leave this module.
+Every scalar input is read by GaussianRational._coerce: an int, Fraction,
+GaussianInt or GaussianRational, never a bool, float, complex or str.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from .gaussian import (GaussianIntVector, GaussianRational, HamiltonianModel, Tr
                        _matvec_raw, _step_raw, build_hamiltonian)
 
 Point = tuple[int, int]
+
+SCHMIDT_REL_TOL = 1e-10
 
 
 # =============================================================================
@@ -488,8 +492,9 @@ def norm_sq_exact(vec) -> GaussianRational:
 # =============================================================================
 
 
-def schmidt_rank(state, dims: tuple[int, int], rel_tol: float = 1e-10) -> int:
-    """Rank of the d1 x d2 reshaped state; 1 means uncorrelated."""
+def schmidt_rank(state, dims: tuple[int, int]) -> int:
+    """Rank of the d1 x d2 reshaped state; 1 means uncorrelated.  Singular values
+    below SCHMIDT_REL_TOL times the largest count as zero."""
     d1, d2 = dims
     vec = [complex(GaussianRational._coerce(c)) for c in state]
     if len(vec) != d1 * d2:
@@ -497,7 +502,7 @@ def schmidt_rank(state, dims: tuple[int, int], rel_tol: float = 1e-10) -> int:
     sv = np.linalg.svd(np.array(vec).reshape(d1, d2), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > SCHMIDT_REL_TOL * sv[0]))
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ def phi_operator(model: HamiltonianModel) -> SpectralDecomposition:
     return SpectralDecomposition(
         eigenvalues=tuple(float(x) for x in evals),
         eigenvectors=vecs,
-        phi_eigenvalues=tuple(cmath.asin(complex(lam) / 2.0) for lam in evals),
+        phi_eigenvalues=tuple(dispersion_omega(lam) for lam in evals),
         reconstruction_error=err,
     )
 
@@ -194,6 +194,16 @@ def dispersion_omega(lam: float) -> complex:
     Real for |lambda| <= 2; complex (growing mode) beyond.
     """
     return cmath.asin(complex(lam) / 2.0)
+
+
+def stationary_residual(h: np.ndarray, omega: complex, vec: np.ndarray, n: int) -> float:
+    """Largest entry of psi[n+1] - psi[n-1] + i H psi[n] for the stationary mode
+    psi[n] = exp(-i omega n) vec, where vec is an eigenvector of H and omega its
+    dispersion_omega; zero up to roundoff."""
+    psi_prev = np.exp(-1j * omega * (n - 1)) * vec
+    psi_cur = np.exp(-1j * omega * n) * vec
+    psi_next = np.exp(-1j * omega * (n + 1)) * vec
+    return max_abs(psi_next - psi_prev + 1j * (h @ psi_cur))
 
 
 def _as_complex_vec(v, dim) -> np.ndarray:

@@ -26,6 +26,7 @@ from .multitime import MultiTimeField
 from .ontology import preset_hamiltonian, preset_names
 
 SCHEMA_VERSION = 1
+JSON_INDENT = 2
 
 
 # =============================================================================
@@ -39,18 +40,18 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps_json(obj, indent: int = 2) -> str:
+def dumps_json(obj) -> str:
     out: list[str] = []
-    _emit(obj, out, 0, indent)
+    _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj, out: list[str], level: int, indent: int):
+def _emit(obj, out: list[str], level: int):
     if type(obj).__module__ == "numpy":
         obj = obj.item()
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+    pad = " " * (JSON_INDENT * (level + 1))
+    closing = " " * (JSON_INDENT * level)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -70,7 +71,7 @@ def _emit(obj, out: list[str], level: int, indent: int):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
             out.append(pad + json.dumps(key) + ": ")
-            _emit(value, out, level + 1, indent)
+            _emit(value, out, level + 1)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(closing + "}")
     elif isinstance(obj, (list, tuple)):
@@ -80,7 +81,7 @@ def _emit(obj, out: list[str], level: int, indent: int):
         out.append("[\n")
         for k, value in enumerate(obj):
             out.append(pad)
-            _emit(value, out, level + 1, indent)
+            _emit(value, out, level + 1)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(closing + "]")
     else:
@@ -348,10 +349,6 @@ def model_to_mapping(model: HamiltonianModel) -> dict:
     }
 
 
-def load_model_file(path) -> HamiltonianModel:
-    return model_from_mapping(load_json_file(path), origin=str(path))
-
-
 def topology_from_mapping(data: dict, origin: str = "topology") -> GraphTopology:
     """Topology schema: {n_vertices, edges: [[i, j], ...]} or {preset, n_vertices}."""
     config_mapping(data, origin, ("preset", "n_vertices") if "preset" in data
@@ -374,10 +371,6 @@ def topology_from_mapping(data: dict, origin: str = "topology") -> GraphTopology
         raise ConfigInvalid(origin, str(exc)) from None
 
 
-def load_topology_file(path) -> GraphTopology:
-    return topology_from_mapping(load_json_file(path), origin=str(path))
-
-
 def schedule_from_mapping(data: dict, origin: str = "schedule") -> Schedule:
     """Schedule schema: {kind, steps: [[i, j, sign], ...]} or {kind, seed, pool}."""
     try:
@@ -397,7 +390,3 @@ def schedule_from_mapping(data: dict, origin: str = "schedule") -> Schedule:
         raise
     except Exception as exc:
         raise ConfigInvalid(origin, str(exc)) from None
-
-
-def load_schedule_file(path) -> Schedule:
-    return schedule_from_mapping(load_json_file(path), origin=str(path))

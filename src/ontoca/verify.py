@@ -32,6 +32,9 @@ from .propagator import DiscretenessScale
 
 log = logging.getLogger("ontoca")
 
+SUBCRITICAL_RADIUS = 1.9  # spectral radius bound of random_subcritical_model
+SUBCRITICAL_ATTEMPTS = 2000
+
 EXPECTED_PAIR_FLIP_STATES = [
     # scalar multiples (re, im) of alternating basis vectors, from the exact
     # hand iteration of the two-state model
@@ -68,15 +71,14 @@ def random_vector(rng: random.Random, dim: int, lo: int = -5, hi: int = 5) -> Ga
     return GaussianIntVector((rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(dim))
 
 
-def random_subcritical_model(
-    rng: random.Random, dim: int, radius: float = 1.9, attempts: int = 2000
-) -> HamiltonianModel:
-    """Rejection-sample sparse integer models with spectrum inside |lambda| <= radius.
+def random_subcritical_model(rng: random.Random, dim: int) -> HamiltonianModel:
+    """Rejection-sample sparse integer models with spectrum inside
+    |lambda| <= SUBCRITICAL_RADIUS.
 
     Dense +/-1 matrices almost always exceed the critical eigenvalue 2, so
     candidates carry only a few nonzero couplings.
     """
-    for _ in range(attempts):
+    for _ in range(SUBCRITICAL_ATTEMPTS):
         s = [[0] * dim for _ in range(dim)]
         a = [[0] * dim for _ in range(dim)]
         for _ in range(rng.randint(1, dim)):
@@ -93,9 +95,11 @@ def random_subcritical_model(
                 a[c][r] = -val
         model = build_hamiltonian(s, a)
         evals = np.linalg.eigvalsh(model.as_complex_array())
-        if 1e-9 < max_abs(evals) <= radius:
+        if 1e-9 < max_abs(evals) <= SUBCRITICAL_RADIUS:
             return model
-    raise RuntimeError(f"no subcritical model of dim {dim} found in {attempts} draws")
+    raise RuntimeError(
+        f"no subcritical model of dim {dim} found in {SUBCRITICAL_ATTEMPTS} draws"
+    )
 
 
 # =============================================================================
@@ -270,14 +274,9 @@ def check_dispersion_stationary(seed: int):
         for k, lam in enumerate(dec.eigenvalues):
             if abs(lam) > 2:
                 continue
-            omega = propagator.dispersion_omega(lam)
-            vec = dec.eigenvectors[:, k]
+            omega, vec = dec.phi_eigenvalues[k], dec.eigenvectors[:, k]
             for n in range(1, 100):
-                psi_prev = np.exp(-1j * omega * (n - 1)) * vec
-                psi_cur = np.exp(-1j * omega * n) * vec
-                psi_next = np.exp(-1j * omega * (n + 1)) * vec
-                res = max_abs(psi_next - psi_prev + 1j * (h @ psi_cur))
-                worst = max(worst, res)
+                worst = max(worst, propagator.stationary_residual(h, omega, vec, n))
             modes += 1
     ok = worst <= 1e-10 and modes > 0
     return ok, {"modes": modes, "max_residual": worst}

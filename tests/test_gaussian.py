@@ -15,14 +15,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ontoca import multitime
 from ontoca.errors import DimensionMismatch, SymmetryViolation, ZeroVector
 from ontoca.gaussian import (
     CAPairState,
     GaussianInt,
     GaussianIntVector,
+    GaussianRational,
     Trajectory,
     build_hamiltonian,
     evolve,
+    format_exact_complex,
     from_xp,
     step,
     stream,
@@ -201,6 +204,152 @@ class TestOneInputRule:
             (2, 0), (1, -1), (0, 3), (4, 5)
         )
         assert GaussianInt(1, 1) * 2 == 2 * GaussianInt(1, 1) == GaussianInt(2, 2)
+
+
+PAIR_FLIP = multitime.TensorHamiltonian.general(
+    [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], (2, 2)
+)
+BAD_RATIONAL_COMPONENTS = [True, 0.5, 0.25 + 0j, "1/3"]
+RATIONAL_POSITIONS = {
+    "GaussianRational re": lambda bad: GaussianRational(bad, 0),
+    "GaussianRational im": lambda bad: GaussianRational(0, bad),
+    "operand +": lambda bad: GaussianRational(1, 1) + bad,
+    "operand + (reflected)": lambda bad: bad + GaussianRational(1, 1),
+    "operand -": lambda bad: GaussianRational(1, 1) - bad,
+    "operand - (reflected)": lambda bad: bad - GaussianRational(1, 1),
+    "operand *": lambda bad: GaussianRational(1, 1) * bad,
+    "operand * (reflected)": lambda bad: bad * GaussianRational(1, 1),
+    "operand /": lambda bad: GaussianRational(1, 1) / bad,
+    "operand / (reflected)": lambda bad: bad / GaussianRational(1, 1),
+    "_coerce": lambda bad: GaussianRational._coerce(bad),
+    "multitime._pair": lambda bad: multitime._pair(bad),
+    "as_exact_vector": lambda bad: multitime.as_exact_vector([1, bad], 2),
+    "TensorHamiltonian.apply": lambda bad: PAIR_FLIP.apply([bad, 0, 0, 0]),
+    "MultiTimeField values": lambda bad: multitime.MultiTimeField((2, 1), {(0, 0): [1, bad]}),
+    "sync_second_order prev":
+        lambda bad: multitime.sync_second_order([bad, 0, 0, 0], [0, 0, 0, 1], PAIR_FLIP),
+    "sync_second_order curr":
+        lambda bad: multitime.sync_second_order([1, 0, 0, 0], [0, 0, bad, 0], PAIR_FLIP),
+    "sync_first_order": lambda bad: multitime.sync_first_order([0, bad, 0, 0], PAIR_FLIP, 1),
+    "norm_sq_exact": lambda bad: multitime.norm_sq_exact([1, bad]),
+    "schmidt_rank": lambda bad: multitime.schmidt_rank([1, 0, 0, bad], (2, 2)),
+    "leibniz_identity_check phi1":
+        lambda bad: multitime.leibniz_identity_check([1, bad, 2], [1, 2, 3]),
+    "leibniz_identity_check phi2":
+        lambda bad: multitime.leibniz_identity_check([1, 2, 3], [1, 2, bad]),
+}
+
+
+class TestOneRationalInputRule:
+    """A Gaussian-rational component is an exact int or Fraction, and a rational
+    scalar input is one of those or a GaussianInt or GaussianRational; bool,
+    float, complex and str are refused with TypeError in every position."""
+
+    @pytest.mark.parametrize("bad", BAD_RATIONAL_COMPONENTS, ids=repr)
+    @pytest.mark.parametrize("position", RATIONAL_POSITIONS)
+    def test_refused(self, position, bad):
+        with pytest.raises(TypeError):
+            RATIONAL_POSITIONS[position](bad)
+
+    @pytest.mark.parametrize("bad", BAD_RATIONAL_COMPONENTS, ids=repr)
+    def test_never_equal(self, bad):
+        assert GaussianRational(1, 0) != bad
+        assert GaussianRational(Fraction(1, 4), 0) != bad
+
+    @pytest.mark.parametrize("good", [3, Fraction(3), GaussianInt(3, 0), GaussianRational(3)],
+                             ids=repr)
+    def test_exact_inputs_read(self, good):
+        value = GaussianRational._coerce(good)
+        assert type(value) is GaussianRational and value == 3
+        assert type(value.re) is Fraction and type(value.im) is Fraction
+        assert multitime.as_exact_vector([good, 0], 2) == (value, GaussianRational(0))
+        assert multitime.norm_sq_exact([good, 1]) == 10
+        assert GaussianRational(1, 1) + good == good + GaussianRational(1, 1) == GaussianRational(4, 1)
+
+
+def _ref(op, a, b):
+    """The componentwise reference: a op b on (re, im) pairs of int | Fraction."""
+    (ar, ai), (br, bi) = a, b
+    if op == "+":
+        return ar + br, ai + bi
+    if op == "-":
+        return ar - br, ai - bi
+    if op == "*":
+        return ar * br - ai * bi, ar * bi + ai * br
+    denom = br * br + bi * bi
+    return Fraction(ar * br + ai * bi) / denom, Fraction(ai * br - ar * bi) / denom
+
+
+def _parts(x):
+    if isinstance(x, (GaussianInt, GaussianRational)):
+        return x.re, x.im
+    return x, 0
+
+
+small_fraction = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+gaussian_scalars = st.one_of(
+    st.builds(GaussianInt, st.integers(-40, 40), st.integers(-40, 40)),
+    st.builds(GaussianRational, st.one_of(st.integers(-40, 40), small_fraction),
+              st.one_of(st.integers(-40, 40), small_fraction)),
+)
+gaussian_operands = st.one_of(gaussian_scalars, st.integers(-40, 40), small_fraction)
+OPERATORS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y,
+             "/": lambda x, y: x / y}
+
+
+class TestScalarsAgainstComponentwise:
+    """GaussianInt and GaussianRational arithmetic, mixed operands in both
+    orders, against the componentwise pair reference."""
+
+    @given(gaussian_scalars, gaussian_operands, st.sampled_from(sorted(OPERATORS)),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_binary(self, scalar, operand, op, reflected):
+        x, y = (operand, scalar) if reflected else (scalar, operand)
+        if GaussianRational in (type(x), type(y)):
+            expected_type = GaussianRational
+        elif type(x) is Fraction or type(y) is Fraction or op == "/":
+            expected_type = None  # GaussianInt reads only ints and has no division
+        else:
+            expected_type = GaussianInt
+        if expected_type is None:
+            with pytest.raises(TypeError):
+                OPERATORS[op](x, y)
+            return
+        if op == "/" and _parts(y) == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                OPERATORS[op](x, y)
+            return
+        result = OPERATORS[op](x, y)
+        assert type(result) is expected_type
+        component = Fraction if expected_type is GaussianRational else int
+        assert type(result.re) is component and type(result.im) is component
+        assert (result.re, result.im) == _ref(op, _parts(x), _parts(y))
+
+    @given(gaussian_scalars)
+    @settings(max_examples=100, deadline=None)
+    def test_unary(self, z):
+        re, im = z.re, z.im
+        cls = type(z)
+        assert {type(re), type(im)} == {Fraction if cls is GaussianRational else int}
+        for result, expected in ((-z, (-re, -im)), (z.times_i(), (-im, re)),
+                                 (z.times_minus_i(), (im, -re)), (z.conjugate(), (re, -im))):
+            assert type(result) is cls and (result.re, result.im) == expected
+        assert z.norm_sq() == re * re + im * im
+        assert z.is_zero() == (re == 0 and im == 0)
+        assert complex(z) == complex(float(re), float(im))
+        assert str(z) == format_exact_complex(re, im)
+        assert eval(repr(z)) == z
+        other = GaussianRational(re, im) if cls is GaussianInt else z
+        assert z == other and hash(z) == hash(other)
+        if all(type(c) is int or c.denominator == 1 for c in (re, im)):
+            assert z == GaussianInt(int(re), int(im))
+            assert hash(z) == hash(GaussianInt(int(re), int(im)))
+
+    def test_immutable(self):
+        for z in (GaussianInt(1, 2), GaussianRational(1, 2)):
+            with pytest.raises(AttributeError):
+                z.re = 5
 
 
 @st.composite

@@ -586,13 +586,6 @@ class TestGauge:
         commutes, worst = gauge_check(PhasedPermutation.identity(8), topo)
         assert commutes and worst == 0.0
 
-    def test_dense_transform_path(self):
-        topo = GraphTopology.fully_connected(2)
-        dense = global_vertex_flip(topo).to_dense()
-        commutes, worst = gauge_check(dense, topo)
-        assert commutes
-        assert worst <= 1e-10
-
     def test_size_mismatch(self):
         topo = GraphTopology.fully_connected(2)
         with pytest.raises(DimensionMismatch):

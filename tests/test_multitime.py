@@ -55,6 +55,9 @@ PAIR_FLIP = (  # sigma1 (x) sigma1 on the flattened 2x2 index
 
 
 def exact(value):
+    """A Gaussian rational; a complex literal is read from its integer parts."""
+    if isinstance(value, complex):
+        return GaussianRational(int(value.real), int(value.imag))
     return GaussianRational._coerce(value)
 
 

@@ -20,9 +20,6 @@ from ontoca.serialize import (
     dumps_json,
     field_csv,
     format_float,
-    load_model_file,
-    load_schedule_file,
-    load_topology_file,
     model_from_mapping,
     model_to_mapping,
     parse_field_csv,
@@ -134,13 +131,14 @@ class TestModelSchema:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalid):
-            load_model_file(tmp_path / "missing.json")
+            serialize.config_document(str(tmp_path / "missing.json"), "model",
+                                      model_from_mapping)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "model.json"
         model = preset_hamiltonian("H4")
         atomic_write_text(path, dumps_json(model_to_mapping(model)))
-        assert load_model_file(path) == model
+        assert serialize.config_document(str(path), "model", model_from_mapping) == model
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -159,7 +157,8 @@ class TestTopologyAndSchedule:
     def test_topology_file(self, tmp_path):
         path = tmp_path / "topo.json"
         atomic_write_text(path, dumps_json({"n_vertices": 2, "edges": [[0, 1]]}))
-        assert load_topology_file(path).n_edges == 1
+        topo = serialize.config_document(str(path), "topology", topology_from_mapping)
+        assert topo.n_edges == 1
 
     def test_bad_topology(self):
         with pytest.raises(ConfigInvalid):
@@ -185,7 +184,8 @@ class TestTopologyAndSchedule:
         atomic_write_text(
             path, dumps_json({"kind": "explicit", "steps": [[0, 1, -1]]})
         )
-        assert load_schedule_file(path).active(0) == ((0, 1), -1)
+        explicit = serialize.config_document(str(path), "schedule", schedule_from_mapping)
+        assert explicit.active(0) == ((0, 1), -1)
 
     def test_bad_schedule(self):
         with pytest.raises(ConfigInvalid):
