@@ -1,6 +1,6 @@
 """Layer micro-benchmark: the wall time of one call of each exact kernel, of
 the boxing layer, of the ontology scan's ray division, of a trajectory check
-and its CSV, and of the CLI parser build.
+and its CSV, of the CLI parser build, and of two whole Ising CLI runs.
 
     python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
 
@@ -21,12 +21,15 @@ same work.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -50,6 +53,29 @@ ROWS = {
                       "model (T entries and psi[79] of about 300 bits)",
     "build_parser_first": "cli.build_parser, first call in a fresh process (one sample each)",
     "build_parser": "cli.build_parser, every later call (what each cli.main call pays)",
+    "ising_a_cli": "cli.main ising-a: 12 vertices, 14 edges, a periodic schedule over every "
+                   "edge, 48 steps (config read, orbit, composition check, CSV write)",
+    "ising_b_cli": "cli.main ising-b: ring of 9, so 9 vertex + 9 edge bits, cyclic edge rule, "
+                   "24 steps (config read, orbit, unitarity check, CSV write)",
+}
+
+ISING_A_EDGES = [[k, (k + 1) % 12] for k in range(12)] + [[0, 6], [3, 9]]
+CLI_CONFIGS = {
+    "ising_a_cli": {
+        "kind": "ising-a",
+        "topology": {"n_vertices": 12, "edges": ISING_A_EDGES},
+        "schedule": {"kind": "periodic",
+                     "steps": [[i, j, (-1) ** k] for k, (i, j) in enumerate(ISING_A_EDGES)]},
+        "start": "101100111000",
+        "steps": 48,
+    },
+    "ising_b_cli": {
+        "kind": "ising-b",
+        "topology": {"preset": "ring", "n_vertices": 9},
+        "start": {"vertices": "110010001", "edges": "101000011"},
+        "edge_rule": "cyclic",
+        "steps": 24,
+    },
 }
 
 
@@ -58,8 +84,25 @@ ROWS = {
 # =============================================================================
 
 
-def _calls():
-    """Zero-argument callables, one per row, with their inputs built untimed."""
+def _cli_call(cli, workdir: Path, name: str):
+    """A call of the public cli.main on the config of row `name`, written to
+    `workdir` untimed; the summary line stays off this process's stdout."""
+    doc = CLI_CONFIGS[name]
+    config = workdir / f"{name}.json"
+    config.write_text(json.dumps(doc))
+    argv = [doc["kind"], str(config), "--out", str(workdir / f"{name}.csv")]
+
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"{name}: cli.main {argv} did not exit 0")
+
+    return call
+
+
+def _calls(workdir: Path):
+    """Zero-argument callables, one per row, with their inputs built untimed;
+    the CLI rows read and write files in `workdir`."""
     import random
 
     from ontoca import cli, gup, ising, ontology, propagator, serialize
@@ -118,6 +161,7 @@ def _calls():
         "trajectory_csv": lambda: serialize.trajectory_csv(ring_long),
         "transfer_check": lambda: t80.apply(psi1) + t79.apply(psi0) == psi79,
         "build_parser": cli.build_parser,
+        **{name: _cli_call(cli, workdir, name) for name in CLI_CONFIGS},
     }
 
 
@@ -141,9 +185,10 @@ def child(src: str) -> dict:
     start = time.perf_counter()
     cli.build_parser()
     timings = {"build_parser_first": time.perf_counter() - start}
-    for name, call in _calls().items():
-        call()  # warm-up
-        timings[name] = _sample(call)
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, call in _calls(Path(workdir)).items():
+            call()  # warm-up
+            timings[name] = _sample(call)
     return timings
 
 

@@ -435,11 +435,12 @@ def cmd_multitime(args) -> int:
     return EXIT_OK if residual_ok else EXIT_INVARIANT
 
 
-def _spin_string(value, length: int, path: str) -> str:
-    """A bit string with one '0'/'1' character per vertex or edge."""
+def _spin_bits(value, length: int, path: str) -> int:
+    """A string of one '0'/'1' character per vertex or edge, as an int whose
+    bit k is character k."""
     if not isinstance(value, str) or len(value) != length or set(value) - {"0", "1"}:
         raise ConfigInvalid(path, f"expected {length} characters of '0'/'1', got {value!r}")
-    return value
+    return int(value[::-1] or "0", 2)
 
 
 def cmd_ising_a(args) -> int:
@@ -454,9 +455,8 @@ def cmd_ising_a(args) -> int:
         )
     schedule = serialize.config_document(config.get("schedule"), "schedule",
                                          serialize.schedule_from_mapping)
-    start = ising.SpinConfiguration.from_strings(
-        _spin_string(config.get("start", "0" * topology.n_vertices), topology.n_vertices, "start")
-    )
+    start = _spin_bits(config.get("start", "0" * topology.n_vertices), topology.n_vertices,
+                       "start")
     steps = serialize.config_int(config.get("steps", 8), "steps", minimum=0)
     _refuse_unread(config, "ising-a")
     stages = _StageLog("ising-a")
@@ -469,8 +469,8 @@ def cmd_ising_a(args) -> int:
     ok = ising.model_a_composition_holds(topology, schedule, run)
     stages.mark("check")
 
-    rows = [(n, conf.vertex_string, "", ph) for n, (conf, ph) in enumerate(run)]
-    out = _write_out(config, serialize.spin_trajectory_csv(rows), "ising_a.csv")
+    out = _write_out(config, serialize.spin_trajectory_csv(run, topology.n_vertices),
+                     "ising_a.csv")
     stages.mark("write")
     if stages.enabled:
         log.info("ising-a: vertices=%d steps=%d", topology.n_vertices, steps)
@@ -495,10 +495,9 @@ def cmd_ising_b(args) -> int:
         )
     start_cfg = serialize.config_mapping(config.get("start", {}), "start", ("vertices", "edges"))
     n_vertices, n_edges = topology.n_vertices, topology.n_edges
-    start = ising.SpinConfiguration.from_strings(
-        _spin_string(start_cfg.get("vertices", "0" * n_vertices), n_vertices, "start.vertices"),
-        _spin_string(start_cfg.get("edges", "0" * n_edges), n_edges, "start.edges"),
-    )
+    start = (_spin_bits(start_cfg.get("vertices", "0" * n_vertices), n_vertices, "start.vertices")
+             | _spin_bits(start_cfg.get("edges", "0" * n_edges), n_edges, "start.edges")
+             << n_vertices)
     steps = serialize.config_int(config.get("steps", 8), "steps", minimum=0)
     rule_spec = config.get("edge_rule", "frozen")
     stages = _StageLog("ising-b")
@@ -523,8 +522,8 @@ def cmd_ising_b(args) -> int:
         exp_dev = ising.verify_exponential_form(topology)
     stages.mark("check")
 
-    rows = [(n, conf.vertex_string, conf.edge_string, ph) for n, (conf, ph) in enumerate(run)]
-    out = _write_out(config, serialize.spin_trajectory_csv(rows), "ising_b.csv")
+    out = _write_out(config, serialize.spin_trajectory_csv(run, n_vertices, n_edges),
+                     "ising_b.csv")
     stages.mark("write")
     if stages.enabled:
         log.info("ising-b: bits=%d steps=%d edge_patterns=%d",

@@ -13,7 +13,6 @@ this module.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -124,7 +123,8 @@ class _GaussianScalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to the hash of the int or Fraction that a real scalar equals
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __complex__(self):
         return complex(self.re, self.im)
@@ -435,7 +435,7 @@ class HamiltonianModel:
 
 
 def _as_int_rows(matrix, name) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(operator.index(x) for x in row) for row in matrix)
+    rows = tuple(tuple(_exact_int(x) for x in row) for row in matrix)
     if not rows or any(len(row) != len(rows) for row in rows):
         raise DimensionMismatch(f"{name} must be a nonempty square matrix")
     return rows

@@ -266,8 +266,10 @@ def minimize_delta_x(
     realized minimum counts only members that actually satisfy the deformed
     bound; when none do (the generic lattice outcome) it is None and the
     tightness ratio lhs / deformed_rhs documents how close the family comes.
-    Raises FamilyTooNarrow when a realized minimum exists but sits on the
-    width-grid boundary, where widening the family could improve it.
+    Raises FamilyTooNarrow when a realized minimum exists but sits at the
+    narrow end of the width grid, where a narrower member could improve it.
+    DeltaX grows with the width, so a minimum at the wide end stands: a wider
+    member could only raise DeltaX.
     """
     widths = sorted(float(w) for w in widths)
     if not widths:
@@ -288,9 +290,9 @@ def minimize_delta_x(
         best = min(satisfying, key=lambda m: m.delta_x)
         realized_min_dx = best.delta_x
         realized_min_width = best.width
-        if best.width in (widths[0], widths[-1]) and len(widths) > 1:
+        if best.width == widths[0] and len(widths) > 1:
             raise FamilyTooNarrow(
-                f"realized minimum sits at the width-grid boundary ({best.width}); "
+                f"realized minimum sits at the narrow end of the width grid ({best.width}); "
                 f"extend the family"
             )
     tightest = max(members, key=lambda m: m.lhs / m.deformed_rhs)

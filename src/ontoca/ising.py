@@ -1,9 +1,10 @@
 """Multipartite two-state (Ising) spin models evolving by phased permutations.
 
 Spin configurations live on a graph: one bit per vertex, and for the
-edge-gated model one bit per edge.  A configuration is bit-packed into a
-basis index with vertex bits low and edge bits high (bit k = vertex k,
-bit N + e = edge number e; bit value 1 means spin up).  Every one-step map
+edge-gated model one bit per edge.  A configuration is its basis index,
+vertex bits low and edge bits high (bit k = vertex k, bit N + e = edge
+number e; bit value 1 means spin up), and an orbit is a list of
+(index, phase exponent) int pairs.  Every one-step map
 here sends a basis state to exactly one basis state times a fourth root of
 unity, so phases are tracked as integer exponents of i and the dynamics
 never leaves the configuration basis.  Such a map is a `PhasedPermutation`:
@@ -28,7 +29,6 @@ Two update families are provided:
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +43,7 @@ from .errors import (
     NotPermutation,
     ScheduleExhausted,
 )
+from .gaussian import _exact_int
 from .numerics import expm_hermitian, max_abs
 
 DEFAULT_MAX_BITS = 24
@@ -55,13 +56,14 @@ Edge = tuple[int, int]
 
 
 # =============================================================================
-# Topologies and configurations
+# Topologies and basis indices
 # =============================================================================
 
 
 def _sorted_pair(i, j) -> Edge:
-    """Two vertex labels as exact ints, smaller first; a float or string raises TypeError."""
-    i, j = operator.index(i), operator.index(j)
+    """Two vertex labels as exact ints, smaller first; a bool, float or string
+    raises TypeError."""
+    i, j = _exact_int(i), _exact_int(j)
     return (i, j) if i <= j else (j, i)
 
 
@@ -73,7 +75,7 @@ class GraphTopology:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        n_vertices = operator.index(self.n_vertices)
+        n_vertices = _exact_int(self.n_vertices)
         if n_vertices < 2:
             raise ValueError(f"need at least 2 vertices, got {n_vertices}")
         seen = set()
@@ -124,49 +126,12 @@ class GraphTopology:
         return cls(n, tuple((k, k + 1) for k in range(n - 1)))
 
 
-@dataclass(frozen=True)
-class SpinConfiguration:
-    vertex_bits: tuple[int, ...]
-    edge_bits: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        for b in (*self.vertex_bits, *self.edge_bits):
-            if b not in (0, 1):
-                raise ValueError(f"bits must be 0 or 1, got {b}")
-
-    @property
-    def basis_index(self) -> int:
-        idx = 0
-        for k, b in enumerate(self.vertex_bits):
-            idx |= b << k
-        n = len(self.vertex_bits)
-        for e, b in enumerate(self.edge_bits):
-            idx |= b << (n + e)
-        return idx
-
-    @classmethod
-    def from_index(cls, index: int, n_vertices: int, n_edges: int = 0) -> "SpinConfiguration":
-        if not 0 <= index < (1 << (n_vertices + n_edges)):
-            raise ValueError(f"index {index} out of range for {n_vertices}+{n_edges} bits")
-        return cls(
-            vertex_bits=tuple((index >> k) & 1 for k in range(n_vertices)),
-            edge_bits=tuple((index >> (n_vertices + e)) & 1 for e in range(n_edges)),
-        )
-
-    @classmethod
-    def from_strings(cls, vertex: str, edge: str = "") -> "SpinConfiguration":
-        return cls(
-            vertex_bits=tuple(int(c) for c in vertex),
-            edge_bits=tuple(int(c) for c in edge),
-        )
-
-    @property
-    def vertex_string(self) -> str:
-        return "".join(str(b) for b in self.vertex_bits)
-
-    @property
-    def edge_string(self) -> str:
-        return "".join(str(b) for b in self.edge_bits)
+def _start_index(index, bits: int) -> int:
+    """A start state: an exact int basis index in [0, 2**bits)."""
+    index = _exact_int(index)
+    if not 0 <= index < 1 << bits:
+        raise ValueError(f"basis index {index} out of range for {bits} bits")
+    return index
 
 
 # =============================================================================
@@ -342,7 +307,7 @@ class Schedule:
     def seeded_random(cls, seed: int, pool: Iterable[Edge]) -> "Schedule":
         return cls(
             kind="seeded_random",
-            seed=operator.index(seed),
+            seed=_exact_int(seed),
             pool=tuple(_sorted_pair(i, j) for i, j in pool),
         )
 
@@ -369,7 +334,7 @@ def _norm_steps(steps) -> tuple[tuple[int, int, int], ...]:
             sign = 1
         else:
             i, j, sign = entry
-        out.append((*_sorted_pair(i, j), operator.index(sign)))
+        out.append((*_sorted_pair(i, j), _exact_int(sign)))
     return tuple(out)
 
 
@@ -385,46 +350,41 @@ def model_a_step_operator(
     if sign not in (1, -1):
         raise ValueError(f"coefficient must be +1 or -1, got {sign}")
     x = np.arange(1 << topology.n_vertices, dtype=np.intp)
-    mask = topology.vertex_mask((min(active_edge), max(active_edge)))
+    mask = topology.vertex_mask(active_edge)
     # an XOR by a fixed mask is its own inverse, so a bijection by construction
     return _phased(x ^ mask, np.full(x.size, 3 if sign == 1 else 1, dtype=np.uint8))
 
 
 def model_a_evolve(
     topology: GraphTopology,
-    config: SpinConfiguration,
+    start: int,
     schedule: Schedule,
     steps: int,
-) -> list[tuple[SpinConfiguration, int]]:
+) -> list[tuple[int, int]]:
     """Exact basis-state trajectory with accumulated i**k phases.
 
-    Returns steps + 1 entries starting from (config, 0).  Superpositions can
-    never appear: each step is a pure permutation with a phase.
+    `start` is a basis index of the 2**V vertex bits.  Returns steps + 1
+    (index, phase exponent) pairs starting from (start, 0).  Superpositions
+    can never appear: each step is a pure permutation with a phase.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if config.edge_bits:
-        raise ValueError("externally driven model carries no edge bits")
-    if len(config.vertex_bits) != topology.n_vertices:
-        raise DimensionMismatch(
-            f"configuration has {len(config.vertex_bits)} vertices, topology {topology.n_vertices}"
-        )
-    index = config.basis_index
+    index = _start_index(start, topology.n_vertices)
     phase = 0
-    out = [(config, 0)]
+    out = [(index, 0)]
     for n in range(steps):
         edge, sign = schedule.active(n)
         topology.edge_number(edge)
-        index ^= topology.vertex_mask((min(edge), max(edge)))
+        index ^= topology.vertex_mask(edge)
         phase = (phase + (3 if sign == 1 else 1)) % 4
-        out.append((SpinConfiguration.from_index(index, topology.n_vertices), phase))
+        out.append((index, phase))
     return out
 
 
 def model_a_composition_holds(
     topology: GraphTopology,
     schedule: Schedule,
-    run: list[tuple[SpinConfiguration, int]],
+    run: list[tuple[int, int]],
 ) -> bool:
     """Whether the step operators of the schedule, composed over the run of
     `model_a_evolve`, send its first state to its last one with the same phase."""
@@ -432,8 +392,7 @@ def model_a_composition_holds(
     for n in range(len(run) - 1):
         edge, sign = schedule.active(n)
         composed = model_a_step_operator(topology, edge, sign).compose_after(composed)
-    target, phase = composed.apply(run[0][0].basis_index)
-    return target == run[-1][0].basis_index and phase == run[-1][1]
+    return composed.apply(run[0][0]) == run[-1]
 
 
 # =============================================================================
@@ -472,41 +431,36 @@ def edge_pattern_masks(topology: GraphTopology) -> np.ndarray:
 
 def model_b_evolve(
     topology: GraphTopology,
-    config: SpinConfiguration,
+    start: int,
     pattern_rule: PhasedPermutation,
     steps: int,
-) -> list[tuple[SpinConfiguration, int]]:
+) -> list[tuple[int, int]]:
     """Exact orbit of the transfer map followed by an edge-pattern rule.
 
-    One step sends (v, p) to (v ^ mask[p], rule.target[p]) with phase
-    exponent 3 + rule.phase_exponent[p], so the orbit costs O(steps) lookups
-    in 2**E-entry tables and no 2**bits table is built.  Returns steps + 1
-    entries starting from (config, 0), the orbit of
+    `start` is a basis index of the 2**(V+E) vertex and edge bits.  One step
+    sends (v, p) to (v ^ mask[p], rule.target[p]) with phase exponent
+    3 + rule.phase_exponent[p], so the orbit costs O(steps) lookups in
+    2**E-entry tables and no 2**bits table is built.  Returns steps + 1
+    (index, phase exponent) pairs starting from (start, 0), the orbit of
     `edge_update_compose(model_b_transfer(t), lift_pattern_rule(t, rule), t)`.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     n_vertices, n_edges = topology.n_vertices, topology.n_edges
-    if (len(config.vertex_bits), len(config.edge_bits)) != (n_vertices, n_edges):
-        raise DimensionMismatch(
-            f"configuration has {len(config.vertex_bits)}+{len(config.edge_bits)} bits, "
-            f"topology {n_vertices}+{n_edges}"
-        )
+    index = _start_index(start, n_vertices + n_edges)
     if pattern_rule.size != 1 << n_edges:
         raise DimensionMismatch(
             f"edge rule size {pattern_rule.size} vs {1 << n_edges} edge patterns"
         )
     masks = edge_pattern_masks(topology)
-    index = config.basis_index
     vertices, pattern = index & ((1 << n_vertices) - 1), index >> n_vertices
     phase = 0
-    out = [(config, 0)]
+    out = [(index, 0)]
     for _ in range(steps):
         vertices ^= int(masks[pattern])
         phase = (phase + 3 + int(pattern_rule.phase_exponent[pattern])) % 4
         pattern = int(pattern_rule.target[pattern])
-        index = vertices | (pattern << n_vertices)
-        out.append((SpinConfiguration.from_index(index, n_vertices, n_edges), phase))
+        out.append((vertices | (pattern << n_vertices), phase))
     return out
 
 
@@ -584,22 +538,20 @@ def verify_exponential_form(topology: GraphTopology) -> float:
     keep the edge bits, so the comparison runs on the 2**E edge-pattern
     blocks: one batched eigendecomposition of 2**V x 2**V blocks, the
     overlap summed and the deviation maximized over all blocks.  Entries
-    outside the blocks are exactly zero on both sides.
+    outside the blocks are exactly zero on both sides.  Exact block p sends
+    vertex bits v to v ^ edge_pattern_masks[p] with phase -i, so the 2**bits
+    transfer table is never built.
     """
     if topology.total_bits > EXPONENTIAL_FORM_MAX_BITS:
         raise DimensionOverflow(
             f"exponential form limited to {EXPONENTIAL_FORM_MAX_BITS} bits, "
             f"got {topology.total_bits}"
         )
-    transfer = model_b_transfer(topology)
-    n_v = topology.n_vertices
-    shape = (1 << topology.n_edges, 1 << n_v)
-    # model_b_transfer only XORs vertex bits, so each target stays in its block
-    rows = transfer.target.reshape(shape) & ((1 << n_v) - 1)
-    pattern, column = np.indices(shape)
+    masks = edge_pattern_masks(topology)[:, None]
+    v = np.arange(1 << topology.n_vertices)
     u = expm_hermitian(build_generator_blocks(topology), prefactor=-1j * np.pi / 2.0)
     exact = np.zeros_like(u)
-    exact[pattern, rows, column] = PHASES[transfer.phase_exponent].reshape(shape)
+    exact[np.arange(masks.size)[:, None], v ^ masks, v] = PHASES[3]
     overlap = np.vdot(exact, u)  # sum over blocks of trace(exact^H u)
     if abs(overlap) == 0.0:
         return max_abs(u - exact)

@@ -23,7 +23,6 @@ GaussianInt or GaussianRational, never a bool, float, complex or str.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -39,7 +38,7 @@ from .errors import (
     SymmetryViolation,
 )
 from .gaussian import (GaussianIntVector, GaussianRational, HamiltonianModel, Trajectory,
-                       _matvec_raw, _step_raw, build_hamiltonian)
+                       _exact_int, _matvec_raw, _step_raw, build_hamiltonian)
 
 Point = tuple[int, int]
 
@@ -118,7 +117,7 @@ class TensorHamiltonian:
     def general(cls, matrix, dims: Sequence[int]) -> "TensorHamiltonian":
         if not isinstance(matrix, HamiltonianModel):
             matrix = _hamiltonian(matrix)
-        return cls(dims=tuple(operator.index(d) for d in dims), model=matrix)
+        return cls(dims=tuple(_exact_int(d) for d in dims), model=matrix)
 
     @classmethod
     def separable(cls, *factors) -> "TensorHamiltonian":

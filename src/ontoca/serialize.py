@@ -160,9 +160,25 @@ def parse_field_csv(text: str, dims: tuple[int, int], origin: str = "field csv")
     return MultiTimeField(dims, staged)
 
 
-def spin_trajectory_csv(steps: list) -> str:
-    # rows of (step, vertex_bits, edge_bits, phase_exponent)
-    return _csv_text(["step", "vertex_bits", "edge_bits", "phase_exponent"], steps)
+def _bit_string(bits: int, length: int) -> str:
+    """`length` low bits of `bits` as '0'/'1' characters, bit k as character k."""
+    # a sentinel 1 above the top bit keeps the leading zeros, and length 0 gives ""
+    return format(bits & ((1 << length) - 1) | 1 << length, "b")[:0:-1]
+
+
+def spin_trajectory_csv(run, n_vertices: int, n_edges: int = 0) -> str:
+    """An Ising orbit of (basis index, phase exponent) pairs as rows of
+    (step, vertex_bits, edge_bits, phase_exponent).  Bit k of an index is
+    character k of vertex_bits and bit n_vertices + e character e of
+    edge_bits; an index with bits beyond those raises ValueError."""
+    bits = n_vertices + n_edges
+    rows = []
+    for n, (index, phase) in enumerate(run):
+        if not 0 <= index < 1 << bits:
+            raise ValueError(f"basis index {index} out of range for {bits} bits")
+        rows.append((n, _bit_string(index, n_vertices),
+                     _bit_string(index >> n_vertices, n_edges), phase))
+    return _csv_text(["step", "vertex_bits", "edge_bits", "phase_exponent"], rows)
 
 
 def dispersion_csv(rows) -> str:

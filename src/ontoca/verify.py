@@ -428,10 +428,10 @@ def check_spin_transfer_structure(seed: int):
 def check_driven_flips(seed: int):
     topo = ising.GraphTopology.path(3)
     schedule = ising.Schedule.periodic([(0, 1), (1, 2)])
-    start = ising.SpinConfiguration.from_strings("000")
     steps = 12
-    run = ising.model_a_evolve(topo, start, schedule, steps)
-    first_flips = run[1][0].vertex_string == "110" and run[2][0].vertex_string == "101"
+    run = ising.model_a_evolve(topo, 0, schedule, steps)
+    # vertex bits 110 then 101, vertex k as bit k
+    first_flips = run[1][0] == 0b011 and run[2][0] == 0b101
     matches = ising.model_a_composition_holds(topo, schedule, run)
     return first_flips and matches, {
         "steps": steps,
@@ -462,7 +462,7 @@ def check_edge_rules(seed: int):
     transfer = ising.model_b_transfer(topo)
     frozen_rule = ising.lift_pattern_rule(topo, ising.frozen_pattern_rule(topo))
     frozen = ising.edge_update_compose(transfer, frozen_rule, topo)
-    start = ising.SpinConfiguration.from_strings("00", "1").basis_index
+    start = 0b100  # vertices 00, the one edge up
     index, phase = start, 0
     period = None
     for k in range(1, 9):

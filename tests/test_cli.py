@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import ontoca
 from ontoca import ising
-from ontoca.cli import main
+from ontoca.cli import _spin_bits, main
+from ontoca.errors import ConfigInvalid
 from ontoca.serialize import atomic_write_text, dumps_json, spin_trajectory_csv
 
 
@@ -713,6 +714,41 @@ class TestIsingFuzz:
             assert code == 2, "a misspelled document key was not refused"
 
 
+bit_strings = st.integers(0, 12).flatmap(
+    lambda n: st.text(alphabet="01", min_size=n, max_size=n))
+
+
+class TestSpinStrings:
+    """Spin strings exist only at the edge: the CLI reads a start string to a
+    basis index and the CSV writes an orbit's indices back, bit k of the
+    vertex (edge) bits as character k of the vertex (edge) string."""
+
+    @given(bit_strings, bit_strings, st.integers(0, 3))
+    def test_round_trip(self, vertices, edges, phase):
+        n_vertices, n_edges = len(vertices), len(edges)
+        index = (_spin_bits(vertices, n_vertices, "start.vertices")
+                 | _spin_bits(edges, n_edges, "start.edges") << n_vertices)
+        for k, c in enumerate(vertices + edges):
+            assert (index >> k) & 1 == int(c)
+        assert index < 1 << (n_vertices + n_edges)
+        csv_text = spin_trajectory_csv([(index, phase)], n_vertices, n_edges)
+        assert csv_text.splitlines()[1] == f"0,{vertices},{edges},{phase}"
+
+    def test_bit_packing_vertex_low_edge_high(self):
+        index = _spin_bits("101", 3, "start.vertices") | _spin_bits("01", 2, "start.edges") << 3
+        assert index == 0b10101
+
+    @pytest.mark.parametrize("value", ["012", "1 0", "10", "1010", 5, ["1", "0", "1"], None])
+    def test_bad_bits_refused(self, value):
+        with pytest.raises(ConfigInvalid, match="start: expected 3 characters of '0'/'1'"):
+            _spin_bits(value, 3, "start")
+
+    @pytest.mark.parametrize("index", [-1, 1 << 5])
+    def test_formatter_refuses_an_index_beyond_the_bits(self, index):
+        with pytest.raises(ValueError):
+            spin_trajectory_csv([(0, 0), (index, 0)], 3, 2)
+
+
 class TestIsing:
     def test_driven_run(self, tmp_path):
         topo = write_json(tmp_path / "topo.json", {"n_vertices": 3, "edges": [[0, 1], [1, 2]]})
@@ -862,11 +898,10 @@ class TestIsing:
             pattern = ising.seeded_pattern_rule(topo, 11)
         lifted = ising.lift_pattern_rule(topo, pattern)
         combined = ising.edge_update_compose(ising.model_b_transfer(topo), lifted, topo)
-        start = ising.SpinConfiguration.from_strings("110010001", "101000011")
-        index, phase, rows = start.basis_index, 0, []
-        for n in range(25):
-            conf = ising.SpinConfiguration.from_index(index, 9, 9)
-            rows.append((n, conf.vertex_string, conf.edge_string, phase))
+        # vertex bits 110010001 and edge bits 101000011, bit k as character k
+        index, phase, orbit = 0b100010011 | 0b110000101 << 9, 0, []
+        for _ in range(25):
+            orbit.append((index, phase))
             index, ph = combined.apply(index)
             phase = (phase + ph) % 4
 
@@ -882,7 +917,7 @@ class TestIsing:
         })
         out = tmp_path / "b.csv"
         assert run(["ising-b", cfg, "--out", str(out)]) == 0
-        assert out.read_text() == spin_trajectory_csv(rows)
+        assert out.read_text() == spin_trajectory_csv(orbit, 9, 9)
         assert capsys.readouterr().out == (
             f"ising-b: bits=18 steps=24 unitary=True exponential_dev=skipped out={out}\n"
         )
@@ -931,6 +966,17 @@ class TestGup:
         assert doc["bound_min_dx"] == pytest.approx(2**-0.5)
         assert "sharp_state_counterexample" in doc
         assert doc["sharp_state_counterexample"]["satisfies_deformed_bound"] is False
+
+    def test_open_boundary_minimum_at_the_widest_member(self, tmp_path):
+        # only the widest default member (16 at 128 sites) satisfies the deformed
+        # bound with an open boundary; a minimum at the wide end stands
+        out = tmp_path / "g.json"
+        assert run(["gup", "--sites", "128", "--boundary", "open", "--samples", "20",
+                    "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        widest = doc["family"][-1]
+        assert widest["width"] == 16 and widest["satisfies_deformed_bound"]
+        assert doc["realized_min_dx"] == widest["delta_x"]
 
     def test_info_log_reports_stages_without_changing_outputs(self, tmp_path):
         src = str(Path(ontoca.__file__).resolve().parents[1])

@@ -12,10 +12,12 @@ complex-form stepping, so agreement between the two is a real check.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ontoca import multitime
+from ontoca.ising import GraphTopology, Schedule
 from ontoca.errors import DimensionMismatch, SymmetryViolation, ZeroVector
 from ontoca.gaussian import (
     CAPairState,
@@ -267,6 +269,34 @@ class TestOneRationalInputRule:
         assert GaussianRational(1, 1) + good == good + GaussianRational(1, 1) == GaussianRational(4, 1)
 
 
+# Constructor positions that read an integer; each lambda puts `one`, a
+# stand-in for the int 1, where a 1 would be read.
+BAD_ONES = [True, 1.0, "1", np.int64(1)]
+INT_POSITIONS = {
+    "build_hamiltonian S": lambda one: build_hamiltonian([[one, 1], [1, 0]], ZERO2),
+    "build_hamiltonian A": lambda one: build_hamiltonian(ZERO2, [[0, one], [-1, 0]]),
+    "GraphTopology n_vertices": lambda one: GraphTopology(one, ()),
+    "GraphTopology edge": lambda one: GraphTopology(3, ((0, one), (one, 2))),
+    "Schedule edge": lambda one: Schedule.periodic([(0, one)]),
+    "Schedule sign": lambda one: Schedule.periodic([(0, 1, one)]),
+    "Schedule.seeded_random seed": lambda one: Schedule.seeded_random(one, [(0, 1)]),
+    "Schedule.seeded_random pool": lambda one: Schedule.seeded_random(3, [(0, one)]),
+    "TensorHamiltonian.general dims":
+        lambda one: multitime.TensorHamiltonian.general(PAIR_FLIP.model, (one, 4)),
+}
+
+
+class TestOneConstructorIntRule:
+    """Library constructors read integers by the exact-int rule: bool, float,
+    str and numpy ints raise TypeError instead of being read as ints."""
+
+    @pytest.mark.parametrize("one", BAD_ONES, ids=repr)
+    @pytest.mark.parametrize("position", INT_POSITIONS)
+    def test_refused(self, position, one):
+        with pytest.raises(TypeError):
+            INT_POSITIONS[position](one)
+
+
 def _ref(op, a, b):
     """The componentwise reference: a op b on (re, im) pairs of int | Fraction."""
     (ar, ai), (br, bi) = a, b
@@ -350,6 +380,32 @@ class TestScalarsAgainstComponentwise:
         for z in (GaussianInt(1, 2), GaussianRational(1, 2)):
             with pytest.raises(AttributeError):
                 z.re = 5
+
+
+small_rational = st.one_of(st.integers(-2, 2),
+                           st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2])))
+# a narrow range of every exact number type, so that equal pairs are frequent
+exact_numbers = st.one_of(
+    small_rational,
+    st.builds(GaussianInt, st.integers(-2, 2), st.sampled_from([0, 0, 1])),
+    st.builds(GaussianRational, small_rational, st.one_of(st.just(0), small_rational)),
+)
+
+
+class TestHashContract:
+    """Values that compare equal hash equal, across int, Fraction, GaussianInt
+    and GaussianRational."""
+
+    @given(exact_numbers, exact_numbers)
+    @settings(max_examples=300)
+    def test_equal_values_hash_equal(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_real_scalars_join_their_numbers_in_a_set(self):
+        assert len({2, GaussianInt(2, 0), GaussianRational(2)}) == 1
+        assert len({Fraction(1, 2), GaussianRational(Fraction(1, 2))}) == 1
+        assert len({GaussianInt(2, 1), GaussianRational(2, 1)}) == 1
 
 
 @st.composite

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ontoca.errors import DimensionMismatch
+from ontoca import gup
+from ontoca.errors import DimensionMismatch, FamilyTooNarrow
 from ontoca.gup import (
+    GupBoundReport,
     LatticeOperator,
     bound_curve,
     bound_minimum,
@@ -302,6 +304,36 @@ class TestMinimizeDeltaX:
     def test_width_cap(self):
         with pytest.raises(ValueError):
             minimize_delta_x(SCALE, widths=(100,), sites=256)
+
+    @staticmethod
+    def stub_family(monkeypatch, satisfying_widths):
+        """Members whose DeltaX is their width and which satisfy the deformed
+        bound exactly at `satisfying_widths`."""
+        monkeypatch.setattr(gup, "gaussian_envelope", lambda sites, width: width)
+
+        def report(width, scale, boundary):
+            return GupBoundReport(
+                lhs=0.5, deformed_rhs=0.5, robertson_rhs=0.5,
+                satisfies_deformed_bound=width in satisfying_widths, mean_p=0.0,
+                mean_p_squared=1.0, delta_x=width, delta_p=1.0, robertson_holds=True,
+            )
+
+        monkeypatch.setattr(gup, "gup_bound_report", report)
+
+    def test_minimum_at_the_narrow_end_raises(self, monkeypatch):
+        self.stub_family(monkeypatch, {4.0, 6.0})
+        with pytest.raises(FamilyTooNarrow, match="narrow end"):
+            minimize_delta_x(SCALE, widths=(8, 4, 6), sites=64)
+
+    @pytest.mark.parametrize("satisfying, best", [({6.0, 8.0}, 6.0), ({8.0}, 8.0)])
+    def test_minimum_inside_or_at_the_wide_end_stands(self, monkeypatch, satisfying, best):
+        self.stub_family(monkeypatch, satisfying)
+        report = minimize_delta_x(SCALE, widths=(4, 6, 8), sites=64)
+        assert (report.realized_min_width, report.realized_min_dx) == (best, best)
+
+    def test_single_width_grid_never_raises(self, monkeypatch):
+        self.stub_family(monkeypatch, {4.0})
+        assert minimize_delta_x(SCALE, widths=(4,), sites=64).realized_min_width == 4.0
 
     def test_curve_rejects_nonpositive(self):
         with pytest.raises(ValueError):

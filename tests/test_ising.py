@@ -19,7 +19,6 @@ from ontoca.ising import (
     GraphTopology,
     PhasedPermutation,
     Schedule,
-    SpinConfiguration,
     build_generator_blocks,
     commutator_report,
     cyclic_pattern_rule,
@@ -45,7 +44,7 @@ from ontoca.numerics import expm_hermitian
 
 
 # =============================================================================
-# Topologies and configurations
+# Topologies and basis indices
 # =============================================================================
 
 
@@ -88,26 +87,26 @@ class TestTopology:
             Schedule.seeded_random(3, [(0, bad)])
 
 
-class TestSpinConfiguration:
-    def test_bit_packing_vertex_low_edge_high(self):
-        conf = SpinConfiguration(vertex_bits=(1, 0, 1), edge_bits=(0, 1))
-        # vertex bit k at position k, edge bit e at position 3 + e
-        assert conf.basis_index == 0b10101
+class TestStartIndex:
+    @pytest.mark.parametrize("bad", [True, False, 1.0, Fraction(1), "1", np.int64(1)])
+    def test_non_int_start_raises(self, bad):
+        topo = GraphTopology.path(3)
+        with pytest.raises(TypeError):
+            model_a_evolve(topo, bad, Schedule.periodic([(0, 1)]), 1)
+        with pytest.raises(TypeError):
+            model_b_evolve(topo, bad, frozen_pattern_rule(topo), 1)
 
-    def test_round_trip(self):
-        for index in range(32):
-            conf = SpinConfiguration.from_index(index, 3, 2)
-            assert conf.basis_index == index
-
-    def test_strings(self):
-        conf = SpinConfiguration.from_strings("110", "01")
-        assert conf.vertex_string == "110"
-        assert conf.edge_string == "01"
-        assert conf.vertex_bits == (1, 1, 0)
-
-    def test_bit_validation(self):
-        with pytest.raises(ValueError):
-            SpinConfiguration(vertex_bits=(2, 0))
+    def test_out_of_range_start_raises(self):
+        topo = GraphTopology.path(3)  # 3 vertex bits, 2 edge bits
+        schedule = Schedule.periodic([(0, 1)])
+        for start in (-1, 1 << 3):
+            with pytest.raises(ValueError):
+                model_a_evolve(topo, start, schedule, 1)
+        assert model_a_evolve(topo, 7, schedule, 1) == [(7, 0), (4, 3)]
+        for start in (-1, 1 << 5):
+            with pytest.raises(ValueError):
+                model_b_evolve(topo, start, frozen_pattern_rule(topo), 1)
+        assert model_b_evolve(topo, 31, frozen_pattern_rule(topo), 0) == [(31, 0)]
 
 
 # =============================================================================
@@ -301,9 +300,9 @@ class TestDrivenModel:
     def test_path_trajectory(self):
         topo = GraphTopology.path(3)
         schedule = Schedule.periodic([(0, 1), (1, 2)])
-        run = model_a_evolve(topo, SpinConfiguration.from_strings("000"), schedule, 4)
-        strings = [conf.vertex_string for conf, _ in run]
-        assert strings == ["000", "110", "101", "011", "000"]
+        run = model_a_evolve(topo, 0, schedule, 4)
+        # vertex bits 000, 110, 101, 011, 000 with vertex k as bit k
+        assert [index for index, _ in run] == [0b000, 0b011, 0b101, 0b110, 0b000]
         phases = [ph for _, ph in run]
         assert phases == [0, 3, 2, 1, 0]  # one extra -i per step
 
@@ -312,37 +311,34 @@ class TestDrivenModel:
         topo = GraphTopology.fully_connected(3)
         pool = topo.edges
         schedule = Schedule.seeded_random(99, pool)
-        start = SpinConfiguration.from_strings("010")
+        start = 0b010
         steps = 25
         run = model_a_evolve(topo, start, schedule, steps)
         composed = PhasedPermutation.identity(8)
         for n in range(steps):
             edge, sign = schedule.active(n)
             composed = model_a_step_operator(topo, edge, sign).compose_after(composed)
-        target, phase = composed.apply(start.basis_index)
-        assert target == run[-1][0].basis_index
-        assert phase == run[-1][1]
+        assert composed.apply(start) == run[-1]
 
     @pytest.mark.parametrize("steps", [1, 2, 25])
     def test_composition_check_accepts_the_run_only(self, steps):
         topo = GraphTopology.fully_connected(3)
         schedule = Schedule.seeded_random(99, topo.edges)
-        start = SpinConfiguration.from_strings("010")
+        start = 0b010
         assert model_a_composition_holds(topo, schedule, model_a_evolve(topo, start, schedule, 0))
         run = model_a_evolve(topo, start, schedule, steps)
         assert model_a_composition_holds(topo, schedule, run)
         last, phase = run[-1]
         assert not model_a_composition_holds(topo, schedule, run[:-1] + [(last, (phase + 1) % 4)])
-        moved = SpinConfiguration.from_index(last.basis_index ^ 1, topo.n_vertices)
-        assert not model_a_composition_holds(topo, schedule, run[:-1] + [(moved, phase)])
+        assert not model_a_composition_holds(topo, schedule, run[:-1] + [(last ^ 1, phase)])
 
     def test_outputs_are_always_single_basis_states(self):
         topo = GraphTopology.ring(4)
         schedule = Schedule.seeded_random(3, topo.edges)
-        run = model_a_evolve(topo, SpinConfiguration.from_strings("0101"), schedule, 50)
-        for conf, phase in run:
-            assert isinstance(conf, SpinConfiguration)
-            assert phase in (0, 1, 2, 3)
+        run = model_a_evolve(topo, 0b1010, schedule, 50)
+        for index, phase in run:
+            assert type(index) is int and 0 <= index < 1 << 4
+            assert type(phase) is int and phase in (0, 1, 2, 3)
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
@@ -352,7 +348,7 @@ class TestDrivenModel:
         topo = GraphTopology.fully_connected(2)
         schedule = Schedule.explicit([(0, 1, 1)])
         with pytest.raises(ScheduleExhausted):
-            model_a_evolve(topo, SpinConfiguration.from_strings("00"), schedule, 2)
+            model_a_evolve(topo, 0, schedule, 2)
 
     def test_bad_coefficient_rejected_at_validation(self):
         with pytest.raises(ValueError):
@@ -368,12 +364,9 @@ class TestTransferModel:
     def test_single_edge_action(self):
         topo = GraphTopology.fully_connected(2)
         transfer = model_b_transfer(topo)
-        up = SpinConfiguration.from_strings("00", "1").basis_index
-        target, phase = transfer.apply(up)
-        assert SpinConfiguration.from_index(target, 2, 1).vertex_string == "11"
-        assert SpinConfiguration.from_index(target, 2, 1).edge_string == "1"
-        assert phase == 3
-        down = SpinConfiguration.from_strings("00", "0").basis_index
+        up = 0b100  # vertex bits 00, edge bit 1
+        assert transfer.apply(up) == (0b111, 3)  # both vertices flipped, edge kept
+        down = 0b000
         assert transfer.apply(down) == (down, 3)
 
     def test_dense_matrix_is_phased_permutation(self):
@@ -503,13 +496,16 @@ class TestBlockedExponentialForm:
 
     @pytest.mark.parametrize("topo", NAMED_GRAPHS, ids=str)
     def test_corrupted_transfer_deviates_by_one(self, topo, monkeypatch):
-        real = model_b_transfer(topo)
-        target = real.target.copy()
-        target[[0, 1]] = target[[1, 0]]  # two columns of the all-down edge block swap rows
-        monkeypatch.setattr(
-            ising, "model_b_transfer", lambda t: PhasedPermutation(target, real.phase_exponent)
-        )
+        masks = edge_pattern_masks(topo)
+        masks[0] ^= 1  # the all-down edge block now flips vertex 0
+        monkeypatch.setattr(ising, "edge_pattern_masks", lambda t: masks)
         assert abs(verify_exponential_form(topo) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("topo", NAMED_GRAPHS, ids=str)
+    def test_builds_no_transfer_table(self, topo, monkeypatch):
+        expected = verify_exponential_form(topo)
+        monkeypatch.setattr(ising, "model_b_transfer", None)
+        assert verify_exponential_form(topo) == expected
 
     @given(
         st.integers(1, 5),
@@ -616,8 +612,8 @@ class TestEdgeRules:
         topo = GraphTopology.fully_connected(2)
         frozen = lift_pattern_rule(topo, frozen_pattern_rule(topo))
         combined = edge_update_compose(model_b_transfer(topo), frozen, topo)
-        for start_vertices in ("00", "01", "10", "11"):
-            start = SpinConfiguration.from_strings(start_vertices, "1").basis_index
+        for start_vertices in range(4):
+            start = start_vertices | 0b100  # the one edge up
             index, phase = start, 0
             period = None
             for k in range(1, 9):
@@ -679,12 +675,12 @@ class TestEdgePatternRoute:
         combined = edge_update_compose(model_b_transfer(topo), lifted, topo)
         start = data.draw(st.integers(0, combined.size - 1))
         steps = data.draw(st.integers(0, 40))
-        config = SpinConfiguration.from_index(start, topo.n_vertices, topo.n_edges)
-        orbit = model_b_evolve(topo, config, pattern, steps)
+        orbit = model_b_evolve(topo, start, pattern, steps)
         assert len(orbit) == steps + 1
         index, phase = start, 0
-        for conf, ph in orbit:
-            assert (conf.basis_index, ph) == (index, phase)
+        for entry in orbit:
+            assert entry == (index, phase)
+            assert all(type(x) is int for x in entry)
             index, step_phase = combined.apply(index)
             phase = (phase + step_phase) % 4
 
@@ -707,25 +703,23 @@ class TestEdgePatternRoute:
         topo = GraphTopology.ring(12)  # 24 bits; edges (0,1), (0,11), (1,2), (2,3), ...
         for name in ("model_b_transfer", "lift_pattern_rule"):
             monkeypatch.setattr(ising, name, None)
-        config = SpinConfiguration.from_strings("1" + "0" * 11, "1" + "0" * 11)
-        orbit = model_b_evolve(topo, config, cyclic_pattern_rule(topo), 3)
-        assert [(c.vertex_string, c.edge_string, ph) for c, ph in orbit] == [
-            ("100000000000", "100000000000", 0),
-            ("010000000000", "010000000000", 3),
-            ("110000000001", "001000000000", 2),
-            ("101000000001", "000100000000", 1),
+        orbit = model_b_evolve(topo, 1 | 1 << 12, cyclic_pattern_rule(topo), 3)
+        # vertex k is bit k and edge e bit 12 + e: (vertex bits, edge bits) read
+        # (100000000000, 100000000000), (010000000000, 010000000000),
+        # (110000000001, 001000000000), (101000000001, 000100000000)
+        assert orbit == [
+            (0b000000000001 | 0b000000000001 << 12, 0),
+            (0b000000000010 | 0b000000000010 << 12, 3),
+            (0b100000000011 | 0b000000000100 << 12, 2),
+            (0b100000000101 | 0b000000001000 << 12, 1),
         ]
 
     def test_orbit_rejects_mismatched_sizes(self):
         topo = GraphTopology.ring(3)
-        config = SpinConfiguration.from_strings("000", "000")
         with pytest.raises(DimensionMismatch):
-            model_b_evolve(topo, config, PhasedPermutation.identity(4), 1)
-        with pytest.raises(DimensionMismatch):
-            model_b_evolve(topo, SpinConfiguration.from_strings("000", "00"),
-                           frozen_pattern_rule(topo), 1)
+            model_b_evolve(topo, 0, PhasedPermutation.identity(4), 1)
         with pytest.raises(ValueError):
-            model_b_evolve(topo, config, frozen_pattern_rule(topo), -1)
+            model_b_evolve(topo, 0, frozen_pattern_rule(topo), -1)
         with pytest.raises(DimensionMismatch):
             lift_pattern_rule(topo, PhasedPermutation.identity(4))
 
