@@ -1,6 +1,8 @@
 """Layer micro-benchmark: the wall time of one call of each exact kernel, of
 the boxing layer, of the ontology scan's ray division, of a trajectory check
-and its CSV, of the CLI parser build, and of two whole Ising CLI runs.
+and its CSV, of the CLI parser build, of two whole Ising CLI runs and of the
+lattice uncertainty reports (a whole gup CLI run, its width family and the
+verify-all Robertson check).
 
     python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
 
@@ -57,6 +59,10 @@ ROWS = {
                    "edge, 48 steps (config read, orbit, composition check, CSV write)",
     "ising_b_cli": "cli.main ising-b: ring of 9, so 9 vertex + 9 edge bits, cyclic edge rule, "
                    "24 steps (config read, orbit, unitarity check, CSV write)",
+    "gup_cli": "cli.main gup: 256 sites, 40 samples, periodic boundary, default widths "
+               "(config read, width family, sharp state, sample reports, JSON write)",
+    "gup_family": "gup.minimize_delta_x: Gaussian widths 4, 6, 8, 12, 16 on 256 sites, periodic",
+    "robertson_300": "verify.check_robertson: the Robertson bound on 300 random 64-site states",
 }
 
 ISING_A_EDGES = [[k, (k + 1) % 12] for k in range(12)] + [[0, 6], [3, 9]]
@@ -76,6 +82,7 @@ CLI_CONFIGS = {
         "edge_rule": "cyclic",
         "steps": 24,
     },
+    "gup_cli": {"kind": "gup", "sites": 256, "samples": 40, "boundary": "periodic", "seed": 0},
 }
 
 
@@ -90,7 +97,7 @@ def _cli_call(cli, workdir: Path, name: str):
     doc = CLI_CONFIGS[name]
     config = workdir / f"{name}.json"
     config.write_text(json.dumps(doc))
-    argv = [doc["kind"], str(config), "--out", str(workdir / f"{name}.csv")]
+    argv = [doc["kind"], str(config), "--out", str(workdir / f"{name}.out")]
 
     def call():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -105,7 +112,7 @@ def _calls(workdir: Path):
     the CLI rows read and write files in `workdir`."""
     import random
 
-    from ontoca import cli, gup, ising, ontology, propagator, serialize
+    from ontoca import cli, gup, ising, ontology, propagator, serialize, verify
     from ontoca.gaussian import CAPairState, GaussianIntVector, _step_raw, build_hamiltonian, evolve
 
     rng = random.Random(12)
@@ -161,6 +168,9 @@ def _calls(workdir: Path):
         "trajectory_csv": lambda: serialize.trajectory_csv(ring_long),
         "transfer_check": lambda: t80.apply(psi1) + t79.apply(psi0) == psi79,
         "build_parser": cli.build_parser,
+        "gup_family": lambda: gup.minimize_delta_x(
+            propagator.DiscretenessScale(1.0), (4, 6, 8, 12, 16), 256, "periodic"),
+        "robertson_300": lambda: verify.check_robertson(0),
         **{name: _cli_call(cli, workdir, name) for name in CLI_CONFIGS},
     }
 

@@ -36,7 +36,6 @@ from .propagator import (
     equal_initial_form,
     is_critical,
     phi_operator,
-    transfer_polynomial,
     transfer_sequence,
 )
 

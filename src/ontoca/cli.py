@@ -564,12 +564,12 @@ def cmd_gup(args) -> int:
     sharp = gup.gup_bound_report(gup.single_site_state(sites, 0), scale, boundary)
     stages.mark("family")
 
-    violations = 0
-    deformed_holds = 0
-    for state in gup.random_states(sites, samples, seed):
-        report = gup.gup_bound_report(state, scale, boundary)
-        violations += not report.robertson_holds
-        deformed_holds += report.satisfies_deformed_bound
+    violations = deformed_holds = blocks = rows = 0
+    for block in gup.random_states(sites, samples, seed):
+        report = gup.gup_bound_report(block, scale, boundary)
+        violations += int((~report.robertson_holds).sum())
+        deformed_holds += int(report.satisfies_deformed_bound.sum())
+        blocks, rows = blocks + 1, max(rows, len(block.amplitudes))
     stages.mark("samples")
 
     doc = {
@@ -606,7 +606,8 @@ def cmd_gup(args) -> int:
     out = _write_out(config, serialize.dumps_json(doc), "gup.json")
     stages.mark("write")
     if stages.enabled:
-        log.info("gup: sites=%d samples=%d boundary=%s", sites, samples, boundary)
+        log.info("gup: sites=%d samples=%d boundary=%s blocks=%d rows_per_block=%d",
+                 sites, samples, boundary, blocks, rows)
     stages.emit()
     ok = violations == 0
     print(

@@ -17,18 +17,23 @@ and even centered Gaussian envelopes sit slightly below it, so which state
 family it governs is an empirical question the reports answer per family.
 Its closed-form minimum over DeltaP at <P> = 0 is l / sqrt(2), which is
 computed exactly.
+
+Operators and reports act along the last axis: a (k, M) block of states gets
+one numpy pass, each row bit for bit as the single (M,) state, the k = 1 case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, FamilyTooNarrow
 from .propagator import DiscretenessScale
+
+BLOCK_AMPLITUDES = 1 << 16  # per random_states block (at least one row): memory stays O(block)
 
 
 # =============================================================================
@@ -54,9 +59,9 @@ class LatticeOperator:
     def apply(self, psi: np.ndarray) -> np.ndarray:
         if self.name == "X":
             return (self.scale.l * site_labels(self.size)) * psi
-        up, down = np.roll(psi, -1), np.roll(psi, 1)  # psi[m + 1], psi[m - 1]
+        up, down = np.roll(psi, -1, axis=-1), np.roll(psi, 1, axis=-1)  # psi[m + 1], psi[m - 1]
         if self.boundary == "open":
-            up[-1] = down[0] = 0.0
+            up[..., -1] = down[..., 0] = 0.0
         coeff = 1.0 / (2.0 * self.scale.l)
         return (-1j * coeff) * up + (1j * coeff) * down
 
@@ -74,51 +79,62 @@ def momentum_operator(size: int, scale: DiscretenessScale, boundary: str = "peri
     return LatticeOperator(size=size, scale=scale, boundary=boundary, name="P")
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norm along the last axis, summed as np.linalg.norm sums it."""
+    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
+
+
 @dataclass(frozen=True)
 class LatticeState:
-    """Unit-norm complex amplitudes over the lattice sites."""
+    """Unit-norm complex amplitudes over the lattice sites: (M,), or (k, M) for a block."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm is {norm}, expected 1")
+        for norm in np.atleast_1d(_norms(self.amplitudes)).tolist():
+            if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
+                raise ValueError(f"state norm is {norm}, expected 1")
 
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "LatticeState":
         arr = np.asarray(amplitudes, dtype=complex)
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
+        norms = _norms(arr)
+        if np.any(norms == 0.0):
             raise ValueError("cannot normalize the zero state")
-        return cls(amplitudes=arr / norm)
+        return cls(amplitudes=arr / np.expand_dims(norms, -1))
 
     @property
     def size(self) -> int:
-        return len(self.amplitudes)
+        return self.amplitudes.shape[-1]
 
 
-def gaussian_envelope(size: int, width: float) -> LatticeState:
-    """Normalized real Gaussian envelope of the given width in sites, centered on site 0."""
-    if width <= 0:
+def gaussian_envelope(size: int, width) -> LatticeState:
+    """Normalized real Gaussian envelope of the given width in sites, centered on
+    site 0; a sequence of widths gives a block with one envelope per row."""
+    if np.any(np.asarray(width) <= 0):
         raise ValueError("width must be positive")
     m = site_labels(size)
-    return LatticeState.from_amplitudes(np.exp(-(m**2) / (4.0 * width**2)))
+    # 4 w**2 in Python floats, as the one-envelope formula computes it
+    quarter = np.reshape([4.0 * w**2 for w in np.ravel(width).tolist()], np.shape(width) + (1,))
+    return LatticeState.from_amplitudes(np.exp(-(m**2) / quarter))
 
 
 def single_site_state(size: int, site: int) -> LatticeState:
-    labels = list(site_labels(size))
     amp = np.zeros(size, dtype=complex)
-    amp[labels.index(site)] = 1.0
+    amp[list(site_labels(size)).index(site)] = 1.0
     return LatticeState(amplitudes=amp)
 
 
 def random_states(size: int, count: int, seed: int) -> Iterator[LatticeState]:
-    """`count` random normalized states from one seeded stream, made one at a time."""
+    """`count` random normalized states from one seeded stream, in (k, size)
+    blocks of at most BLOCK_AMPLITUDES // size rows (at least one).  A row's
+    real then imaginary parts are the next 2 * size normals of the stream,
+    as when each sample drew standard_normal(size) twice."""
     rng = np.random.default_rng(seed)
-    for _ in range(count):
-        amp = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        yield LatticeState.from_amplitudes(amp)
+    rows = max(1, BLOCK_AMPLITUDES // size)
+    for start in range(0, count, rows):
+        draws = rng.standard_normal((min(rows, count - start), 2, size))
+        yield LatticeState.from_amplitudes(draws[:, 0] + 1j * draws[:, 1])
 
 
 # =============================================================================
@@ -131,8 +147,13 @@ def _check(state: LatticeState, op: LatticeOperator):
         raise DimensionMismatch(f"state size {state.size} vs operator size {op.size}")
 
 
+def _values(x):
+    """A block's results stay arrays; a single state's become Python scalars."""
+    return x if np.ndim(x) else x.item()
+
+
 class Moments(NamedTuple):
-    """<op>, Delta op (clamped at zero roundoff) and <op^2> in one state."""
+    """<op>, Delta op (clamped at zero roundoff) and <op^2>, per state."""
 
     mean: float
     delta: float
@@ -140,14 +161,12 @@ class Moments(NamedTuple):
 
 
 def _moments(psi: np.ndarray, applied: np.ndarray) -> Moments:
-    mean = float(np.vdot(psi, applied).real)
-    second = float(np.vdot(applied, applied).real)  # <op^2> since op is self-adjoint
+    mean = np.vecdot(psi, applied).real
+    second = np.vecdot(applied, applied).real  # <op^2> since op is self-adjoint
     var = second - mean * mean
-    if var < 0.0:
-        if var < -1e-12:
-            raise ArithmeticError(f"variance {var} below roundoff tolerance")
-        var = 0.0
-    return Moments(mean, math.sqrt(var), second)
+    if np.any(var < -1e-12):
+        raise ArithmeticError(f"variance {np.min(var)} below roundoff tolerance")
+    return Moments(_values(mean), _values(np.sqrt(np.maximum(var, 0.0))), _values(second))
 
 
 def uncertainty(state: LatticeState, op: LatticeOperator) -> tuple[float, float]:
@@ -173,7 +192,8 @@ def robertson_check(state: LatticeState, a: LatticeOperator, b: LatticeOperator)
     psi = state.amplitudes
     a_psi, b_psi = a.apply(psi), b.apply(psi)
     ma, mb = _moments(psi, a_psi), _moments(psi, b_psi)
-    rhs = abs(complex(np.vdot(psi, a.apply(b_psi) - b.apply(a_psi)))) / 2.0
+    comm = np.vecdot(psi, a.apply(b_psi) - b.apply(a_psi))
+    rhs = _values(np.hypot(comm.real, comm.imag) / 2.0)  # hypot, as abs(complex) computes it
     lhs = ma.delta * mb.delta
     return RobertsonResult(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-12, moments_a=ma, moments_b=mb)
 
@@ -278,10 +298,9 @@ def minimize_delta_x(
         raise ValueError(
             f"width {widths[-1]} too large for {sites} sites; boundary effects exceed 1%"
         )
-    members = []
-    for w in widths:
-        report = gup_bound_report(gaussian_envelope(sites, w), scale, boundary)
-        members.append(FamilyMember(**asdict(report), width=w))
+    block = gup_bound_report(gaussian_envelope(sites, widths), scale, boundary)
+    columns = [getattr(block, f.name).tolist() for f in fields(GupBoundReport)]
+    members = [FamilyMember(*row) for row in zip(*columns, widths)]  # width is the last field
     bound_dx, bound_dp = bound_minimum(scale)
     satisfying = [m for m in members if m.satisfies_deformed_bound]
     realized_min_dx = None

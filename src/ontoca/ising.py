@@ -202,9 +202,6 @@ class PhasedPermutation:
     def identity(cls, size: int) -> "PhasedPermutation":
         return _phased(np.arange(size, dtype=np.intp), np.zeros(size, dtype=np.uint8))
 
-    def is_identity_permutation(self) -> bool:
-        return np.array_equal(self.target, np.arange(self.size))
-
     def compose_after(self, inner: "PhasedPermutation") -> "PhasedPermutation":
         """self o inner: apply `inner` first, then self."""
         if inner.size != self.size:
@@ -282,6 +279,10 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("periodic", "explicit", "seeded_random"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        object.__setattr__(self, "steps", _norm_steps(self.steps))
+        object.__setattr__(self, "pool", tuple(_sorted_pair(i, j) for i, j in self.pool))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _exact_int(self.seed))
         if self.kind in ("periodic", "explicit"):
             if not self.steps:
                 raise ValueError(
@@ -297,19 +298,15 @@ class Schedule:
 
     @classmethod
     def periodic(cls, steps: Iterable) -> "Schedule":
-        return cls(kind="periodic", steps=_norm_steps(steps))
+        return cls(kind="periodic", steps=steps)
 
     @classmethod
     def explicit(cls, steps: Iterable) -> "Schedule":
-        return cls(kind="explicit", steps=_norm_steps(steps))
+        return cls(kind="explicit", steps=steps)
 
     @classmethod
     def seeded_random(cls, seed: int, pool: Iterable[Edge]) -> "Schedule":
-        return cls(
-            kind="seeded_random",
-            seed=_exact_int(seed),
-            pool=tuple(_sorted_pair(i, j) for i, j in pool),
-        )
+        return cls(kind="seeded_random", seed=seed, pool=pool)
 
     def active(self, step_index: int) -> tuple[Edge, int]:
         if self.kind == "periodic":

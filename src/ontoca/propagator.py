@@ -170,10 +170,6 @@ def transfer_sequence(model: HamiltonianModel, k_max: int) -> list[TransferPolyn
     return seq
 
 
-def transfer_polynomial(model: HamiltonianModel, k: int) -> TransferPolynomial:
-    return transfer_sequence(model, k)[k]
-
-
 def equal_initial_form(model: HamiltonianModel, psi0: GaussianIntVector, n: int) -> GaussianIntVector:
     """[T(n+1) + T(n)] psi0, the exact trajectory when psi1 is chosen equal to psi0."""
     if n < 0:

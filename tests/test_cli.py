@@ -992,9 +992,21 @@ class TestGup:
             runs.append((done, (workdir / "gup.json").read_bytes()))
         (quiet, quiet_json), (loud, loud_json) = runs
         assert quiet.stderr == ""
-        assert "gup: sites=64 samples=20 boundary=open" in loud.stderr
+        assert "gup: sites=64 samples=20 boundary=open blocks=1 rows_per_block=20" in loud.stderr
         assert re.search(r"gup: stage times family=\S+s samples=\S+s write=\S+s", loud.stderr)
         assert (loud.stdout, loud_json) == (quiet.stdout, quiet_json)
+
+    @pytest.mark.parametrize("sites, samples, blocks, rows", [
+        (4096, 40, 3, 16),  # 2**16 amplitudes a block: 16 rows of 4096, the last one 8
+        (256, 256, 1, 256),
+        (256, 257, 2, 256),
+    ])
+    def test_info_log_counts_sample_blocks(self, tmp_path, caplog, sites, samples, blocks, rows):
+        caplog.set_level(logging.INFO, logger="ontoca")
+        assert run(["gup", "--sites", str(sites), "--samples", str(samples),
+                    "--out", str(tmp_path / "g.json")]) == 0
+        assert (f"gup: sites={sites} samples={samples} boundary=periodic blocks={blocks} "
+                f"rows_per_block={rows}") in caplog.text
 
 
 class TestParserOncePerProcess:

@@ -1,16 +1,25 @@
 """Lattice position/momentum operators and uncertainty-relation reports."""
 
+import contextlib
+import dataclasses
+import io
+import json
 import math
+import tempfile
+import tracemalloc
+import unittest.mock
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ontoca import gup
+from ontoca import cli, gup
 from ontoca.errors import DimensionMismatch, FamilyTooNarrow
 from ontoca.gup import (
     GupBoundReport,
     LatticeOperator,
+    LatticeState,
     bound_curve,
     bound_minimum,
     gaussian_envelope,
@@ -27,6 +36,11 @@ from ontoca.gup import (
 from ontoca.propagator import DiscretenessScale
 
 SCALE = DiscretenessScale(1.0)
+
+
+def one_state(size: int, seed: int) -> LatticeState:
+    """The first state of the seeded sampler, as a single (size,) state."""
+    return LatticeState(next(random_states(size, 1, seed)).amplitudes[0])
 
 
 def applied_matrix(op: LatticeOperator) -> np.ndarray:
@@ -88,7 +102,7 @@ class TestStencilAgainstDense:
     @given(lattices, st.integers(0, 2**32 - 1))
     def test_apply_is_dense_matvec(self, lattice, seed):
         size, boundary, l = lattice
-        psi = next(random_states(size, 1, seed)).amplitudes
+        psi = one_state(size, seed).amplitudes
         for make in (position_operator, momentum_operator):
             op = make(size, DiscretenessScale(l), boundary)
             oracle = dense_oracle(op)
@@ -105,7 +119,7 @@ class TestStencilAgainstDense:
     @given(lattices, st.integers(0, 2**32 - 1))
     def test_bound_report_matches_dense_report(self, lattice, seed):
         size, boundary, l = lattice
-        state = next(random_states(size, 1, seed))
+        state = one_state(size, seed)
         report = gup_bound_report(state, DiscretenessScale(l), boundary)
         want = dense_report(state.amplitudes, l, boundary)
         scale = max(abs(v) for v in want.values()) + 1.0
@@ -174,8 +188,6 @@ class TestUncertainty:
 
     def test_uniform_state_momentum_mean_zero(self):
         m = 32
-        from ontoca.gup import LatticeState
-
         state = LatticeState.from_amplitudes(np.ones(m))
         mean, _ = uncertainty(state, momentum_operator(m, SCALE))
         assert mean == pytest.approx(0.0, abs=1e-14)
@@ -227,8 +239,8 @@ class TestRobertson:
     def test_holds_for_random_states(self):
         x = position_operator(64, SCALE)
         p = momentum_operator(64, SCALE)
-        for state in random_states(64, 1000, seed=2024):
-            assert robertson_check(state, x, p).holds
+        for block in random_states(64, 1000, seed=2024):
+            assert robertson_check(block, x, p).holds.all()
 
 
 # =============================================================================
@@ -261,10 +273,10 @@ class TestDeformedBound:
             assert report.lhs / report.deformed_rhs > 0.95
 
     def test_reports_are_consistent(self):
-        for state in random_states(64, 50, seed=77):
-            report = gup_bound_report(state, SCALE)
-            assert report.satisfies_deformed_bound == (
-                report.lhs >= report.deformed_rhs - 1e-12
+        for block in random_states(64, 50, seed=77):
+            report = gup_bound_report(block, SCALE)
+            assert np.array_equal(
+                report.satisfies_deformed_bound, report.lhs >= report.deformed_rhs - 1e-12
             )
 
 
@@ -309,13 +321,15 @@ class TestMinimizeDeltaX:
     def stub_family(monkeypatch, satisfying_widths):
         """Members whose DeltaX is their width and which satisfy the deformed
         bound exactly at `satisfying_widths`."""
-        monkeypatch.setattr(gup, "gaussian_envelope", lambda sites, width: width)
+        monkeypatch.setattr(gup, "gaussian_envelope", lambda sites, widths: np.asarray(widths))
 
-        def report(width, scale, boundary):
+        def report(widths, scale, boundary):
+            ones = np.ones_like(widths)
             return GupBoundReport(
-                lhs=0.5, deformed_rhs=0.5, robertson_rhs=0.5,
-                satisfies_deformed_bound=width in satisfying_widths, mean_p=0.0,
-                mean_p_squared=1.0, delta_x=width, delta_p=1.0, robertson_holds=True,
+                lhs=0.5 * ones, deformed_rhs=0.5 * ones, robertson_rhs=0.5 * ones,
+                satisfies_deformed_bound=np.isin(widths, list(satisfying_widths)),
+                mean_p=0.0 * ones, mean_p_squared=ones, delta_x=widths, delta_p=ones,
+                robertson_holds=ones == 1,
             )
 
         monkeypatch.setattr(gup, "gup_bound_report", report)
@@ -338,3 +352,193 @@ class TestMinimizeDeltaX:
     def test_curve_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             bound_curve(0.0, SCALE)
+
+
+# =============================================================================
+# Block route: one array pass over (k, M) states
+# =============================================================================
+
+
+def oracle_state(rng, size: int) -> np.ndarray:
+    """One sample as the sampler made it one state at a time: two draws of
+    `size` normals, normalized by np.linalg.norm."""
+    amp = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return amp / float(np.linalg.norm(amp))
+
+
+def oracle_report(psi: np.ndarray, l: float, boundary: str) -> dict:
+    """gup_bound_report's fields for one state, computed per state with np.vdot
+    and np.roll as the one-state route did."""
+    size = len(psi)
+    labels = np.arange(-(size // 2), size - size // 2)
+
+    def x(v):
+        return (l * labels) * v
+
+    def p(v):
+        up, down = np.roll(v, -1), np.roll(v, 1)
+        if boundary == "open":
+            up[-1] = down[0] = 0.0
+        coeff = 1.0 / (2.0 * l)
+        return (-1j * coeff) * up + (1j * coeff) * down
+
+    def moments(applied):
+        mean = float(np.vdot(psi, applied).real)
+        second = float(np.vdot(applied, applied).real)
+        return mean, math.sqrt(max(second - mean * mean, 0.0)), second
+
+    (_, dx, _), (mean_p, dp, p2) = moments(x(psi)), moments(p(psi))
+    lhs = dx * dp
+    robertson_rhs = abs(complex(np.vdot(psi, x(p(psi)) - p(x(psi))))) / 2.0
+    deformed_rhs = 0.5 * abs(1.0 + (l**2 / 2.0) * p2)
+    return {
+        "lhs": lhs, "deformed_rhs": deformed_rhs, "robertson_rhs": robertson_rhs,
+        "satisfies_deformed_bound": lhs >= deformed_rhs - 1e-12, "mean_p": mean_p,
+        "mean_p_squared": p2, "delta_x": dx, "delta_p": dp,
+        "robertson_holds": lhs >= robertson_rhs - 1e-12,
+    }
+
+
+FIELDS = [f.name for f in dataclasses.fields(GupBoundReport)]
+
+
+def as_fields(report: GupBoundReport) -> dict:
+    return {name: getattr(report, name) for name in FIELDS}
+
+
+block_lattices = st.tuples(
+    st.integers(1, 300), st.sampled_from(("periodic", "open")), st.floats(0.05, 20.0),
+    st.integers(0, 2**32 - 1), st.integers(1, 8),
+)
+
+
+class TestBlockRoute:
+    @given(block_lattices)
+    def test_rows_equal_one_state_reports_and_the_oracle(self, lattice):
+        size, boundary, l, seed, k = lattice
+        scale = DiscretenessScale(l)
+        (block,) = random_states(size, k, seed)
+        report = gup_bound_report(block, scale, boundary)
+        rows = [dict(zip(FIELDS, row)) for row in zip(*(getattr(report, f).tolist() for f in FIELDS))]
+        rng = np.random.default_rng(seed)
+        assert len(rows) == k
+        for row, amplitudes in zip(rows, block.amplitudes):
+            single = gup_bound_report(LatticeState(amplitudes), scale, boundary)
+            assert as_fields(single) == row
+            assert oracle_report(oracle_state(rng, size), l, boundary) == row
+            assert all(type(v) in (float, bool) for v in row.values())
+
+    @given(block_lattices)
+    def test_robertson_and_uncertainty_rows_equal_one_state_calls(self, lattice):
+        size, boundary, l, seed, k = lattice
+        x = position_operator(size, DiscretenessScale(l), boundary)
+        p = momentum_operator(size, DiscretenessScale(l), boundary)
+        (block,) = random_states(size, k, seed)
+        result = robertson_check(block, x, p)
+        means, deltas = uncertainty(block, p)
+        for i, amplitudes in enumerate(block.amplitudes):
+            single = robertson_check(LatticeState(amplitudes), x, p)
+            assert (single.lhs, single.rhs, single.holds) == (
+                result.lhs[i], result.rhs[i], result.holds[i])
+            assert single.moments_b == tuple(field[i] for field in result.moments_b)
+            assert uncertainty(LatticeState(amplitudes), p) == (means[i], deltas[i])
+
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.integers(1, 40),
+           st.integers(1, 1200))
+    def test_sampler_stream_is_the_per_sample_stream(self, size, seed, count, block_amplitudes):
+        # a small block constant puts block edges inside short runs
+        with unittest.mock.patch.object(gup, "BLOCK_AMPLITUDES", block_amplitudes):
+            blocks = list(random_states(size, count, seed))
+        rows = max(1, block_amplitudes // size)
+        assert [len(b.amplitudes) for b in blocks] == [
+            min(rows, count - start) for start in range(0, count, rows)]
+        rng = np.random.default_rng(seed)
+        for amplitudes in np.concatenate([b.amplitudes for b in blocks]):
+            assert np.array_equal(amplitudes, oracle_state(rng, size))
+
+    def test_sampler_at_the_block_constant(self):
+        size, count = 256, 2 * (gup.BLOCK_AMPLITUDES // 256) + 5
+        blocks = list(random_states(size, count, 11))
+        assert [len(b.amplitudes) for b in blocks] == [256, 256, 5]
+        rng = np.random.default_rng(11)
+        for amplitudes in np.concatenate([b.amplitudes for b in blocks]):
+            assert np.array_equal(amplitudes, oracle_state(rng, size))
+
+    @given(st.integers(8, 300), st.lists(st.floats(0.3, 1.0), min_size=1, max_size=5),
+           st.sampled_from(("periodic", "open")), st.floats(0.05, 20.0))
+    def test_family_members_equal_the_oracle(self, size, fractions, boundary, l):
+        widths = sorted({f * size / 8 for f in fractions})
+        try:
+            family = minimize_delta_x(DiscretenessScale(l), widths, size, boundary)
+        except FamilyTooNarrow:
+            return
+        labels = site_labels(size)
+        for member, width in zip(family.members, widths):
+            env = np.exp(-(labels**2) / (4.0 * width**2)).astype(complex)
+            want = oracle_report(env / float(np.linalg.norm(env)), l, boundary)
+            assert as_fields(member) == want and member.width == width
+            single = gaussian_envelope(size, width).amplitudes
+            assert np.array_equal(single, env / float(np.linalg.norm(env)))
+
+    def test_envelope_block_uses_the_one_envelope_formula(self):
+        # numpy's w**2 on an array is w*w, which differs from Python's w**2 on
+        # about 1 in 1000 doubles; 20000 widths catch that
+        widths = np.random.default_rng(3).uniform(0.5, 4.0, 20000).tolist()
+        block = gaussian_envelope(32, widths).amplitudes
+        labels = site_labels(32)
+        for row, width in zip(block, widths):
+            env = np.exp(-(labels**2) / (4.0 * width**2)).astype(complex)
+            assert np.array_equal(row, env / float(np.linalg.norm(env)))
+
+    def test_a_block_is_checked_row_by_row(self):
+        amplitudes = np.ones((3, 4), dtype=complex) / 2.0
+        LatticeState(amplitudes)
+        amplitudes[2, 0] = 1.0
+        with pytest.raises(ValueError, match="norm"):
+            LatticeState(amplitudes)
+        with pytest.raises(ValueError, match="zero state"):
+            LatticeState.from_amplitudes(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_amplitudes_are_refused(self, bad):
+        # a NaN norm used to pass the unit-norm check, and its report then
+        # counted a Robertson violation
+        with pytest.raises(ValueError, match="norm"):
+            LatticeState(np.array([bad, 0.0], dtype=complex))
+        with pytest.raises(ValueError, match="norm"):
+            LatticeState.from_amplitudes(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 120), st.sampled_from(("periodic", "open")), st.floats(0.5, 1.5),
+           st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(1, 600))
+    def test_cli_counts_equal_a_per_state_loop(self, size, boundary, l, seed, samples,
+                                               block_amplitudes):
+        config = {"kind": "gup", "sites": size, "scale": l, "boundary": boundary,
+                  "samples": samples, "seed": seed, "widths": [size / 8]}
+        with tempfile.TemporaryDirectory() as workdir:
+            path = Path(workdir) / "gup.json"
+            config["out"] = str(path.with_name("out.json"))
+            path.write_text(json.dumps(config))
+            with unittest.mock.patch.object(gup, "BLOCK_AMPLITUDES", block_amplitudes), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["gup", str(path)]) == 0
+            doc = json.loads(path.with_name("out.json").read_text())
+        rng = np.random.default_rng(seed)
+        reports = [oracle_report(oracle_state(rng, size), l, boundary) for _ in range(samples)]
+        assert doc["robertson_violations"] == sum(not r["robertson_holds"] for r in reports)
+        assert doc["paper_bound_holds_fraction"] == (
+            sum(r["satisfies_deformed_bound"] for r in reports) / samples)
+
+    def test_memory_stays_per_block(self, tmp_path):
+        # unblocked, one (1000, 4096) complex array alone is 65 MB
+        with contextlib.redirect_stdout(io.StringIO()):
+            tracemalloc.start()
+            try:
+                code = cli.main(["gup", "--sites", "4096", "--samples", "1000",
+                                 "--out", str(tmp_path / "gup.json")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -86,6 +86,25 @@ class TestTopology:
         with pytest.raises(TypeError):
             Schedule.seeded_random(3, [(0, bad)])
 
+    @pytest.mark.parametrize("fields", [
+        dict(kind="periodic", steps=((0, 1, True), (0, 1.0, 1))),
+        dict(kind="explicit", steps=((0, 1, 1), (0, 1.0, 1))),
+        dict(kind="explicit", steps=((0, 1, 1.0),)),
+        dict(kind="seeded_random", seed=3.0, pool=((0, 1),)),
+        dict(kind="seeded_random", seed=True, pool=((0, 1),)),
+        dict(kind="seeded_random", seed=3, pool=((0, 1), (1, 2.0))),
+    ])
+    def test_constructor_applies_the_int_rule(self, fields):
+        # a bad entry past the first step used to pass here and fail only
+        # when model_a_evolve reached it
+        with pytest.raises(TypeError):
+            Schedule(**fields)
+
+    def test_constructor_normalizes_like_the_classmethods(self):
+        assert Schedule(kind="periodic", steps=[[1, 0], (2, 1, -1)]) == Schedule.periodic(
+            [(0, 1), (1, 2, -1)])
+        assert Schedule(kind="seeded_random", seed=7, pool=[[2, 1]]).pool == ((1, 2),)
+
 
 class TestStartIndex:
     @pytest.mark.parametrize("bad", [True, False, 1.0, Fraction(1), "1", np.int64(1)])
@@ -259,7 +278,7 @@ class TestDrivenModel:
         topo = GraphTopology.fully_connected(2)
         op = model_a_step_operator(topo, (0, 1))
         twice = op.compose_after(op)
-        assert twice.is_identity_permutation()
+        assert np.array_equal(twice.target, PhasedPermutation.identity(4).target)
         assert set(twice.phase_exponent) == {2}
 
     def test_sign_flips_phase_only(self):

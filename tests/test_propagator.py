@@ -31,7 +31,6 @@ from ontoca.propagator import (
     equal_initial_form,
     is_critical,
     phi_operator,
-    transfer_polynomial,
     transfer_sequence,
 )
 from ontoca.verify import random_model, random_subcritical_model, random_vector
@@ -259,9 +258,8 @@ class TestTransferPolynomial:
                     )
                     assert composed == traj.state_at(n)
 
-    def test_single_order_accessor(self):
-        model = sigma1_model()
-        assert transfer_polynomial(model, 7).matrix == transfer_sequence(model, 7)[7].matrix
+    def test_entry_k_is_order_k(self):
+        assert [t.order for t in transfer_sequence(sigma1_model(), 7)] == list(range(8))
 
 
 wide_int = st.integers(min_value=-(2**70), max_value=2**70)
