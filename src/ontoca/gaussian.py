@@ -255,6 +255,14 @@ class GaussianIntVector:
         sre, sim = scalar.re, scalar.im
         return GaussianIntVector._of((sre * a - sim * b, sre * b + sim * a) for a, b in self.pairs)
 
+    def dot_conj(self, other: "GaussianIntVector") -> GaussianInt:
+        """Inner product conj(self) . other, exact."""
+        re = im = 0
+        for (a, b), (c, d) in zip(self.pairs, self._pairs_of(other)):
+            re += a * c + b * d
+            im += a * d - b * c
+        return GaussianInt(re, im)
+
     def norm_sq(self) -> int:
         return sum(a * a + b * b for a, b in self.pairs)
 
@@ -500,6 +508,9 @@ class Trajectory:
 
     def state_at(self, n: int) -> GaussianIntVector:
         return GaussianIntVector._of(self._raw_at(n))
+
+    def pair_at(self, n: int) -> CAPairState:
+        return CAPairState(self.state_at(n - 1), self.state_at(n), index_n=n)
 
     def _raw_at(self, n: int):
         return self.raw_states[n - self.start_index]

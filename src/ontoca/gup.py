@@ -33,7 +33,9 @@ import numpy as np
 from .errors import DimensionMismatch, FamilyTooNarrow
 from .propagator import DiscretenessScale
 
-BLOCK_AMPLITUDES = 1 << 16  # per random_states block (at least one row): memory stays O(block)
+# Amplitudes per random_states block (at least one row): 64 KiB of complex128,
+# under glibc's 128 KiB mmap threshold, so block temporaries reuse the heap.
+BLOCK_AMPLITUDES = 1 << 12
 
 
 # =============================================================================
@@ -120,8 +122,9 @@ def gaussian_envelope(size: int, width) -> LatticeState:
 
 
 def single_site_state(size: int, site: int) -> LatticeState:
+    labels = list(site_labels(size))
     amp = np.zeros(size, dtype=complex)
-    amp[list(site_labels(size)).index(site)] = 1.0
+    amp[labels.index(site)] = 1.0
     return LatticeState(amplitudes=amp)
 
 
@@ -153,7 +156,8 @@ def _values(x):
 
 
 class Moments(NamedTuple):
-    """<op>, Delta op (clamped at zero roundoff) and <op^2>, per state."""
+    """<op>, Delta op (clamped at zero roundoff) and <op^2>, per state: floats
+    for one (M,) state, arrays over the rows of a (k, M) block."""
 
     mean: float
     delta: float
@@ -178,6 +182,8 @@ def uncertainty(state: LatticeState, op: LatticeOperator) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class RobertsonResult:
+    """Per-state fields: scalars for one (M,) state, per-row arrays for a block."""
+
     lhs: float
     rhs: float
     holds: bool
@@ -200,6 +206,8 @@ def robertson_check(state: LatticeState, a: LatticeOperator, b: LatticeOperator)
 
 @dataclass(frozen=True)
 class GupBoundReport:
+    """Per-state fields: scalars for one (M,) state, per-row arrays for a block."""
+
     lhs: float
     deformed_rhs: float
     robertson_rhs: float
@@ -299,8 +307,9 @@ def minimize_delta_x(
             f"width {widths[-1]} too large for {sites} sites; boundary effects exceed 1%"
         )
     block = gup_bound_report(gaussian_envelope(sites, widths), scale, boundary)
-    columns = [getattr(block, f.name).tolist() for f in fields(GupBoundReport)]
-    members = [FamilyMember(*row) for row in zip(*columns, widths)]  # width is the last field
+    names = [f.name for f in fields(GupBoundReport)]
+    rows = zip(*(getattr(block, name).tolist() for name in names))
+    members = [FamilyMember(width=w, **dict(zip(names, row))) for w, row in zip(widths, rows)]
     bound_dx, bound_dp = bound_minimum(scale)
     satisfying = [m for m in members if m.satisfies_deformed_bound]
     realized_min_dx = None

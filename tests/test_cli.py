@@ -997,9 +997,10 @@ class TestGup:
         assert (loud.stdout, loud_json) == (quiet.stdout, quiet_json)
 
     @pytest.mark.parametrize("sites, samples, blocks, rows", [
-        (4096, 40, 3, 16),  # 2**16 amplitudes a block: 16 rows of 4096, the last one 8
-        (256, 256, 1, 256),
-        (256, 257, 2, 256),
+        (256, 40, 3, 16),  # 2**12 amplitudes a block: 16 rows of 256, the last one 8
+        (256, 256, 16, 16),
+        (256, 257, 17, 16),
+        (4096, 3, 3, 1),  # at least one row a block
     ])
     def test_info_log_counts_sample_blocks(self, tmp_path, caplog, sites, samples, blocks, rows):
         caplog.set_level(logging.INFO, logger="ontoca")

@@ -144,6 +144,12 @@ class TestVectors:
         with pytest.raises(DimensionMismatch):
             gvec((1, 0)) + gvec((1, 0), (0, 0))
 
+    def test_dot_conj(self):
+        v = gvec((1, 1), (0, 2))
+        w = gvec((1, -1), (3, 0))
+        # conj(1+i)(1-i) + conj(2i)(3) = (1-i)^2 + (-2i)(3) = -2i - 6i
+        assert v.dot_conj(w) == GaussianInt(0, -8)
+
     def test_norm_sq(self):
         assert gvec((1, -1), (0, 0)).norm_sq() == 2
 
@@ -429,6 +435,7 @@ class TestVectorAgainstComponentwise:
         assert (-u).components == tuple(-a for a in ru)
         assert u.scaled(s).components == tuple(s * a for a in ru)
         assert u.scaled(scalar[0]).components == tuple(scalar[0] * a for a in ru)
+        assert u.dot_conj(v) == sum((a.conjugate() * b for a, b in zip(ru, rv)), GaussianInt())
         assert u.norm_sq() == sum(a.norm_sq() for a in ru)
         assert u.is_zero() == all(a.is_zero() for a in ru)
         assert (u == v) == (ru == rv)
@@ -448,7 +455,7 @@ class TestVectorAgainstComponentwise:
 
     def test_dimension_mismatch_and_bad_index(self):
         u = gvec((1, 0), (0, 1))
-        for op in (u.__add__, u.__sub__):
+        for op in (u.__add__, u.__sub__, u.dot_conj):
             with pytest.raises(DimensionMismatch):
                 op(gvec((1, 0)))
         with pytest.raises(IndexError):
@@ -831,8 +838,8 @@ class TestRawTrajectory:
             n = start + k
             forced = GaussianIntVector(c.times_i() for c in dense_h_times(model, boxed[k]))
             assert traj.residual_at(n) == boxed[k + 1] - boxed[k - 1] + forced
-            pair = CAPairState(boxed[k - 1], boxed[k], index_n=n)
-            assert traj.correlation_at(n) == two_time_correlation(pair)
+            assert traj.pair_at(n) == CAPairState(boxed[k - 1], boxed[k], index_n=n)
+            assert traj.correlation_at(n) == two_time_correlation(traj.pair_at(n))
         assert traj.verify()
         assert norm_trace(traj) == tuple(state.norm_sq() for state in boxed)
         # on states that are no trajectory, Q differs from pair to pair

@@ -459,7 +459,7 @@ class TestBlockRoute:
     def test_sampler_at_the_block_constant(self):
         size, count = 256, 2 * (gup.BLOCK_AMPLITUDES // 256) + 5
         blocks = list(random_states(size, count, 11))
-        assert [len(b.amplitudes) for b in blocks] == [256, 256, 5]
+        assert [len(b.amplitudes) for b in blocks] == [16, 16, 5]  # 2**12 amplitudes a block
         rng = np.random.default_rng(11)
         for amplitudes in np.concatenate([b.amplitudes for b in blocks]):
             assert np.array_equal(amplitudes, oracle_state(rng, size))
