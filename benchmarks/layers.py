@@ -1,8 +1,9 @@
 """Layer micro-benchmark: the wall time of one call of each exact kernel, of
 the boxing layer, of the ontology scan's ray division, of a trajectory check
-and its CSV, of the CLI parser build, of two whole Ising CLI runs and of the
+and its CSV, of the CLI parser build, of two whole Ising CLI runs, of the
 lattice uncertainty reports (a whole gup CLI run, its width family and the
-verify-all Robertson check).
+verify-all Robertson check) and of two model builds (a dense dim-2048 ring and
+a separable coupling of two dim-48 rings).
 
     python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
 
@@ -11,8 +12,9 @@ The source tree under test is this checkout's `src/` (or `--src`).  With
 commit) is timed the same way, and each row carries both figures.  Each
 sample is one fresh interpreter per tree (this file re-run with `--child`),
 so the trees never share imports or caches, and OpenBLAS runs on one
-thread.  The trees take turns, sample by sample, so a drift in host load
-falls on both alike.
+thread.  The trees take turns, sample by sample, and which tree runs first
+alternates from sample to sample, so a drift in host load and an order effect
+fall on both alike.
 
 In a sample, each row repeats one call until at least MIN_SAMPLE_S has
 passed and records the mean time per call; a row reports the median and the
@@ -63,6 +65,10 @@ ROWS = {
                "(config read, width family, sharp state, sample reports, JSON write)",
     "gup_family": "gup.minimize_delta_x: Gaussian widths 4, 6, 8, 12, 16 on 256 sites, periodic",
     "robertson_300": "verify.check_robertson: the Robertson bound on 300 random 64-site states",
+    "model_build_2048": "gaussian.build_hamiltonian of a dim-2048 unit-weight ring from dense "
+                        "S and A lists (validation of the dense input included)",
+    "separable_48x48": "multitime.TensorHamiltonian.separable of two dim-48 unit-weight ring "
+                       "models (dim 2304)",
 }
 
 ISING_A_EDGES = [[k, (k + 1) % 12] for k in range(12)] + [[0, 6], [3, 9]]
@@ -107,21 +113,40 @@ def _cli_call(cli, workdir: Path, name: str):
     return call
 
 
+def _ring_matrices(dim: int):
+    """Dense S and A lists of the unit-weight ring of `dim` sites."""
+    s = [[0] * dim for _ in range(dim)]
+    for r in range(dim):
+        s[r][(r + 1) % dim] = s[(r + 1) % dim][r] = 1
+    return s, [[0] * dim for _ in range(dim)]
+
+
+def _built_on_first_call(make, run):
+    """A call of run(input), where the input is made by the first call: the
+    untimed warm-up.  A large input so exists only once the rows before it
+    have been timed."""
+    held = []
+
+    def call():
+        if not held:
+            held.append(make())
+        return run(held[0])
+
+    return call
+
+
 def _calls(workdir: Path):
     """Zero-argument callables, one per row, with their inputs built untimed;
     the CLI rows read and write files in `workdir`."""
     import random
 
-    from ontoca import cli, gup, ising, ontology, propagator, serialize, verify
+    from ontoca import cli, gup, ising, multitime, ontology, propagator, serialize, verify
     from ontoca.gaussian import CAPairState, GaussianIntVector, _step_raw, build_hamiltonian, evolve
 
     rng = random.Random(12)
 
     dim = 64
-    s = [[0] * dim for _ in range(dim)]
-    for r in range(dim):
-        s[r][(r + 1) % dim] = s[(r + 1) % dim][r] = 1
-    ring = build_hamiltonian(s, [[0] * dim for _ in range(dim)])
+    ring = build_hamiltonian(*_ring_matrices(dim))
     prev = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(dim)]
     curr = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(dim)]
     # the boxing, ray, check and CSV rows use public API only, so every tree can run them
@@ -152,6 +177,8 @@ def _calls(workdir: Path):
     np_rng = np.random.default_rng(12)
     perm = ising.PhasedPermutation(np_rng.permutation(1 << 16), np_rng.integers(0, 4, 1 << 16))
 
+    ring48 = build_hamiltonian(*_ring_matrices(48))
+
     momentum = gup.momentum_operator(256, propagator.DiscretenessScale(1.0))
     psi = np_rng.standard_normal(256) + 1j * np_rng.standard_normal(256)
 
@@ -172,6 +199,9 @@ def _calls(workdir: Path):
             propagator.DiscretenessScale(1.0), (4, 6, 8, 12, 16), 256, "periodic"),
         "robertson_300": lambda: verify.check_robertson(0),
         **{name: _cli_call(cli, workdir, name) for name in CLI_CONFIGS},
+        "model_build_2048": _built_on_first_call(
+            lambda: _ring_matrices(2048), lambda sa: build_hamiltonian(*sa)),
+        "separable_48x48": lambda: multitime.TensorHamiltonian.separable(ring48, ring48),
     }
 
 
@@ -219,11 +249,14 @@ def _run_child(src: Path) -> dict:
 
 def _time_trees(trees: dict, samples: int) -> dict:
     """Per tree and row: median and minimum seconds per call, over `samples`
-    fresh children per tree, the trees taking turns."""
+    fresh children per tree, the trees taking turns and swapping which goes
+    first after every sample."""
     runs = {label: [] for label in trees}
+    order = list(trees.items())
     for _ in range(samples):
-        for label, src in trees.items():
+        for label, src in order:
             runs[label].append(_run_child(src))
+        order.reverse()
     return {
         label: {
             name: {"median_s": statistics.median(ts), "min_s": min(ts), "samples": len(ts)}

@@ -13,7 +13,7 @@ this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -255,14 +255,6 @@ class GaussianIntVector:
         sre, sim = scalar.re, scalar.im
         return GaussianIntVector._of((sre * a - sim * b, sre * b + sim * a) for a, b in self.pairs)
 
-    def dot_conj(self, other: "GaussianIntVector") -> GaussianInt:
-        """Inner product conj(self) . other, exact."""
-        re = im = 0
-        for (a, b), (c, d) in zip(self.pairs, self._pairs_of(other)):
-            re += a * c + b * d
-            im += a * d - b * c
-        return GaussianInt(re, im)
-
     def norm_sq(self) -> int:
         return sum(a * a + b * b for a, b in self.pairs)
 
@@ -330,7 +322,7 @@ def _compile_rows(matrix) -> tuple:
 def _matvec_raw(rows, v) -> list[tuple[int, int]]:
     """M @ v for M given by its compiled rows, on raw (re, im) int pairs.
 
-    The one exact product with H (or a transfer matrix): stepping, apply_h,
+    The one exact product with H (or a transfer matrix): stepping,
     residuals and the transfer recursion all run on it.
     """
     out = []
@@ -398,40 +390,35 @@ def _det_raw(matrix) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """Integer S (symmetric) and A (antisymmetric) defining H = S + iA."""
+    """H = S + iA as its rows: each row's nonzero entries as (col, re, im)
+    triples in column order.  Every exact product with H runs on these; the
+    dense forms are built on read.  The constructor does not check that H is
+    self-adjoint: `build_hamiltonian` does, for dense S and A.
+    """
 
-    dim: int
-    s_matrix: tuple[tuple[int, ...], ...]
-    a_matrix: tuple[tuple[int, ...], ...]
-    # Nonzero entries of H per row as (col, re, im) triples, compiled once:
-    # every exact product with H runs on these.
-    h_rows: tuple = field(init=False, repr=False, compare=False)
+    h_rows: tuple
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "h_rows", _compile_rows(zip(s, a) for s, a in zip(self.s_matrix, self.a_matrix))
-        )
+    @property
+    def dim(self) -> int:
+        return len(self.h_rows)
+
+    def dense_pairs(self) -> list[list[tuple[int, int]]]:
+        """H as dense rows of raw (re, im) pairs: row r holds (S[r][c], A[r][c])."""
+        dense = [[(0, 0)] * self.dim for _ in self.h_rows]
+        for out, row in zip(dense, self.h_rows):
+            for col, re, im in row:
+                out[col] = (re, im)
+        return dense
 
     @property
     def h_matrix(self) -> tuple[tuple[GaussianInt, ...], ...]:
         """Dense boxed H; the reference form, not used for stepping."""
-        return tuple(
-            tuple(GaussianInt(self.s_matrix[a][b], self.a_matrix[a][b]) for b in range(self.dim))
-            for a in range(self.dim)
-        )
-
-    def apply_h(self, v: GaussianIntVector) -> GaussianIntVector:
-        if len(v) != self.dim:
-            raise DimensionMismatch(f"vector length {len(v)} vs model dim {self.dim}")
-        return GaussianIntVector._of(_matvec_raw(self.h_rows, v.pairs))
+        return tuple(tuple(itertools.starmap(GaussianInt, row)) for row in self.dense_pairs())
 
     def as_complex_array(self):
         import numpy as np
 
-        return np.array(
-            [[complex(self.s_matrix[a][b], self.a_matrix[a][b]) for b in range(self.dim)]
-             for a in range(self.dim)]
-        )
+        return np.array([[complex(re, im) for re, im in row] for row in self.dense_pairs()])
 
 
 def _as_int_rows(matrix, name) -> tuple[tuple[int, ...], ...]:
@@ -441,10 +428,10 @@ def _as_int_rows(matrix, name) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-def build_hamiltonian(s_matrix, a_matrix) -> HamiltonianModel:
-    """Validate S/A symmetry and return the model; H = S + iA is then self-adjoint."""
-    s = _as_int_rows(s_matrix, "S")
-    a = _as_int_rows(a_matrix, "A")
+def build_hamiltonian(s_dense, a_dense) -> HamiltonianModel:
+    """Validate dense S/A symmetry and return the model; H = S + iA is then self-adjoint."""
+    s = _as_int_rows(s_dense, "S")
+    a = _as_int_rows(a_dense, "A")
     dim = len(s)
     if len(a) != dim:
         raise DimensionMismatch(f"S is {dim}x{dim} but A is {len(a)}x{len(a)}")
@@ -454,12 +441,11 @@ def build_hamiltonian(s_matrix, a_matrix) -> HamiltonianModel:
                 raise SymmetryViolation("S", r, c)
             if a[r][c] != -a[c][r]:
                 raise SymmetryViolation("A", r, c)
-    return HamiltonianModel(dim=dim, s_matrix=s, a_matrix=a)
+    return HamiltonianModel(_compile_rows(zip(sr, ar) for sr, ar in zip(s, a)))
 
 
 def zero_model(dim: int) -> HamiltonianModel:
-    zero = tuple(tuple(0 for _ in range(dim)) for _ in range(dim))
-    return HamiltonianModel(dim=dim, s_matrix=zero, a_matrix=zero)
+    return HamiltonianModel(((),) * dim)
 
 
 # =============================================================================
@@ -508,9 +494,6 @@ class Trajectory:
 
     def state_at(self, n: int) -> GaussianIntVector:
         return GaussianIntVector._of(self._raw_at(n))
-
-    def pair_at(self, n: int) -> CAPairState:
-        return CAPairState(self.state_at(n - 1), self.state_at(n), index_n=n)
 
     def _raw_at(self, n: int):
         return self.raw_states[n - self.start_index]

@@ -72,10 +72,6 @@ def _boxed(vec) -> tuple[GaussianRational, ...]:
     return tuple(GaussianRational(re, im) for re, im in vec)
 
 
-def as_exact_vector(values, length: int) -> tuple[GaussianRational, ...]:
-    return _boxed(_raw_vector(values, length))
-
-
 def _hamiltonian(matrix) -> HamiltonianModel:
     """H = S + iA from rows of Gaussian-integer entries; NotSelfAdjoint unless H = H^dagger."""
     rows = [GaussianIntVector(row).pairs for row in matrix]
@@ -123,26 +119,28 @@ class TensorHamiltonian:
     def separable(cls, *factors) -> "TensorHamiltonian":
         """Sum of single-factor couplings: H1 x 1 x ... + 1 x H2 x ... + ...
 
-        Each nonzero factor entry is written straight into the flat S and A;
-        the sum of self-adjoint terms needs no second symmetry check.
+        Each flat row is written straight from the factor rows: an
+        off-diagonal factor entry changes one digit of the index, so only the
+        diagonal entries of several factors meet in one column.  A sum of
+        self-adjoint terms needs no second symmetry check.
         """
         if len(factors) < 2:
             raise ValueError("separable coupling needs at least two factors")
         models = [f if isinstance(f, HamiltonianModel) else _hamiltonian(f) for f in factors]
         dims = tuple(m.dim for m in models)
         total = math.prod(dims)
-        s = [[0] * total for _ in range(total)]
-        a = [[0] * total for _ in range(total)]
-        stride = total
-        for m in models:
-            stride //= m.dim
-            for r in range(total):
+        strides = [math.prod(dims[k + 1:]) for k in range(len(dims))]
+        rows = []
+        for r in range(total):
+            entries = {}
+            for m, stride in zip(models, strides):
                 digit = r // stride % m.dim
                 for c, re, im in m.h_rows[digit]:
-                    s[r][r + (c - digit) * stride] += re
-                    a[r][r + (c - digit) * stride] += im
-        flat = HamiltonianModel(total, tuple(map(tuple, s)), tuple(map(tuple, a)))
-        return cls(dims=dims, model=flat)
+                    col = r + (c - digit) * stride
+                    sre, sim = entries.get(col, (0, 0))
+                    entries[col] = (sre + re, sim + im)
+            rows.append(tuple((c, re, im) for c, (re, im) in sorted(entries.items()) if re or im))
+        return cls(dims=dims, model=HamiltonianModel(tuple(rows)))
 
     def apply(self, vec) -> tuple[GaussianRational, ...]:
         return _boxed(_matvec_raw(self.model.h_rows, _raw_vector(vec, self.total_dim)))
@@ -462,12 +460,6 @@ def synchronized_states(start, h: TensorHamiltonian, steps: int) -> list[tuple]:
         base = states[-2] if len(start) == 2 else zero
         states.append(tuple(_step_raw(h.model.h_rows, base, states[-1])))
     return states
-
-
-def sync_second_order(prev, curr, h: TensorHamiltonian) -> tuple[GaussianRational, ...]:
-    """Diagonal synchronization: next = prev - i H curr (same algebra as a
-    single flattened system, so it runs both ways exactly)."""
-    return _boxed(synchronized_states((prev, curr), h, 1)[-1])
 
 
 def sync_first_order(state, h: TensorHamiltonian, steps: int) -> tuple[tuple, ...]:

@@ -63,8 +63,7 @@ def is_critical(model: HamiltonianModel) -> bool:
     # H is self-adjoint, so column c of H is the conjugate of its row c and
     # column c of H^2 is H times that.
     h2_cols = [
-        _matvec_raw(model.h_rows, [(s, -a) for s, a in zip(model.s_matrix[c], model.a_matrix[c])])
-        for c in range(model.dim)
+        _matvec_raw(model.h_rows, [(re, -im) for re, im in row]) for row in model.dense_pairs()
     ]
     four_minus_h2 = [
         [(4 * (r == c) - h2_cols[c][r][0], -h2_cols[c][r][1]) for c in range(model.dim)]

@@ -108,12 +108,13 @@ def atomic_write_text(path, text: str):
 
 
 def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+    """The header and each row (a tuple) as comma-joined str fields.
+
+    No field needs quoting: each is an int, exact-fraction text, a bit string
+    (empty when there are no edges) or a format_float string.
+    """
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return line % tuple(header) + "".join([line % row for row in rows])
 
 
 def trajectory_rows(traj: Trajectory) -> list[tuple[int, int, int, int]]:
@@ -325,7 +326,7 @@ def model_from_mapping(data: dict, origin: str = "model") -> HamiltonianModel:
             raise ConfigInvalid(origin, f"unknown preset {name!r}; available {preset_names()}")
         model = preset_hamiltonian(name)
         if ("S" in data or "A" in data) and (
-            _matrices_from_mapping(data, origin) != (model.s_matrix, model.a_matrix)
+            _matrices_from_mapping(data, origin) != _s_and_a(model)
         ):
             raise ConfigInvalid(origin, f"S/A entries disagree with preset {name!r}")
     else:
@@ -356,12 +357,20 @@ def _matrices_from_mapping(data: dict, origin: str):
     return tuple(matrices)
 
 
+def _s_and_a(model: HamiltonianModel) -> tuple:
+    """The dense S and A of a model, as tuples of int rows, read off its rows."""
+    dense = model.dense_pairs()
+    return (tuple(tuple(re for re, _ in row) for row in dense),
+            tuple(tuple(im for _, im in row) for row in dense))
+
+
 def model_to_mapping(model: HamiltonianModel) -> dict:
+    s, a = _s_and_a(model)
     return {
         "schema_version": SCHEMA_VERSION,
         "dim": model.dim,
-        "S": [list(row) for row in model.s_matrix],
-        "A": [list(row) for row in model.a_matrix],
+        "S": [list(row) for row in s],
+        "A": [list(row) for row in a],
     }
 
 

@@ -195,17 +195,17 @@ def check_xp_equivalence(seed: int):
         traj = evolve(
             CAPairState(random_vector(rng, dim), random_vector(rng, dim)), model, steps=40
         )
-        s, a = model.s_matrix, model.a_matrix
         for n in range(traj.start_index + 1, traj.start_index + len(traj) - 1):
             x_prev, p_prev = to_xp(traj.state_at(n - 1))
             x_cur, p_cur = to_xp(traj.state_at(n))
             x_next, p_next = to_xp(traj.state_at(n + 1))
-            for alpha in range(dim):
-                sx = sum(s[alpha][b] * p_cur[b] for b in range(dim))
-                ax = sum(a[alpha][b] * x_cur[b] for b in range(dim))
+            # S[alpha][b] and A[alpha][b] are the re and im of H's row entries
+            for alpha, row in enumerate(model.h_rows):
+                sx = sum(s * p_cur[b] for b, s, _ in row)
+                ax = sum(a * x_cur[b] for b, _, a in row)
                 ok = ok and (x_next[alpha] - x_prev[alpha]) == sx + ax
-                sp = sum(s[alpha][b] * x_cur[b] for b in range(dim))
-                ap = sum(a[alpha][b] * p_cur[b] for b in range(dim))
+                sp = sum(s * x_cur[b] for b, s, _ in row)
+                ap = sum(a * p_cur[b] for b, _, a in row)
                 ok = ok and (p_next[alpha] - p_prev[alpha]) == -sp + ap
     return ok, {"models": 5, "steps": 40}
 

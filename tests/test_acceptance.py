@@ -200,7 +200,7 @@ def test_criterion_06_multitime_products_and_correlations():
         # first-order update on an uncorrelated product state
         state = [0] * (d1 * d2)
         state[0] = 1
-        if all(m1.s_matrix[r][0] == 0 and m1.a_matrix[r][0] == 0 for r in range(1, d1)):
+        if all(row[0].is_zero() for row in m1.h_matrix[1:]):
             continue  # degenerate draw: first column couples to nothing
         run = multitime.sync_first_order(state, h, steps=1)
         rank = multitime.schmidt_rank(run[1], (d1, d2))

@@ -9,6 +9,7 @@ directly from the integer S and A matrices, independently of the library's
 complex-form stepping, so agreement between the two is a real check.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from ontoca.gaussian import (
     GaussianInt,
     GaussianIntVector,
     GaussianRational,
+    HamiltonianModel,
     Trajectory,
     build_hamiltonian,
     evolve,
@@ -144,12 +146,6 @@ class TestVectors:
         with pytest.raises(DimensionMismatch):
             gvec((1, 0)) + gvec((1, 0), (0, 0))
 
-    def test_dot_conj(self):
-        v = gvec((1, 1), (0, 2))
-        w = gvec((1, -1), (3, 0))
-        # conj(1+i)(1-i) + conj(2i)(3) = (1-i)^2 + (-2i)(3) = -2i - 6i
-        assert v.dot_conj(w) == GaussianInt(0, -8)
-
     def test_norm_sq(self):
         assert gvec((1, -1), (0, 0)).norm_sq() == 2
 
@@ -225,13 +221,12 @@ RATIONAL_POSITIONS = {
     "operand / (reflected)": lambda bad: bad / GaussianRational(1, 1),
     "_coerce": lambda bad: GaussianRational._coerce(bad),
     "multitime._pair": lambda bad: multitime._pair(bad),
-    "as_exact_vector": lambda bad: multitime.as_exact_vector([1, bad], 2),
     "TensorHamiltonian.apply": lambda bad: PAIR_FLIP.apply([bad, 0, 0, 0]),
     "MultiTimeField values": lambda bad: multitime.MultiTimeField((2, 1), {(0, 0): [1, bad]}),
-    "sync_second_order prev":
-        lambda bad: multitime.sync_second_order([bad, 0, 0, 0], [0, 0, 0, 1], PAIR_FLIP),
-    "sync_second_order curr":
-        lambda bad: multitime.sync_second_order([1, 0, 0, 0], [0, 0, bad, 0], PAIR_FLIP),
+    "synchronized_states prev":
+        lambda bad: multitime.synchronized_states(([bad, 0, 0, 0], [0, 0, 0, 1]), PAIR_FLIP, 1),
+    "synchronized_states curr":
+        lambda bad: multitime.synchronized_states(([1, 0, 0, 0], [0, 0, bad, 0]), PAIR_FLIP, 1),
     "sync_first_order": lambda bad: multitime.sync_first_order([0, bad, 0, 0], PAIR_FLIP, 1),
     "norm_sq_exact": lambda bad: multitime.norm_sq_exact([1, bad]),
     "schmidt_rank": lambda bad: multitime.schmidt_rank([1, 0, 0, bad], (2, 2)),
@@ -264,7 +259,6 @@ class TestOneRationalInputRule:
         value = GaussianRational._coerce(good)
         assert type(value) is GaussianRational and value == 3
         assert type(value.re) is Fraction and type(value.im) is Fraction
-        assert multitime.as_exact_vector([good, 0], 2) == (value, GaussianRational(0))
         assert multitime.norm_sq_exact([good, 1]) == 10
         assert GaussianRational(1, 1) + good == good + GaussianRational(1, 1) == GaussianRational(4, 1)
 
@@ -435,7 +429,6 @@ class TestVectorAgainstComponentwise:
         assert (-u).components == tuple(-a for a in ru)
         assert u.scaled(s).components == tuple(s * a for a in ru)
         assert u.scaled(scalar[0]).components == tuple(scalar[0] * a for a in ru)
-        assert u.dot_conj(v) == sum((a.conjugate() * b for a, b in zip(ru, rv)), GaussianInt())
         assert u.norm_sq() == sum(a.norm_sq() for a in ru)
         assert u.is_zero() == all(a.is_zero() for a in ru)
         assert (u == v) == (ru == rv)
@@ -455,7 +448,7 @@ class TestVectorAgainstComponentwise:
 
     def test_dimension_mismatch_and_bad_index(self):
         u = gvec((1, 0), (0, 1))
-        for op in (u.__add__, u.__sub__, u.dot_conj):
+        for op in (u.__add__, u.__sub__):
             with pytest.raises(DimensionMismatch):
                 op(gvec((1, 0)))
         with pytest.raises(IndexError):
@@ -509,6 +502,59 @@ class TestBuildHamiltonian:
             build_hamiltonian([[1.5]], [[0]])
         with pytest.raises(TypeError):
             build_hamiltonian([[0]], [[Fraction(0)]])
+
+
+@st.composite
+def dense_s_and_a(draw, entry):
+    """Symmetric S and antisymmetric A of a random dim in 1..6."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    s = [[0] * dim for _ in range(dim)]
+    a = [[0] * dim for _ in range(dim)]
+    for r in range(dim):
+        for c in range(r, dim):
+            s[r][c] = s[c][r] = draw(entry)
+            if c > r:
+                a[r][c] = draw(entry)
+                a[c][r] = -a[r][c]
+    return s, a
+
+
+class TestModelIsItsRows:
+    """A model holds only its rows; the dense views give back the S and A it
+    was built from, and equality and hash compare the rows."""
+
+    @given(dense_s_and_a(st.one_of(st.just(0), st.integers(-(2**70), 2**70))))
+    @settings(max_examples=60, deadline=None)
+    def test_views_give_back_s_and_a(self, matrices):
+        s, a = matrices
+        dim = len(s)
+        model = build_hamiltonian(s, a)
+        assert model.dim == dim
+        assert model.h_rows == tuple(
+            tuple((c, s[r][c], a[r][c]) for c in range(dim) if s[r][c] or a[r][c])
+            for r in range(dim)
+        )
+        assert model.dense_pairs() == [[(s[r][c], a[r][c]) for c in range(dim)] for r in range(dim)]
+        assert model.h_matrix == tuple(
+            tuple(GaussianInt(s[r][c], a[r][c]) for c in range(dim)) for r in range(dim)
+        )
+        assert all(type(z) is GaussianInt for row in model.h_matrix for z in row)
+        again = HamiltonianModel(model.h_rows)
+        assert again == model and hash(again) == hash(model)
+
+    @given(dense_s_and_a(st.integers(-(2**20), 2**20)))
+    @settings(max_examples=60, deadline=None)
+    def test_complex_array_gives_back_s_and_a(self, matrices):
+        s, a = matrices
+        h = build_hamiltonian(s, a).as_complex_array()
+        assert h.dtype == np.complex128 and h.shape == (len(s), len(s))
+        assert np.array_equal(h.real, np.array(s)) and np.array_equal(h.imag, np.array(a))
+
+    def test_fields_and_zero_model(self):
+        assert [f.name for f in dataclasses.fields(HamiltonianModel)] == ["h_rows"]
+        assert zero_model(3) == build_hamiltonian([[0] * 3] * 3, [[0] * 3] * 3)
+        assert zero_model(3).h_rows == ((), (), ())
+        assert build_hamiltonian(SIGMA1, ZERO2) != build_hamiltonian(ZERO2, ZERO2)
 
 
 # =============================================================================
@@ -763,10 +809,11 @@ def wide_vector(dim):
 class TestKernelAgainstDense:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_apply_h(self, data):
+    def test_tensor_apply(self, data):
         model = data.draw(wide_model())
         v = data.draw(wide_vector(model.dim))
-        assert model.apply_h(v) == dense_h_times(model, v)
+        h = multitime.TensorHamiltonian((model.dim,), model)
+        assert h.apply(v) == tuple(dense_h_times(model, v))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -838,8 +885,8 @@ class TestRawTrajectory:
             n = start + k
             forced = GaussianIntVector(c.times_i() for c in dense_h_times(model, boxed[k]))
             assert traj.residual_at(n) == boxed[k + 1] - boxed[k - 1] + forced
-            assert traj.pair_at(n) == CAPairState(boxed[k - 1], boxed[k], index_n=n)
-            assert traj.correlation_at(n) == two_time_correlation(traj.pair_at(n))
+            assert traj.correlation_at(n) == two_time_correlation(
+                CAPairState(traj.state_at(n - 1), traj.state_at(n), index_n=n))
         assert traj.verify()
         assert norm_trace(traj) == tuple(state.norm_sq() for state in boxed)
         # on states that are no trajectory, Q differs from pair to pair

@@ -31,7 +31,6 @@ from ontoca.gaussian import (
 from ontoca.multitime import (
     MultiTimeField,
     TensorHamiltonian,
-    as_exact_vector,
     equation_residual,
     interior_points,
     leibniz_identity_check,
@@ -41,7 +40,7 @@ from ontoca.multitime import (
     propagate_line,
     schmidt_rank,
     sync_first_order,
-    sync_second_order,
+    synchronized_states,
 )
 from ontoca.verify import random_model, random_vector
 
@@ -72,8 +71,9 @@ def digits(index, dims):
 
 def dense_kron_sum(*factors):
     """H1 x 1 x ... + 1 x H2 x ... + ... as a dense GaussianRational matrix,
-    written entry by entry from the factors' S and A."""
+    written entry by entry from the factors' dense H."""
     dims = [m.dim for m in factors]
+    dense = [m.h_matrix for m in factors]
     total = math.prod(dims)
     out = []
     for r in range(total):
@@ -82,10 +82,9 @@ def dense_kron_sum(*factors):
         for c in range(total):
             cd = digits(c, dims)
             value = exact(0)
-            for i, m in enumerate(factors):
+            for i, h in enumerate(dense):
                 if all(rd[j] == cd[j] for j in range(len(dims)) if j != i):
-                    entry = (m.s_matrix[rd[i]][cd[i]], m.a_matrix[rd[i]][cd[i]])
-                    value = value + GaussianRational(*entry)
+                    value = value + h[rd[i]][cd[i]]
             row.append(value)
         out.append(row)
     return out
@@ -365,12 +364,12 @@ class TestPropagateDiagonal:
 class TestSyncSecondOrder:
     def test_zero_coupling(self):
         h = TensorHamiltonian.general([[0, 0], [0, 0]], dims=(2, 1))
-        assert sync_second_order([3, 4], [1, 1], h) == (exact(3), exact(4))
+        assert synchronized_states(([3, 4], [1, 1]), h, 1)[-1] == ((3, 0), (4, 0))
 
     def test_hand_expansion(self):
         h = TensorHamiltonian.general(PAIR_FLIP, dims=(2, 2))
-        nxt = sync_second_order([1, 0, 0, 0], [0, 0, 0, 1], h)
-        assert nxt == (exact(complex(1, -1)), exact(0), exact(0), exact(0))
+        nxt = synchronized_states(([1, 0, 0, 0], [0, 0, 0, 1]), h, 1)[-1]
+        assert nxt == ((1, -1), (0, 0), (0, 0), (0, 0))
 
     def test_matches_flattened_single_system(self):
         rng = random.Random(33)
@@ -379,21 +378,17 @@ class TestSyncSecondOrder:
         prev = random_vector(rng, 4)
         curr = random_vector(rng, 4)
         traj = evolve(CAPairState(prev, curr), model, steps=12)
-        states = [
-            as_exact_vector(prev, 4),
-            as_exact_vector(curr, 4),
-        ]
-        for _ in range(12):
-            states.append(sync_second_order(states[-2], states[-1], h))
+        states = synchronized_states((prev, curr), h, 12)
+        assert len(states) == len(traj) == 14
         for k, vec in enumerate(states):
-            assert vec == as_exact_vector(traj.states[k], 4)
+            assert vec == traj[k].pairs
 
 
 class TestSyncFirstOrder:
     def test_pair_flip_periods(self):
         h = TensorHamiltonian.general(PAIR_FLIP, dims=(2, 2))
         run = sync_first_order([1, 0, 0, 0], h, steps=4)
-        e00 = as_exact_vector([1, 0, 0, 0], 4)
+        e00 = (exact(1), exact(0), exact(0), exact(0))
         assert run[1] == (exact(0), exact(0), exact(0), exact(complex(0, -1)))
         assert run[2] == tuple(-c for c in e00)
         assert run[4] == e00
@@ -440,9 +435,9 @@ BIG = 2**70
 
 
 @st.composite
-def models(draw, dim):
-    """Random self-adjoint H = S + iA with entries up to 2**70; zero rows happen."""
-    entry = st.one_of(st.just(0), st.integers(-BIG, BIG))
+def models(draw, dim, bound=BIG):
+    """Random self-adjoint H = S + iA with entries up to `bound`; zero rows happen."""
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
     s = [[0] * dim for _ in range(dim)]
     a = [[0] * dim for _ in range(dim)]
     for r in range(dim):
@@ -463,8 +458,7 @@ def couplings(draw, factors=2):
         return TensorHamiltonian.separable(*parts), dense_kron_sum(*parts)
     total = math.prod(dims)
     m = draw(models(total))
-    rows = [[GaussianInt(m.s_matrix[r][c], m.a_matrix[r][c]) for c in range(total)]
-            for r in range(total)]
+    rows = [list(row) for row in m.h_matrix]
     return TensorHamiltonian.general(rows, dims), [[exact(z) for z in row] for row in rows]
 
 
@@ -505,7 +499,7 @@ class TestKernelAgainstDense:
         prev, curr = (data.draw(vectors(h.total_dim, rational)) for _ in range(2))
         assert h.apply(curr) == dense_apply(dense, curr)
         expected = tuple(p - f.times_i() for p, f in zip(prev, dense_apply(dense, curr)))
-        assert sync_second_order(prev, curr, h) == expected
+        assert synchronized_states((prev, curr), h, 1)[-1] == tuple((z.re, z.im) for z in expected)
         run = sync_first_order(curr, h, steps=3)
         state = tuple(curr)
         for k in range(4):
@@ -573,6 +567,43 @@ class TestKernelAgainstDense:
         merged = field.union(stepped)
         for point in [(a, s - a) for a in range(1, s)]:
             assert all(r.is_zero() for r in dense_residual(merged, dense, point))
+
+
+class TestSeparableRows:
+    """separable writes the Kronecker-sum rows straight from the factor rows;
+    build_hamiltonian of the dense sum, written entry by entry here, gives the
+    same model, with the same hash."""
+
+    @given(st.lists(st.integers(1, 4), min_size=2, max_size=3).flatmap(
+        lambda dims: st.tuples(*(models(d, bound=2) for d in dims))))
+    @settings(max_examples=60, deadline=None)
+    def test_small_entries_equal_dense_kronecker_sum(self, factors):
+        self.check(factors)
+
+    @given(st.lists(st.integers(1, 3), min_size=2, max_size=3).flatmap(
+        lambda dims: st.tuples(*(models(d) for d in dims))))
+    @settings(max_examples=30, deadline=None)
+    def test_wide_entries_equal_dense_kronecker_sum(self, factors):
+        self.check(factors)
+
+    @staticmethod
+    def check(factors):
+        h = TensorHamiltonian.separable(*factors)
+        dense = dense_kron_sum(*factors)
+        s = [[int(z.re) for z in row] for row in dense]
+        a = [[int(z.im) for z in row] for row in dense]
+        expected = build_hamiltonian(s, a)
+        assert h.dims == tuple(m.dim for m in factors)
+        assert h.model == expected and hash(h.model) == hash(expected)
+        assert h.model.h_rows == expected.h_rows
+        matrix = [list(zip(srow, arow)) for srow, arow in zip(s, a)]
+        assert TensorHamiltonian.general(matrix, h.dims) == h
+
+    def test_diagonal_sums_that_cancel_leave_no_entry(self):
+        sigma3 = ((1, 0), (0, -1))
+        h = TensorHamiltonian.separable(sigma3, sigma3)
+        # diag(1, -1) x 1 + 1 x diag(1, -1) = diag(2, 0, 0, -2)
+        assert h.model.h_rows == (((0, 2, 0),), (), (), ((3, -2, 0),))
 
 
 # =============================================================================

@@ -88,8 +88,8 @@ class TestCanonicalRay:
 class TestPresets:
     def test_two_state(self):
         model = preset_hamiltonian("H2")
-        assert model.s_matrix == ((0, 1), (1, 0))
-        assert all(x == 0 for row in model.a_matrix for x in row)
+        assert model.h_matrix == ((GaussianInt(0, 0), GaussianInt(1, 0)),
+                                  (GaussianInt(1, 0), GaussianInt(0, 0)))
 
     def test_three_state_first_row(self):
         model = preset_hamiltonian("H3")
@@ -238,14 +238,15 @@ class TestDetection:
                         )
                         assert report.is_ontological == _brute_force_ontological(
                             model, 64
-                        ), f"disagreement at S={model.s_matrix} A={model.a_matrix}"
+                        ), f"disagreement at H={model.h_matrix}"
                         checked += 1
         assert checked == 81
 
 
 def _brute_force_ontological(model, max_steps):
     """Direct integer-pair iteration; no rays, no library detection code."""
-    s, a = model.s_matrix, model.a_matrix
+    s = [[z.re for z in row] for row in model.h_matrix]
+    a = [[z.im for z in row] for row in model.h_matrix]
     dim = 2
     states = [((1, 0), (0, 0)), ((0, 0), (1, 0))]  # ((x,p) per component) e1, e2
 

@@ -33,6 +33,7 @@ from ontoca.propagator import (
     phi_operator,
     transfer_sequence,
 )
+from ontoca.ontology import preset_hamiltonian
 from ontoca.verify import random_model, random_subcritical_model, random_vector
 
 SIGMA1 = ((0, 1), (1, 0))
@@ -98,10 +99,25 @@ class TestIsCritical:
         two = 2 * np.eye(model.dim)
         return round(np.linalg.det(two - h).real) == 0 or round(np.linalg.det(two + h).real) == 0
 
+    @staticmethod
+    def dense_column_oracle(s, a):
+        """det(4*1 - H^2) == 0 with column c of H^2 as H times column c of H,
+        both read from the dense S and A."""
+        dim = len(s)
+
+        def h(r, c):
+            return GaussianInt(s[r][c], a[r][c])
+
+        h2 = [[sum((h(r, t) * h(t, c) for t in range(dim)), GaussianInt()) for c in range(dim)]
+              for r in range(dim)]
+        four_minus_h2 = [[(4 * (r == c) - h2[r][c].re, -h2[r][c].im) for c in range(dim)]
+                         for r in range(dim)]
+        return gaussian._det_raw(four_minus_h2) == (0, 0)
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_small_determinants(self, data):
-        dim = data.draw(st.integers(min_value=1, max_value=4))
+        dim = data.draw(st.integers(min_value=1, max_value=5))
         entry = st.integers(min_value=-2, max_value=2)
         s = [[0] * dim for _ in range(dim)]
         a = [[0] * dim for _ in range(dim)]
@@ -112,7 +128,15 @@ class TestIsCritical:
                     v = data.draw(entry)
                     a[r][c], a[c][r] = v, -v
         model = build_hamiltonian(s, a)
-        assert is_critical(model) == self.float_oracle(model)
+        assert is_critical(model) == self.float_oracle(model) == self.dense_column_oracle(s, a)
+
+    @pytest.mark.parametrize("name", ["H2", "H3", "H4"])
+    def test_presets_match_dense_columns(self, name):
+        model = preset_hamiltonian(name)
+        s = [[z.re for z in row] for row in model.h_matrix]
+        a = [[z.im for z in row] for row in model.h_matrix]
+        assert is_critical(model) == self.dense_column_oracle(s, a)
+        assert is_critical(model) == (name == "H3")
 
     def test_every_dim2_model_with_unit_entries(self):
         criticals = 0
@@ -378,8 +402,7 @@ class TestTransferParity:
     @settings(max_examples=60, deadline=None)
     def test_matches_full_column_recursion(self, model, k_max):
         dim = model.dim
-        h = [[(model.s_matrix[r][c], model.a_matrix[r][c]) for c in range(dim)]
-             for r in range(dim)]
+        h = [[(z.re, z.im) for z in row] for row in model.h_matrix]
 
         def step(prev, curr):
             """prev - i H curr on one full column of (re, im) pairs."""

@@ -1,9 +1,13 @@
 """Deterministic emission and input-file schemas."""
 
+import csv
+import io
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ontoca import serialize
 from ontoca.errors import ConfigInvalid
@@ -87,6 +91,74 @@ class TestTrajectoryCsv:
         assert "2,0,1,-1" in lines
 
 
+def csv_module_text(header, rows):
+    """What csv.writer makes of the header and rows, with the writers' line ending."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def same_bytes_as_csv_module(write, *args):
+    """The writer's text, checked against csv.writer on the rows it passed on."""
+    seen = []
+
+    def spy(header, rows):
+        rows = list(rows)
+        seen.append((header, rows))
+        return joined(header, rows)
+
+    joined = serialize._csv_text
+    with mock.patch.object(serialize, "_csv_text", spy):
+        text = write(*args)
+    (header, rows), = seen
+    assert text.encode() == csv_module_text(header, rows).encode()
+    return text
+
+
+wide = st.integers(-(2**80), 2**80)
+
+
+class TestCsvWritersMatchCsvModule:
+    """The CSV writers join fields with commas; no field needs quoting, so the
+    bytes equal csv.writer's for every writer."""
+
+    @given(st.lists(st.lists(st.tuples(wide, wide), min_size=3, max_size=3), min_size=1,
+                    max_size=5), st.integers(-5, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_trajectory(self, states, start):
+        from ontoca.gaussian import Trajectory, zero_model
+
+        traj = Trajectory(tuple(map(tuple, states)), start, zero_model(3))
+        same_bytes_as_csv_module(serialize.trajectory_csv, traj)
+
+    @given(st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        st.lists(st.builds(GaussianRational, st.fractions(), st.fractions()), min_size=2,
+                 max_size=2),
+        max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_field(self, values):
+        same_bytes_as_csv_module(field_csv, MultiTimeField((1, 2), values))
+
+    @given(st.integers(1, 6), st.integers(0, 4), st.lists(st.integers(0, 3), max_size=6),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_spin(self, n_vertices, n_edges, phases, data):
+        bits = n_vertices + n_edges
+        run = [(data.draw(st.integers(0, (1 << bits) - 1)), p) for p in phases]
+        text = same_bytes_as_csv_module(serialize.spin_trajectory_csv, run, n_vertices, n_edges)
+        if n_edges == 0 and run:
+            assert text.split("\n")[1].split(",")[2] == ""
+
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+                    max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_dispersion(self, rows):
+        same_bytes_as_csv_module(serialize.dispersion_csv, rows)
+
+
 class TestFieldCsv:
     def test_round_trip_with_fractions(self):
         field = MultiTimeField(
@@ -124,6 +196,25 @@ class TestModelSchema:
             model_from_mapping(
                 {"preset": "H2", "S": [[0, 0], [0, 0]], "A": [[0, 0], [0, 0]]}
             )
+
+    @pytest.mark.parametrize("s, a", [
+        ([[0, 0], [0, 0]], [[0, 0], [0, 0]]),
+        ([[0, 1], [0, 0]], [[0, 0], [0, 0]]),  # not symmetric: still a disagreement
+        ([[0, 1, 0], [1, 0, 0]], [[0, 0, 0], [0, 0, 0]]),  # a zero column too many
+        ([[0, 1], [1, 0]], [[0, 0], [0, 0], [0, 0]]),  # a zero row too many in A
+    ])
+    def test_preset_disagreement_message(self, s, a):
+        with pytest.raises(ConfigInvalid) as exc:
+            model_from_mapping({"preset": "H2", "S": s, "A": a}, "model")
+        assert str(exc.value) == "model: S/A entries disagree with preset 'H2'"
+
+    @pytest.mark.parametrize("name", ["H2", "H3", "H4"])
+    def test_preset_with_its_own_matrices_accepted(self, name):
+        model = preset_hamiltonian(name)
+        mapping = model_to_mapping(model)
+        assert mapping["S"] == [[z.re for z in row] for row in model.h_matrix]
+        assert mapping["A"] == [[z.im for z in row] for row in model.h_matrix]
+        assert model_from_mapping({"preset": name, "S": mapping["S"], "A": mapping["A"]}) == model
 
     def test_symmetry_error_surfaces_as_config_error(self):
         with pytest.raises(ConfigInvalid):
