@@ -2,8 +2,9 @@
 the boxing layer, of the ontology scan's ray division, of a trajectory check
 and its CSV, of the CLI parser build, of two whole Ising CLI runs, of the
 lattice uncertainty reports (a whole gup CLI run, its width family and the
-verify-all Robertson check) and of two model builds (a dense dim-2048 ring and
-a separable coupling of two dim-48 rings).
+verify-all Robertson check) and of four model builds (a dense dim-2048 ring, a
+dim-1024 ring read from JSON, a dim-256 coupling matrix of [re, im] rows and a
+separable coupling of two dim-48 rings).
 
     python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
 
@@ -69,6 +70,10 @@ ROWS = {
                         "S and A lists (validation of the dense input included)",
     "separable_48x48": "multitime.TensorHamiltonian.separable of two dim-48 unit-weight ring "
                        "models (dim 2304)",
+    "model_from_json_1024": "serialize.model_from_mapping of a JSON-loaded dim-1024 unit-weight "
+                            "ring (every S and A entry checked)",
+    "coupling_general_256": "multitime.TensorHamiltonian.general, dims (16, 16), of a dim-256 ring "
+                            "given as rows of [re, im] lists, hopping 1+i forward and 1-i back",
 }
 
 ISING_A_EDGES = [[k, (k + 1) % 12] for k in range(12)] + [[0, 6], [3, 9]]
@@ -119,6 +124,15 @@ def _ring_matrices(dim: int):
     for r in range(dim):
         s[r][(r + 1) % dim] = s[(r + 1) % dim][r] = 1
     return s, [[0] * dim for _ in range(dim)]
+
+
+def _ring_pair_rows(dim: int):
+    """Rows of [re, im] lists of the dim-site ring with hopping 1+i forward, 1-i back."""
+    rows = [[[0, 0] for _ in range(dim)] for _ in range(dim)]
+    for r in range(dim):
+        rows[r][(r + 1) % dim] = [1, 1]
+        rows[(r + 1) % dim][r] = [1, -1]
+    return rows
 
 
 def _built_on_first_call(make, run):
@@ -202,6 +216,12 @@ def _calls(workdir: Path):
         "model_build_2048": _built_on_first_call(
             lambda: _ring_matrices(2048), lambda sa: build_hamiltonian(*sa)),
         "separable_48x48": lambda: multitime.TensorHamiltonian.separable(ring48, ring48),
+        "model_from_json_1024": _built_on_first_call(
+            lambda: json.loads(json.dumps(dict(zip("SA", _ring_matrices(1024))))),
+            serialize.model_from_mapping),
+        "coupling_general_256": _built_on_first_call(
+            lambda: _ring_pair_rows(256),
+            lambda rows: multitime.TensorHamiltonian.general(rows, (16, 16))),
     }
 
 

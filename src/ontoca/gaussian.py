@@ -313,10 +313,20 @@ def from_xp(x: Sequence[int], p: Sequence[int]) -> GaussianIntVector:
 
 
 def _compile_rows(matrix) -> tuple:
-    """Nonzero entries of each row of (re, im) pairs as (col, re, im) triples."""
-    return tuple(
-        tuple((col, re, im) for col, (re, im) in enumerate(row) if re or im) for row in matrix
-    )
+    """Nonzero entries of each row of a square matrix of (re, im) pairs as
+    (col, re, im) triples, in one pass over the entries; DimensionMismatch
+    unless the matrix is nonempty and square."""
+    rows, lengths = [], []
+    for row in matrix:
+        compiled, col = [], -1
+        for col, (re, im) in enumerate(row):
+            if re or im:
+                compiled.append((col, re, im))
+        rows.append(tuple(compiled))
+        lengths.append(col + 1)
+    if not rows or lengths.count(len(rows)) != len(rows):
+        raise DimensionMismatch("the matrix must be nonempty and square")
+    return tuple(rows)
 
 
 def _matvec_raw(rows, v) -> list[tuple[int, int]]:
@@ -421,27 +431,40 @@ class HamiltonianModel:
         return np.array([[complex(re, im) for re, im in row] for row in self.dense_pairs()])
 
 
-def _as_int_rows(matrix, name) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(_exact_int(x) for x in row) for row in matrix)
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise DimensionMismatch(f"{name} must be a nonempty square matrix")
+def _int_rows(matrix, name: str) -> list[tuple[int, ...]]:
+    """The rows of `matrix` as int tuples, each entry read once by `_exact_int`."""
+    rows = []
+    for r, row in enumerate(map(tuple, matrix)):
+        try:
+            rows.append(tuple(map(_exact_int, row)))
+        except TypeError as exc:
+            c = next(c for c, x in enumerate(row) if type(x) is not int)
+            raise TypeError(f"{name}[{r}][{c}]: {exc}") from None
     return rows
 
 
+def _self_adjoint_model(pair_rows) -> HamiltonianModel:
+    """The model of H from dense rows of raw (re, im) int pairs, type-checked by
+    the caller: its compiled rows, once H is known to be square and
+    self-adjoint.  SymmetryViolation("S" or "A", r, c) names the first r <= c,
+    row by row, where H[r][c] is not the conjugate of H[c][r]."""
+    model = HamiltonianModel(_compile_rows(pair_rows))
+    entries = {(r, c, re, im) for r, row in enumerate(model.h_rows) for c, re, im in row}
+    if entries != {(c, r, re, -im) for r, c, re, im in entries}:
+        h = model.dense_pairs()  # not self-adjoint: find the first pair as a dense scan would
+        r, c = next((r, c) for r in range(model.dim) for c in range(r, model.dim)
+                    if h[r][c] != (h[c][r][0], -h[c][r][1]))
+        raise SymmetryViolation("S" if h[r][c][0] != h[c][r][0] else "A", r, c)
+    return model
+
+
 def build_hamiltonian(s_dense, a_dense) -> HamiltonianModel:
-    """Validate dense S/A symmetry and return the model; H = S + iA is then self-adjoint."""
-    s = _as_int_rows(s_dense, "S")
-    a = _as_int_rows(a_dense, "A")
-    dim = len(s)
-    if len(a) != dim:
-        raise DimensionMismatch(f"S is {dim}x{dim} but A is {len(a)}x{len(a)}")
-    for r in range(dim):
-        for c in range(r, dim):
-            if s[r][c] != s[c][r]:
-                raise SymmetryViolation("S", r, c)
-            if a[r][c] != -a[c][r]:
-                raise SymmetryViolation("A", r, c)
-    return HamiltonianModel(_compile_rows(zip(sr, ar) for sr, ar in zip(s, a)))
+    """The model of H = S + iA from dense int rows: S symmetric and A antisymmetric,
+    square and of one size, else SymmetryViolation or DimensionMismatch."""
+    s, a = _int_rows(s_dense, "S"), _int_rows(a_dense, "A")
+    if list(map(len, s)) != list(map(len, a)):
+        raise DimensionMismatch("S and A must have the same shape")
+    return _self_adjoint_model(map(zip, s, a))
 
 
 def zero_model(dim: int) -> HamiltonianModel:
@@ -462,6 +485,7 @@ class CAPairState:
     index_n: int = 1
 
     def __post_init__(self):
+        _exact_int(self.index_n)
         if len(self.psi_prev) != len(self.psi_curr):
             raise DimensionMismatch(
                 f"pair dimensions differ: {len(self.psi_prev)} vs {len(self.psi_curr)}"

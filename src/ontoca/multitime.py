@@ -38,7 +38,7 @@ from .errors import (
     SymmetryViolation,
 )
 from .gaussian import (GaussianIntVector, GaussianRational, HamiltonianModel, Trajectory,
-                       _exact_int, _matvec_raw, _step_raw, build_hamiltonian)
+                       _exact_int, _matvec_raw, _self_adjoint_model, _step_raw)
 
 Point = tuple[int, int]
 
@@ -74,11 +74,8 @@ def _boxed(vec) -> tuple[GaussianRational, ...]:
 
 def _hamiltonian(matrix) -> HamiltonianModel:
     """H = S + iA from rows of Gaussian-integer entries; NotSelfAdjoint unless H = H^dagger."""
-    rows = [GaussianIntVector(row).pairs for row in matrix]
     try:
-        return build_hamiltonian(
-            [[re for re, _ in row] for row in rows], [[im for _, im in row] for row in rows]
-        )
+        return _self_adjoint_model(GaussianIntVector(row).pairs for row in matrix)
     except SymmetryViolation as exc:
         raise NotSelfAdjoint(str(exc)) from None
 
@@ -166,12 +163,9 @@ class MultiTimeField:
     values: Mapping[Point, tuple] = field(default_factory=dict)
 
     def __post_init__(self):
-        length = self.component_length
-        clean = {
-            (int(n1), int(n2)): _raw_vector(vec, length)
-            for (n1, n2), vec in dict(self.values).items()
-        }
-        object.__setattr__(self, "values", clean)
+        object.__setattr__(self, "values", {
+            (_exact_int(n1), _exact_int(n2)): _raw_vector(vec, self.component_length)
+            for (n1, n2), vec in dict(self.values).items()})
 
     @classmethod
     def _of(cls, dims, values: dict) -> "MultiTimeField":

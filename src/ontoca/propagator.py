@@ -42,8 +42,8 @@ class DiscretenessScale:
     l: float
 
     def __post_init__(self):
-        if not self.l > 0:
-            raise ValueError(f"scale must be positive, got {self.l}")
+        if isinstance(self.l, bool) or not self.l > 0:
+            raise ValueError(f"scale must be a positive number, got {self.l!r}")
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,10 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConfigInvalid
-from .gaussian import (GaussianIntVector, GaussianRational, HamiltonianModel, Trajectory,
-                       build_hamiltonian)
+from .errors import ConfigInvalid, OntocaError
+from .gaussian import GaussianIntVector, HamiltonianModel, Trajectory, build_hamiltonian
 from .ising import GraphTopology, Schedule
-from .multitime import MultiTimeField
+from .multitime import MultiTimeField, _exact
 from .ontology import preset_hamiltonian, preset_names
 
 SCHEMA_VERSION = 1
@@ -128,10 +127,8 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 def field_csv(field: MultiTimeField) -> str:
     # the raw components are ints or Fractions, printed as the exact fractions they are
-    rows = []
-    for point in field.points():
-        for k, (re, im) in enumerate(field.values[point]):
-            rows.append((point[0], point[1], k, str(re), str(im)))
+    rows = [(n1, n2, k, str(re), str(im)) for n1, n2 in field.points()
+            for k, (re, im) in enumerate(field.values[n1, n2])]
     return _csv_text(["n1", "n2", "component", "re", "im"], rows)
 
 
@@ -148,17 +145,19 @@ def parse_field_csv(text: str, dims: tuple[int, int], origin: str = "field csv")
         try:
             n1, n2, k, re, im = row
             point, k = (int(n1), int(n2)), int(k)
-            value = GaussianRational(Fraction(re), Fraction(im))
+            value = (_exact(Fraction(re)), _exact(Fraction(im)))
         except (ValueError, ZeroDivisionError):
             raise ConfigInvalid(origin, f"line {line}: bad row {row}") from None
         vec = staged.setdefault(point, [None] * length)
         if not 0 <= k < length:
             raise ConfigInvalid(origin, f"component index {k} out of range for dims {dims}")
+        if vec[k] is not None:
+            raise ConfigInvalid(origin, f"line {line}: point {point} component {k} given twice")
         vec[k] = value
     for point, vec in staged.items():
         if any(v is None for v in vec):
             raise ConfigInvalid(origin, f"point {point} is missing components")
-    return MultiTimeField(dims, staged)
+    return MultiTimeField._of(dims, {point: tuple(vec) for point, vec in staged.items()})
 
 
 def _bit_string(bits: int, length: int) -> str:
@@ -280,11 +279,11 @@ def vector_from_config(entry, origin: str = "vector", length: int | None = None)
         pair = item if isinstance(item, (list, tuple)) else (item, 0)
         if len(pair) != 2:
             raise ConfigInvalid(origin, f"bad vector entry [{k}]: expected an integer or [re, im]")
-        re, im = pair  # a plain int skips the reader call, as in _matrices_from_mapping
+        re, im = pair  # a plain int skips the reader call: a coupling row has dim entries
         re = re if type(re) is int else config_int(re, origin, what=f"[{k}] re")
         im = im if type(im) is int else config_int(im, origin, what=f"[{k}] im")
         pairs.append((re, im))
-    return GaussianIntVector(pairs)
+    return GaussianIntVector._of(pairs)
 
 
 # =============================================================================
@@ -316,61 +315,43 @@ def load_json_file(path) -> dict:
 
 
 def model_from_mapping(data: dict, origin: str = "model") -> HamiltonianModel:
-    """Model schema: {dim, S: rows, A: rows} and/or {preset: name}, and schema_version."""
+    """Model schema: {dim, S: rows, A: rows} and/or {preset: name}, and schema_version.
+    Each S and A entry is read once, by `build_hamiltonian`."""
     config_mapping(data, origin, ("schema_version", "dim", "preset", "S", "A"))
     if "schema_version" in data:
         config_choice(data["schema_version"], f"{origin}.schema_version", (SCHEMA_VERSION,))
+    preset = None
     if "preset" in data:
         name = data["preset"]
         if name not in preset_names():
             raise ConfigInvalid(origin, f"unknown preset {name!r}; available {preset_names()}")
-        model = preset_hamiltonian(name)
-        if ("S" in data or "A" in data) and (
-            _matrices_from_mapping(data, origin) != _s_and_a(model)
-        ):
-            raise ConfigInvalid(origin, f"S/A entries disagree with preset {name!r}")
-    else:
-        s, a = _matrices_from_mapping(data, origin)
+        preset = model = preset_hamiltonian(name)
+    if preset is None or "S" in data or "A" in data:
+        for key in ("S", "A"):
+            rows = data.get(key)
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise ConfigInvalid(origin, f"matrix {key!r} must be given as a list of rows")
         try:
-            model = build_hamiltonian(s, a)
-        except Exception as exc:
-            raise ConfigInvalid(origin, str(exc)) from None
+            model = build_hamiltonian(data["S"], data["A"])
+        except (TypeError, OntocaError) as exc:
+            # given with a preset, a matrix of the wrong shape or symmetry disagrees with it
+            if preset is None or isinstance(exc, TypeError):
+                raise ConfigInvalid(origin, str(exc)) from None
+            model = None
+        if preset is not None and model != preset:
+            raise ConfigInvalid(origin, f"S/A entries disagree with preset {name!r}")
     if "dim" in data and config_int(data["dim"], origin, what="dim") != model.dim:
         raise ConfigInvalid(origin, f"declared dim {data['dim']} but the model has dim {model.dim}")
     return model
 
 
-def _matrices_from_mapping(data: dict, origin: str):
-    matrices = []
-    for key in ("S", "A"):
-        if key not in data:
-            raise ConfigInvalid(origin, f"missing matrix {key!r}")
-        try:
-            # a plain int skips the reader call: a dim-64 model has 8192 entries
-            matrices.append(tuple(
-                tuple(x if type(x) is int else config_int(x, origin, what=f"{key}[{r}][{c}]")
-                      for c, x in enumerate(row))
-                for r, row in enumerate(data[key])
-            ))
-        except TypeError as exc:
-            raise ConfigInvalid(origin, f"matrix {key!r} must be a list of rows: {exc}") from None
-    return tuple(matrices)
-
-
-def _s_and_a(model: HamiltonianModel) -> tuple:
-    """The dense S and A of a model, as tuples of int rows, read off its rows."""
-    dense = model.dense_pairs()
-    return (tuple(tuple(re for re, _ in row) for row in dense),
-            tuple(tuple(im for _, im in row) for row in dense))
-
-
 def model_to_mapping(model: HamiltonianModel) -> dict:
-    s, a = _s_and_a(model)
+    dense = model.dense_pairs()
     return {
         "schema_version": SCHEMA_VERSION,
         "dim": model.dim,
-        "S": [list(row) for row in s],
-        "A": [list(row) for row in a],
+        "S": [[re for re, _ in row] for row in dense],
+        "A": [[im for _, im in row] for row in dense],
     }
 
 

@@ -323,6 +323,21 @@ class TestMultitime:
         assert run(["multitime", cfg]) == 2
 
 
+    def test_second_row_for_a_field_component_exits_2(self, tmp_path, capsys):
+        # every component of the two lines once, then (0, 0) component 0 again
+        rows = [f"{n1},{n2},{k},1,0" for n1 in (0, 1) for n2 in range(5) for k in range(4)]
+        field_path = tmp_path / "field.csv"
+        field_path.write_text("\n".join(["n1,n2,component,re,im", *rows, "0,0,0,5,0"]) + "\n")
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "multitime", "mode": "line", "steps": 1,
+            "coupling": {"separable": [{"preset": "H2"}, {"preset": "H2"}]},
+            "initial_field": str(field_path),
+        })
+        assert run(["multitime", cfg, "--out", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: initial_field: line 42: point (0, 0) component 0 given twice")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_field_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json", {
             "kind": "multitime", "mode": "line",
@@ -1076,6 +1091,17 @@ class TestNumericInputs:
     """Counts must be integers in range and matrix and vector entries exact integers."""
 
     H2_PAIR = {"separable": [{"preset": "H2"}, {"preset": "H2"}]}
+
+    @pytest.mark.parametrize("key, rows, entry", [("S", [[0, 1.0], [1, 0]], "S[0][1]"),
+                                                  ("A", [[0, 0], [True, 0]], "A[1][0]")])
+    def test_preset_with_a_bad_entry_names_the_entry(self, tmp_path, capsys, key, rows, entry):
+        model = {"preset": "H2", "S": [[0, 1], [1, 0]], "A": [[0, 0], [0, 0]], key: rows}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": "evolve", "model": model}))  # keeps 1.0 a JSON float
+        assert run(["evolve", str(cfg), "--out", str(tmp_path / "o.out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: model: {entry}: ")
+        assert "disagree" not in err
 
     @pytest.mark.parametrize(
         "command, fields, flags, path",

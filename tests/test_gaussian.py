@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from ontoca import multitime
 from ontoca.ising import GraphTopology, Schedule
+from ontoca.propagator import DiscretenessScale
 from ontoca.errors import DimensionMismatch, SymmetryViolation, ZeroVector
 from ontoca.gaussian import (
     CAPairState,
@@ -277,6 +278,10 @@ INT_POSITIONS = {
     "Schedule.seeded_random pool": lambda one: Schedule.seeded_random(3, [(0, one)]),
     "TensorHamiltonian.general dims":
         lambda one: multitime.TensorHamiltonian.general(PAIR_FLIP.model, (one, 4)),
+    "MultiTimeField point n1": lambda one: multitime.MultiTimeField((1, 1), {(one, 0): [1]}),
+    "MultiTimeField point n2": lambda one: multitime.MultiTimeField((1, 1), {(0, one): [1]}),
+    "CAPairState index_n": lambda one: CAPairState(
+        GaussianIntVector([1]), GaussianIntVector([0]), index_n=one),
 }
 
 
@@ -289,6 +294,12 @@ class TestOneConstructorIntRule:
     def test_refused(self, position, one):
         with pytest.raises(TypeError):
             INT_POSITIONS[position](one)
+
+    @pytest.mark.parametrize("flag", [True, False], ids=repr)
+    def test_discreteness_scale_refuses_a_bool(self, flag):
+        with pytest.raises(ValueError, match="positive number, got "):
+            DiscretenessScale(flag)
+        assert DiscretenessScale(1).l == 1 and DiscretenessScale(0.5).l == 0.5
 
 
 def _ref(op, a, b):

@@ -9,15 +9,18 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ontoca import serialize
-from ontoca.errors import ConfigInvalid
+from ontoca import cli, serialize
+from ontoca.errors import ConfigInvalid, DimensionMismatch, NotSelfAdjoint, SymmetryViolation
 from ontoca.gaussian import (
     CAPairState,
     GaussianIntVector,
     GaussianRational,
+    HamiltonianModel,
+    _exact_int,
+    build_hamiltonian,
     evolve,
 )
-from ontoca.multitime import MultiTimeField
+from ontoca.multitime import MultiTimeField, TensorHamiltonian
 from ontoca.ontology import preset_hamiltonian
 from ontoca.serialize import (
     atomic_write_text,
@@ -365,3 +368,267 @@ class TestConfigReaders:
         atomic_write_text(path, dumps_json(model_to_mapping(model)))
         for value in (str(path), {"preset": "H2"}):
             assert serialize.config_document(value, "model", model_from_mapping) == model
+
+
+# =============================================================================
+# One read of a dense H, against a two-pass reference reader
+# =============================================================================
+#
+# The reference reads a model the long way: every S and A entry is checked at
+# the JSON edge and again in a pass of its own, S and A are checked for
+# squareness apart, and symmetry is scanned pair by pair (r <= c, S before A)
+# before the rows are compiled.  The one-pass readers must agree with it on
+# every input: equal models with equal hashes, or the same exception type,
+# with the same first pair for a symmetry fault.
+
+
+def ref_int_rows(matrix, name):
+    rows = tuple(tuple(_exact_int(x) for x in row) for row in matrix)
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise DimensionMismatch(f"{name} must be a nonempty square matrix")
+    return rows
+
+
+def ref_build_hamiltonian(s_dense, a_dense):
+    s, a = ref_int_rows(s_dense, "S"), ref_int_rows(a_dense, "A")
+    dim = len(s)
+    if len(a) != dim:
+        raise DimensionMismatch(f"S is {dim}x{dim} but A is {len(a)}x{len(a)}")
+    for r in range(dim):
+        for c in range(r, dim):
+            if s[r][c] != s[c][r]:
+                raise SymmetryViolation("S", r, c)
+            if a[r][c] != -a[c][r]:
+                raise SymmetryViolation("A", r, c)
+    return HamiltonianModel(tuple(
+        tuple((c, re, im) for c, (re, im) in enumerate(zip(sr, ar)) if re or im)
+        for sr, ar in zip(s, a)))
+
+
+def ref_model_from_mapping(data, origin="model"):
+    """The S and A route, and the preset route with S and A given."""
+    matrices = []
+    for key in ("S", "A"):
+        matrices.append(tuple(
+            tuple(x if type(x) is int else serialize.config_int(x, origin, what=f"{key}[{r}][{c}]")
+                  for c, x in enumerate(row))
+            for r, row in enumerate(data[key])))
+    if "preset" in data:
+        model = preset_hamiltonian(data["preset"])
+        dense = model.dense_pairs()
+        if tuple(matrices) != (tuple(tuple(re for re, _ in row) for row in dense),
+                               tuple(tuple(im for _, im in row) for row in dense)):
+            raise ConfigInvalid(origin, f"S/A entries disagree with preset {data['preset']!r}")
+        return model
+    try:
+        return ref_build_hamiltonian(*matrices)
+    except Exception as exc:
+        raise ConfigInvalid(origin, str(exc)) from None
+
+
+def ref_coupling_model(matrix):
+    """The coupling route: rows read as vectors, split into S and A, built."""
+    rows = [GaussianIntVector(row).pairs for row in matrix]
+    try:
+        return ref_build_hamiltonian([[re for re, _ in row] for row in rows],
+                                     [[im for _, im in row] for row in rows])
+    except SymmetryViolation as exc:
+        raise NotSelfAdjoint(str(exc)) from None
+
+
+def outcome(call, *args):
+    """What call(*args) returns, or the exception it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return exc
+
+
+def assert_same_outcome(got, want, same_message=False):
+    assert type(got) is type(want), (got, want)
+    if not isinstance(want, Exception):
+        assert got == want and hash(got) == hash(want)
+    elif isinstance(want, SymmetryViolation):
+        assert (got.matrix_name, got.index_pair) == (want.matrix_name, want.index_pair)
+    if same_message:
+        assert str(got) == str(want)
+
+
+BAD_ENTRIES = [1.0, 0.5, True, False, "1"]
+FAULTS = ["none", "entry", "ragged", "symmetry", "dims"]
+
+
+def self_adjoint_s_and_a(draw, dim):
+    entry = st.integers(-3, 3)
+    s = [[0] * dim for _ in range(dim)]
+    a = [[0] * dim for _ in range(dim)]
+    for r in range(dim):
+        for c in range(r, dim):
+            s[r][c] = s[c][r] = draw(entry)
+            if c > r:
+                a[r][c] = draw(entry)
+                a[c][r] = -a[r][c]
+    return s, a
+
+
+@st.composite
+def dense_input(draw, base=None):
+    """(S, A, fault, entry): a self-adjoint S + iA of dim 1-6 with entries in
+    [-3, 3] (or `base`), then at most one kind of fault; `entry` names the
+    entry of an entry fault, as in S[r][c]."""
+    if base is None:
+        s, a = self_adjoint_s_and_a(draw, draw(st.integers(1, 6)))
+    else:
+        s, a = ([list(row) for row in m] for m in base)
+    dim = len(s)
+    index = st.integers(0, dim - 1)
+    fault = draw(st.sampled_from(FAULTS))
+    named = None
+    if fault == "entry":
+        key, r, c = draw(st.sampled_from("SA")), draw(index), draw(index)
+        (s if key == "S" else a)[r][c] = draw(st.sampled_from(BAD_ENTRIES))
+        named = f"{key}[{r}][{c}]"
+    elif fault == "ragged":
+        row = draw(st.sampled_from([s, a]))[draw(index)]
+        row.append(0) if draw(st.booleans()) else row.pop()
+    elif fault == "symmetry":
+        for _ in range(draw(st.integers(1, 3))):
+            draw(st.sampled_from([s, a]))[draw(index)][draw(index)] = draw(st.integers(-3, 3))
+    elif fault == "dims":
+        other = [[0] * (dim + 1) for _ in range(dim + 1)]
+        if dim > 1 and draw(st.booleans()):
+            other = [[0] * (dim - 1) for _ in range(dim - 1)]
+        s, a = (other, a) if draw(st.booleans()) else (s, other)
+    return s, a, fault, named
+
+
+@st.composite
+def coupling_input(draw):
+    """Rows of [re, im] entries of a self-adjoint H of dim 1-6, then at most one
+    kind of fault: a bad component or a bad bare entry, a ragged row, or
+    entries that break self-adjointness."""
+    s, a = self_adjoint_s_and_a(draw, draw(st.integers(1, 6)))
+    rows = [[[x, y] for x, y in zip(sr, ar)] for sr, ar in zip(s, a)]
+    index = st.integers(0, len(rows) - 1)
+    fault = draw(st.sampled_from(FAULTS[:4]))
+    if fault == "entry":
+        r, c, bad = draw(index), draw(index), draw(st.sampled_from(BAD_ENTRIES))
+        part = draw(st.sampled_from([0, 1, None]))
+        if part is None:
+            rows[r][c] = bad
+        else:
+            rows[r][c][part] = bad
+    elif fault == "ragged":
+        row = rows[draw(index)]
+        row.append([0, 0]) if draw(st.booleans()) else row.pop()
+    elif fault == "symmetry":
+        for _ in range(draw(st.integers(1, 3))):
+            rows[draw(index)][draw(index)] = [draw(st.integers(-3, 3)), draw(st.integers(-3, 3))]
+    return rows, fault
+
+
+class TestOneReadOfDenseH:
+    """build_hamiltonian, model_from_mapping and the coupling.matrix route
+    against the two-pass reference, on valid and faulty inputs."""
+
+    @given(dense_input())
+    @settings(max_examples=300, deadline=None)
+    def test_build_hamiltonian(self, case):
+        s, a, fault, named = case
+        got = outcome(build_hamiltonian, s, a)
+        assert_same_outcome(got, outcome(ref_build_hamiltonian, s, a))
+        assert fault in ("none", "symmetry") or isinstance(got, Exception)
+        if named:
+            assert str(got).startswith(f"{named}: ")
+
+    @given(dense_input())
+    @settings(max_examples=300, deadline=None)
+    def test_model_from_json(self, case):
+        s, a, fault, named = case
+        data = json.loads(json.dumps({"S": s, "A": a}))
+        got = outcome(model_from_mapping, data)
+        want = outcome(ref_model_from_mapping, data)
+        symmetry = isinstance(outcome(ref_build_hamiltonian, s, a), SymmetryViolation)
+        assert_same_outcome(got, want, same_message=symmetry)
+        if named:
+            assert f"model: {named}" in str(got) and f"model: {named}" in str(want)
+
+    @given(st.sampled_from(["H2", "H3", "H4"]).flatmap(
+        lambda name: st.tuples(st.just(name), dense_input(base=(
+            [[re for re, _ in row] for row in preset_hamiltonian(name).dense_pairs()],
+            [[im for _, im in row] for row in preset_hamiltonian(name).dense_pairs()])))))
+    @settings(max_examples=200, deadline=None)
+    def test_preset_with_matrices(self, case):
+        name, (s, a, fault, named) = case
+        data = json.loads(json.dumps({"preset": name, "S": s, "A": a}))
+        got = outcome(model_from_mapping, data)
+        want = outcome(ref_model_from_mapping, data)
+        assert_same_outcome(got, want, same_message=not named)
+        if named:
+            assert f"model: {named}" in str(got) and "disagree" not in str(got)
+
+    @given(coupling_input())
+    @settings(max_examples=300, deadline=None)
+    def test_coupling_matrix(self, case):
+        rows, fault = case
+        got = outcome(TensorHamiltonian.general, rows, (len(rows), 1))
+        want = outcome(ref_coupling_model, rows)
+        got = got if isinstance(got, Exception) else got.model
+        assert_same_outcome(got, want, same_message=isinstance(want, NotSelfAdjoint))
+        assert fault in ("none", "symmetry") or isinstance(got, Exception)
+
+    @given(coupling_input())
+    @settings(max_examples=150, deadline=None)
+    def test_coupling_matrix_config(self, case):
+        rows, _ = case
+        config = {"coupling": {"matrix": rows, "dims": [len(rows), 1]}}
+        got = outcome(cli._resolve_coupling, config)
+        want = outcome(lambda: ref_coupling_model(
+            [vector_from_config(row, "coupling.matrix") for row in rows]))
+        if isinstance(got, Exception):
+            assert type(got) is ConfigInvalid and got.path == "coupling.matrix"
+            assert isinstance(want, Exception)
+            if isinstance(want, (ConfigInvalid, NotSelfAdjoint)):
+                assert str(got) == str(want if isinstance(want, ConfigInvalid)
+                                       else ConfigInvalid("coupling.matrix", str(want)))
+        else:
+            assert_same_outcome(got.model, want)
+
+
+FIELD_VALUES = ["0", "3", "-2", "-0", "3/2", "-4/2", "10/5", "7/3", "1.5", "-0.25", "2.0"]
+
+
+def ref_parse_field_csv(text, dims):
+    """Each value boxed as a GaussianRational, then read by MultiTimeField."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    staged = {}
+    for row in reader:
+        n1, n2, k, re, im = row
+        staged.setdefault((int(n1), int(n2)), [None] * (dims[0] * dims[1]))[int(k)] = (
+            GaussianRational(Fraction(re), Fraction(im)))
+    return MultiTimeField(dims, staged)
+
+
+class TestFieldCsvReadOnce:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_values_and_text_match_reference(self, data):
+        dims = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
+        points = data.draw(st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                                   min_size=1, max_size=4))
+        value = st.sampled_from(FIELD_VALUES)
+        rows = [f"{n1},{n2},{k},{data.draw(value)},{data.draw(value)}"
+                for n1, n2 in points for k in range(dims[0] * dims[1])]
+        text = "\n".join(["n1,n2,component,re,im", *data.draw(st.permutations(rows))]) + "\n"
+        got, want = parse_field_csv(text, dims), ref_parse_field_csv(text, dims)
+        assert got.dims == want.dims and got.values.keys() == want.values.keys()
+        for point, vec in want.values.items():
+            assert [(type(x), x) for pair in got.values[point] for x in pair] == \
+                [(type(x), x) for pair in vec for x in pair]
+        assert field_csv(got) == field_csv(want)
+
+    def test_second_row_for_a_component_refused(self):
+        text = "n1,n2,component,re,im\n0,0,0,1,0\n0,0,0,5,0\n"
+        with pytest.raises(ConfigInvalid, match="line 3: point \\(0, 0\\) component 0"):
+            parse_field_csv(text, (1, 1))
