@@ -2,9 +2,11 @@
 the boxing layer, of the ontology scan's ray division, of a trajectory check
 and its CSV, of the CLI parser build, of two whole Ising CLI runs, of the
 lattice uncertainty reports (a whole gup CLI run, its width family and the
-verify-all Robertson check) and of four model builds (a dense dim-2048 ring, a
-dim-1024 ring read from JSON, a dim-256 coupling matrix of [re, im] rows and a
-separable coupling of two dim-48 rings).
+verify-all Robertson check) and of five model builds (a dense dim-2048 ring, a
+dim-1024 H with every entry in [-3, 3] drawn, a dim-1024 ring read from JSON,
+a dim-256 coupling matrix of [re, im] rows and a separable coupling of two
+dim-48 rings).  Each row but build_parser_first also reports the
+tracemalloc peak of one call.
 
     python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
 
@@ -18,9 +20,10 @@ alternates from sample to sample, so a drift in host load and an order effect
 fall on both alike.
 
 In a sample, each row repeats one call until at least MIN_SAMPLE_S has
-passed and records the mean time per call; a row reports the median and the
-minimum over the samples.  Inputs are fixed (seeded), so every run times the
-same work.
+passed and records the mean time per call, then traces one more call for its
+peak of allocated memory; a row reports the median and the minimum time and
+the median peak over the samples.  Inputs are fixed (seeded), so every run
+times the same work.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +72,8 @@ ROWS = {
     "robertson_300": "verify.check_robertson: the Robertson bound on 300 random 64-site states",
     "model_build_2048": "gaussian.build_hamiltonian of a dim-2048 unit-weight ring from dense "
                         "S and A lists (validation of the dense input included)",
+    "model_dense_1024": "gaussian.build_hamiltonian of a dim-1024 self-adjoint S + iA with every "
+                        "entry drawn from [-3, 3] (98% of the entries of H nonzero)",
     "separable_48x48": "multitime.TensorHamiltonian.separable of two dim-48 unit-weight ring "
                        "models (dim 2304)",
     "model_from_json_1024": "serialize.model_from_mapping of a JSON-loaded dim-1024 unit-weight "
@@ -124,6 +130,12 @@ def _ring_matrices(dim: int):
     for r in range(dim):
         s[r][(r + 1) % dim] = s[(r + 1) % dim][r] = 1
     return s, [[0] * dim for _ in range(dim)]
+
+
+def _dense_matrices(dim: int):
+    """Dense S and A lists of a seeded self-adjoint S + iA, entries in [-3, 3]."""
+    s, a = np.random.default_rng(18).integers(-3, 4, (2, dim, dim))
+    return (np.triu(s) + np.triu(s, 1).T).tolist(), (np.triu(a, 1) - np.triu(a, 1).T).tolist()
 
 
 def _ring_pair_rows(dim: int):
@@ -215,6 +227,8 @@ def _calls(workdir: Path):
         **{name: _cli_call(cli, workdir, name) for name in CLI_CONFIGS},
         "model_build_2048": _built_on_first_call(
             lambda: _ring_matrices(2048), lambda sa: build_hamiltonian(*sa)),
+        "model_dense_1024": _built_on_first_call(
+            lambda: _dense_matrices(1024), lambda sa: build_hamiltonian(*sa)),
         "separable_48x48": lambda: multitime.TensorHamiltonian.separable(ring48, ring48),
         "model_from_json_1024": _built_on_first_call(
             lambda: json.loads(json.dumps(dict(zip("SA", _ring_matrices(1024))))),
@@ -237,19 +251,31 @@ def _sample(call) -> float:
             return elapsed / n
 
 
+def _peak_bytes(call) -> int:
+    """The tracemalloc peak of one call, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def child(src: str) -> dict:
-    """One sample: seconds per call of every row."""
+    """One sample: seconds per call and peak bytes of one call, per row."""
     sys.path.insert(0, src)
     from ontoca import cli
 
     start = time.perf_counter()
     cli.build_parser()
     timings = {"build_parser_first": time.perf_counter() - start}
+    peaks = {}
     with tempfile.TemporaryDirectory() as workdir:
         for name, call in _calls(Path(workdir)).items():
             call()  # warm-up
             timings[name] = _sample(call)
-    return timings
+            peaks[name] = _peak_bytes(call)
+    return {"seconds": timings, "peak_bytes": peaks}
 
 
 # =============================================================================
@@ -268,9 +294,9 @@ def _run_child(src: Path) -> dict:
 
 
 def _time_trees(trees: dict, samples: int) -> dict:
-    """Per tree and row: median and minimum seconds per call, over `samples`
-    fresh children per tree, the trees taking turns and swapping which goes
-    first after every sample."""
+    """Per tree and row: median and minimum seconds per call and median peak
+    bytes of one call, over `samples` fresh children per tree, the trees taking
+    turns and swapping which goes first after every sample."""
     runs = {label: [] for label in trees}
     order = list(trees.items())
     for _ in range(samples):
@@ -279,9 +305,12 @@ def _time_trees(trees: dict, samples: int) -> dict:
         order.reverse()
     return {
         label: {
-            name: {"median_s": statistics.median(ts), "min_s": min(ts), "samples": len(ts)}
+            name: {"median_s": statistics.median(ts), "min_s": min(ts), "samples": len(ts),
+                   "peak_mb": statistics.median(peaks) / 2**20 if peaks else None}
             for name in ROWS
-            for ts in [[run[name] for run in label_runs]]
+            for ts in [[run["seconds"][name] for run in label_runs]]
+            for peaks in [[run["peak_bytes"][name] for run in label_runs
+                           if name in run["peak_bytes"]]]
         }
         for label, label_runs in runs.items()
     }
@@ -313,6 +342,7 @@ def main(argv=None) -> int:
         for label, result in measured.items():
             row[f"{label}_median_s"] = result[name]["median_s"]
             row[f"{label}_min_s"] = result[name]["min_s"]
+            row[f"{label}_peak_mb"] = result[name]["peak_mb"]
             row["samples"] = result[name]["samples"]
         if "parent" in measured:
             row["parent_over_change"] = row["parent_median_s"] / row["change_median_s"]
@@ -333,6 +363,9 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for row in rows:
         figures = "  ".join(f"{label}={row[f'{label}_median_s']:.3e}s" for label in measured)
+        if row["change_peak_mb"] is not None:
+            figures += "  peak " + " / ".join(f"{row[f'{label}_peak_mb']:.1f}"
+                                              for label in measured) + " MB"
         print(f"{row['row']:<22} {figures}")
     return 0
 

@@ -431,31 +431,30 @@ class HamiltonianModel:
         return np.array([[complex(re, im) for re, im in row] for row in self.dense_pairs()])
 
 
-def _int_rows(matrix, name: str) -> list[tuple[int, ...]]:
-    """The rows of `matrix` as int tuples, each entry read once by `_exact_int`."""
-    rows = []
-    for r, row in enumerate(map(tuple, matrix)):
-        try:
-            rows.append(tuple(map(_exact_int, row)))
-        except TypeError as exc:
-            c = next(c for c, x in enumerate(row) if type(x) is not int)
-            raise TypeError(f"{name}[{r}][{c}]: {exc}") from None
+def _int_rows(matrix, name: str) -> list[tuple]:
+    """The rows of `matrix` as tuples, each entry checked once to be an exact int
+    (the rule of `_exact_int`); the TypeError names the first bad entry."""
+    rows = list(map(tuple, matrix))
+    for r, row in enumerate(rows):
+        if not set(map(type, row)) <= {int}:
+            c, x = next((c, x) for c, x in enumerate(row) if type(x) is not int)
+            raise TypeError(f"{name}[{r}][{c}] must be an integer, got {x!r}")
     return rows
 
 
-def _self_adjoint_model(pair_rows) -> HamiltonianModel:
+def _self_adjoint_model(pair_rows, pair_at) -> HamiltonianModel:
     """The model of H from dense rows of raw (re, im) int pairs, type-checked by
-    the caller: its compiled rows, once H is known to be square and
-    self-adjoint.  SymmetryViolation("S" or "A", r, c) names the first r <= c,
-    row by row, where H[r][c] is not the conjugate of H[c][r]."""
-    model = HamiltonianModel(_compile_rows(pair_rows))
-    entries = {(r, c, re, im) for r, row in enumerate(model.h_rows) for c, re, im in row}
-    if entries != {(c, r, re, -im) for r, c, re, im in entries}:
-        h = model.dense_pairs()  # not self-adjoint: find the first pair as a dense scan would
-        r, c = next((r, c) for r in range(model.dim) for c in range(r, model.dim)
-                    if h[r][c] != (h[c][r][0], -h[c][r][1]))
-        raise SymmetryViolation("S" if h[r][c][0] != h[c][r][0] else "A", r, c)
-    return model
+    the caller; pair_at(r, c) is H[r][c].  Compiling the rows checks that H is
+    square; then each nonzero H[r][c] is compared with the conjugate of H[c][r].
+    A pair that breaks self-adjointness has a nonzero entry, so it is seen:
+    SymmetryViolation("S" or "A", r, c) names the first such r <= c, row by row."""
+    rows = _compile_rows(pair_rows)
+    first = min(((min(r, c), max(r, c)) for r, row in enumerate(rows)
+                 for c, re, im in row if pair_at(c, r) != (re, -im)), default=None)
+    if first is not None:
+        r, c = first
+        raise SymmetryViolation("S" if pair_at(r, c)[0] != pair_at(c, r)[0] else "A", r, c)
+    return HamiltonianModel(rows)
 
 
 def build_hamiltonian(s_dense, a_dense) -> HamiltonianModel:
@@ -464,7 +463,7 @@ def build_hamiltonian(s_dense, a_dense) -> HamiltonianModel:
     s, a = _int_rows(s_dense, "S"), _int_rows(a_dense, "A")
     if list(map(len, s)) != list(map(len, a)):
         raise DimensionMismatch("S and A must have the same shape")
-    return _self_adjoint_model(map(zip, s, a))
+    return _self_adjoint_model(map(zip, s, a), lambda r, c: (s[r][c], a[r][c]))
 
 
 def zero_model(dim: int) -> HamiltonianModel:

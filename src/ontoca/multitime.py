@@ -74,8 +74,9 @@ def _boxed(vec) -> tuple[GaussianRational, ...]:
 
 def _hamiltonian(matrix) -> HamiltonianModel:
     """H = S + iA from rows of Gaussian-integer entries; NotSelfAdjoint unless H = H^dagger."""
+    h = [GaussianIntVector(row).pairs for row in matrix]
     try:
-        return _self_adjoint_model(GaussianIntVector(row).pairs for row in matrix)
+        return _self_adjoint_model(h, lambda r, c: h[r][c])
     except SymmetryViolation as exc:
         raise NotSelfAdjoint(str(exc)) from None
 

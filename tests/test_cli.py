@@ -1100,7 +1100,7 @@ class TestNumericInputs:
         cfg.write_text(json.dumps({"kind": "evolve", "model": model}))  # keeps 1.0 a JSON float
         assert run(["evolve", str(cfg), "--out", str(tmp_path / "o.out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: model: {entry}: ")
+        assert err.startswith(f"config error: model: {entry} must be an integer, got ")
         assert "disagree" not in err
 
     @pytest.mark.parametrize(

@@ -488,6 +488,13 @@ class TestBuildHamiltonian:
         assert exc.value.index_pair == (0, 1)
         assert exc.value.matrix_name == "S"
 
+    def test_first_pair_whose_upper_entry_is_zero(self):
+        # (0, 3) is seen only at its nonzero S[3][0], after (1, 2) is seen in row 1
+        s = [[0, 0, 0, 0], [0, 0, 1, 0], [0, 2, 0, 0], [1, 0, 0, 0]]
+        with pytest.raises(SymmetryViolation) as exc:
+            build_hamiltonian(s, [[0] * 4 for _ in range(4)])
+        assert (exc.value.matrix_name, exc.value.index_pair) == ("S", (0, 3))
+
     def test_antisymmetry_violation(self):
         with pytest.raises(SymmetryViolation) as exc:
             build_hamiltonian(ZERO2, ((1, 0), (0, 0)))
