@@ -1,12 +1,13 @@
 """Layer micro-benchmark: the wall time of one call of each exact kernel, of
-the boxing layer, of the ontology scan's ray division, of a trajectory check
-and its CSV, of the CLI parser build, of two whole Ising CLI runs, of the
-lattice uncertainty reports (a whole gup CLI run, its width family and the
-verify-all Robertson check) and of five model builds (a dense dim-2048 ring, a
-dim-1024 H with every entry in [-3, 3] drawn, a dim-1024 ring read from JSON,
-a dim-256 coupling matrix of [re, im] rows and a separable coupling of two
-dim-48 rings).  Each row but build_parser_first also reports the
-tracemalloc peak of one call.
+the boxing layer, of the ontology scan's ray division, of three trajectory
+checks (a dim-64 ring, and 150 and 1000 steps of a supercritical dense dim-12
+model), of a trajectory's CSV and JSON, of the CLI parser build, of two whole
+Ising CLI runs, of the lattice uncertainty reports (a whole gup CLI run, its
+width family and the verify-all Robertson check) and of five model builds (a
+dense dim-2048 ring, a dim-1024 H with every entry in [-3, 3] drawn, a
+dim-1024 ring read from JSON, a dim-256 coupling matrix of [re, im] rows and a
+separable coupling of two dim-48 rings).  Each row but build_parser_first also
+reports the tracemalloc peak of one call.
 
     python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
 
@@ -22,8 +23,9 @@ fall on both alike.
 In a sample, each row repeats one call until at least MIN_SAMPLE_S has
 passed and records the mean time per call, then traces one more call for its
 peak of allocated memory; a row reports the median and the minimum time and
-the median peak over the samples.  Inputs are fixed (seeded), so every run
-times the same work.
+the median peak over the samples.  With `--parent`, a row also reports the
+median over the samples of the parent/change ratio of the two trees' times in
+the same sample.  Inputs are fixed (seeded), so every run times the same work.
 """
 
 from __future__ import annotations
@@ -80,6 +82,14 @@ ROWS = {
                             "ring (every S and A entry checked)",
     "coupling_general_256": "multitime.TensorHamiltonian.general, dims (16, 16), of a dim-256 ring "
                             "given as rows of [re, im] lists, hopping 1+i forward and 1-i back",
+    "trajectory_verify_bigint": "Trajectory.verify of a 150-step trajectory of the bigint-transfer "
+                                "shape: dense dim-12 model and start states with entries in "
+                                "[-2, 2] (parts of up to about 500 bits)",
+    "trajectory_verify_long": "Trajectory.verify of 1000 steps of that model (parts of up to "
+                              "about 3400 bits)",
+    "evolve_json_bigint": "the JSON text evolve --format json writes of the 150-step trajectory: "
+                          "serialize.trajectory_json, or in a tree without it dumps_json of "
+                          "the whole document",
 }
 
 ISING_A_EDGES = [[k, (k + 1) % 12] for k in range(12)] + [[0, 6], [3, 9]]
@@ -147,6 +157,23 @@ def _ring_pair_rows(dim: int):
     return rows
 
 
+def _dense_dim12(rng, bound: int):
+    """A dense self-adjoint dim-12 model S + iA and two start states, every
+    entry drawn from [-bound, bound] (bound 2: a perfbench bigint-transfer job)."""
+    from ontoca.gaussian import GaussianIntVector, build_hamiltonian
+
+    s, a = [[0] * 12 for _ in range(12)], [[0] * 12 for _ in range(12)]
+    for r in range(12):
+        for c in range(r, 12):
+            s[r][c] = s[c][r] = rng.randint(-bound, bound)
+            if c > r:
+                a[r][c] = rng.randint(-bound, bound)
+                a[c][r] = -a[r][c]
+    start = [GaussianIntVector((rng.randint(-bound, bound), rng.randint(-bound, bound))
+                               for _ in range(12)) for _ in range(2)]
+    return build_hamiltonian(s, a), start
+
+
 def _built_on_first_call(make, run):
     """A call of run(input), where the input is made by the first call: the
     untimed warm-up.  A large input so exists only once the rows before it
@@ -179,18 +206,7 @@ def _calls(workdir: Path):
     ring_run = evolve(CAPairState(GaussianIntVector(prev), GaussianIntVector(curr)), ring, 1)
     ring_long = evolve(CAPairState(GaussianIntVector(prev), GaussianIntVector(curr)), ring, 50)
 
-    dim = 12
-    s = [[0] * dim for _ in range(dim)]
-    a = [[0] * dim for _ in range(dim)]
-    for r in range(dim):
-        for c in range(r, dim):
-            s[r][c] = s[c][r] = rng.randint(-3, 3)
-            if c > r:
-                a[r][c] = rng.randint(-3, 3)
-                a[c][r] = -a[r][c]
-    dense = build_hamiltonian(s, a)
-    start = [GaussianIntVector((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(dim))
-             for _ in range(2)]
+    dense, start = _dense_dim12(rng, 3)
     dense_run = evolve(CAPairState(*start), dense, 78)
     psi0, psi1, psi79 = (dense_run.state_at(n) for n in (0, 1, 79))
     t79, t80 = propagator.transfer_sequence(dense, 80)[79:]
@@ -204,6 +220,19 @@ def _calls(workdir: Path):
     perm = ising.PhasedPermutation(np_rng.permutation(1 << 16), np_rng.integers(0, 4, 1 << 16))
 
     ring48 = build_hamiltonian(*_ring_matrices(48))
+
+    bigint_model, bigint_start = _dense_dim12(random.Random(19), 2)
+    bigint_run = evolve(CAPairState(*bigint_start), bigint_model, 150)
+    bigint_long = evolve(CAPairState(*bigint_start), bigint_model, 1000)
+    head = {"schema_version": 1, "kind": "evolve", "dim": 12, "steps": 150, "start_index": 0,
+            "two_time_correlation": 0, "conserved": True}
+
+    def evolve_json():
+        if hasattr(serialize, "trajectory_json"):
+            return serialize.trajectory_json(head, bigint_run)
+        # an older tree writes the whole document with dumps_json
+        return serialize.dumps_json(
+            {**head, "rows": [list(row) for row in serialize.trajectory_rows(bigint_run)]})
 
     momentum = gup.momentum_operator(256, propagator.DiscretenessScale(1.0))
     psi = np_rng.standard_normal(256) + 1j * np_rng.standard_normal(256)
@@ -236,6 +265,9 @@ def _calls(workdir: Path):
         "coupling_general_256": _built_on_first_call(
             lambda: _ring_pair_rows(256),
             lambda rows: multitime.TensorHamiltonian.general(rows, (16, 16))),
+        "trajectory_verify_bigint": bigint_run.verify,
+        "trajectory_verify_long": bigint_long.verify,
+        "evolve_json_bigint": evolve_json,
     }
 
 
@@ -294,9 +326,10 @@ def _run_child(src: Path) -> dict:
 
 
 def _time_trees(trees: dict, samples: int) -> dict:
-    """Per tree and row: median and minimum seconds per call and median peak
-    bytes of one call, over `samples` fresh children per tree, the trees taking
-    turns and swapping which goes first after every sample."""
+    """Per tree and row: median and minimum seconds per call, the seconds of
+    each sample and the median peak bytes of one call, over `samples` fresh
+    children per tree, the trees taking turns and swapping which goes first
+    after every sample."""
     runs = {label: [] for label in trees}
     order = list(trees.items())
     for _ in range(samples):
@@ -305,7 +338,7 @@ def _time_trees(trees: dict, samples: int) -> dict:
         order.reverse()
     return {
         label: {
-            name: {"median_s": statistics.median(ts), "min_s": min(ts), "samples": len(ts),
+            name: {"median_s": statistics.median(ts), "min_s": min(ts), "seconds": ts,
                    "peak_mb": statistics.median(peaks) / 2**20 if peaks else None}
             for name in ROWS
             for ts in [[run["seconds"][name] for run in label_runs]]
@@ -343,9 +376,12 @@ def main(argv=None) -> int:
             row[f"{label}_median_s"] = result[name]["median_s"]
             row[f"{label}_min_s"] = result[name]["min_s"]
             row[f"{label}_peak_mb"] = result[name]["peak_mb"]
-            row["samples"] = result[name]["samples"]
+            row["samples"] = len(result[name]["seconds"])
         if "parent" in measured:
             row["parent_over_change"] = row["parent_median_s"] / row["change_median_s"]
+            row["paired_ratio_median"] = statistics.median(
+                p / c for p, c in zip(measured["parent"][name]["seconds"],
+                                      measured["change"][name]["seconds"]))
         rows.append(row)
     report = {
         "kind": "ontoca-layer-bench",
@@ -363,10 +399,12 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for row in rows:
         figures = "  ".join(f"{label}={row[f'{label}_median_s']:.3e}s" for label in measured)
+        if "parent" in measured:
+            figures += f"  paired {row['paired_ratio_median']:.2f}"
         if row["change_peak_mb"] is not None:
             figures += "  peak " + " / ".join(f"{row[f'{label}_peak_mb']:.1f}"
                                               for label in measured) + " MB"
-        print(f"{row['row']:<22} {figures}")
+        print(f"{row['row']:<24} {figures}")
     return 0
 
 

@@ -192,7 +192,7 @@ def cmd_evolve(args) -> int:
     if fmt == "csv":
         out = _write_out(config, serialize.trajectory_csv(traj), "evolve.csv")
     else:
-        doc = {
+        head = {
             "schema_version": serialize.SCHEMA_VERSION,
             "kind": "evolve",
             "dim": model.dim,
@@ -200,13 +200,14 @@ def cmd_evolve(args) -> int:
             "start_index": traj.start_index,
             "two_time_correlation": q0,
             "conserved": conserved,
-            "rows": [list(row) for row in serialize.trajectory_rows(traj)],
         }
-        out = _write_out(config, serialize.dumps_json(doc), "evolve.json")
+        out = _write_out(config, serialize.trajectory_json(head, traj), "evolve.json")
     stages.mark("write")
     if stages.enabled:
         bits = _max_coeff_bits(x for st in traj.raw_states for pair in st for x in pair)
-        log.info("evolve: dim=%d steps=%d max_coeff_bits=%d", model.dim, steps, bits)
+        blocks = traj.check_blocks()
+        log.info("evolve: dim=%d steps=%d max_coeff_bits=%d check_blocks=%d slot_bits=%d",
+                 model.dim, steps, bits, len(blocks), max((w for *_, w in blocks), default=0))
     stages.emit()
 
     ok = conserved and residuals_zero

@@ -12,6 +12,7 @@ this module.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -445,16 +446,25 @@ def _int_rows(matrix, name: str) -> list[tuple]:
 def _self_adjoint_model(pair_rows, pair_at) -> HamiltonianModel:
     """The model of H from dense rows of raw (re, im) int pairs, type-checked by
     the caller; pair_at(r, c) is H[r][c].  Compiling the rows checks that H is
-    square; then each nonzero H[r][c] is compared with the conjugate of H[c][r].
-    A pair that breaks self-adjointness has a nonzero entry, so it is seen:
-    SymmetryViolation("S" or "A", r, c) names the first such r <= c, row by row."""
+    square.  H is self-adjoint iff each nonzero H[r][c] with r <= c is the
+    conjugate of H[c][r], and the nonzero entries below the diagonal are as many
+    as the mirrors so found: each such mirror is nonzero, so then every nonzero
+    entry below is one.  Only when that fails is every nonzero entry compared,
+    for SymmetryViolation("S" or "A", r, c) to name the first bad r <= c, row by row."""
     rows = _compile_rows(pair_rows)
-    first = min(((min(r, c), max(r, c)) for r, row in enumerate(rows)
-                 for c, re, im in row if pair_at(c, r) != (re, -im)), default=None)
-    if first is not None:
-        r, c = first
-        raise SymmetryViolation("S" if pair_at(r, c)[0] != pair_at(c, r)[0] else "A", r, c)
-    return HamiltonianModel(rows)
+    below = mirrored = 0
+    for r, row in enumerate(rows):
+        k = bisect.bisect_left(row, (r,))  # row[k:] holds the columns c >= r
+        below += k
+        mirrored += len(row) - k - (k < len(row) and row[k][0] == r)
+        if not all(pair_at(c, r) == (re, -im) for c, re, im in row[k:]):
+            break
+    else:
+        if below == mirrored:
+            return HamiltonianModel(rows)
+    r, c = min((min(r, c), max(r, c)) for r, row in enumerate(rows)
+               for c, re, im in row if pair_at(c, r) != (re, -im))
+    raise SymmetryViolation("S" if pair_at(r, c)[0] != pair_at(c, r)[0] else "A", r, c)
 
 
 def build_hamiltonian(s_dense, a_dense) -> HamiltonianModel:
@@ -473,6 +483,10 @@ def zero_model(dim: int) -> HamiltonianModel:
 # =============================================================================
 # Trajectories
 # =============================================================================
+
+# The most bits of one slot-packed integer of Trajectory.verify: a block of
+# residuals per kernel call, and one block of memory (measured; see CHANGES.md).
+VERIFY_BLOCK_BITS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -535,9 +549,77 @@ class Trajectory:
         """psi[n+1] - psi[n-1] + i H psi[n]; exactly zero on valid trajectories."""
         return GaussianIntVector._of(self._residual_raw(n))
 
+    def check_blocks(self) -> list[tuple[int, int, int]]:
+        """The blocks that `verify` checks, as (first, stop, width): the interior
+        states raw_states[first:stop], packed in slots of `width` bits.
+
+        width is the least whole number of bytes with width - 1 >=
+        bit_length((2 + h) * m), where m is the largest |re| or |im| among the
+        block's states raw_states[first - 1:stop + 1] and h the largest row sum
+        of |re| + |im| in H.  A block holds at most VERIFY_BLOCK_BITS // width
+        states (one at least), so the memory `verify` takes is one block.
+        """
+        h = max(sum(abs(re) + abs(im) for _, re, im in row) for row in self.model.h_rows)
+        peaks = (max(map(abs, itertools.chain.from_iterable(state))) for state in self.raw_states)
+        widths = [8 * (((2 + h) * m).bit_length() // 8 + 1) for m in peaks]
+        blocks, first, end = [], 1, len(widths) - 1
+        while first < end:
+            stop, width = first + 1, max(widths[first - 1:first + 2])
+            while stop < end:  # one more state while the packed ints stay in bounds
+                wider = max(width, widths[stop + 1])
+                if (stop + 1 - first) * wider > VERIFY_BLOCK_BITS:
+                    break
+                stop, width = stop + 1, wider
+            blocks.append((first, stop, width))
+            first = stop
+        return blocks
+
     def verify(self) -> bool:
-        interior = range(self.start_index + 1, self.start_index + len(self.raw_states) - 1)
-        return not any(re or im for n in interior for re, im in self._residual_raw(n))
+        """Whether every residual psi[n+1] - psi[n-1] + i H psi[n] is zero,
+        checked a block of consecutive n per `_step_raw` call (`check_blocks`).
+
+        In a block of k residuals, component j of `lower`, `middle` and `upper`
+        packs the parts of psi[n-1], psi[n] and psi[n+1] over the block's n:
+        slot i holds the part x_i of its i-th n, so a packed part is
+        sum_i x_i 2**(width * i).  The kernel is linear with integer
+        coefficients, so _step_raw(H, lower, middle) - upper packs the k
+        residual parts r_i the same way.  With m and h as in `check_blocks`,
+        |r_i| <= |psi[n+1]| + |psi[n-1]| + h m <= (2 + h) m < 2**(width - 1),
+        and a sum of r_i 2**(width * i) with every |r_i| < 2**(width - 1) is zero
+        only if every r_i is: the lowest nonzero r_i leaves a nonzero remainder
+        mod 2**(width * (i + 1)).  So the block passes iff every residual in it
+        is zero, exactly.
+
+        The parts fit their slots by the same bound (`_pack`).  `lower` and
+        `upper` keep the offsets of `_pack`, which are the same in every part
+        of both and so cancel in _step_raw(H, lower, middle) - upper; only
+        `middle`, which H mixes, has them taken off.
+        """
+        rows, states = self.model.h_rows, self.raw_states
+        for first, stop, width in self.check_blocks():
+            size = stop - first
+            mask = (1 << (width * size)) - 1
+            offsets = _pack([0] * size, width)
+            lower, middle, upper = [], [], []
+            for component in zip(*states[first - 1:stop + 1]):
+                re, im = (_pack(parts, width) for parts in zip(*component))
+                lower.append((re & mask, im & mask))
+                middle.append(((re >> width & mask) - offsets, (im >> width & mask) - offsets))
+                upper.append((re >> 2 * width, im >> 2 * width))
+            if _step_raw(rows, lower, middle) != upper:
+                return False
+        return True
+
+
+def _pack(parts, width: int) -> int:
+    """The ints `parts` in slots of `width` bits, a whole number of bytes:
+    slot i holds parts[i] + 2**(width - 1), which fills it exactly when
+    |parts[i]| < 2**(width - 1), so the result is
+    sum_i (parts[i] + 2**(width - 1)) 2**(width * i)."""
+    offset = 1 << (width - 1)
+    return int.from_bytes(b"".join(map(int.to_bytes, map(offset.__add__, parts),
+                                       itertools.repeat(width // 8),
+                                       itertools.repeat("little"))), "little")
 
 
 def _check_pair_model(pair: CAPairState, model: HamiltonianModel):

@@ -125,6 +125,16 @@ def trajectory_csv(traj: Trajectory) -> str:
     return _csv_text(["n", "alpha", "re", "im"], trajectory_rows(traj))
 
 
+def trajectory_json(head: dict, traj: Trajectory) -> str:
+    """dumps_json(head | {"rows": rows}) for a nonempty `head` and the rows
+    [n, alpha, re, im] of `trajectory_rows`, each row written by one %d template."""
+    pad = " " * JSON_INDENT
+    row = f"{pad * 2}[\n{pad * 3}%d,\n{pad * 3}%d,\n{pad * 3}%d,\n{pad * 3}%d\n{pad * 2}]"
+    rows = ",\n".join([row % fields for fields in trajectory_rows(traj)])
+    body = f"[\n{rows}\n{pad}]" if rows else "[]"
+    return f'{dumps_json(head)[:-3]},\n{pad}"rows": {body}\n}}\n'
+
+
 def field_csv(field: MultiTimeField) -> str:
     # the raw components are ints or Fractions, printed as the exact fractions they are
     rows = [(n1, n2, k, str(re), str(im)) for n1, n2 in field.points()

@@ -122,7 +122,9 @@ class TestEvolve:
             runs.append((done, (workdir / "traj.csv").read_bytes()))
         (quiet, quiet_csv), (loud, loud_csv) = runs
         assert quiet.stderr == ""
-        assert "evolve: dim=2 steps=13 max_coeff_bits=1" in loud.stderr
+        # H2 has h = 1 and parts of 1 bit: (2 + 1) * 1 needs 2 bits, so 8-bit slots
+        assert ("evolve: dim=2 steps=13 max_coeff_bits=1 check_blocks=1 slot_bits=8"
+                in loud.stderr)
         assert re.search(r"evolve: stage times evolve=\S+s check=\S+s write=\S+s", loud.stderr)
         assert (loud.stdout, loud_csv) == (quiet.stdout, quiet_csv)
 

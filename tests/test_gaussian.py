@@ -12,12 +12,13 @@ complex-form stepping, so agreement between the two is a real check.
 import dataclasses
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ontoca import multitime
+from ontoca import gaussian, multitime
 from ontoca.ising import GraphTopology, Schedule
 from ontoca.propagator import DiscretenessScale
 from ontoca.errors import DimensionMismatch, SymmetryViolation, ZeroVector
@@ -495,6 +496,17 @@ class TestBuildHamiltonian:
             build_hamiltonian(s, [[0] * 4 for _ in range(4)])
         assert (exc.value.matrix_name, exc.value.index_pair) == ("S", (0, 3))
 
+    @pytest.mark.parametrize("name", ["S", "A"])
+    def test_a_lower_entry_whose_mirror_is_zero_is_the_only_fault(self, name):
+        # every entry on and above the diagonal matches its mirror; only the count sees (2, 0)
+        fault = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+        fault[2][0] = 5
+        ring = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        s, a = (fault, [[0] * 3 for _ in range(3)]) if name == "S" else (ring, fault)
+        with pytest.raises(SymmetryViolation) as exc:
+            build_hamiltonian(s, a)
+        assert (exc.value.matrix_name, exc.value.index_pair) == (name, (0, 2))
+
     def test_antisymmetry_violation(self):
         with pytest.raises(SymmetryViolation) as exc:
             build_hamiltonian(ZERO2, ((1, 0), (0, 0)))
@@ -917,3 +929,170 @@ class TestRawTrajectory:
             (start + k, alpha, c.re, c.im) for k, state in enumerate(boxed)
             for alpha, c in enumerate(state)
         ]
+
+
+# =============================================================================
+# The slot-packed residual check against a per-n oracle
+# =============================================================================
+
+
+def residuals_zero_per_n(traj):
+    """The per-n oracle of Trajectory.verify: psi[n+1] - psi[n-1] + i H psi[n]
+    from the boxed dense H, one interior n at a time."""
+    states = traj.states
+    for k in range(1, len(states) - 1):
+        forced = GaussianIntVector(c.times_i() for c in dense_h_times(traj.model, states[k]))
+        if not (states[k + 1] - states[k - 1] + forced).is_zero():
+            return False
+    return True
+
+
+def with_part_moved(traj, k, alpha, part, delta):
+    """`traj` with part `part` (0: re, 1: im) of component alpha of state k moved by delta."""
+    states = [list(state) for state in traj.raw_states]
+    pair = list(states[k][alpha])
+    pair[part] += delta
+    states[k][alpha] = tuple(pair)
+    return Trajectory(tuple(map(tuple, states)), traj.start_index, traj.model)
+
+
+def unpack(packed, width, count):
+    """The parts of gaussian._pack(parts, width), read back slot by slot."""
+    offset = 1 << (width - 1)
+    return [(packed >> (width * i) & (1 << width) - 1) - offset for i in range(count)]
+
+
+def assert_blocks_tile_the_interior(traj):
+    blocks = traj.check_blocks()
+    edges = [first for first, _, _ in blocks] + [blocks[-1][1]] if blocks else [1, 1]
+    assert edges[0] == 1 and edges[-1] == max(len(traj) - 1, 1)
+    assert all(stop == nxt for (_, stop, _), nxt in zip(blocks, edges[1:]))
+    h = max(sum(abs(x.re) + abs(x.im) for x in row) for row in traj.model.h_matrix)
+    for first, stop, width in blocks:
+        assert width % 8 == 0 and first < stop
+        assert stop - first == 1 or (stop - first) * width <= gaussian.VERIFY_BLOCK_BITS
+        m = max(abs(x) for state in traj.raw_states[first - 1:stop + 1]
+                for pair in state for x in pair)
+        assert (2 + h) * m < 2 ** (width - 1) <= max(2**7, 2**8 * (2 + h) * m)
+
+
+BLOCK_BITS = st.sampled_from([8, 256, 2048, 8192, gaussian.VERIFY_BLOCK_BITS])
+
+
+class TestPackedVerify:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_the_per_n_oracle(self, data):
+        model = data.draw(wide_model(max_dim=5))
+        pair = CAPairState(data.draw(wide_vector(model.dim)), data.draw(wide_vector(model.dim)),
+                           index_n=data.draw(st.integers(min_value=-3, max_value=3)))
+        traj = evolve(pair, model, data.draw(st.integers(min_value=1, max_value=12)))
+        k = data.draw(st.integers(min_value=0, max_value=len(traj) - 1))
+        alpha = data.draw(st.integers(min_value=0, max_value=model.dim - 1))
+        part = data.draw(st.integers(min_value=0, max_value=1))
+        delta = data.draw(st.one_of(st.sampled_from([1, -1]), wide_int.filter(bool),
+                                    st.integers(min_value=1, max_value=3000).map(lambda b: 1 << b)))
+        broken = with_part_moved(traj, k, alpha, part, delta)
+        with mock.patch.object(gaussian, "VERIFY_BLOCK_BITS", data.draw(BLOCK_BITS)):
+            assert traj.verify() and residuals_zero_per_n(traj)
+            assert broken.verify() == residuals_zero_per_n(broken)
+            if k >= 2 or k <= len(traj) - 3:  # psi[k] is psi[n + 1] or psi[n - 1] of a residual
+                assert not broken.verify()
+            assert_blocks_tile_the_interior(broken)
+
+    @pytest.mark.parametrize("block_bits", [8, 32, 96])
+    def test_a_corruption_on_each_block_edge(self, block_bits, monkeypatch):
+        monkeypatch.setattr(gaussian, "VERIFY_BLOCK_BITS", block_bits)
+        rng = random.Random(block_bits)
+        s, a = random_model_matrices(rng, 3, -1, 1)
+        pair = CAPairState(gvec((1, 0), (0, 1), (-1, 1)), gvec((0, 0), (1, -1), (1, 0)))
+        traj = evolve(pair, build_hamiltonian(s, a), 40)
+        blocks = traj.check_blocks()
+        assert len(blocks) > 3
+        assert traj.verify()
+        for first, stop, _ in blocks:
+            for k in (first - 1, first, stop - 1, stop):
+                for delta in (1, -1):
+                    broken = with_part_moved(traj, k, k % 3, k % 2, delta)
+                    assert not broken.verify()
+                    assert not residuals_zero_per_n(broken)
+
+    def test_first_and_last_state(self):
+        rng = random.Random(31)
+        s, a = random_model_matrices(rng, 4)
+        pair = CAPairState(gvec((2, -1), (0, 3), (1, 1), (-2, 0)),
+                           gvec((0, 1), (-1, 2), (3, 0), (1, -1)))
+        traj = evolve(pair, build_hamiltonian(s, a), 20)
+        for k in (0, len(traj) - 1):
+            for alpha in range(4):
+                for part in (0, 1):
+                    for delta in (1, -1):
+                        assert not with_part_moved(traj, k, alpha, part, delta).verify()
+
+    def test_a_unit_move_of_a_500_bit_part(self):
+        rng = random.Random(5)
+        s, a = random_model_matrices(rng, 12, -2, 2)
+        vec = lambda: GaussianIntVector((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(12))
+        traj = evolve(CAPairState(vec(), vec()), build_hamiltonian(s, a), 150)
+        bits = [max(x.bit_length() for pair in state for x in pair) for state in traj.raw_states]
+        k = next(k for k, b in enumerate(bits) if b >= 500)
+        alpha, part = next((alpha, part) for alpha, pair in enumerate(traj.raw_states[k])
+                           for part in (0, 1) if pair[part].bit_length() >= 500)
+        assert traj.verify()
+        for delta in (1, -1):
+            assert not with_part_moved(traj, k, alpha, part, delta).verify()
+
+    def test_a_corruption_wider_than_every_part_widens_its_block(self):
+        model = build_hamiltonian(SIGMA1, ZERO2)
+        traj = evolve(CAPairState(gvec((1, 0), (0, 0)), gvec((0, 0), (1, 0))), model, 30)
+        assert max(width for _, _, width in traj.check_blocks()) == 8
+        broken = with_part_moved(traj, 17, 1, 0, 1 << 4000)
+        widths = {(first, stop): width for first, stop, width in broken.check_blocks()}
+        assert any(first - 1 <= 17 <= stop and width > 4000
+                   for (first, stop), width in widths.items())
+        assert not broken.verify()
+        # a move by 2**(width - 1) of the old slot width: exactly what a fixed width would miss
+        for delta in (1 << 7, -(1 << 7), 1 << 8):
+            assert not with_part_moved(traj, 17, 1, 0, delta).verify()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_one_and_two_states_have_no_residual(self, count):
+        model = build_hamiltonian(SIGMA1, ZERO2)
+        traj = Trajectory(((((3, 1), (0, -7)),) * count), 5, model)
+        assert traj.check_blocks() == [] and traj.verify()
+
+    def test_all_zero_trajectory(self):
+        zero = GaussianIntVector.zero(3)
+        rng = random.Random(2)
+        traj = evolve(CAPairState(zero, zero), build_hamiltonian(*random_model_matrices(rng, 3)), 9)
+        assert all(x == 0 for state in traj.raw_states for pair in state for x in pair)
+        assert traj.check_blocks() == [(1, 10, 8)]
+        assert traj.verify()
+        assert not with_part_moved(traj, 4, 2, 1, -1).verify()
+
+    @pytest.mark.parametrize("width", [8, 16, 64, 520, 4096])
+    def test_pack_round_trips_at_the_slot_bounds(self, width):
+        top = (1 << (width - 1)) - 1
+        rng = random.Random(width)
+        parts = [top, -top, 0, 1, -1] + [rng.randint(-top, top) for _ in range(20)] + [-top, top]
+        packed = gaussian._pack(parts, width)
+        assert packed.bit_length() <= width * len(parts)
+        assert unpack(packed, width, len(parts)) == parts
+        assert unpack(gaussian._pack([top], width), width, 1) == [top]
+        with pytest.raises(OverflowError):
+            gaussian._pack([top + 1], width)
+
+    def test_verify_memory_is_one_block(self):
+        import tracemalloc
+
+        rng = random.Random(19)
+        s, a = random_model_matrices(rng, 12, -2, 2)
+        vec = lambda: GaussianIntVector((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(12))
+        traj = evolve(CAPairState(vec(), vec()), build_hamiltonian(s, a), 1000)
+        tracemalloc.start()
+        try:
+            assert traj.verify()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

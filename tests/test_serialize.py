@@ -16,9 +16,11 @@ from ontoca.gaussian import (
     GaussianIntVector,
     GaussianRational,
     HamiltonianModel,
+    Trajectory,
     _exact_int,
     build_hamiltonian,
     evolve,
+    zero_model,
 )
 from ontoca.multitime import MultiTimeField, TensorHamiltonian
 from ontoca.ontology import preset_hamiltonian
@@ -33,6 +35,7 @@ from ontoca.serialize import (
     schedule_from_mapping,
     topology_from_mapping,
     trajectory_csv,
+    trajectory_json,
     trajectory_rows,
     vector_from_config,
 )
@@ -121,6 +124,35 @@ def same_bytes_as_csv_module(write, *args):
 
 
 wide = st.integers(-(2**80), 2**80)
+
+
+wide_part = st.one_of(st.integers(min_value=-9, max_value=9),
+                      st.integers(min_value=-(2**600), max_value=2**600))
+
+
+class TestTrajectoryJson:
+    """The rows writer of `evolve --format json` against dumps_json of the
+    whole document, the route it replaced."""
+
+    @given(st.integers(min_value=1, max_value=4).flatmap(lambda dim: st.tuples(
+        st.lists(st.lists(st.tuples(wide_part, wide_part), min_size=dim, max_size=dim),
+                 min_size=1, max_size=6),
+        st.integers(min_value=-40, max_value=40), st.just(dim))), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_dumps_json_of_the_document(self, case, conserved):
+        states, start, dim = case
+        traj = Trajectory(tuple(map(tuple, states)), start, zero_model(dim))
+        head = {"schema_version": 1, "kind": "evolve", "dim": dim, "steps": len(states) - 2,
+                "start_index": start, "two_time_correlation": -(2**601), "conserved": conserved}
+        doc = {**head, "rows": [list(row) for row in trajectory_rows(traj)]}
+        assert trajectory_json(head, traj) == dumps_json(doc)
+
+    def test_dim_one_and_no_rows(self):
+        one = Trajectory((((-(2**600), 7),),), 3, zero_model(1))
+        empty = Trajectory((), 0, zero_model(1))
+        for traj in (one, empty):
+            doc = {"kind": "evolve", "rows": [list(row) for row in trajectory_rows(traj)]}
+            assert trajectory_json({"kind": "evolve"}, traj) == dumps_json(doc)
 
 
 class TestCsvWritersMatchCsvModule:
