@@ -6,8 +6,9 @@ Ising CLI runs, of the lattice uncertainty reports (a whole gup CLI run, its
 width family and the verify-all Robertson check) and of five model builds (a
 dense dim-2048 ring, a dim-1024 H with every entry in [-3, 3] drawn, a
 dim-1024 ring read from JSON, a dim-256 coupling matrix of [re, im] rows and a
-separable coupling of two dim-48 rings).  Each row but build_parser_first also
-reports the tracemalloc peak of one call.
+separable coupling of two dim-48 rings) and of the Ising exponential-form check
+at 10 and 12 bits.  Each row but build_parser_first also reports the
+tracemalloc peak of one call.
 
     python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
 
@@ -90,6 +91,10 @@ ROWS = {
     "evolve_json_bigint": "the JSON text evolve --format json writes of the 150-step trajectory: "
                           "serialize.trajectory_json, or in a tree without it dumps_json of "
                           "the whole document",
+    "exponential_form_10bit": "ising.verify_exponential_form of a ring of 5: 5 vertex + 5 edge "
+                              "bits, the checked ising-b call of a perfbench spin-perm job",
+    "exponential_form_12bit": "ising.verify_exponential_form of 10 vertices and 2 edges: four "
+                              "1024 x 1024 generator blocks",
 }
 
 ISING_A_EDGES = [[k, (k + 1) % 12] for k in range(12)] + [[0, 6], [3, 9]]
@@ -268,6 +273,10 @@ def _calls(workdir: Path):
         "trajectory_verify_bigint": bigint_run.verify,
         "trajectory_verify_long": bigint_long.verify,
         "evolve_json_bigint": evolve_json,
+        "exponential_form_10bit":
+            lambda: ising.verify_exponential_form(ising.GraphTopology.ring(5)),
+        "exponential_form_12bit": lambda: ising.verify_exponential_form(
+            ising.GraphTopology(10, ((0, 1), (3, 7)))),
     }
 
 

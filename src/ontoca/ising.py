@@ -44,12 +44,12 @@ from .errors import (
     ScheduleExhausted,
 )
 from .gaussian import _exact_int
-from .numerics import expm_hermitian, max_abs
+from .numerics import max_abs
 
 DEFAULT_MAX_BITS = 24
-# The exponential-form check diagonalizes 2**E generator blocks of 2**V x 2**V
-# each (one per edge-bit pattern); ising-b runs it and the exact identity up to
-# this many vertex + edge bits.
+# The exponential-form check multiplies 2**E dense generator blocks of 2**V x 2**V
+# each (one per edge-bit pattern) by the 2**V x 2**V character matrix on both
+# sides; ising-b runs it and the exact identity up to this many vertex + edge bits.
 EXPONENTIAL_FORM_MAX_BITS = 12
 
 Edge = tuple[int, int]
@@ -513,17 +513,25 @@ def build_generator_blocks(topology: GraphTopology) -> np.ndarray:
     No factor changes an edge bit, so the generator is block-diagonal over the
     2**E edge patterns.  Block p is indexed by the vertex bits alone: every
     edge that is down in p adds the identity, every edge that is up adds the
-    permutation v -> v ^ vertex_mask(edge).  Returns a real array of shape
+    permutation v -> v ^ vertex_mask(edge).  An entry so depends on x ^ y
+    alone: G_p[x][y] = c_p[x ^ y], where c_p[0] counts the down edges of p and
+    c_p[m] the up edges of vertex mask m.  Returns a real array of shape
     (2**E, 2**V, 2**V); the dense 2**bits matrix is never formed.
     """
-    patterns = np.arange(1 << topology.n_edges)[:, None]
+    patterns = np.arange(1 << topology.n_edges)
     v = np.arange(1 << topology.n_vertices)
-    blocks = np.zeros((patterns.size, v.size, v.size))
+    counts = np.zeros((patterns.size, v.size))
     for e, edge in enumerate(topology.edges):
-        rows = v ^ (((patterns >> e) & 1) * topology.vertex_mask(edge))
-        # one entry per (pattern, column), so plain fancy indexing accumulates
-        blocks[patterns, rows, v] += 1.0
-    return blocks
+        # distinct edges have distinct nonzero masks: one entry per pattern and edge
+        counts[patterns, ((patterns >> e) & 1) * topology.vertex_mask(edge)] += 1.0
+    return np.take(counts, v[:, None] ^ v, axis=1)
+
+
+def vertex_characters(n_vertices: int) -> np.ndarray:
+    """The characters of the vertex-bit group (Z_2)**V as a real matrix:
+    W[s][v] = (-1)**popcount(s & v).  W is symmetric and W @ W = 2**V * 1."""
+    v = np.arange(1 << n_vertices, dtype=np.min_scalar_type((1 << n_vertices) - 1))
+    return np.where(np.bitwise_count(v[:, None] & v) & 1, -1.0, 1.0)
 
 
 def verify_exponential_form(topology: GraphTopology) -> float:
@@ -533,27 +541,47 @@ def verify_exponential_form(topology: GraphTopology) -> float:
     exponential exp(-i pi/2 * G) reproduces the transfer map up to one
     overall phase, which is fitted before comparing entrywise.  Both sides
     keep the edge bits, so the comparison runs on the 2**E edge-pattern
-    blocks: one batched eigendecomposition of 2**V x 2**V blocks, the
-    overlap summed and the deviation maximized over all blocks.  Entries
-    outside the blocks are exactly zero on both sides.  Exact block p sends
-    vertex bits v to v ^ edge_pattern_masks[p] with phase -i, so the 2**bits
-    transfer table is never built.
+    blocks G_p, and entries outside the blocks are exactly zero on both
+    sides.  Every gated flip XORs the vertex bits, so the characters W of
+    `vertex_characters` diagonalize each block: W G_p W = 2**V * diag(lam_p).
+    Then block p of exp(-i pi/2 * G) is u_p[x][y] = g_p[x ^ y] with
+    g_p = W (-i)**lam_p / 2**V, and exact block p is -i at
+    x ^ y = edge_pattern_masks[p], so both sides are compared as 2**E rows
+    of 2**V entries.  Neither the 2**bits transfer table nor a dense complex
+    block is built.
+
+    The route is exact.  G_p has integer entries; every entry and partial
+    sum of W G_p W is an integer of magnitude at most E * 2**V, far below
+    2**53, so float64 and BLAS compute it exactly in any summation order.
+    (-i)**lam is a table entry, and g_p has integer real and imaginary parts
+    over the power of two 2**V.  The fitted phase is then a fourth root of
+    unity, and the deviation is exactly 0.0 when the identity holds.  An
+    off-diagonal entry of W G_p W / 2**V, or the distance of a lam from the
+    nearest integer, adds to the deviation, so a generator the characters
+    do not diagonalize fails the check.
     """
     if topology.total_bits > EXPONENTIAL_FORM_MAX_BITS:
         raise DimensionOverflow(
             f"exponential form limited to {EXPONENTIAL_FORM_MAX_BITS} bits, "
             f"got {topology.total_bits}"
         )
-    masks = edge_pattern_masks(topology)[:, None]
-    v = np.arange(1 << topology.n_vertices)
-    u = expm_hermitian(build_generator_blocks(topology), prefactor=-1j * np.pi / 2.0)
-    exact = np.zeros_like(u)
-    exact[np.arange(masks.size)[:, None], v ^ masks, v] = PHASES[3]
-    overlap = np.vdot(exact, u)  # sum over blocks of trace(exact^H u)
-    if abs(overlap) == 0.0:
-        return max_abs(u - exact)
-    phase = overlap / abs(overlap)
-    return max_abs(u - phase * exact)
+    w = vertex_characters(topology.n_vertices)
+    size = w.shape[0]
+    blocks = build_generator_blocks(topology)
+    spectra = np.matmul(w @ blocks, w, out=blocks)  # W G_p W
+    lam = np.diagonal(spectra, axis1=1, axis2=2) / size
+    spectra[:, np.arange(size), np.arange(size)] = 0.0
+    rounded = np.rint(lam)
+    defect = float(np.abs(spectra, out=spectra).max()) / size + max_abs(lam - rounded)
+    phases = PHASES[-rounded.astype(np.intp) % 4]  # (-i)**lam
+    g = (phases.real @ w + 1j * (phases.imag @ w)) / size
+    masks = edge_pattern_masks(topology)
+    patterns = np.arange(masks.size)
+    # exact block p holds -i at the `size` entries with x ^ y = masks[p]
+    overlap = size * np.conj(PHASES[3]) * g[patterns, masks].sum()
+    phase = overlap / abs(overlap) if overlap else 1.0
+    g[patterns, masks] -= phase * PHASES[3]
+    return max_abs(g) + defect
 
 
 def exponential_identity_holds(topology: GraphTopology) -> bool:

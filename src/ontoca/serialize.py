@@ -3,7 +3,10 @@
 All emitters are byte-deterministic: dictionary insertion order is the field
 order, floats are printed with 17 significant digits, integers in exact
 decimal, and exact rationals as fraction strings that round-trip through
-Fraction().  Files are written atomically (temp file + rename).
+Fraction().  Integers of any length are written and read in full, past
+Python's default limit of 4300 digits for int<->str conversion, and that
+interpreter-wide limit is left as it is.  Files are written atomically (temp
+file + rename).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -26,6 +30,68 @@ from .ontology import preset_hamiltonian, preset_names
 
 SCHEMA_VERSION = 1
 JSON_INDENT = 2
+
+
+# =============================================================================
+# Exact decimals of any length
+# =============================================================================
+#
+# str(n) and int(text) refuse more than sys.get_int_max_str_digits() decimal
+# digits.  Past that limit, these split a number at a power of ten and convert
+# each half alone; below it they are str() and int().
+
+_DECIMAL = re.compile(r"\s*([+-]?)([0-9]+)\s*")
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def _int_text(n: int) -> str:
+    """The exact decimal of an int of any length."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_text(-n)
+    # about half of n's digits, since 0.15 < log10(2) / 2; high is at least 1
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**k)
+    return _int_text(high) + _int_text(low).zfill(k)
+
+
+def _exact_text(x) -> str:
+    """str(x) of an int, Fraction or str; a number of any length is written
+    in full as "p" or "p/q", which Fraction() reads back."""
+    try:
+        return str(x)
+    except ValueError:
+        text = _int_text(x.numerator)
+        return text if x.denominator == 1 else f"{text}/{_int_text(x.denominator)}"
+
+
+def _decimal_int(text: str) -> int:
+    """int(text), and a plain decimal literal of any length read in full."""
+    try:
+        return int(text)
+    except ValueError:
+        match = _DECIMAL.fullmatch(text)
+        if match is None:
+            raise
+    sign, digits = match.groups()
+    k = len(digits) // 2
+    value = _decimal_int(digits[:-k]) * 10**k + _decimal_int(digits[-k:])
+    return -value if sign == "-" else value
+
+
+def _exact_fraction(text: str) -> Fraction:
+    """Fraction(text), and "p" or "p/q" of any length read in full."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        match = _RATIONAL.fullmatch(text)
+        if match is None:
+            raise
+    numerator, denominator = match.groups()
+    return Fraction(_decimal_int(numerator), _decimal_int(denominator or "1"))
 
 
 # =============================================================================
@@ -56,7 +122,7 @@ def _emit(obj, out: list[str], level: int):
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, int):
-        out.append(str(obj))
+        out.append(_int_text(obj))
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):
@@ -109,11 +175,14 @@ def atomic_write_text(path, text: str):
 def _csv_text(header: list[str], rows) -> str:
     """The header and each row (a tuple) as comma-joined str fields.
 
-    No field needs quoting: each is an int, exact-fraction text, a bit string
-    (empty when there are no edges) or a format_float string.
+    No field needs quoting: each is an int, an exact fraction, a bit string
+    (empty when there are no edges) or a format_float string.  `rows` is a list.
     """
     line = ",".join(["%s"] * len(header)) + "\n"
-    return line % tuple(header) + "".join([line % row for row in rows])
+    try:
+        return line % tuple(header) + "".join([line % row for row in rows])
+    except ValueError:  # a number past the int<->str digit limit
+        return _csv_text(header, [tuple(map(_exact_text, row)) for row in rows])
 
 
 def trajectory_rows(traj: Trajectory) -> list[tuple[int, int, int, int]]:
@@ -130,14 +199,19 @@ def trajectory_json(head: dict, traj: Trajectory) -> str:
     [n, alpha, re, im] of `trajectory_rows`, each row written by one %d template."""
     pad = " " * JSON_INDENT
     row = f"{pad * 2}[\n{pad * 3}%d,\n{pad * 3}%d,\n{pad * 3}%d,\n{pad * 3}%d\n{pad * 2}]"
-    rows = ",\n".join([row % fields for fields in trajectory_rows(traj)])
+    table = trajectory_rows(traj)
+    try:
+        rows = ",\n".join([row % fields for fields in table])
+    except ValueError:  # a part past the int<->str digit limit
+        row = row.replace("%d", "%s")
+        rows = ",\n".join([row % tuple(map(_int_text, fields)) for fields in table])
     body = f"[\n{rows}\n{pad}]" if rows else "[]"
     return f'{dumps_json(head)[:-3]},\n{pad}"rows": {body}\n}}\n'
 
 
 def field_csv(field: MultiTimeField) -> str:
     # the raw components are ints or Fractions, printed as the exact fractions they are
-    rows = [(n1, n2, k, str(re), str(im)) for n1, n2 in field.points()
+    rows = [(n1, n2, k, re, im) for n1, n2 in field.points()
             for k, (re, im) in enumerate(field.values[n1, n2])]
     return _csv_text(["n1", "n2", "component", "re", "im"], rows)
 
@@ -155,7 +229,7 @@ def parse_field_csv(text: str, dims: tuple[int, int], origin: str = "field csv")
         try:
             n1, n2, k, re, im = row
             point, k = (int(n1), int(n2)), int(k)
-            value = (_exact(Fraction(re)), _exact(Fraction(im)))
+            value = (_exact(_exact_fraction(re)), _exact(_exact_fraction(im)))
         except (ValueError, ZeroDivisionError):
             raise ConfigInvalid(origin, f"line {line}: bad row {row}") from None
         vec = staged.setdefault(point, [None] * length)
@@ -313,10 +387,21 @@ def read_text_file(path) -> str:
         raise ConfigInvalid(str(path), f"cannot read: {exc}") from None
 
 
+def _json_loads(text: str):
+    """json.loads, with integers of any length read in full."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer past the int<->str digit limit
+        return json.loads(text, parse_int=_decimal_int)
+
+
 def load_json_file(path) -> dict:
+    """A JSON object from a file; its integers are read in full at any length."""
     path = Path(path)
     try:
-        data = json.loads(read_text_file(path))
+        data = _json_loads(read_text_file(path))
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(str(path), f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -939,6 +939,17 @@ class TestIsing:
             f"ising-b: bits=18 steps=24 unitary=True exponential_dev=skipped out={out}\n"
         )
 
+    def test_checked_run_reads_an_exact_zero_deviation(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "ising-b", "topology": {"preset": "ring", "n_vertices": 5},
+            "start": {"vertices": "10110", "edges": "01101"}, "steps": 9, "edge_rule": "cyclic",
+        })
+        out = tmp_path / "b.csv"
+        assert run(["ising-b", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"ising-b: bits=10 steps=9 unitary=True exponential_dev=0.000e+00 out={out}\n"
+        )
+
     @pytest.mark.parametrize(
         "schedule, steps",
         [
@@ -1183,6 +1194,68 @@ class TestNumericInputs:
         cfg = write_json(tmp_path / "c.json", {**doc, **fields})
         assert run([command, cfg, *flags, "--out", str(tmp_path / "o.out")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
+
+
+class TestLongIntegers:
+    """Parts and config entries past Python's 4300-digit int<->str limit are
+    read and written in full, and main leaves that limit as it found it."""
+
+    LONG = "1" + "0" * 4400 + "7"  # 4402 digits
+    MODEL = {"S": [[0, 1], [1, 0]], "A": [[0, 0], [0, 0]]}
+
+    @pytest.fixture(autouse=True)
+    def default_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        assert sys.get_int_max_str_digits() == 4300
+        sys.set_int_max_str_digits(limit)
+
+    @staticmethod
+    def write_config(path, doc, text):
+        """`doc` as JSON, with every "@LONG" ("-@LONG") string replaced by the
+        bare digits `text` (with a minus sign)."""
+        path.write_text(json.dumps(doc).replace('"-@LONG"', "-" + text).replace('"@LONG"', text))
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_evolve_with_long_parts_exits_0(self, tmp_path, capsys, fmt):
+        cfg = self.write_config(tmp_path / "c.json", {
+            "kind": "evolve", "model": self.MODEL, "psi0": [["@LONG", 0], [1, 0]],
+            "psi1": [[0, "@LONG"], [0, 0]], "steps": 3, "format": fmt,
+        }, self.LONG)
+        out = tmp_path / f"e.{fmt}"
+        assert run(["evolve", cfg, "--out", str(out)]) == 0
+        text = out.read_text()
+        if fmt == "csv":
+            rows = f"0,0,{self.LONG},0\n0,1,1,0\n1,0,0,{self.LONG}\n"
+            assert text.startswith("n,alpha,re,im\n" + rows)
+        else:
+            assert re.search(rf"\[\s*0,\s*0,\s*{self.LONG},\s*0\s*\]", text)
+        assert capsys.readouterr().out.startswith("evolve: dim=2 steps=3 Q=")
+
+    @pytest.mark.parametrize("doc", [
+        {"psi0": [["@LONG", 0], [1, 0]]},
+        {"psi1": [[0, 0], ["-@LONG", 1]]},
+        {"model": {"S": [["@LONG", 1], [1, 0]], "A": [[0, 0], [0, 0]]}},
+        {"model": {"S": [[0, "@LONG"], [0, 0]], "A": [[0, 0], [0, 0]]}},
+        {"model": {"S": [[0, 1], [1, 0]], "A": [["@LONG", 0], [0, 0]]}},
+        {"model": {"S": [[0, 1], [1, 0]], "A": [[0, 0], [0, 0]], "dim": "@LONG"}},
+        {"model": {"preset": "@LONG"}},
+        {"steps": "-@LONG"},
+        {"format": "@LONG"},
+        {"out": "@LONG"},
+        {"schema_version": "@LONG"},
+        {"psi0": "@LONG"},
+    ], ids=str)
+    def test_a_5000_digit_entry_exits_0_or_2(self, tmp_path, capsys, doc):
+        doc = {"kind": "evolve", "model": self.MODEL, "psi0": [[1, 0], [0, 0]], "steps": 2,
+               "out": str(tmp_path / "e.csv"), **doc}
+        cfg = self.write_config(tmp_path / "c.json", doc, "7" * 5000)
+        code = run(["evolve", cfg])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        assert code == 0 or err.startswith("config error: ")
 
 
 class TestUnwritableOutput:

@@ -38,9 +38,9 @@ from ontoca.ising import (
     projector_identity_check,
     seeded_pattern_rule,
     verify_exponential_form,
+    vertex_characters,
     vertex_sign_flip,
 )
-from ontoca.numerics import expm_hermitian
 
 
 # =============================================================================
@@ -526,19 +526,65 @@ class TestBlockedExponentialForm:
         monkeypatch.setattr(ising, "model_b_transfer", None)
         assert verify_exponential_form(topo) == expected
 
-    @given(
-        st.integers(1, 5),
-        st.integers(1, 6),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_stacked_expm_equals_per_matrix_calls(self, count, n, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-        stack = a + np.swapaxes(a.conj(), -1, -2)
-        batched = expm_hermitian(stack, prefactor=-0.5j * np.pi)
-        assert batched.shape == stack.shape
-        for m, got in zip(stack, batched):
-            assert np.allclose(got, expm_hermitian(m, prefactor=-0.5j * np.pi), rtol=0.0, atol=1e-12)
+
+class TestExactExponentialForm:
+    """The character route reads exactly 0 on a valid generator, and a
+    generator the characters do not diagonalize, or one with a shifted
+    spectrum, fails the 1e-9 gate."""
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_characters(self, n):
+        w = vertex_characters(n)
+        size = 1 << n
+        expected = [[(-1) ** bin(s & v).count("1") for v in range(size)] for s in range(size)]
+        assert w.tolist() == expected
+        assert np.array_equal(w @ w, size * np.eye(size))
+
+    @pytest.mark.parametrize("topo", NAMED_GRAPHS, ids=str)
+    def test_named_graphs_read_exactly_zero(self, topo):
+        assert verify_exponential_form(topo) == 0.0
+
+    @given(small_graphs())
+    def test_random_graphs_read_exactly_zero(self, topo):
+        assert verify_exponential_form(topo) == 0.0
+
+    def test_twelve_bits_read_exactly_zero(self):
+        assert verify_exponential_form(GraphTopology(10, ((0, 1), (3, 7)))) == 0.0
+
+    @staticmethod
+    def corrupted(topo, monkeypatch, alter):
+        real_blocks = build_generator_blocks
+
+        def blocks(t):
+            out = real_blocks(t)
+            alter(out[-1])  # the block of the all-up edge pattern
+            return out
+
+        monkeypatch.setattr(ising, "build_generator_blocks", blocks)
+        return verify_exponential_form(topo)
+
+    @pytest.mark.parametrize("topo", [t for t in NAMED_GRAPHS if t.n_edges], ids=str)
+    def test_off_diagonal_pair_fails(self, topo, monkeypatch):
+        def pair(block):
+            block[0, 1] += 1.0
+            block[1, 0] += 1.0
+
+        assert self.corrupted(topo, monkeypatch, pair) > 1e-9
+
+    @pytest.mark.parametrize("topo", [t for t in NAMED_GRAPHS if t.n_edges], ids=str)
+    def test_shifted_diagonal_fails(self, topo, monkeypatch):
+        # the characters still diagonalize block + 1, but every lam moves by 1
+        def shift(block):
+            block += np.eye(len(block))
+
+        assert self.corrupted(topo, monkeypatch, shift) > 1e-9
+
+    @pytest.mark.parametrize("topo", NAMED_GRAPHS, ids=str)
+    def test_single_diagonal_entry_fails(self, topo, monkeypatch):
+        def bump(block):
+            block[0, 0] += 1.0
+
+        assert self.corrupted(topo, monkeypatch, bump) > 1e-9
 
 
 class TestExponentialIdentity:

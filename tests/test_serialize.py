@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import re
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -665,3 +667,106 @@ class TestFieldCsvReadOnce:
         text = "n1,n2,component,re,im\n0,0,0,1,0\n0,0,0,5,0\n"
         with pytest.raises(ConfigInvalid, match="line 3: point \\(0, 0\\) component 0"):
             parse_field_csv(text, (1, 1))
+
+
+# =============================================================================
+# Exact decimals past Python's int<->str digit limit
+# =============================================================================
+
+
+def decimal(n):
+    """Exact decimal of an int by repeated division by 10**18 (test oracle)."""
+    sign, n, chunks = "-" if n < 0 else "", abs(n), []
+    while True:
+        n, chunk = divmod(n, 10**18)
+        chunks.append(chunk)
+        if not n:
+            break
+    return sign + str(chunks[-1]) + "".join(f"{c:018d}" for c in reversed(chunks[:-1]))
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int<->str limit of 4300 digits, whatever the environment
+    set; the interpreter's own setting comes back after the test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    assert sys.get_int_max_str_digits() == 4300  # nothing under test changed it
+    sys.set_int_max_str_digits(limit)
+
+
+HUGE = 3**9500  # 15057 bits, 4533 digits
+assert HUGE.bit_length() >= 15000
+
+
+@pytest.mark.usefixtures("default_digit_limit")
+class TestDecimalsOfAnyLength:
+    def test_the_limit_is_in_force(self):
+        with pytest.raises(ValueError):
+            str(HUGE)
+
+    @given(st.one_of(st.integers(-(2**64), 2**64),
+                     st.builds(lambda k, d: (-1) ** k * (HUGE * d + k),
+                               st.integers(0, 3), st.integers(1, 10**9))))
+    @settings(max_examples=60, deadline=None)
+    def test_int_text_and_decimal_int_agree_with_the_oracle(self, n):
+        assert serialize._int_text(n) == decimal(n)
+        assert serialize._decimal_int(decimal(n)) == n
+        assert serialize._decimal_int(f" +{decimal(abs(n))}\n") == abs(n)
+
+    def test_decimal_int_refuses_what_int_refuses(self):
+        for text in ("", "-", "1 2", "12a" + "1" * 5000, "0x" + "1" * 5000):
+            with pytest.raises(ValueError):
+                serialize._decimal_int(text)
+
+    def trajectory(self):
+        states = (((HUGE, -HUGE - 1), (7, 0)), ((0, -(2**15001) + 5), (HUGE * 3, 1)),
+                  ((1, 2), (-3, HUGE)))
+        return Trajectory(states, -1, zero_model(2))
+
+    def test_trajectory_csv(self):
+        traj = self.trajectory()
+        expected = "n,alpha,re,im\n" + "".join(
+            ",".join(map(decimal, row)) + "\n" for row in trajectory_rows(traj))
+        assert trajectory_csv(traj) == expected
+
+    def test_trajectory_json(self):
+        traj = self.trajectory()
+        head = {"kind": "evolve", "two_time_correlation": -HUGE}
+        text = trajectory_json(head, traj)
+        doc = {**head, "rows": [list(row) for row in trajectory_rows(traj)]}
+        assert text == dumps_json(doc)
+        rows = text[text.index('"rows"'):]
+        assert re.findall(r"-?\d+", rows) == [decimal(x) for row in trajectory_rows(traj)
+                                              for x in row]
+        assert f'"two_time_correlation": {decimal(-HUGE)},' in text
+
+    def test_field_csv_and_its_reader(self):
+        big = Fraction(-HUGE, 2**15001)  # in lowest terms
+        field = MultiTimeField((1, 2), {(0, 0): [GaussianRational(big, HUGE), GaussianRational(1)],
+                                        (2, -1): [GaussianRational(0, -big), 5]})
+        text = field_csv(field)
+        assert text == (
+            "n1,n2,component,re,im\n"
+            f"0,0,0,{decimal(big.numerator)}/{decimal(big.denominator)},{decimal(HUGE)}\n"
+            "0,0,1,1,0\n"
+            f"2,-1,0,0,{decimal(HUGE)}/{decimal(big.denominator)}\n"
+            "2,-1,1,5,0\n"
+        )
+        assert parse_field_csv(text, (1, 2)).values == field.values
+
+    def test_field_reader_still_refuses_a_bad_long_value(self):
+        text = f"n1,n2,component,re,im\n0,0,0,{decimal(HUGE)}/0,0\n"
+        with pytest.raises(ConfigInvalid, match="bad row"):
+            parse_field_csv(text, (1, 1))
+        with pytest.raises(ConfigInvalid, match="bad row"):
+            parse_field_csv(f"n1,n2,component,re,im\n0,0,0,1/{decimal(HUGE)}x,0\n", (1, 1))
+
+    def test_json_file_with_a_long_integer(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"a": [1, -%s, 2.5], "b": %s}' % (decimal(HUGE), decimal(10**5000)))
+        assert serialize.load_json_file(path) == {"a": [1, -HUGE, 2.5], "b": 10**5000}
+        path.write_text('{"a": %s' % decimal(HUGE))
+        with pytest.raises(ConfigInvalid, match="invalid JSON"):
+            serialize.load_json_file(path)
