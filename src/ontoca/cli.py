@@ -12,7 +12,6 @@ status 2.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import logging
 import os
@@ -680,33 +679,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _int_digits_unlimited():
-    """Lift Python's limit on int<->str conversion (4300 decimal digits by
-    default, where the interpreter has one) and restore it on exit.
-
-    Exact coefficients grow without bound, and a config may hold long ones, so
-    summaries and messages print every int in full.  The limit is
-    interpreter-wide, and `main` may run inside a caller's process, so it is
-    lifted for one call only.
-    """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _int_digits_unlimited():
+        # summaries and messages print exact ints in full
+        with serialize._int_digits_unlimited():
             return args.handler(args)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

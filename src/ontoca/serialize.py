@@ -11,12 +11,12 @@ file + rename).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -35,63 +35,26 @@ JSON_INDENT = 2
 # =============================================================================
 # Exact decimals of any length
 # =============================================================================
-#
-# str(n) and int(text) refuse more than sys.get_int_max_str_digits() decimal
-# digits.  Past that limit, these split a number at a power of ten and convert
-# each half alone; below it they are str() and int().
-
-_DECIMAL = re.compile(r"\s*([+-]?)([0-9]+)\s*")
-_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
-def _int_text(n: int) -> str:
-    """The exact decimal of an int of any length."""
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift Python's limit on int<->str conversion (4300 decimal digits by
+    default, where the interpreter has one) and restore it on exit.
+
+    Exact coefficients grow without bound, and a config may hold long ones, so
+    every int is written and read in full.  The limit is interpreter-wide, and
+    callers may share the process, so it is lifted for one conversion only.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return str(n)
-    except ValueError:
-        pass
-    if n < 0:
-        return "-" + _int_text(-n)
-    # about half of n's digits, since 0.15 < log10(2) / 2; high is at least 1
-    k = n.bit_length() * 3 // 20
-    high, low = divmod(n, 10**k)
-    return _int_text(high) + _int_text(low).zfill(k)
-
-
-def _exact_text(x) -> str:
-    """str(x) of an int, Fraction or str; a number of any length is written
-    in full as "p" or "p/q", which Fraction() reads back."""
-    try:
-        return str(x)
-    except ValueError:
-        text = _int_text(x.numerator)
-        return text if x.denominator == 1 else f"{text}/{_int_text(x.denominator)}"
-
-
-def _decimal_int(text: str) -> int:
-    """int(text), and a plain decimal literal of any length read in full."""
-    try:
-        return int(text)
-    except ValueError:
-        match = _DECIMAL.fullmatch(text)
-        if match is None:
-            raise
-    sign, digits = match.groups()
-    k = len(digits) // 2
-    value = _decimal_int(digits[:-k]) * 10**k + _decimal_int(digits[-k:])
-    return -value if sign == "-" else value
-
-
-def _exact_fraction(text: str) -> Fraction:
-    """Fraction(text), and "p" or "p/q" of any length read in full."""
-    try:
-        return Fraction(text)
-    except ValueError:
-        match = _RATIONAL.fullmatch(text)
-        if match is None:
-            raise
-    numerator, denominator = match.groups()
-    return Fraction(_decimal_int(numerator), _decimal_int(denominator or "1"))
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # =============================================================================
@@ -107,7 +70,8 @@ def format_float(x: float) -> str:
 
 def dumps_json(obj) -> str:
     out: list[str] = []
-    _emit(obj, out, 0)
+    with _int_digits_unlimited():
+        _emit(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
@@ -122,7 +86,7 @@ def _emit(obj, out: list[str], level: int):
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, int):
-        out.append(_int_text(obj))
+        out.append(str(obj))
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):
@@ -176,13 +140,11 @@ def _csv_text(header: list[str], rows) -> str:
     """The header and each row (a tuple) as comma-joined str fields.
 
     No field needs quoting: each is an int, an exact fraction, a bit string
-    (empty when there are no edges) or a format_float string.  `rows` is a list.
+    (empty when there are no edges) or a format_float string.
     """
     line = ",".join(["%s"] * len(header)) + "\n"
-    try:
+    with _int_digits_unlimited():
         return line % tuple(header) + "".join([line % row for row in rows])
-    except ValueError:  # a number past the int<->str digit limit
-        return _csv_text(header, [tuple(map(_exact_text, row)) for row in rows])
 
 
 def trajectory_rows(traj: Trajectory) -> list[tuple[int, int, int, int]]:
@@ -199,12 +161,8 @@ def trajectory_json(head: dict, traj: Trajectory) -> str:
     [n, alpha, re, im] of `trajectory_rows`, each row written by one %d template."""
     pad = " " * JSON_INDENT
     row = f"{pad * 2}[\n{pad * 3}%d,\n{pad * 3}%d,\n{pad * 3}%d,\n{pad * 3}%d\n{pad * 2}]"
-    table = trajectory_rows(traj)
-    try:
-        rows = ",\n".join([row % fields for fields in table])
-    except ValueError:  # a part past the int<->str digit limit
-        row = row.replace("%d", "%s")
-        rows = ",\n".join([row % tuple(map(_int_text, fields)) for fields in table])
+    with _int_digits_unlimited():
+        rows = ",\n".join([row % fields for fields in trajectory_rows(traj)])
     body = f"[\n{rows}\n{pad}]" if rows else "[]"
     return f'{dumps_json(head)[:-3]},\n{pad}"rows": {body}\n}}\n'
 
@@ -227,9 +185,10 @@ def parse_field_csv(text: str, dims: tuple[int, int], origin: str = "field csv")
         if not row:
             continue
         try:
-            n1, n2, k, re, im = row
-            point, k = (int(n1), int(n2)), int(k)
-            value = (_exact(_exact_fraction(re)), _exact(_exact_fraction(im)))
+            with _int_digits_unlimited():
+                n1, n2, k, re, im = row
+                point, k = (int(n1), int(n2)), int(k)
+                value = (_exact(Fraction(re)), _exact(Fraction(im)))
         except (ValueError, ZeroDivisionError):
             raise ConfigInvalid(origin, f"line {line}: bad row {row}") from None
         vec = staged.setdefault(point, [None] * length)
@@ -387,21 +346,13 @@ def read_text_file(path) -> str:
         raise ConfigInvalid(str(path), f"cannot read: {exc}") from None
 
 
-def _json_loads(text: str):
-    """json.loads, with integers of any length read in full."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # an integer past the int<->str digit limit
-        return json.loads(text, parse_int=_decimal_int)
-
-
 def load_json_file(path) -> dict:
     """A JSON object from a file; its integers are read in full at any length."""
     path = Path(path)
+    text = read_text_file(path)
     try:
-        data = _json_loads(read_text_file(path))
+        with _int_digits_unlimited():
+            data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(str(path), f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):

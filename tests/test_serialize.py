@@ -706,20 +706,6 @@ class TestDecimalsOfAnyLength:
         with pytest.raises(ValueError):
             str(HUGE)
 
-    @given(st.one_of(st.integers(-(2**64), 2**64),
-                     st.builds(lambda k, d: (-1) ** k * (HUGE * d + k),
-                               st.integers(0, 3), st.integers(1, 10**9))))
-    @settings(max_examples=60, deadline=None)
-    def test_int_text_and_decimal_int_agree_with_the_oracle(self, n):
-        assert serialize._int_text(n) == decimal(n)
-        assert serialize._decimal_int(decimal(n)) == n
-        assert serialize._decimal_int(f" +{decimal(abs(n))}\n") == abs(n)
-
-    def test_decimal_int_refuses_what_int_refuses(self):
-        for text in ("", "-", "1 2", "12a" + "1" * 5000, "0x" + "1" * 5000):
-            with pytest.raises(ValueError):
-                serialize._decimal_int(text)
-
     def trajectory(self):
         states = (((HUGE, -HUGE - 1), (7, 0)), ((0, -(2**15001) + 5), (HUGE * 3, 1)),
                   ((1, 2), (-3, HUGE)))
