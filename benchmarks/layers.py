@@ -3,11 +3,12 @@ the boxing layer, of the ontology scan's ray division, of three trajectory
 checks (a dim-64 ring, and 150 and 1000 steps of a supercritical dense dim-12
 model), of a trajectory's CSV and JSON, of the CLI parser build, of two whole
 Ising CLI runs, of the lattice uncertainty reports (a whole gup CLI run, its
-width family and the verify-all Robertson check) and of five model builds (a
+width family and the verify-all Robertson check), of five model builds (a
 dense dim-2048 ring, a dim-1024 H with every entry in [-3, 3] drawn, a
 dim-1024 ring read from JSON, a dim-256 coupling matrix of [re, im] rows and a
-separable coupling of two dim-48 rings) and of the Ising exponential-form check
-at 10 and 12 bits.  Each row but build_parser_first also reports the
+separable coupling of two dim-48 rings), of the Ising exponential-form check
+at 10, 12 and 20 bits, and of the phased-permutation constructor and
+unitarity check at 20 bits.  Each row but build_parser_first also reports the
 tracemalloc peak of one call.
 
     python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
@@ -27,12 +28,17 @@ peak of allocated memory; a row reports the median and the minimum time and
 the median peak over the samples.  With `--parent`, a row also reports the
 median over the samples of the parent/change ratio of the two trees' times in
 the same sample.  Inputs are fixed (seeded), so every run times the same work.
+The rows of DIGESTED also record a digest of their call's result; the run
+fails, and writes no report, if a digest differs between samples or trees.
+A row whose input exceeds a tree's size limit (DimensionOverflow on the
+warm-up call) has no figure for that tree.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -94,8 +100,17 @@ ROWS = {
     "exponential_form_10bit": "ising.verify_exponential_form of a ring of 5: 5 vertex + 5 edge "
                               "bits, the checked ising-b call of a perfbench spin-perm job",
     "exponential_form_12bit": "ising.verify_exponential_form of 10 vertices and 2 edges: four "
-                              "1024 x 1024 generator blocks",
+                              "edge patterns of 1024 vertex masks each",
+    "phased_ctor_20bit": "the PhasedPermutation constructor on the target and phase arrays of "
+                         "model_b_transfer of a ring of 10 (10 vertex + 10 edge bits): "
+                         "bijection check, phase reduction and copies",
+    "is_unitary_20bit": "PhasedPermutation.is_unitary of that 20-bit transfer map",
+    "exponential_form_20bit": "ising.verify_exponential_form of that ring of 10 (no figure "
+                              "where the check stops at 12 bits)",
 }
+# Rows whose results are compared, by digest, across samples and trees
+DIGESTED = ("exponential_form_10bit", "exponential_form_12bit", "phased_ctor_20bit",
+            "is_unitary_20bit", "exponential_form_20bit")
 
 ISING_A_EDGES = [[k, (k + 1) % 12] for k in range(12)] + [[0, 6], [3, 9]]
 CLI_CONFIGS = {
@@ -239,6 +254,11 @@ def _calls(workdir: Path):
         return serialize.dumps_json(
             {**head, "rows": [list(row) for row in serialize.trajectory_rows(bigint_run)]})
 
+    ring10 = ising.GraphTopology.ring(10)
+
+    def transfer20():
+        return ising.model_b_transfer(ring10)
+
     momentum = gup.momentum_operator(256, propagator.DiscretenessScale(1.0))
     psi = np_rng.standard_normal(256) + 1j * np_rng.standard_normal(256)
 
@@ -277,7 +297,21 @@ def _calls(workdir: Path):
             lambda: ising.verify_exponential_form(ising.GraphTopology.ring(5)),
         "exponential_form_12bit": lambda: ising.verify_exponential_form(
             ising.GraphTopology(10, ((0, 1), (3, 7)))),
+        "phased_ctor_20bit": _built_on_first_call(
+            transfer20, lambda t: ising.PhasedPermutation(t.target, t.phase_exponent)),
+        "is_unitary_20bit": _built_on_first_call(transfer20, lambda t: t.is_unitary()),
+        "exponential_form_20bit": lambda: ising.verify_exponential_form(ring10),
     }
+
+
+def _digest(result) -> str:
+    """A digest of a row's result: the bytes of a phased permutation's arrays,
+    or the repr of a plain value."""
+    if hasattr(result, "phase_exponent"):
+        data = result.target.astype("<i8").tobytes() + result.phase_exponent.tobytes()
+    else:
+        data = repr(result).encode()
+    return hashlib.sha256(data).hexdigest()
 
 
 def _sample(call) -> float:
@@ -303,20 +337,27 @@ def _peak_bytes(call) -> int:
 
 
 def child(src: str) -> dict:
-    """One sample: seconds per call and peak bytes of one call, per row."""
+    """One sample: seconds per call and peak bytes of one call, per row, and
+    the digests of the DIGESTED rows."""
     sys.path.insert(0, src)
     from ontoca import cli
+    from ontoca.errors import DimensionOverflow
 
     start = time.perf_counter()
     cli.build_parser()
     timings = {"build_parser_first": time.perf_counter() - start}
-    peaks = {}
+    peaks, digests = {}, {}
     with tempfile.TemporaryDirectory() as workdir:
         for name, call in _calls(Path(workdir)).items():
-            call()  # warm-up
+            try:
+                result = call()  # warm-up
+            except DimensionOverflow:
+                continue  # past this tree's size limit: no figure
+            if name in DIGESTED:
+                digests[name] = _digest(result)
             timings[name] = _sample(call)
             peaks[name] = _peak_bytes(call)
-    return {"seconds": timings, "peak_bytes": peaks}
+    return {"seconds": timings, "peak_bytes": peaks, "digests": digests}
 
 
 # =============================================================================
@@ -334,23 +375,37 @@ def _run_child(src: Path) -> dict:
     return json.loads(done.stdout)
 
 
+def _differing_digests(runs: dict) -> list[str]:
+    """The DIGESTED rows whose result digests differ between any two samples
+    of any trees that produced them."""
+    return [name for name in DIGESTED
+            if len({run["digests"][name] for label_runs in runs.values()
+                    for run in label_runs if name in run["digests"]}) > 1]
+
+
 def _time_trees(trees: dict, samples: int) -> dict:
     """Per tree and row: median and minimum seconds per call, the seconds of
     each sample and the median peak bytes of one call, over `samples` fresh
     children per tree, the trees taking turns and swapping which goes first
-    after every sample."""
+    after every sample.  A row a tree has no figure for maps to None.  Exits
+    with an error if the results of a DIGESTED row differ."""
     runs = {label: [] for label in trees}
     order = list(trees.items())
     for _ in range(samples):
         for label, src in order:
             runs[label].append(_run_child(src))
         order.reverse()
+    differ = _differing_digests(runs)
+    if differ:
+        sys.exit(f"results differ between samples or trees: {', '.join(differ)}")
     return {
         label: {
             name: {"median_s": statistics.median(ts), "min_s": min(ts), "seconds": ts,
                    "peak_mb": statistics.median(peaks) / 2**20 if peaks else None}
+            if ts else None
             for name in ROWS
-            for ts in [[run["seconds"][name] for run in label_runs]]
+            for ts in [[run["seconds"][name] for run in label_runs
+                        if name in run["seconds"]]]
             for peaks in [[run["peak_bytes"][name] for run in label_runs
                            if name in run["peak_bytes"]]]
         }
@@ -382,15 +437,20 @@ def main(argv=None) -> int:
     for name, description in ROWS.items():
         row = {"row": name, "what": description}
         for label, result in measured.items():
-            row[f"{label}_median_s"] = result[name]["median_s"]
-            row[f"{label}_min_s"] = result[name]["min_s"]
-            row[f"{label}_peak_mb"] = result[name]["peak_mb"]
-            row["samples"] = len(result[name]["seconds"])
+            figures = result[name] or {"median_s": None, "min_s": None, "peak_mb": None}
+            row[f"{label}_median_s"] = figures["median_s"]
+            row[f"{label}_min_s"] = figures["min_s"]
+            row[f"{label}_peak_mb"] = figures["peak_mb"]
+        row["samples"] = args.samples
+        if name in DIGESTED:
+            row["digests_equal"] = True
+        both = all(result[name] for result in measured.values())
         if "parent" in measured:
-            row["parent_over_change"] = row["parent_median_s"] / row["change_median_s"]
+            row["parent_over_change"] = (row["parent_median_s"] / row["change_median_s"]
+                                         if both else None)
             row["paired_ratio_median"] = statistics.median(
                 p / c for p, c in zip(measured["parent"][name]["seconds"],
-                                      measured["change"][name]["seconds"]))
+                                      measured["change"][name]["seconds"])) if both else None
         rows.append(row)
     report = {
         "kind": "ontoca-layer-bench",
@@ -406,12 +466,17 @@ def main(argv=None) -> int:
         "rows": rows,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+
+    def shown(value, spec):
+        return "-" if value is None else format(value, spec)
+
     for row in rows:
-        figures = "  ".join(f"{label}={row[f'{label}_median_s']:.3e}s" for label in measured)
+        figures = "  ".join(f"{label}={shown(row[f'{label}_median_s'], '.3e')}s"
+                            for label in measured)
         if "parent" in measured:
-            figures += f"  paired {row['paired_ratio_median']:.2f}"
+            figures += f"  paired {shown(row['paired_ratio_median'], '.2f')}"
         if row["change_peak_mb"] is not None:
-            figures += "  peak " + " / ".join(f"{row[f'{label}_peak_mb']:.1f}"
+            figures += "  peak " + " / ".join(shown(row[f"{label}_peak_mb"], ".1f")
                                               for label in measured) + " MB"
         print(f"{row['row']:<24} {figures}")
     return 0

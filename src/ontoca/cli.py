@@ -42,11 +42,19 @@ EXIT_CONFIG = 2
 
 
 def _configure_logging():
+    """Apply ONTOCA_LOG (default WARNING) on every call of `main`.
+
+    basicConfig adds the stderr handler only while the root logger has none
+    and otherwise does nothing, so the level is set apart from it: a later
+    in-process call under another ONTOCA_LOG takes effect, and one without it
+    is quiet again.
+    """
     level_name = os.environ.get("ONTOCA_LOG", "WARNING").upper()
     level = getattr(logging, level_name, None)
     if not isinstance(level, int):
         level = logging.WARNING
-    logging.basicConfig(level=level, format="%(name)s %(levelname)s: %(message)s")
+    logging.basicConfig(format="%(name)s %(levelname)s: %(message)s")
+    logging.getLogger().setLevel(level)
 
 
 # =============================================================================

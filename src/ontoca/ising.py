@@ -44,13 +44,15 @@ from .errors import (
     ScheduleExhausted,
 )
 from .gaussian import _exact_int
-from .numerics import max_abs
 
 DEFAULT_MAX_BITS = 24
-# The exponential-form check multiplies 2**E dense generator blocks of 2**V x 2**V
-# each (one per edge-bit pattern) by the 2**V x 2**V character matrix on both
-# sides; ising-b runs it and the exact identity up to this many vertex + edge bits.
+# ising-b runs the exponential-form check and the exact identity up to this many
+# vertex + edge bits.  The identity composes 2**bits tables; the check itself
+# accepts DEFAULT_MAX_BITS.
 EXPONENTIAL_FORM_MAX_BITS = 12
+# Entries per block of pattern rows in the exponential-form check (at least one
+# row of 2**V): 512 KiB of int64, so a block's temporaries stay in cache.
+EXPONENTIAL_FORM_BLOCK = 1 << 16
 
 Edge = tuple[int, int]
 
@@ -146,16 +148,37 @@ def _phased(target: np.ndarray, phase_exponent: np.ndarray) -> "PhasedPermutatio
     """Wrap arrays that already form a bijection, such as a composition or
     inverse of validated bijections.
 
-    `target` must be a fresh intp array; the O(N log N) bijection check and
-    the copy of the public constructor are skipped.
+    `target` must be a fresh intp array and `phase_exponent` a fresh uint8
+    array, which is reduced mod 4 in place (a sum or negation of uint8 phases
+    wraps mod 256, a multiple of 4); the bijection check and the copies of the
+    public constructor are skipped.
     """
     perm = object.__new__(PhasedPermutation)
-    phase = (phase_exponent % 4).astype(np.uint8, copy=False)
+    phase_exponent &= 3
     target.flags.writeable = False
-    phase.flags.writeable = False
+    phase_exponent.flags.writeable = False
     object.__setattr__(perm, "target", target)
-    object.__setattr__(perm, "phase_exponent", phase)
+    object.__setattr__(perm, "phase_exponent", phase_exponent)
     return perm
+
+
+def _int_array(values, name: str) -> np.ndarray:
+    """`values` as a numpy array of an integer dtype, or of Python ints (object
+    dtype) where they leave int64.  Any other element type (bool, float,
+    complex, str) raises TypeError naming the field, instead of being
+    truncated; an empty sequence holds no value to coerce and is accepted."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu" or arr.size == 0:
+        return arr
+    if not isinstance(values, np.ndarray):
+        # numpy reads ints from both the int64 and the uint64-only range as float64
+        arr = np.array(values, dtype=object)
+    if arr.dtype != object:
+        raise TypeError(f"{name} must hold integers, got dtype {arr.dtype}")
+    for v in arr.flat:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise TypeError(f"{name} must hold integers, got {v!r}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,20 +187,34 @@ class PhasedPermutation:
 
     Basis index x goes to i**phase_exponent[x] times index target[x].  Both
     fields are read-only numpy arrays: `target` of dtype intp and
-    `phase_exponent` of dtype uint8, reduced mod 4.  Any integer sequences
-    are accepted on construction and copied.
+    `phase_exponent` of dtype uint8, reduced mod 4.  Arrays or sequences of
+    integers are accepted on construction and copied; any other element type
+    raises TypeError.
     """
 
     target: np.ndarray
     phase_exponent: np.ndarray
 
     def __post_init__(self):
-        target = np.array(self.target, dtype=np.intp)
-        phase = (np.asarray(self.phase_exponent) % 4).astype(np.uint8)
+        target = _int_array(self.target, "target")
+        phase = _int_array(self.phase_exponent, "phase_exponent")
         if target.ndim != 1 or phase.shape != target.shape:
             raise DimensionMismatch("target and phase arrays differ in length")
-        if not np.array_equal(np.sort(target), np.arange(target.size)):
+        size = target.size
+        # bounds first: the scatter below would wrap a negative index
+        if size and not (0 <= target.min() and target.max() < size):
+            raise NotPermutation("target map leaves the basis indices")
+        target = target.astype(np.intp)
+        # in bounds, N indices hit all N slots iff no two coincide
+        hit = np.zeros(size, dtype=bool)
+        hit[target] = True
+        if not hit.all():
             raise NotPermutation("target map is not a bijection on basis indices")
+        if phase.dtype == object:
+            phase = phase & 3  # Python ints past int64 cannot be cast to uint8
+        # the cast wraps mod 256, a multiple of 4
+        phase = phase.astype(np.uint8)
+        phase &= 3
         target.flags.writeable = False
         phase.flags.writeable = False
         object.__setattr__(self, "target", target)
@@ -507,31 +544,46 @@ def projector_identity_check(k: int) -> bool:
     return True
 
 
-def build_generator_blocks(topology: GraphTopology) -> np.ndarray:
-    """Sum over edges of the gated pair-flip involutions, as its diagonal blocks.
+def generator_pair_counts(topology: GraphTopology, patterns: np.ndarray) -> np.ndarray:
+    """The generator's edge-pattern blocks, one row of counts per pattern given.
 
-    No factor changes an edge bit, so the generator is block-diagonal over the
-    2**E edge patterns.  Block p is indexed by the vertex bits alone: every
-    edge that is down in p adds the identity, every edge that is up adds the
-    permutation v -> v ^ vertex_mask(edge).  An entry so depends on x ^ y
-    alone: G_p[x][y] = c_p[x ^ y], where c_p[0] counts the down edges of p and
-    c_p[m] the up edges of vertex mask m.  Returns a real array of shape
-    (2**E, 2**V, 2**V); the dense 2**bits matrix is never formed.
+    The generator is the sum over edges of the gated pair-flip involutions.
+    No factor changes an edge bit, so it is block-diagonal over the 2**E edge
+    patterns.  Block p is indexed by the vertex bits alone: every edge that is
+    down in p adds the identity, every edge that is up adds the permutation
+    v -> v ^ vertex_mask(edge).  An entry so depends on x ^ y alone:
+    G_p[x][y] = c_p[x ^ y], where c_p[0] counts the down edges of p and c_p[m]
+    the up edges of vertex mask m.  Returns the int64 rows c_p, of shape
+    (len(patterns), 2**V); no block is built.
     """
-    patterns = np.arange(1 << topology.n_edges)
-    v = np.arange(1 << topology.n_vertices)
-    counts = np.zeros((patterns.size, v.size))
+    counts = np.zeros((patterns.size, 1 << topology.n_vertices), dtype=np.int64)
+    rows = np.arange(patterns.size)
     for e, edge in enumerate(topology.edges):
         # distinct edges have distinct nonzero masks: one entry per pattern and edge
-        counts[patterns, ((patterns >> e) & 1) * topology.vertex_mask(edge)] += 1.0
-    return np.take(counts, v[:, None] ^ v, axis=1)
+        counts[rows, ((patterns >> e) & 1) * topology.vertex_mask(edge)] += 1
+    return counts
 
 
-def vertex_characters(n_vertices: int) -> np.ndarray:
-    """The characters of the vertex-bit group (Z_2)**V as a real matrix:
-    W[s][v] = (-1)**popcount(s & v).  W is symmetric and W @ W = 2**V * 1."""
-    v = np.arange(1 << n_vertices, dtype=np.min_scalar_type((1 << n_vertices) - 1))
-    return np.where(np.bitwise_count(v[:, None] & v) & 1, -1.0, 1.0)
+def _walsh_hadamard(rows: np.ndarray) -> np.ndarray:
+    """The Walsh-Hadamard transform of each row of a C-contiguous int array, in
+    place: row[s] becomes sum over m of (-1)**popcount(s & m) * row[m].  Rows of
+    2**V entries take V butterfly passes of integer adds (B. J. Fino and
+    V. R. Algazi, IEEE Trans. Computers C-25 (1976) 1142-1146); the transform
+    is its own inverse up to the factor 2**V."""
+    flat = rows.reshape(-1, copy=False)  # a view, or ValueError
+    half = rows.shape[-1] // 2
+    while half:
+        pairs = flat.reshape(-1, 2, half)
+        low, high = pairs[:, 0], pairs[:, 1]
+        diff = low - high
+        low += high
+        high[...] = diff
+        half //= 2
+    return rows
+
+
+# Real and imaginary parts of i**k, k = 0..3
+_I_POWER_PARTS = np.array(((1, 0, -1, 0), (0, 1, 0, -1)), dtype=np.int64)
 
 
 def verify_exponential_form(topology: GraphTopology) -> float:
@@ -541,47 +593,53 @@ def verify_exponential_form(topology: GraphTopology) -> float:
     exponential exp(-i pi/2 * G) reproduces the transfer map up to one
     overall phase, which is fitted before comparing entrywise.  Both sides
     keep the edge bits, so the comparison runs on the 2**E edge-pattern
-    blocks G_p, and entries outside the blocks are exactly zero on both
-    sides.  Every gated flip XORs the vertex bits, so the characters W of
-    `vertex_characters` diagonalize each block: W G_p W = 2**V * diag(lam_p).
-    Then block p of exp(-i pi/2 * G) is u_p[x][y] = g_p[x ^ y] with
-    g_p = W (-i)**lam_p / 2**V, and exact block p is -i at
-    x ^ y = edge_pattern_masks[p], so both sides are compared as 2**E rows
-    of 2**V entries.  Neither the 2**bits transfer table nor a dense complex
-    block is built.
+    blocks G_p[x][y] = c_p[x ^ y] of `generator_pair_counts`, and entries
+    outside the blocks are exactly zero on both sides.  The characters of the
+    vertex-bit group diagonalize every such block: its eigenvalues are
+    lam_p = W c_p, the Walsh-Hadamard transform of c_p.  Block p of
+    exp(-i pi/2 * G) is then u_p[x][y] = g_p[x ^ y] with
+    2**V * g_p = W (-i)**lam_p, and exact block p is -i at
+    x ^ y = edge_pattern_masks[p], so both sides are compared as 2**E rows of
+    2**V entries.  No 2**bits table, dense block or character matrix is built,
+    and the patterns run in blocks of about EXPONENTIAL_FORM_BLOCK entries, so
+    memory stays bounded.
 
-    The route is exact.  G_p has integer entries; every entry and partial
-    sum of W G_p W is an integer of magnitude at most E * 2**V, far below
-    2**53, so float64 and BLAS compute it exactly in any summation order.
-    (-i)**lam is a table entry, and g_p has integer real and imaginary parts
-    over the power of two 2**V.  The fitted phase is then a fourth root of
-    unity, and the deviation is exactly 0.0 when the identity holds.  An
-    off-diagonal entry of W G_p W / 2**V, or the distance of a lam from the
-    nearest integer, adds to the deviation, so a generator the characters
-    do not diagonalize fails the check.
+    The route is exact.  Both transforms are integer butterflies
+    (`_walsh_hadamard`); (-i)**lam is kept as the exponent -lam mod 4, so
+    2**V * g_p has integer real and imaginary parts of magnitude at most 2**V.
+    The fitted phase is then a fourth root of unity, and the deviation is
+    exactly 0.0 when the identity holds.  Accepts up to DEFAULT_MAX_BITS.
     """
-    if topology.total_bits > EXPONENTIAL_FORM_MAX_BITS:
+    if topology.total_bits > DEFAULT_MAX_BITS:
         raise DimensionOverflow(
-            f"exponential form limited to {EXPONENTIAL_FORM_MAX_BITS} bits, "
-            f"got {topology.total_bits}"
+            f"{topology.n_vertices} vertex + {topology.n_edges} edge bits exceed the "
+            f"{DEFAULT_MAX_BITS}-bit limit"
         )
-    w = vertex_characters(topology.n_vertices)
-    size = w.shape[0]
-    blocks = build_generator_blocks(topology)
-    spectra = np.matmul(w @ blocks, w, out=blocks)  # W G_p W
-    lam = np.diagonal(spectra, axis1=1, axis2=2) / size
-    spectra[:, np.arange(size), np.arange(size)] = 0.0
-    rounded = np.rint(lam)
-    defect = float(np.abs(spectra, out=spectra).max()) / size + max_abs(lam - rounded)
-    phases = PHASES[-rounded.astype(np.intp) % 4]  # (-i)**lam
-    g = (phases.real @ w + 1j * (phases.imag @ w)) / size
+    width = 1 << topology.n_vertices
     masks = edge_pattern_masks(topology)
-    patterns = np.arange(masks.size)
-    # exact block p holds -i at the `size` entries with x ^ y = masks[p]
-    overlap = size * np.conj(PHASES[3]) * g[patterns, masks].sum()
-    phase = overlap / abs(overlap) if overlap else 1.0
-    g[patterns, masks] -= phase * PHASES[3]
-    return max_abs(g) + defect
+    at_mask = np.empty((2, masks.size), dtype=np.int64)  # 2**V g_p[masks[p]], re and im
+    off_mask = 0  # the largest |2**V g_p[m]|**2 with m != masks[p]
+    rows = max(1, EXPONENTIAL_FORM_BLOCK // width)
+    for first in range(0, masks.size, rows):
+        patterns = np.arange(first, min(first + rows, masks.size))
+        exponent = _walsh_hadamard(generator_pair_counts(topology, patterns))  # lam
+        np.negative(exponent, out=exponent)
+        exponent &= 3  # (-i)**lam = i**(-lam mod 4)
+        g = np.empty((2, *exponent.shape), dtype=np.int64)
+        for part, table in zip(g, _I_POWER_PARTS):
+            np.take(table, exponent, out=part)
+        _walsh_hadamard(g)
+        hits = (slice(None), np.arange(patterns.size), masks[patterns])
+        at_mask[:, patterns] = g[hits]
+        g[hits] = 0
+        g *= g
+        off_mask = max(off_mask, int((g[0] + g[1]).max()))
+    # exact block p holds -i at x ^ y = masks[p]; i * sum(at_mask) fits the phase
+    re, im = (int(part.sum()) for part in at_mask)
+    overlap = complex(-im, re)
+    expected = width * PHASES[3] * (overlap / abs(overlap) if overlap else 1.0)
+    at_dev = np.abs(at_mask[0] + 1j * at_mask[1] - expected).max()
+    return float(max(at_dev, off_mask ** 0.5)) / width
 
 
 def exponential_identity_holds(topology: GraphTopology) -> bool:

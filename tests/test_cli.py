@@ -1024,6 +1024,31 @@ class TestGup:
         assert re.search(r"gup: stage times family=\S+s samples=\S+s write=\S+s", loud.stderr)
         assert (loud.stdout, loud_json) == (quiet.stdout, quiet_json)
 
+    def test_each_in_process_call_applies_ontoca_log(self, tmp_path):
+        # basicConfig alone kept the level of the first call for the whole process
+        src = str(Path(ontoca.__file__).resolve().parents[1])
+        script = (
+            "import os, sys\n"
+            "from ontoca import cli\n"
+            "argv = ['gup', '--sites', '32', '--samples', '4', '--out', 'g.json']\n"
+            "for level in (None, 'INFO', None, 'info'):\n"
+            "    os.environ.pop('ONTOCA_LOG', None)\n"
+            "    if level:\n"
+            "        os.environ['ONTOCA_LOG'] = level\n"
+            "    print('-- call', level, file=sys.stderr, flush=True)\n"
+            "    assert cli.main(argv) == 0\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "ONTOCA_LOG"}
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
+                              check=True)
+        calls = done.stderr.split("-- call ")[1:]
+        assert [c.split("\n", 1)[0] for c in calls] == ["None", "INFO", "None", "info"]
+        for text, loud in zip(calls, (False, True, False, True)):
+            assert ("gup: stage times family=" in text) == loud
+            assert ("gup: sites=32 samples=4 boundary=periodic" in text) == loud
+        assert done.stdout.count("gup: sites=32 samples=4 ") == 4
+
     @pytest.mark.parametrize("sites, samples, blocks, rows", [
         (256, 40, 3, 16),  # 2**12 amplitudes a block: 16 rows of 256, the last one 8
         (256, 256, 16, 16),

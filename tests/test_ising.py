@@ -1,6 +1,7 @@
 """Phased-permutation spin models: driven pair flips and edge-gated transfer."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,13 +20,13 @@ from ontoca.ising import (
     GraphTopology,
     PhasedPermutation,
     Schedule,
-    build_generator_blocks,
     commutator_report,
     cyclic_pattern_rule,
     edge_pattern_masks,
     edge_update_compose,
     exponential_identity_holds,
     frozen_pattern_rule,
+    generator_pair_counts,
     gauge_check,
     global_vertex_flip,
     lift_pattern_rule,
@@ -38,7 +39,6 @@ from ontoca.ising import (
     projector_identity_check,
     seeded_pattern_rule,
     verify_exponential_form,
-    vertex_characters,
     vertex_sign_flip,
 )
 
@@ -134,9 +134,48 @@ class TestStartIndex:
 
 
 class TestPhasedPermutation:
-    def test_rejects_non_bijection(self):
+    @pytest.mark.parametrize("target", [(0, 0), (0, 5), (-1, 0), (2, 0, 2), (1, 1, 0),
+                                        (0, 1, 2**64), (0, -2**70)])
+    def test_rejects_non_bijection(self, target):
+        # out of range, negative (a bare scatter would wrap -1 to the last
+        # slot and accept (-1, 0)) and repeated targets
         with pytest.raises(NotPermutation):
-            PhasedPermutation((0, 0), (0, 0))
+            PhasedPermutation(target, [0] * len(target))
+
+    def test_accepts_size_zero(self):
+        for empty in ((), [], np.array([], dtype=np.intp), np.array([])):
+            perm = PhasedPermutation(empty, empty)
+            assert perm.size == 0 and perm == PhasedPermutation.identity(0)
+            assert perm.target.dtype == np.intp and perm.phase_exponent.dtype == np.uint8
+
+    @pytest.mark.parametrize("field, bad", [
+        ("target", [0.0, 1.7]),
+        ("target", np.array([0.0, 1.0])),
+        ("target", [False, True]),
+        ("target", np.array([1, 0], dtype=object) * 1.0),
+        ("target", ["0", "1"]),
+        ("phase_exponent", [1.5, 2.9]),
+        ("phase_exponent", [True, False]),
+        ("phase_exponent", [1 + 0j, 0]),
+        ("phase_exponent", np.array([Fraction(1), 2], dtype=object)),
+        ("phase_exponent", np.array([2**70, True], dtype=object)),
+    ])
+    def test_rejects_non_integer_input(self, field, bad):
+        # these used to become target [0, 1] and phases [1, 2] silently
+        fields = {"target": [0, 1], "phase_exponent": [0, 0], field: bad}
+        with pytest.raises(TypeError, match=field):
+            PhasedPermutation(**fields)
+
+    @given(st.integers(0, 12).flatmap(
+        lambda n: st.lists(st.integers(-3, n + 3), min_size=n, max_size=n)))
+    def test_bijection_check_matches_the_sorted_definition(self, target):
+        is_bijection = sorted(target) == list(range(len(target)))
+        try:
+            perm = PhasedPermutation(target, [0] * len(target))
+        except NotPermutation:
+            assert not is_bijection
+        else:
+            assert is_bijection and perm.target.tolist() == target
 
     def test_compose_and_inverse(self):
         rng = random.Random(4)
@@ -164,17 +203,66 @@ class TestPhasedPermutation:
 
 
 @st.composite
-def phased_pairs(draw):
-    """Two random phased permutations of one size between 1 and 64."""
+def raw_phased_pairs(draw, phases=st.integers(-8, 8)):
+    """Target and phase-exponent lists of two random phased permutations of
+    one size between 1 and 64, the exponents drawn from `phases`."""
     size = draw(st.integers(1, 64))
 
     def one():
-        return PhasedPermutation(
-            draw(st.permutations(range(size))),
-            draw(st.lists(st.integers(-8, 8), min_size=size, max_size=size)),
-        )
+        return (draw(st.permutations(range(size))),
+                draw(st.lists(phases, min_size=size, max_size=size)))
 
     return one(), one()
+
+
+def phased_pairs(phases=st.integers(-8, 8)):
+    """Two random phased permutations of one size between 1 and 64."""
+    return raw_phased_pairs(phases).map(
+        lambda raw: tuple(PhasedPermutation(*fields) for fields in raw))
+
+
+# Phase exponents across the int64 range and past it (a numpy object array)
+WIDE_PHASES = st.one_of(st.integers(-8, 8), st.integers(-2**63, 2**63 - 1),
+                        st.integers(-2**200, 2**200))
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+class TestPhaseMask:
+    """Phases are reduced by & 3; every result must equal Python's % 4 of the
+    unreduced exponents."""
+
+    @given(st.sampled_from(INT_DTYPES), st.data())
+    def test_every_integer_dtype_reduces_like_python(self, dtype, data):
+        info = np.iinfo(dtype)
+        phases = data.draw(st.lists(st.integers(int(info.min), int(info.max)),
+                                    min_size=1, max_size=32))
+        perm = PhasedPermutation(range(len(phases)), np.array(phases, dtype=dtype))
+        assert perm.phase_exponent.tolist() == [k % 4 for k in phases]
+
+    @given(raw_phased_pairs(WIDE_PHASES), st.integers(-6, 9))
+    def test_operations_reduce_like_python(self, raw, k):
+        (ta, pa), (tb, pb) = raw
+        a, b = PhasedPermutation(ta, pa), PhasedPermutation(tb, pb)
+        size = len(ta)
+        assert a.phase_exponent.tolist() == [p % 4 for p in pa]
+        assert a.phase_exponent.dtype == np.uint8
+        ab = a.compose_after(b)
+        assert ab.target.tolist() == [ta[t] for t in tb]
+        assert ab.phase_exponent.tolist() == [(pb[x] + pa[tb[x]]) % 4 for x in range(size)]
+        inv_target, inv_phase = [0] * size, [0] * size
+        for x, t in enumerate(ta):
+            inv_target[t], inv_phase[t] = x, -pa[x]
+        inv = a.inverse()
+        assert inv.target.tolist() == inv_target
+        assert inv.phase_exponent.tolist() == [p % 4 for p in inv_phase]
+        step_t, step_p = (ta, pa) if k >= 0 else (inv_target, inv_phase)
+        index, phase = list(range(size)), [0] * size
+        for _ in range(abs(k)):
+            phase = [phase[x] + step_p[index[x]] for x in range(size)]
+            index = [step_t[i] for i in index]
+        power = a.power(k)
+        assert power.target.tolist() == index
+        assert power.phase_exponent.tolist() == [p % 4 for p in phase]
 
 
 class TestArrayKernelAgainstDense:
@@ -435,8 +523,13 @@ class TestExponentialForm:
         assert verify_exponential_form(topo) <= 1e-9
 
     def test_overflow_guard(self):
-        with pytest.raises(DimensionOverflow):
-            verify_exponential_form(GraphTopology.fully_connected(5))
+        with pytest.raises(DimensionOverflow, match="the 24-bit limit"):
+            verify_exponential_form(GraphTopology.fully_connected(7))  # 7 + 21 = 28 bits
+
+    def test_accepts_past_the_cli_gate(self):
+        topo = GraphTopology.fully_connected(5)  # 5 + 10 = 15 bits
+        assert topo.total_bits > ising.EXPONENTIAL_FORM_MAX_BITS
+        assert verify_exponential_form(topo) == 0.0
 
 
 @st.composite
@@ -485,12 +578,13 @@ class TestBlockedExponentialForm:
     def check_blocks(topo):
         g = dense_generator(topo)
         width = 1 << topo.n_vertices
-        blocks = build_generator_blocks(topo)
-        assert blocks.shape == (1 << topo.n_edges, width, width)
+        counts = generator_pair_counts(topo, np.arange(1 << topo.n_edges))
+        assert counts.shape == (1 << topo.n_edges, width)
+        v = np.arange(width)
         on_block = np.zeros_like(g, dtype=bool)
-        for p, block in enumerate(blocks):
+        for p, row in enumerate(counts):
             window = slice(p * width, (p + 1) * width)
-            assert np.array_equal(block, g[window, window])
+            assert np.array_equal(row[v[:, None] ^ v], g[window, window])
             on_block[window, window] = True
         assert not g[~on_block].any()
 
@@ -501,7 +595,7 @@ class TestBlockedExponentialForm:
         assert abs(blocked - dense_deviation(topo)) <= 1e-12
 
     @given(small_graphs())
-    def test_blocks_are_the_dense_diagonal_blocks(self, topo):
+    def test_counts_give_the_dense_diagonal_blocks(self, topo):
         self.check_blocks(topo)
 
     @given(small_graphs())
@@ -527,18 +621,22 @@ class TestBlockedExponentialForm:
         assert verify_exponential_form(topo) == expected
 
 
+def characters(n_vertices):
+    """W[s][v] = (-1)**popcount(s & v), written out (test oracle)."""
+    size = 1 << n_vertices
+    return np.array([[(-1) ** bin(s & v).count("1") for v in range(size)] for s in range(size)])
+
+
 class TestExactExponentialForm:
-    """The character route reads exactly 0 on a valid generator, and a
-    generator the characters do not diagonalize, or one with a shifted
-    spectrum, fails the 1e-9 gate."""
+    """The butterfly route reads exactly 0 on a valid generator, and a raised
+    pair count fails the 1e-9 gate."""
 
     @pytest.mark.parametrize("n", range(0, 7))
-    def test_characters(self, n):
-        w = vertex_characters(n)
-        size = 1 << n
-        expected = [[(-1) ** bin(s & v).count("1") for v in range(size)] for s in range(size)]
-        assert w.tolist() == expected
-        assert np.array_equal(w @ w, size * np.eye(size))
+    def test_butterflies_are_the_character_matrix(self, n):
+        rows = np.random.default_rng(n).integers(-50, 50, (3, 1 << n))
+        transformed = ising._walsh_hadamard(rows.copy())
+        assert np.array_equal(transformed, rows @ characters(n))
+        assert np.array_equal(ising._walsh_hadamard(transformed), rows << n)
 
     @pytest.mark.parametrize("topo", NAMED_GRAPHS, ids=str)
     def test_named_graphs_read_exactly_zero(self, topo):
@@ -548,43 +646,82 @@ class TestExactExponentialForm:
     def test_random_graphs_read_exactly_zero(self, topo):
         assert verify_exponential_form(topo) == 0.0
 
-    def test_twelve_bits_read_exactly_zero(self):
-        assert verify_exponential_form(GraphTopology(10, ((0, 1), (3, 7)))) == 0.0
+    @pytest.mark.parametrize("topo", [GraphTopology(10, ((0, 1), (3, 7))),
+                                      GraphTopology(11, ((0, 1),)),
+                                      GraphTopology.ring(10)], ids=str)
+    def test_twelve_and_twenty_bits_read_exactly_zero(self, topo):
+        assert verify_exponential_form(topo) == 0.0
+
+    @pytest.mark.parametrize("block", [1, 4, 1 << 10])
+    def test_block_size_changes_nothing(self, block, monkeypatch):
+        monkeypatch.setattr(ising, "EXPONENTIAL_FORM_BLOCK", block)
+        for topo in NAMED_GRAPHS:
+            assert verify_exponential_form(topo) == 0.0
+        assert self.raised(GraphTopology.ring(4), monkeypatch, 5, 0) == pytest.approx(
+            self.one_block_off(16))
+
+    def test_memory_stays_per_block(self):
+        topo = GraphTopology.ring(10)  # 20 bits
+        tracemalloc.start()
+        try:
+            assert verify_exponential_form(topo) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one int64 table of all 2**20 entries would take 8 MiB
+        assert peak < 8 << 20 >> 1
 
     @staticmethod
-    def corrupted(topo, monkeypatch, alter):
-        real_blocks = build_generator_blocks
+    def one_block_off(n_patterns):
+        """The deviation when one of `n_patterns` blocks is off by a factor -i:
+        the fitted phase is that of (n_patterns - 1) - i, and the worst entry
+        is the off block's."""
+        return abs(-1 + (1 + 1j * (n_patterns - 1)) / abs(n_patterns - 1 - 1j))
 
-        def blocks(t):
-            out = real_blocks(t)
-            alter(out[-1])  # the block of the all-up edge pattern
+    @staticmethod
+    def raised(topo, monkeypatch, pattern, mask):
+        """The deviation with pair count c_pattern[mask] raised by 1."""
+        real_counts = generator_pair_counts
+
+        def counts(t, patterns):
+            out = real_counts(t, patterns)
+            out[patterns == pattern, mask] += 1
             return out
 
-        monkeypatch.setattr(ising, "build_generator_blocks", blocks)
+        monkeypatch.setattr(ising, "generator_pair_counts", counts)
         return verify_exponential_form(topo)
 
+    RAISED_GRAPHS = [GraphTopology.ring(4), GraphTopology.path(4),
+                     GraphTopology.fully_connected(3), GraphTopology(10, ((0, 1), (3, 7)))]
+
+    @pytest.mark.parametrize("topo", RAISED_GRAPHS, ids=str)
+    @pytest.mark.parametrize("last", [False, True])
+    def test_raised_down_edge_count_fails(self, topo, last, monkeypatch):
+        # every lam of one block moves by 1: that block is off by a factor -i
+        pattern = (1 << topo.n_edges) - 1 if last else 0
+        deviation = self.raised(topo, monkeypatch, pattern, 0)
+        assert deviation > 1.0
+        assert deviation == pytest.approx(self.one_block_off(1 << topo.n_edges))
+
+    def test_raised_down_edge_count_fails_at_twenty_bits(self, monkeypatch):
+        assert self.raised(GraphTopology.ring(10), monkeypatch, 77, 0) > 1.0
+
+    def test_raised_down_edge_count_of_one_edge(self, monkeypatch):
+        # two blocks, one off by -i: the fitted phase splits the difference
+        topo = GraphTopology.fully_connected(2)
+        deviation = self.raised(topo, monkeypatch, 1, 0)
+        assert deviation == pytest.approx(2 * np.sin(np.pi / 8)) == self.one_block_off(2)
+
     @pytest.mark.parametrize("topo", [t for t in NAMED_GRAPHS if t.n_edges], ids=str)
-    def test_off_diagonal_pair_fails(self, topo, monkeypatch):
-        def pair(block):
-            block[0, 1] += 1.0
-            block[1, 0] += 1.0
+    def test_raised_mask_count_fails(self, topo, monkeypatch):
+        # lam moves by the character of the mask: the block's -i moves to another entry
+        for pattern in (0, (1 << topo.n_edges) - 1):
+            for mask in (1, (1 << topo.n_vertices) - 1):
+                assert self.raised(topo, monkeypatch, pattern, mask) == 1.0
 
-        assert self.corrupted(topo, monkeypatch, pair) > 1e-9
-
-    @pytest.mark.parametrize("topo", [t for t in NAMED_GRAPHS if t.n_edges], ids=str)
-    def test_shifted_diagonal_fails(self, topo, monkeypatch):
-        # the characters still diagonalize block + 1, but every lam moves by 1
-        def shift(block):
-            block += np.eye(len(block))
-
-        assert self.corrupted(topo, monkeypatch, shift) > 1e-9
-
-    @pytest.mark.parametrize("topo", NAMED_GRAPHS, ids=str)
-    def test_single_diagonal_entry_fails(self, topo, monkeypatch):
-        def bump(block):
-            block[0, 0] += 1.0
-
-        assert self.corrupted(topo, monkeypatch, bump) > 1e-9
+    def test_no_edges_with_raised_down_edge_count_is_a_phase(self, monkeypatch):
+        # one block only: a shifted spectrum is the overall phase the check fits
+        assert self.raised(GraphTopology(3, ()), monkeypatch, 0, 0) == 0.0
 
 
 class TestExponentialIdentity:
