@@ -7,9 +7,9 @@ width family and the verify-all Robertson check), of five model builds (a
 dense dim-2048 ring, a dim-1024 H with every entry in [-3, 3] drawn, a
 dim-1024 ring read from JSON, a dim-256 coupling matrix of [re, im] rows and a
 separable coupling of two dim-48 rings), of the Ising exponential-form check
-at 10, 12 and 20 bits, and of the phased-permutation constructor and
-unitarity check at 20 bits.  Each row but build_parser_first also reports the
-tracemalloc peak of one call.
+at 10, 12 and 20 bits, of the phased-permutation constructor and unitarity
+check at 20 bits, and of two-time line and diagonal propagation.  Each row
+but build_parser_first also reports the tracemalloc peak of one call.
 
     python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
 
@@ -24,12 +24,14 @@ fall on both alike.
 
 In a sample, each row repeats one call until at least MIN_SAMPLE_S has
 passed and records the mean time per call, then traces one more call for its
-peak of allocated memory; a row reports the median and the minimum time and
-the median peak over the samples.  With `--parent`, a row also reports the
-median over the samples of the parent/change ratio of the two trees' times in
-the same sample.  Inputs are fixed (seeded), so every run times the same work.
-The rows of DIGESTED also record a digest of their call's result; the run
-fails, and writes no report, if a digest differs between samples or trees.
+peak of allocated memory; a row reports the median, the quartiles and the
+minimum time and the median peak over the samples.  With `--parent`, a row
+also reports the median and the quartiles over the samples of the
+parent/change ratio of the two trees' times in the same sample; a ratio whose
+quartiles straddle 1 tells no gain or loss.  Inputs are fixed (seeded), so
+every run times the same work.  The rows of DIGESTED also record a digest of
+their call's result; the run fails, and writes no report, if a digest differs
+between samples or trees.
 A row whose input exceeds a tree's size limit (DimensionOverflow on the
 warm-up call) has no figure for that tree.
 """
@@ -107,10 +109,14 @@ ROWS = {
     "is_unitary_20bit": "PhasedPermutation.is_unitary of that 20-bit transfer map",
     "exponential_form_20bit": "ising.verify_exponential_form of that ring of 10 (no figure "
                               "where the check stops at 12 bits)",
+    "multitime_line": "multitime.propagate_line, separable coupling of unit-weight rings of 3 "
+                      "and 4 (dim 12): 20 steps of two 400-point lines, then 20 periodic steps",
+    "multitime_diagonal": "20 calls of multitime.propagate_diagonal on the anti-diagonals "
+                          "n1+n2 = 399 and 400 of that coupling, seeded at (200, 201)",
 }
 # Rows whose results are compared, by digest, across samples and trees
 DIGESTED = ("exponential_form_10bit", "exponential_form_12bit", "phased_ctor_20bit",
-            "is_unitary_20bit", "exponential_form_20bit")
+            "is_unitary_20bit", "exponential_form_20bit", "multitime_line", "multitime_diagonal")
 
 ISING_A_EDGES = [[k, (k + 1) % 12] for k in range(12)] + [[0, 6], [3, 9]]
 CLI_CONFIGS = {
@@ -262,6 +268,35 @@ def _calls(workdir: Path):
     momentum = gup.momentum_operator(256, propagator.DiscretenessScale(1.0))
     psi = np_rng.standard_normal(256) + 1j * np_rng.standard_normal(256)
 
+    # the two-time rows draw from their own generator
+    coupling = multitime.TensorHamiltonian.separable(
+        build_hamiltonian(*_ring_matrices(3)), build_hamiltonian(*_ring_matrices(4)))
+    field_rng = random.Random(22)
+
+    def field(points):
+        return multitime.MultiTimeField((3, 4), {p: GaussianIntVector(
+            (field_rng.randint(-3, 3), field_rng.randint(-3, 3)) for _ in range(12))
+            for p in points})
+
+    lines = field([(n1, n2) for n1 in (0, 1) for n2 in range(400)])
+    diagonals = field([(n1, s - n1) for s in (399, 400) for n1 in range(s + 1)])
+    seed = GaussianIntVector(
+        (field_rng.randint(-3, 3), field_rng.randint(-3, 3)) for _ in range(12))
+
+    def line_steps():
+        ends = []
+        for periodic in (False, True):
+            current = lines
+            for _ in range(20):
+                current = multitime.propagate_line(current, coupling, periodic=periodic)
+            ends.append(sorted(current.values.items()))
+        return ends
+
+    def diagonal_calls():
+        for _ in range(20):
+            stepped = multitime.propagate_diagonal(diagonals, coupling, (200, 201), seed)
+        return sorted(stepped.values.items())
+
     return {
         "gaussian_step": lambda: _step_raw(ring.h_rows, prev, curr),
         "transfer_sequence": lambda: propagator.transfer_sequence(dense, 40),
@@ -301,6 +336,8 @@ def _calls(workdir: Path):
             transfer20, lambda t: ising.PhasedPermutation(t.target, t.phase_exponent)),
         "is_unitary_20bit": _built_on_first_call(transfer20, lambda t: t.is_unitary()),
         "exponential_form_20bit": lambda: ising.verify_exponential_form(ring10),
+        "multitime_line": line_steps,
+        "multitime_diagonal": diagonal_calls,
     }
 
 
@@ -383,10 +420,18 @@ def _differing_digests(runs: dict) -> list[str]:
                     for run in label_runs if name in run["digests"]}) > 1]
 
 
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    """The first and third quartiles (inclusive: within the values; one value is both)."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def _time_trees(trees: dict, samples: int) -> dict:
-    """Per tree and row: median and minimum seconds per call, the seconds of
-    each sample and the median peak bytes of one call, over `samples` fresh
-    children per tree, the trees taking turns and swapping which goes first
+    """Per tree and row: median, quartiles and minimum seconds per call, the
+    seconds of each sample and the median peak bytes of one call, over
+    `samples` fresh children per tree, the trees taking turns and swapping which goes first
     after every sample.  A row a tree has no figure for maps to None.  Exits
     with an error if the results of a DIGESTED row differ."""
     runs = {label: [] for label in trees}
@@ -400,7 +445,8 @@ def _time_trees(trees: dict, samples: int) -> dict:
         sys.exit(f"results differ between samples or trees: {', '.join(differ)}")
     return {
         label: {
-            name: {"median_s": statistics.median(ts), "min_s": min(ts), "seconds": ts,
+            name: {"median_s": statistics.median(ts), "quartiles_s": _quartiles(ts),
+                   "min_s": min(ts), "seconds": ts,
                    "peak_mb": statistics.median(peaks) / 2**20 if peaks else None}
             if ts else None
             for name in ROWS
@@ -437,8 +483,10 @@ def main(argv=None) -> int:
     for name, description in ROWS.items():
         row = {"row": name, "what": description}
         for label, result in measured.items():
-            figures = result[name] or {"median_s": None, "min_s": None, "peak_mb": None}
+            figures = result[name] or {"median_s": None, "quartiles_s": (None, None),
+                                       "min_s": None, "peak_mb": None}
             row[f"{label}_median_s"] = figures["median_s"]
+            row[f"{label}_q1_s"], row[f"{label}_q3_s"] = figures["quartiles_s"]
             row[f"{label}_min_s"] = figures["min_s"]
             row[f"{label}_peak_mb"] = figures["peak_mb"]
         row["samples"] = args.samples
@@ -448,9 +496,11 @@ def main(argv=None) -> int:
         if "parent" in measured:
             row["parent_over_change"] = (row["parent_median_s"] / row["change_median_s"]
                                          if both else None)
-            row["paired_ratio_median"] = statistics.median(
-                p / c for p, c in zip(measured["parent"][name]["seconds"],
-                                      measured["change"][name]["seconds"])) if both else None
+            ratios = [p / c for p, c in zip(measured["parent"][name]["seconds"],
+                                            measured["change"][name]["seconds"])] if both else []
+            row["paired_ratio_median"] = statistics.median(ratios) if ratios else None
+            row["paired_ratio_q1"], row["paired_ratio_q3"] = (
+                _quartiles(ratios) if ratios else (None, None))
         rows.append(row)
     report = {
         "kind": "ontoca-layer-bench",
@@ -474,7 +524,9 @@ def main(argv=None) -> int:
         figures = "  ".join(f"{label}={shown(row[f'{label}_median_s'], '.3e')}s"
                             for label in measured)
         if "parent" in measured:
-            figures += f"  paired {shown(row['paired_ratio_median'], '.2f')}"
+            figures += (f"  paired {shown(row['paired_ratio_median'], '.2f')}"
+                        f" [{shown(row['paired_ratio_q1'], '.2f')}, "
+                        f"{shown(row['paired_ratio_q3'], '.2f')}]")
         if row["change_peak_mb"] is not None:
             figures += "  peak " + " / ".join(shown(row[f"{label}_peak_mb"], ".1f")
                                               for label in measured) + " MB"

@@ -20,8 +20,10 @@ import sys
 from . import gup, ising, multitime, ontology, propagator, serialize, verify
 from .errors import (
     ConfigInvalid,
+    DomainTooSmall,
     EdgeNotInTopology,
     GeometryMismatch,
+    MissingExtraPoint,
     OntocaError,
     ScheduleExhausted,
 )
@@ -402,17 +404,24 @@ def cmd_multitime(args) -> int:
     if mode == "line":
         export = current = field
         try:
-            for _ in range(steps):
+            for done in range(steps):
                 current = multitime.propagate_line(current, coupling, axis, direction, periodic)
                 export = export.union(current)
         except GeometryMismatch as exc:  # only the initial field can be misshapen
             raise ConfigInvalid("initial_field", f"{exc} (axis {axis})") from None
+        except DomainTooSmall as exc:  # each step shortens a line that is not periodic
+            if done == 0:
+                raise ConfigInvalid("initial_field", f"{exc} (axis {axis})") from None
+            raise ConfigInvalid("steps", f"only {done} of {steps} steps fit the initial "
+                                         f"field: {exc}") from None
         summary = f"lines+{steps}"
     elif mode == "diagonal":
         try:
             stepped = multitime.propagate_diagonal(field, coupling, extra_point, extra_value)
         except GeometryMismatch as exc:
             raise ConfigInvalid("initial_field", str(exc)) from None
+        except MissingExtraPoint as exc:
+            raise ConfigInvalid("extra_point", str(exc)) from None
         export = field.union(stepped)
         summary = f"diagonal seed={extra_point}"
     else:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -226,6 +227,25 @@ def product_field(
     return MultiTimeField._of((d1, d2), values)
 
 
+def _stencil(rows, center, ups, downs):
+    """The two-time equation at a centre: `center` is the raw vector psi[n1,n2],
+    `ups` the pair psi[n1+1,n2], psi[n1,n2+1] and `downs` psi[n1-1,n2], psi[n1,n2-1].
+
+    Returns the residual ups[0] - downs[0] + ups[1] - downs[1] + i H center,
+    zero on solutions.  Given one neighbour as None, the unknown, returns
+    instead the value there that makes the residual zero: minus the unknown's
+    sign times the residual with it read as zero.
+    """
+    sign = -1
+    if None in ups:  # minus the residual: the two sides trade places, i H psi changes sign
+        ups, downs, sign = downs, ups, 1
+    (a1, a2), (b1, b2), zero = ups, downs, repeat((0, 0))
+    base = [(a1r + a2r - b1r - b2r, a1i + a2i - b1i - b2i)
+            for (a1r, a1i), (a2r, a2i), (b1r, b1i), (b2r, b2i)
+            in zip(a1, a2, b1 or zero, b2 or zero)]  # the unknown reads as zero
+    return _step_raw(rows, base, center, sign)
+
+
 def equation_residual(
     field_: MultiTimeField, h: TensorHamiltonian, point: Point
 ) -> tuple[GaussianRational, ...]:
@@ -235,14 +255,8 @@ def equation_residual(
     missing = [p for p in needed if p not in field_]
     if missing:
         raise GeometryMismatch(f"stencil at {point} missing points {missing}")
-    rows = _coupling_rows(h, field_)
     up1, down1, up2, down2, center = (field_.values[p] for p in needed)
-    differences = [
-        (a1 - b1 + a2 - b2, c1 - d1 + c2 - d2)
-        for (a1, c1), (b1, d1), (a2, c2), (b2, d2) in zip(up1, down1, up2, down2)
-    ]
-    # the differences plus i H psi[n1,n2]
-    return _boxed(_step_raw(rows, differences, center, sign=-1))
+    return _boxed(_stencil(_coupling_rows(h, field_), center, (up1, up2), (down1, down2)))
 
 
 def interior_points(field_: MultiTimeField) -> list[Point]:
@@ -255,24 +269,16 @@ def interior_points(field_: MultiTimeField) -> list[Point]:
     )
 
 
-# =============================================================================
-# Line propagation
-# =============================================================================
-
-
-def _lines_by_coord(field_: MultiTimeField, axis_idx: int) -> dict[int, dict[int, tuple]]:
-    lines: dict[int, dict[int, tuple]] = {}
-    for (n1, n2), vec in field_.values.items():
-        coord = (n1, n2)[axis_idx]
-        other = (n1, n2)[1 - axis_idx]
-        lines.setdefault(coord, {})[other] = vec
-    return lines
-
 def _extent(line: dict[int, tuple]) -> tuple[int, int]:
     lo, hi = min(line), max(line)
     if set(line) != set(range(lo, hi + 1)):
         raise GeometryMismatch("line has gaps; expected a contiguous extent")
     return lo, hi
+
+
+# =============================================================================
+# Line propagation
+# =============================================================================
 
 
 def propagate_line(
@@ -284,15 +290,12 @@ def propagate_line(
 ) -> MultiTimeField:
     """Advance two adjacent full lines perpendicular to `axis` by one step.
 
-    Solving the two-time equation for the forward point gives, for axis n1,
-
-        psi[n1+1,n2] = psi[n1-1,n2] - psi[n1,n2+1] + psi[n1,n2-1]
-                       - i H psi[n1,n2],
-
-    so the new line loses one point at each end (the causal domain shrinks);
-    no boundary values are invented.  With periodic=True the transverse
-    coordinate wraps instead and the line length is preserved.  Returns the
-    two newest lines, ready for the next step.
+    Each new point is the forward neighbour that solves the two-time equation
+    at its centre on the nearer line, so the new line loses one point at each
+    end (the causal domain shrinks); no boundary values are invented.  With
+    periodic=True the centre line is padded with its two far ends, so the
+    transverse coordinate wraps and the line length is preserved.  Returns
+    the two newest lines, ready for the next step.
     """
     if axis not in ("n1", "n2"):
         raise ValueError(f"axis must be 'n1' or 'n2', got {axis!r}")
@@ -301,62 +304,41 @@ def propagate_line(
     axis_idx = 0 if axis == "n1" else 1
     rows = _coupling_rows(h, field_)
 
-    lines = _lines_by_coord(field_, axis_idx)
+    lines: dict[int, dict[int, tuple]] = {}
+    for point, vec in field_.values.items():
+        lines.setdefault(point[axis_idx], {})[point[1 - axis_idx]] = vec
     if len(lines) != 2:
         raise GeometryMismatch(f"expected exactly 2 lines, found {sorted(lines)}")
     lo_coord, hi_coord = sorted(lines)
     if hi_coord - lo_coord != 1:
         raise GeometryMismatch(f"lines {lo_coord} and {hi_coord} are not adjacent")
 
-    if direction == 1:
-        center_coord, rear_coord = hi_coord, lo_coord
-    else:
-        center_coord, rear_coord = lo_coord, hi_coord
-    center, rear = lines[center_coord], lines[rear_coord]
-    _extent(center)
-    _extent(rear)
+    center_coord = hi_coord if direction == 1 else lo_coord
+    center, rear = lines[center_coord], lines[center_coord - direction]
+    (c_lo, c_hi), rear_extent = _extent(center), _extent(rear)
     new_coord = center_coord + direction
 
+    around = center
     if periodic:
-        c_lo, c_hi = _extent(center)
-        if _extent(rear) != (c_lo, c_hi):
+        if rear_extent != (c_lo, c_hi):
             raise GeometryMismatch("periodic propagation needs lines of equal extent")
-        span = c_hi - c_lo + 1
-        targets = range(c_lo, c_hi + 1)
-
-        def across(o, delta):
-            return c_lo + (o - c_lo + delta) % span
-    else:
-        targets = [
-            o for o in center
-            if o + 1 in center and o - 1 in center and o in rear
-        ]
-
-        def across(o, delta):
-            return o + delta
-
+        around = {c_lo - 1: center[c_hi], **center, c_hi + 1: center[c_lo]}
     new_line = {}
-    for o in targets:
-        # direction +1 solves for the forward point, -1 for the rear point;
-        # the transverse difference and the forcing term flip sign with it
-        base = [
-            (rr - direction * (ur - dr), ri - direction * (ui - di))
-            for (rr, ri), (ur, ui), (dr, di) in zip(
-                rear[o], center[across(o, 1)], center[across(o, -1)]
-            )
-        ]
-        new_line[o] = tuple(_step_raw(rows, base, center[o], sign=direction))
+    for o, behind in rear.items():
+        if o - 1 in around and o + 1 in around:
+            # the axis pair goes first (the stencil is symmetric in n1 and n2);
+            # its forward point is the unknown
+            up, down = (None, behind) if direction == 1 else (behind, None)
+            new_line[o] = tuple(_stencil(rows, center[o], (up, around[o + 1]),
+                                         (down, around[o - 1])))
     if not new_line:
         raise DomainTooSmall(
             f"no point on line {new_coord} has a complete stencil; "
             f"need a center line of length >= 3"
         )
-
-    def as_point(coord, other):
-        return (coord, other) if axis_idx == 0 else (other, coord)
-
-    values = {as_point(center_coord, o): vec for o, vec in center.items()}
-    values.update({as_point(new_coord, o): vec for o, vec in new_line.items()})
+    values = {p: vec for p, vec in field_.values.items() if p[axis_idx] == center_coord}
+    values.update({(new_coord, o) if axis_idx == 0 else (o, new_coord): vec
+                   for o, vec in new_line.items()})
     return MultiTimeField._of(field_.dims, values)
 
 
@@ -374,16 +356,12 @@ def propagate_diagonal(
     """Determine the next anti-diagonal from two full ones plus one seed point.
 
     With data on the anti-diagonals n1 + n2 = s - 1 and s, the two-time
-    equation at a center (n1, n2) on diagonal s chains the two adjacent
-    unknowns on diagonal s + 1:
-
-        psi[n1+1,n2] + psi[n1,n2+1] = psi[n1-1,n2] + psi[n1,n2-1]
-                                      - i H psi[n1,n2].
-
-    Starting from the seed value, the new diagonal is filled outward in both
-    directions as far as complete centers exist.  Different seed values give
-    different (equally valid) continuations; the updating rule is not unique.
-    Returns diagonal s plus the determined points on s + 1.
+    equation at a centre on diagonal s ties its two upper neighbours, both on
+    diagonal s + 1.  Walking out from the seed in both directions, each centre
+    whose lower neighbours are known solves for the next new point.
+    Different seed values give different (equally valid) continuations; the
+    updating rule is not unique.  Returns diagonal s plus the determined
+    points on s + 1.
     """
     rows = _coupling_rows(h, field_)
     diagonals: dict[int, dict[int, tuple]] = {}
@@ -408,33 +386,15 @@ def propagate_diagonal(
             f"seed point {extra_point} is not on diagonal n1+n2 = {s_hi + 1}"
         )
 
-    new_diag: dict[int, tuple] = {e1: _raw_vector(extra_value, h.total_dim)}
-
-    def next_value(c1: int, known: tuple):
-        # the center (c1, s_hi - c1) needs both lower neighbours, (c1-1, c2)
-        # and (c1, c2-1); the unknown is the rhs minus the known new neighbour
-        if c1 not in upper or (c1 - 1) not in lower or c1 not in lower:
-            return None
-        below = [(lr + dr, li + di) for (lr, li), (dr, di) in zip(lower[c1 - 1], lower[c1])]
-        rhs = _step_raw(rows, below, upper[c1])
-        return tuple((r0 - k0, r1 - k1) for (r0, r1), (k0, k1) in zip(rhs, known))
-
-    # walk toward decreasing n1 on the new diagonal: unknown (a-1, b+1) via center (a-1, b)
-    a = e1
-    while True:
-        value = next_value(a - 1, new_diag[a])
-        if value is None:
-            break
-        new_diag[a - 1] = value
-        a -= 1
-    # walk toward increasing n1: unknown (a+1, b-1) via center (a, b-1)
-    a = e1
-    while (a + 1) not in new_diag:
-        value = next_value(a, new_diag[a])
-        if value is None:
-            break
-        new_diag[a + 1] = value
-        a += 1
+    # the new diagonal by n1; each centre (c, s - c) has its upper neighbours
+    # at n1 = c + 1 and c, and the one not yet known is the unknown
+    new_diag = {e1: _raw_vector(extra_value, h.total_dim)}
+    for step in (-1, 1):
+        a = e1
+        while (c := min(a, a + step)) in upper and c - 1 in lower and c in lower:
+            a += step
+            new_diag[a] = tuple(_stencil(rows, upper[c], (new_diag.get(c + 1), new_diag.get(c)),
+                                         (lower[c - 1], lower[c])))
 
     values = {(n1, s_hi - n1): vec for n1, vec in upper.items()}
     values.update({(n1, s_hi + 1 - n1): vec for n1, vec in new_diag.items()})

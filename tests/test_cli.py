@@ -349,6 +349,37 @@ class TestMultitime:
         assert run(["multitime", cfg, "--out", str(tmp_path / "m.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {tmp_path}: cannot read")
 
+    @pytest.mark.parametrize("length, steps, path, detail", [
+        (9, 6, "steps", "only 4 of 6 steps fit the initial field: no point on line 6 has"),
+        (2, 1, "initial_field", "no point on line 2 has"),
+    ])
+    def test_steps_that_outrun_the_lines_exit_2(self, tmp_path, capsys, length, steps, path,
+                                                detail):
+        field_path = tmp_path / "field.csv"
+        field_path.write_text(_field_text([(n1, n2) for n1 in (0, 1) for n2 in range(length)]))
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "multitime", "mode": "line", "steps": steps,
+            "coupling": {"separable": [{"preset": "H2"}, {"preset": "H2"}]},
+            "initial_field": str(field_path),
+        })
+        assert run(["multitime", cfg, "--out", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: {detail}")
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_seed_off_the_next_diagonal_exits_2(self, tmp_path, capsys):
+        field_path = tmp_path / "field.csv"
+        field_path.write_text(_field_text([(n1, s - n1) for s in (5, 6) for n1 in range(s + 1)]))
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "multitime", "mode": "diagonal", "extra_point": [9, 0],
+            "extra_value": [1, 0, 0, 0],
+            "coupling": {"separable": [{"preset": "H2"}, {"preset": "H2"}]},
+            "initial_field": str(field_path),
+        })
+        assert run(["multitime", cfg, "--out", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: extra_point: seed point (9, 0) is not on diagonal n1+n2 = 7\n")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_first_order_backward_writes_decreasing_points(self, tmp_path):
         cfg = write_json(
             tmp_path / "c.json",
@@ -568,11 +599,13 @@ def _multitime_configs(draw):
     doc = {"kind": "multitime", "mode": mode, "coupling": draw(_couplings())}
     axis = draw(_or_junk(st.sampled_from(["n1", "n2"])))
     optional = {
-        "steps": _or_junk(st.integers(-1, 4)),
+        "steps": _or_junk(st.integers(-1, 8)),  # 6 or more outrun the 12-point lines
         "direction": _or_junk(st.sampled_from([1, -1, 0, 2])),
         "periodic": _or_junk(st.booleans()),
         "axis": st.just(axis),
-        "extra_point": _or_junk(st.integers(0, 9).map(lambda a: [a, 9 - a])),
+        # on the next diagonal (9) mostly, or on the field's last one or past the next
+        "extra_point": _or_junk(st.tuples(st.integers(0, 9), st.sampled_from([9, 9, 8, 10]))
+                                .map(lambda seed: [seed[0], seed[1] - seed[0]])),
         "extra_value": _VECTOR,
         "prev": _VECTOR,
         "curr": _VECTOR,

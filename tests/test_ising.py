@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ontoca.errors import (
     DimensionMismatch,
@@ -594,11 +594,14 @@ class TestBlockedExponentialForm:
         assert blocked <= 1e-9
         assert abs(blocked - dense_deviation(topo)) <= 1e-12
 
+    # the oracles build dense 2**bits matrices (and an eigh), so no per-example deadline
     @given(small_graphs())
+    @settings(deadline=None)
     def test_counts_give_the_dense_diagonal_blocks(self, topo):
         self.check_blocks(topo)
 
     @given(small_graphs())
+    @settings(deadline=None)
     def test_deviation_matches_dense_eigh(self, topo):
         self.check_deviation(topo)
 

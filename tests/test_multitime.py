@@ -281,6 +281,42 @@ class TestPropagateLine:
             propagate_line(apart, h)
 
 
+class TestGeometryMessages:
+    """The texts the CLI prints after `config error: initial_field:`."""
+
+    H = TensorHamiltonian.general([[0]], dims=(1, 1))
+
+    @pytest.mark.parametrize("points, periodic, error, text", [
+        ([(n1, n2) for n1 in range(3) for n2 in range(3)], False, GeometryMismatch,
+         "expected exactly 2 lines, found [0, 1, 2]"),
+        ([(n1, n2) for n1 in (0, 2) for n2 in range(3)], False, GeometryMismatch,
+         "lines 0 and 2 are not adjacent"),
+        ([(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)], False, GeometryMismatch,
+         "line has gaps; expected a contiguous extent"),
+        ([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)], True, GeometryMismatch,
+         "periodic propagation needs lines of equal extent"),
+        ([(n1, n2) for n1 in (0, 1) for n2 in range(2)], False, DomainTooSmall,
+         "no point on line 2 has a complete stencil; need a center line of length >= 3"),
+    ])
+    def test_line(self, points, periodic, error, text):
+        field = const_field((1, 1), points, 1)
+        with pytest.raises(error) as info:
+            propagate_line(field, self.H, periodic=periodic)
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize("diagonals, extra_point, error, text", [
+        ((4,), (0, 5), GeometryMismatch, "expected exactly 2 anti-diagonals, found n1+n2 in [4]"),
+        ((3, 5), (0, 6), GeometryMismatch, "diagonals 3 and 5 are not adjacent"),
+        ((3, 4), None, MissingExtraPoint, "a seed point on the next diagonal is required"),
+        ((3, 4), (0, 3), MissingExtraPoint, "seed point (0, 3) is not on diagonal n1+n2 = 5"),
+    ])
+    def test_diagonal(self, diagonals, extra_point, error, text):
+        field = const_field((1, 1), [(k, s - k) for s in diagonals for k in range(s + 1)], 0)
+        with pytest.raises(error) as info:
+            propagate_diagonal(field, self.H, extra_point, [0])
+        assert str(info.value) == text
+
+
 # =============================================================================
 # Diagonal propagation
 # =============================================================================
@@ -522,11 +558,13 @@ class TestKernelAgainstDense:
 
     @given(
         couplings(), st.booleans(), st.sampled_from(["n1", "n2"]), st.sampled_from([1, -1]),
-        st.booleans(), st.integers(3, 5), st.data(),
+        st.booleans(), st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_propagate_line(self, coupling, rational, axis, direction, periodic, length, data):
+    def test_propagate_line(self, coupling, rational, axis, direction, periodic, data):
         h, dense = coupling
+        # a periodic line of 1 or 2 points wraps onto the same or the other point
+        length = data.draw(st.integers(1 if periodic else 3, 5))
         # lines at coordinate 0 and 1 along `axis`, transverse coordinates 0..length-1
         orient = (lambda c, o: (c, o)) if axis == "n1" else (lambda c, o: (o, c))
         field = draw_field(
