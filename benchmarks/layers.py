@@ -2,11 +2,12 @@
 the boxing layer, of the ontology scan's ray division, of three trajectory
 checks (a dim-64 ring, and 150 and 1000 steps of a supercritical dense dim-12
 model), of a trajectory's CSV and JSON, of the CLI parser build, of two whole
-Ising CLI runs, of the lattice uncertainty reports (a whole gup CLI run, its
-width family and the verify-all Robertson check), of five model builds (a
-dense dim-2048 ring, a dim-1024 H with every entry in [-3, 3] drawn, a
-dim-1024 ring read from JSON, a dim-256 coupling matrix of [re, im] rows and a
-separable coupling of two dim-48 rings), of the Ising exponential-form check
+Ising CLI runs, of the lattice uncertainty reports (three whole gup CLI runs,
+at 256 sites periodic and open and at 4096 sites, the width family and the
+verify-all Robertson check), of five model builds (a dense dim-2048 ring, a
+dim-1024 H with every entry in [-3, 3] drawn, a dim-1024 ring read from JSON,
+a dim-256 coupling matrix of [re, im] rows and a separable coupling of two
+dim-48 rings), of the Ising exponential-form check
 at 10, 12 and 20 bits, of the phased-permutation constructor and unitarity
 check at 20 bits, and of two-time line and diagonal propagation.  Each row
 but build_parser_first also reports the tracemalloc peak of one call.
@@ -79,6 +80,10 @@ ROWS = {
                    "24 steps (config read, orbit, unitarity check, CSV write)",
     "gup_cli": "cli.main gup: 256 sites, 40 samples, periodic boundary, default widths "
                "(config read, width family, sharp state, sample reports, JSON write)",
+    "gup_cli_open": "cli.main gup: 256 sites, 40 samples, open boundary, default widths "
+                    "(the open-boundary half of a perfbench lattice-gup job)",
+    "gup_cli_4096": "cli.main gup: 4096 sites, 1000 samples, periodic boundary, default widths "
+                    "(one row a sample block)",
     "gup_family": "gup.minimize_delta_x: Gaussian widths 4, 6, 8, 12, 16 on 256 sites, periodic",
     "robertson_300": "verify.check_robertson: the Robertson bound on 300 random 64-site states",
     "model_build_2048": "gaussian.build_hamiltonian of a dim-2048 unit-weight ring from dense "
@@ -136,6 +141,9 @@ CLI_CONFIGS = {
         "steps": 24,
     },
     "gup_cli": {"kind": "gup", "sites": 256, "samples": 40, "boundary": "periodic", "seed": 0},
+    "gup_cli_open": {"kind": "gup", "sites": 256, "samples": 40, "boundary": "open", "seed": 0},
+    "gup_cli_4096": {"kind": "gup", "sites": 4096, "samples": 1000, "boundary": "periodic",
+                     "seed": 0},
 }
 
 

@@ -404,6 +404,7 @@ def cmd_multitime(args) -> int:
     if mode == "line":
         export = current = field
         try:
+            multitime.line_pair(field, axis, periodic)  # the geometry, also at steps 0
             for done in range(steps):
                 current = multitime.propagate_line(current, coupling, axis, direction, periodic)
                 export = export.union(current)

@@ -57,15 +57,24 @@ class LatticeOperator:
             raise ValueError(f"boundary must be 'periodic' or 'open', got {self.boundary!r}")
         if self.name not in ("X", "P"):
             raise ValueError(f"operator must be 'X' or 'P', got {self.name!r}")
+        if self.name == "X":  # the l·m row, built once per operator
+            object.__setattr__(self, "_row", self.scale.l * site_labels(self.size))
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         if self.name == "X":
-            return (self.scale.l * site_labels(self.size)) * psi
-        up, down = np.roll(psi, -1, axis=-1), np.roll(psi, 1, axis=-1)  # psi[m + 1], psi[m - 1]
+            return self._row * psi
+        # psi[m + 1] and psi[m - 1] as shifted slice copies, scaled and summed in place
+        dtype = np.result_type(psi, 1j)
+        up, down = np.empty(psi.shape, dtype), np.empty(psi.shape, dtype)
+        up[..., :-1], down[..., 1:] = psi[..., 1:], psi[..., :-1]
         if self.boundary == "open":
             up[..., -1] = down[..., 0] = 0.0
+        else:
+            up[..., -1], down[..., 0] = psi[..., 0], psi[..., -1]
         coeff = 1.0 / (2.0 * self.scale.l)
-        return (-1j * coeff) * up + (1j * coeff) * down
+        np.multiply(-1j * coeff, up, out=up)
+        np.multiply(1j * coeff, down, out=down)
+        return np.add(up, down, out=up)
 
 
 def site_labels(size: int) -> np.ndarray:
@@ -93,17 +102,20 @@ class LatticeState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        for norm in np.atleast_1d(_norms(self.amplitudes)).tolist():
-            if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
+        norms = _norms(self.amplitudes)
+        if (np.abs(norms - 1.0) <= 1e-12).all():  # a NaN norm fails
+            return
+        for norm in np.atleast_1d(norms).tolist():  # name the first bad norm
+            if not abs(norm - 1.0) <= 1e-12:
                 raise ValueError(f"state norm is {norm}, expected 1")
 
     @classmethod
     def from_amplitudes(cls, amplitudes) -> "LatticeState":
         arr = np.asarray(amplitudes, dtype=complex)
         norms = _norms(arr)
-        if np.any(norms == 0.0):
+        if (norms == 0.0).any():
             raise ValueError("cannot normalize the zero state")
-        return cls(amplitudes=arr / np.expand_dims(norms, -1))
+        return cls(amplitudes=arr / norms[..., None])
 
     @property
     def size(self) -> int:
@@ -122,9 +134,15 @@ def gaussian_envelope(size: int, width) -> LatticeState:
 
 
 def single_site_state(size: int, site: int) -> LatticeState:
-    labels = list(site_labels(size))
+    """The state sharply localized at label `site`, an exact int in the range
+    of site_labels(size)."""
+    if type(site) is not int:  # bool, float and numpy integers are refused
+        raise TypeError(f"site must be an int, got {site!r}")
+    low = -(size // 2)
+    if not low <= site < low + size:
+        raise ValueError(f"site {site} is not a label of {size} sites, [{low}, {low + size - 1}]")
     amp = np.zeros(size, dtype=complex)
-    amp[labels.index(site)] = 1.0
+    amp[site - low] = 1.0
     return LatticeState(amplitudes=amp)
 
 
@@ -137,7 +155,9 @@ def random_states(size: int, count: int, seed: int) -> Iterator[LatticeState]:
     rows = max(1, BLOCK_AMPLITUDES // size)
     for start in range(0, count, rows):
         draws = rng.standard_normal((min(rows, count - start), 2, size))
-        yield LatticeState.from_amplitudes(draws[:, 0] + 1j * draws[:, 1])
+        block = np.empty((len(draws), size), dtype=complex)  # each part copied once
+        block.real, block.imag = draws[:, 0], draws[:, 1]
+        yield LatticeState.from_amplitudes(block)
 
 
 # =============================================================================
@@ -168,7 +188,7 @@ def _moments(psi: np.ndarray, applied: np.ndarray) -> Moments:
     mean = np.vecdot(psi, applied).real
     second = np.vecdot(applied, applied).real  # <op^2> since op is self-adjoint
     var = second - mean * mean
-    if np.any(var < -1e-12):
+    if (var < -1e-12).any():
         raise ArithmeticError(f"variance {np.min(var)} below roundoff tolerance")
     return Moments(_values(mean), _values(np.sqrt(np.maximum(var, 0.0))), _values(second))
 

@@ -281,6 +281,30 @@ def _extent(line: dict[int, tuple]) -> tuple[int, int]:
 # =============================================================================
 
 
+def line_pair(
+    field_: MultiTimeField, axis: str = "n1", periodic: bool = False
+) -> dict[int, dict[int, tuple]]:
+    """The field's lines perpendicular to `axis`, {coordinate: {transverse
+    coordinate: raw vector}}, checked for the geometry that line propagation
+    needs: exactly two adjacent lines, each without gaps, and of equal extent
+    when periodic.  Raises GeometryMismatch otherwise."""
+    if axis not in ("n1", "n2"):
+        raise ValueError(f"axis must be 'n1' or 'n2', got {axis!r}")
+    axis_idx = 0 if axis == "n1" else 1
+    lines: dict[int, dict[int, tuple]] = {}
+    for point, vec in field_.values.items():
+        lines.setdefault(point[axis_idx], {})[point[1 - axis_idx]] = vec
+    if len(lines) != 2:
+        raise GeometryMismatch(f"expected exactly 2 lines, found {sorted(lines)}")
+    lo_coord, hi_coord = sorted(lines)
+    if hi_coord - lo_coord != 1:
+        raise GeometryMismatch(f"lines {lo_coord} and {hi_coord} are not adjacent")
+    extents = _extent(lines[lo_coord]), _extent(lines[hi_coord])  # each without gaps
+    if periodic and extents[0] != extents[1]:
+        raise GeometryMismatch("periodic propagation needs lines of equal extent")
+    return lines
+
+
 def propagate_line(
     field_: MultiTimeField,
     h: TensorHamiltonian,
@@ -297,31 +321,19 @@ def propagate_line(
     transverse coordinate wraps and the line length is preserved.  Returns
     the two newest lines, ready for the next step.
     """
-    if axis not in ("n1", "n2"):
-        raise ValueError(f"axis must be 'n1' or 'n2', got {axis!r}")
     if direction not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
-    axis_idx = 0 if axis == "n1" else 1
     rows = _coupling_rows(h, field_)
+    lines = line_pair(field_, axis, periodic)
+    axis_idx = 0 if axis == "n1" else 1
 
-    lines: dict[int, dict[int, tuple]] = {}
-    for point, vec in field_.values.items():
-        lines.setdefault(point[axis_idx], {})[point[1 - axis_idx]] = vec
-    if len(lines) != 2:
-        raise GeometryMismatch(f"expected exactly 2 lines, found {sorted(lines)}")
-    lo_coord, hi_coord = sorted(lines)
-    if hi_coord - lo_coord != 1:
-        raise GeometryMismatch(f"lines {lo_coord} and {hi_coord} are not adjacent")
-
-    center_coord = hi_coord if direction == 1 else lo_coord
+    center_coord = max(lines) if direction == 1 else min(lines)
     center, rear = lines[center_coord], lines[center_coord - direction]
-    (c_lo, c_hi), rear_extent = _extent(center), _extent(rear)
     new_coord = center_coord + direction
 
     around = center
     if periodic:
-        if rear_extent != (c_lo, c_hi):
-            raise GeometryMismatch("periodic propagation needs lines of equal extent")
+        c_lo, c_hi = min(center), max(center)
         around = {c_lo - 1: center[c_hi], **center, c_hi + 1: center[c_lo]}
     new_line = {}
     for o, behind in rear.items():

@@ -366,6 +366,37 @@ class TestMultitime:
         assert capsys.readouterr().err.startswith(f"config error: {path}: {detail}")
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("steps", [0, 1])
+    @pytest.mark.parametrize("lines, detail", [
+        ((0, 1, 2), "expected exactly 2 lines, found [0, 1, 2]"),
+        ((0, 2), "lines 0 and 2 are not adjacent"),
+    ])
+    def test_a_misshapen_field_exits_2_at_any_step_count(self, tmp_path, capsys, steps, lines,
+                                                         detail):
+        # at steps 0 the geometry used to go unchecked: three lines exited 1
+        # with residuals_zero=False, since their middle line has full stencils
+        field_path = tmp_path / "field.csv"
+        field_path.write_text(_field_text([(n1, n2) for n1 in lines for n2 in range(5)]))
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "multitime", "mode": "line", "steps": steps,
+            "coupling": {"separable": [{"preset": "H2"}, {"preset": "H2"}]},
+            "initial_field": str(field_path),
+        })
+        assert run(["multitime", cfg, "--out", str(tmp_path / "m.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: initial_field: {detail} (axis n1)\n"
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_zero_steps_on_two_lines_writes_the_field(self, tmp_path, capsys):
+        field_path = tmp_path / "field.csv"
+        field_path.write_text(_field_text([(n1, n2) for n1 in (0, 1) for n2 in range(2)]))
+        cfg = write_json(tmp_path / "c.json", {
+            "kind": "multitime", "mode": "line", "steps": 0,
+            "coupling": {"separable": [{"preset": "H2"}, {"preset": "H2"}]},
+            "initial_field": str(field_path),
+        })
+        assert run(["multitime", cfg, "--out", str(tmp_path / "m.csv")]) == 0
+        assert "lines+0 points=4 residuals_zero=True" in capsys.readouterr().out
+
     def test_seed_off_the_next_diagonal_exits_2(self, tmp_path, capsys):
         field_path = tmp_path / "field.csv"
         field_path.write_text(_field_text([(n1, s - n1) for s in (5, 6) for n1 in range(s + 1)]))

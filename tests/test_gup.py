@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -542,3 +543,107 @@ class TestBlockRoute:
                 tracemalloc.stop()
         assert code == 0
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# =============================================================================
+# Slice stencils and one-copy sampler blocks against the np.roll formulas
+# =============================================================================
+
+
+def roll_apply(op: LatticeOperator, psi: np.ndarray) -> np.ndarray:
+    """The stencils as two np.roll calls and a fresh l·m row per apply."""
+    if op.name == "X":
+        return (op.scale.l * np.arange(-(op.size // 2), op.size - op.size // 2)) * psi
+    up, down = np.roll(psi, -1, axis=-1), np.roll(psi, 1, axis=-1)
+    if op.boundary == "open":
+        up[..., -1] = down[..., 0] = 0.0
+    coeff = 1.0 / (2.0 * op.scale.l)
+    return (-1j * coeff) * up + (1j * coeff) * down
+
+
+stencil_inputs = st.tuples(
+    st.one_of(st.integers(1, 2), st.integers(1, 300)), st.integers(1, 17),
+    st.sampled_from(("periodic", "open")), st.floats(0.05, 20.0), st.integers(0, 2**32 - 1),
+)
+
+
+class TestSliceStencils:
+    @settings(deadline=None)
+    @given(stencil_inputs)
+    def test_apply_equals_the_roll_formula_byte_for_byte(self, inputs):
+        size, k, boundary, l, seed = inputs
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((k, size)) + 1j * rng.standard_normal((k, size))
+        for make in (position_operator, momentum_operator):
+            op = make(size, DiscretenessScale(l), boundary)
+            # a (k, M) block, one (M,) state, and real amplitudes, which promote
+            for psi in (block, block[0], block.real):
+                got, want = op.apply(psi), roll_apply(op, psi)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_apply_leaves_its_input_alone(self):
+        psi = np.arange(12, dtype=complex).reshape(2, 6)
+        for boundary in ("periodic", "open"):
+            momentum_operator(6, SCALE, boundary).apply(psi)
+        assert np.array_equal(psi, np.arange(12, dtype=complex).reshape(2, 6))
+
+    @settings(deadline=None)
+    @given(st.one_of(st.integers(1, 2), st.integers(1, 300)), st.integers(0, 2**32 - 1),
+           st.integers(1, 40), st.integers(1, 1200))
+    def test_sampler_blocks_equal_the_former_construction(self, size, seed, count,
+                                                          block_amplitudes):
+        with unittest.mock.patch.object(gup, "BLOCK_AMPLITUDES", block_amplitudes):
+            blocks = list(random_states(size, count, seed))
+        rng = np.random.default_rng(seed)
+        rows = max(1, block_amplitudes // size)
+        for start, block in zip(range(0, count, rows), blocks):
+            draws = rng.standard_normal((min(rows, count - start), 2, size))
+            want = LatticeState.from_amplitudes(draws[:, 0] + 1j * draws[:, 1]).amplitudes
+            assert block.amplitudes.tobytes() == want.tobytes()
+            assert block.amplitudes.shape == want.shape
+
+
+class TestSingleSiteState:
+    @pytest.mark.parametrize("size", [1, 2, 3, 64, 257])
+    def test_every_label_is_found_by_arithmetic(self, size):
+        for index, label in enumerate(site_labels(size).tolist()):
+            amplitudes = single_site_state(size, label).amplitudes
+            assert amplitudes.shape == (size,) and amplitudes[index] == 1.0
+            assert np.count_nonzero(amplitudes) == 1
+
+    @pytest.mark.parametrize("site", [1.0, True, np.int64(0), "0", None])
+    def test_a_site_that_is_not_an_int_raises_type_error(self, site):
+        with pytest.raises(TypeError, match="site must be an int"):
+            single_site_state(256, site)
+
+    @pytest.mark.parametrize("size, site", [(256, 200), (256, 128), (256, -129), (1, 1)])
+    def test_an_off_lattice_site_names_the_label_range(self, size, site):
+        low = -(size // 2)
+        with pytest.raises(ValueError, match=rf"\[{low}, {low + size - 1}\]"):
+            single_site_state(size, site)
+
+
+class TestGoldenDocuments:
+    """The gup documents of five configs, pinned by sha256 as the np.roll
+    stencils and the `draws[:, 0] + 1j * draws[:, 1]` sampler blocks wrote
+    them (numpy 2.4 on x86-64); every later route must write the same bytes."""
+
+    @pytest.mark.parametrize("config, digest", [
+        ({"sites": 64, "samples": 300, "scale": 0.75, "boundary": "periodic", "seed": 1},
+         "07da2ce4fcac313cea050149c499e63ae86276858e7aec3bfcd6837ac589d01b"),
+        ({"sites": 64, "samples": 300, "scale": 0.75, "boundary": "open", "seed": 1},
+         "21b3ec154904d3ddee02c43a728e2d361ded780a3a3954d33655565cb2aa61e2"),
+        ({"sites": 256, "samples": 40, "scale": 1.25, "boundary": "periodic", "seed": 2},
+         "7125e9bc94f6c378b8bf9f14319c5e1d9c85974fd7fb71c4fdd69566a35e87a2"),
+        ({"sites": 256, "samples": 40, "scale": 1.25, "boundary": "open", "seed": 2},
+         "0456c6d33ec273c847454c5837886256ae4393bd6aa1a475b9ef8dc56b8b4e28"),
+        ({"sites": 4096, "samples": 100, "scale": 1.0, "boundary": "open", "seed": 3},
+         "79fa3876f487bd50b534b04c1038f2cb5c7f893c2d45a2f3dabc7b0357ae532e"),
+    ])
+    def test_document_bytes(self, tmp_path, config, digest):
+        path = tmp_path / "gup.json"
+        path.write_text(json.dumps({"kind": "gup", **config}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["gup", str(path), "--out", str(tmp_path / "out.json")]) == 0
+        assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest

@@ -34,6 +34,7 @@ from ontoca.multitime import (
     equation_residual,
     interior_points,
     leibniz_identity_check,
+    line_pair,
     norm_sq_exact,
     product_field,
     propagate_diagonal,
@@ -281,27 +282,41 @@ class TestPropagateLine:
             propagate_line(apart, h)
 
 
+LINE_CASES = [
+    ([(n1, n2) for n1 in range(3) for n2 in range(3)], False, GeometryMismatch,
+     "expected exactly 2 lines, found [0, 1, 2]"),
+    ([(n1, n2) for n1 in (0, 2) for n2 in range(3)], False, GeometryMismatch,
+     "lines 0 and 2 are not adjacent"),
+    ([(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)], False, GeometryMismatch,
+     "line has gaps; expected a contiguous extent"),
+    ([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)], True, GeometryMismatch,
+     "periodic propagation needs lines of equal extent"),
+    ([(n1, n2) for n1 in (0, 1) for n2 in range(2)], False, DomainTooSmall,
+     "no point on line 2 has a complete stencil; need a center line of length >= 3"),
+]
+
+
 class TestGeometryMessages:
     """The texts the CLI prints after `config error: initial_field:`."""
 
     H = TensorHamiltonian.general([[0]], dims=(1, 1))
 
-    @pytest.mark.parametrize("points, periodic, error, text", [
-        ([(n1, n2) for n1 in range(3) for n2 in range(3)], False, GeometryMismatch,
-         "expected exactly 2 lines, found [0, 1, 2]"),
-        ([(n1, n2) for n1 in (0, 2) for n2 in range(3)], False, GeometryMismatch,
-         "lines 0 and 2 are not adjacent"),
-        ([(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)], False, GeometryMismatch,
-         "line has gaps; expected a contiguous extent"),
-        ([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)], True, GeometryMismatch,
-         "periodic propagation needs lines of equal extent"),
-        ([(n1, n2) for n1 in (0, 1) for n2 in range(2)], False, DomainTooSmall,
-         "no point on line 2 has a complete stencil; need a center line of length >= 3"),
-    ])
+    @pytest.mark.parametrize("points, periodic, error, text", LINE_CASES)
     def test_line(self, points, periodic, error, text):
         field = const_field((1, 1), points, 1)
         with pytest.raises(error) as info:
             propagate_line(field, self.H, periodic=periodic)
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize("points, periodic, error, text", LINE_CASES)
+    def test_line_pair_checks_the_geometry_without_stepping(self, points, periodic, error, text):
+        field = const_field((1, 1), points, 1)
+        if error is not GeometryMismatch:  # a field too short to step is well shaped
+            lines = line_pair(field, "n1", periodic)
+            assert {c: sorted(line) for c, line in lines.items()} == {0: [0, 1], 1: [0, 1]}
+            return
+        with pytest.raises(GeometryMismatch) as info:
+            line_pair(field, "n1", periodic)
         assert str(info.value) == text
 
     @pytest.mark.parametrize("diagonals, extra_point, error, text", [
