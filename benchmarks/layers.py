@@ -1,16 +1,18 @@
-"""Layer micro-benchmark: the wall time of one call of each exact kernel, of
-the boxing layer, of the ontology scan's ray division, of three trajectory
-checks (a dim-64 ring, and 150 and 1000 steps of a supercritical dense dim-12
-model), of a trajectory's CSV and JSON, of the CLI parser build, of two whole
-Ising CLI runs, of the lattice uncertainty reports (three whole gup CLI runs,
-at 256 sites periodic and open and at 4096 sites, the width family and the
-verify-all Robertson check), of five model builds (a dense dim-2048 ring, a
-dim-1024 H with every entry in [-3, 3] drawn, a dim-1024 ring read from JSON,
-a dim-256 coupling matrix of [re, im] rows and a separable coupling of two
-dim-48 rings), of the Ising exponential-form check
-at 10, 12 and 20 bits, of the phased-permutation constructor and unitarity
-check at 20 bits, and of two-time line and diagonal propagation.  Each row
-but build_parser_first also reports the tracemalloc peak of one call.
+"""Layer micro-benchmark: the wall time of one call of each exact kernel (the
+transfer recursion also on a dim-64 ring and to order 200, and with the 78
+composition checks of a bigint-transfer job), of the boxing layer, of the
+ontology scan's ray division, of three trajectory checks (a dim-64 ring, and
+150 and 1000 steps of a supercritical dense dim-12 model), of a trajectory's
+CSV and JSON, of the CLI parser build, of two whole Ising CLI runs, of the
+lattice uncertainty reports (three whole gup CLI runs, at 256 sites periodic
+and open and at 4096 sites, the width family and the verify-all Robertson
+check), of five model builds (a dense dim-2048 ring, a dim-1024 H with every
+entry in [-3, 3] drawn, a dim-1024 ring read from JSON, a dim-256 coupling
+matrix of [re, im] rows and a separable coupling of two dim-48 rings), of the
+Ising exponential-form check at 10, 12 and 20 bits, of the phased-permutation
+constructor and unitarity check at 20 bits, and of two-time line and diagonal
+propagation.  Each row but build_parser_first also reports the tracemalloc
+peak of one call.
 
     python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
 
@@ -62,6 +64,8 @@ REPO = Path(__file__).resolve().parents[1]
 ROWS = {
     "gaussian_step": "one Gaussian-integer step (_step_raw), dim-64 unit-weight ring",
     "transfer_sequence": "propagator.transfer_sequence, dense dim-12 model, entries in [-3, 3], k=40",
+    "transfer_sequence_ring64": "propagator.transfer_sequence, dim-64 unit-weight ring, k=40",
+    "transfer_sequence_k200": "propagator.transfer_sequence, the dense dim-12 model, k=200",
     "model_a_step_compose": "ising.model_a_step_operator on a 12-vertex ring plus one compose_after",
     "permutation_power": "PhasedPermutation.power(64), random 16-bit phased permutation",
     "lattice_stencil": "gup momentum operator apply, 256 sites, periodic",
@@ -99,6 +103,9 @@ ROWS = {
     "trajectory_verify_bigint": "Trajectory.verify of a 150-step trajectory of the bigint-transfer "
                                 "shape: dense dim-12 model and start states with entries in "
                                 "[-2, 2] (parts of up to about 500 bits)",
+    "transfer_library_bigint": "the library step of a perfbench bigint-transfer job on that "
+                               "trajectory: transfer_sequence(model, 40) and the 78 checks "
+                               "psi[n] == T(n-m+1) psi[m+1] + T(n-m) psi[m]",
     "trajectory_verify_long": "Trajectory.verify of 1000 steps of that model (parts of up to "
                               "about 3400 bits)",
     "evolve_json_bigint": "the JSON text evolve --format json writes of the 150-step trajectory: "
@@ -120,8 +127,10 @@ ROWS = {
                           "n1+n2 = 399 and 400 of that coupling, seeded at (200, 201)",
 }
 # Rows whose results are compared, by digest, across samples and trees
-DIGESTED = ("exponential_form_10bit", "exponential_form_12bit", "phased_ctor_20bit",
-            "is_unitary_20bit", "exponential_form_20bit", "multitime_line", "multitime_diagonal")
+DIGESTED = ("transfer_sequence", "transfer_sequence_ring64", "transfer_sequence_k200",
+            "transfer_library_bigint", "exponential_form_10bit", "exponential_form_12bit",
+            "phased_ctor_20bit", "is_unitary_20bit", "exponential_form_20bit", "multitime_line",
+            "multitime_diagonal")
 
 ISING_A_EDGES = [[k, (k + 1) % 12] for k in range(12)] + [[0, 6], [3, 9]]
 CLI_CONFIGS = {
@@ -258,6 +267,14 @@ def _calls(workdir: Path):
     bigint_model, bigint_start = _dense_dim12(random.Random(19), 2)
     bigint_run = evolve(CAPairState(*bigint_start), bigint_model, 150)
     bigint_long = evolve(CAPairState(*bigint_start), bigint_model, 1000)
+    bigint_states = bigint_run.states
+    # the index pairs of a perfbench job: both ends of the run, orders up to 40
+    bigint_pairs = [(m, m + k) for k in range(1, 40) for m in (0, len(bigint_states) - 1 - k)]
+
+    def transfer_library():
+        seq = propagator.transfer_sequence(bigint_model, 40)
+        return all(seq[n - m + 1].apply(bigint_states[m + 1]) + seq[n - m].apply(bigint_states[m])
+                   == bigint_states[n] for m, n in bigint_pairs)
     head = {"schema_version": 1, "kind": "evolve", "dim": 12, "steps": 150, "start_index": 0,
             "two_time_correlation": 0, "conserved": True}
 
@@ -308,6 +325,8 @@ def _calls(workdir: Path):
     return {
         "gaussian_step": lambda: _step_raw(ring.h_rows, prev, curr),
         "transfer_sequence": lambda: propagator.transfer_sequence(dense, 40),
+        "transfer_sequence_ring64": lambda: propagator.transfer_sequence(ring, 40),
+        "transfer_sequence_k200": lambda: propagator.transfer_sequence(dense, 200),
         "model_a_step_compose":
             lambda: ising.model_a_step_operator(topology, (3, 4), -1).compose_after(first),
         "permutation_power": lambda: perm.power(64),
@@ -334,6 +353,7 @@ def _calls(workdir: Path):
             lambda: _ring_pair_rows(256),
             lambda rows: multitime.TensorHamiltonian.general(rows, (16, 16))),
         "trajectory_verify_bigint": bigint_run.verify,
+        "transfer_library_bigint": transfer_library,
         "trajectory_verify_long": bigint_long.verify,
         "evolve_json_bigint": evolve_json,
         "exponential_form_10bit":

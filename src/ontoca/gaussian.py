@@ -559,9 +559,9 @@ class Trajectory:
         of |re| + |im| in H.  A block holds at most VERIFY_BLOCK_BITS // width
         states (one at least), so the memory `verify` takes is one block.
         """
-        h = max(sum(abs(re) + abs(im) for _, re, im in row) for row in self.model.h_rows)
+        h = _largest_row_sum(self.model.h_rows)
         peaks = (max(map(abs, itertools.chain.from_iterable(state))) for state in self.raw_states)
-        widths = [8 * (((2 + h) * m).bit_length() // 8 + 1) for m in peaks]
+        widths = [_slot_width((2 + h) * m) for m in peaks]
         blocks, first, end = [], 1, len(widths) - 1
         while first < end:
             stop, width = first + 1, max(widths[first - 1:first + 2])
@@ -611,6 +611,18 @@ class Trajectory:
         return True
 
 
+def _largest_row_sum(rows) -> int:
+    """The largest row sum of |re| + |im| over compiled rows: no part of
+    M @ v exceeds it times the largest |re| or |im| of v."""
+    return max(sum(abs(re) + abs(im) for _, re, im in row) for row in rows)
+
+
+def _slot_width(bound: int) -> int:
+    """The least whole number of bytes, in bits, with width - 1 >=
+    bound.bit_length(): slots of that width hold any part p with |p| <= bound."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
 def _pack(parts, width: int) -> int:
     """The ints `parts` in slots of `width` bits, a whole number of bytes:
     slot i holds parts[i] + 2**(width - 1), which fills it exactly when
@@ -620,6 +632,35 @@ def _pack(parts, width: int) -> int:
     return int.from_bytes(b"".join(map(int.to_bytes, map(offset.__add__, parts),
                                        itertools.repeat(width // 8),
                                        itertools.repeat("little"))), "little")
+
+
+def _pack_rows(rows, width: int) -> list[tuple[int, int]]:
+    """Compiled rows, packed along their columns as the kernel steps them: row
+    r as the pair of ints sum_c re[r][c] 2**(width * c) and
+    sum_c im[r][c] 2**(width * c).  With `_pack`'s offsets added, such an int
+    is the `_pack` of its parts where every |part| < 2**(width - 1)."""
+    return [(sum(re << width * c for c, re, _ in row), sum(im << width * c for c, _, im in row))
+            for row in rows]
+
+
+def _unpack_rows(packed, width: int, dim: int) -> tuple:
+    """The inverse of `_pack_rows` for `dim` columns whose parts p all have
+    |p| < 2**(width - 1): each packed int plus `_pack`'s offsets is the `_pack`
+    of its parts, so part c is slot c of its bytes less 2**(width - 1).  The
+    rows come out compiled, each nonzero entry as (col, re, im)."""
+    size, offset = width // 8, 1 << (width - 1)
+    count = size * dim
+    offsets = _pack([0] * dim, width)
+    # big-endian bytes, so slot c is the (c + 1)-th `size` bytes from the end
+    slots = [(c, slice(count - size * (c + 1), count - size * c)) for c in range(dim)]
+    from_bytes = int.from_bytes  # looked up once, not twice per entry
+    rows = []
+    for re, im in packed:
+        re_bytes, im_bytes = (re + offsets).to_bytes(count), (im + offsets).to_bytes(count)
+        rows.append(tuple([(c, x, y) for c, slot in slots
+                           if (x := from_bytes(re_bytes[slot]) - offset)
+                           | (y := from_bytes(im_bytes[slot]) - offset)]))
+    return tuple(rows)
 
 
 def _check_pair_model(pair: CAPairState, model: HamiltonianModel):

@@ -16,7 +16,10 @@ numeric cross-check and the bridge to the continuum exponential.
 from __future__ import annotations
 
 import cmath
+import collections
+import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -25,10 +28,13 @@ from .gaussian import (
     GaussianInt,
     GaussianIntVector,
     HamiltonianModel,
-    _compile_rows,
     _det_raw,
+    _largest_row_sum,
     _matvec_raw,
+    _pack_rows,
+    _slot_width,
     _step_raw,
+    _unpack_rows,
 )
 from .numerics import max_abs
 
@@ -134,48 +140,84 @@ class TransferPolynomial:
         boxed = [{c: GaussianInt(re, im) for c, re, im in row} for row in self.rows]
         return tuple(tuple(row.get(c, GaussianInt(0, 0)) for c in range(dim)) for row in boxed)
 
-    def apply(self, v: GaussianIntVector) -> GaussianIntVector:
+    def apply(self, v) -> GaussianIntVector:
+        """T(order) @ v, where v is anything GaussianIntVector reads."""
+        pairs = GaussianIntVector(v).pairs
         dim = len(self.rows)
-        if len(v) != dim:
-            raise DimensionMismatch(f"vector length {len(v)} vs matrix dim {dim}")
-        return GaussianIntVector._of(_matvec_raw(self.rows, v.pairs))
+        if len(pairs) != dim:
+            raise DimensionMismatch(f"vector length {len(pairs)} vs matrix dim {dim}")
+        return GaussianIntVector._of(_matvec_raw(self.rows, pairs))
+
+
+# Bits to spare above the proved bound when the slots of the packed recursion
+# are laid out: at 48, each bigint-transfer model (dense dim 12) is laid out 3
+# times up to k = 40, and smaller or larger spares were no faster (CHANGES.md).
+_SLOT_SLACK_BITS = 48
+
+
+def _transfer_orders(model: HamiltonianModel) -> Iterator[TransferPolynomial]:
+    """T(0), T(1), T(2), ... of the recursion T(k+1) = T(k-1) - iH T(k), without end.
+
+    Row r of T(k) is stepped packed (`_pack_rows`), one int per part: the sum
+    over c of T(k)[r][c] 2**(width * c).  The kernel is linear with integer
+    coefficients, so one _step_raw call on the packed rows of T(k-1) and T(k)
+    gives the packed rows of T(k+1).  Let h be the largest row sum of
+    |re| + |im| in H.  If every |re| and |im| of T(k-1) is at most m_prev and
+    of T(k) at most m_curr, every one of T(k+1) is at most m_prev + h m_curr;
+    while that bound is below 2**(width - 1), `_unpack_rows` reads T(k+1)
+    exactly.  The bound is carried on as the next m_curr.  When it outgrows
+    the slots, m_prev and m_curr are first read off T(k-1) and T(k), and only
+    if the bound still does not fit are the two packed again, in whole-byte
+    slots with _SLOT_SLACK_BITS to spare.
+    """
+    dim, h_rows = model.dim, model.h_rows
+    h = _largest_row_sum(h_rows)
+    prev, curr = tuple(((r, 1, 0),) for r in range(dim)), ((),) * dim
+    yield TransferPolynomial(0, prev)
+    yield TransferPolynomial(1, curr)
+    m_prev, m_curr, width = 1, 0, 0
+    for k in itertools.count(2):
+        bound = m_prev + h * m_curr
+        if bound.bit_length() >= width:
+            m_prev, m_curr = _largest_part(prev), _largest_part(curr)
+            bound = m_prev + h * m_curr
+            if bound.bit_length() >= width:
+                width = _slot_width(bound << _SLOT_SLACK_BITS)
+                packed_prev, packed_curr = _pack_rows(prev, width), _pack_rows(curr, width)
+        stepped = _step_raw(h_rows, packed_prev, packed_curr)
+        prev, curr = curr, _unpack_rows(stepped, width, dim)
+        packed_prev, packed_curr = packed_curr, stepped
+        m_prev, m_curr = m_curr, bound
+        yield TransferPolynomial(k, curr)
+
+
+def _largest_part(rows) -> int:
+    """The largest |re| or |im| of compiled rows (0 if they are all empty)."""
+    return max((max(abs(re), abs(im)) for row in rows for _, re, im in row), default=0)
+
+
+def _check_order(value, name: str):
+    """An order argument: an exact int (bool, float and numpy integers are
+    refused with a TypeError), at least 0 (else ValueError)."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
 
 
 def transfer_sequence(model: HamiltonianModel, k_max: int) -> list[TransferPolynomial]:
     """T(0) .. T(k_max) via the exact three-term recursion T(k+1) = T(k-1) - iH T(k)."""
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    dim = model.dim
-    # Column c of T(k) obeys the update rule itself, starting from e_c, 0, so
-    # the recursion is the stepping kernel run on raw columns.  T(k) is
-    # F_{k-1}(-iH), a polynomial of parity k in the self-adjoint H, so
-    # T(k)^dagger = (-1)^k T(k): only rows 0..c of column c are stepped, and
-    # each entry below the diagonal is (-1)^k times the conjugate of its
-    # stepped mirror image.
-    prefixes = [model.h_rows[:c + 1] for c in range(dim)]
-    prev = [[(int(r == c), 0) for r in range(dim)] for c in range(dim)]
-    curr = [[(0, 0)] * dim for _ in range(dim)]
-    seq = [TransferPolynomial(0, _compile_rows(zip(*prev)))]
-    if k_max >= 1:
-        seq.append(TransferPolynomial(1, _compile_rows(zip(*curr))))
-    for k in range(2, k_max + 1):
-        upper = [_step_raw(prefixes[c], prev[c][:c + 1], curr[c]) for c in range(dim)]
-        sign = 1 if k % 2 == 0 else -1
-        prev, curr = curr, [
-            col + [(sign * upper[r][c][0], -sign * upper[r][c][1]) for r in range(c + 1, dim)]
-            for c, col in enumerate(upper)
-        ]
-        seq.append(TransferPolynomial(k, _compile_rows(zip(*curr))))
-    return seq
+    _check_order(k_max, "k_max")
+    return list(itertools.islice(_transfer_orders(model), k_max + 1))
 
 
 def equal_initial_form(model: HamiltonianModel, psi0: GaussianIntVector, n: int) -> GaussianIntVector:
-    """[T(n+1) + T(n)] psi0, the exact trajectory when psi1 is chosen equal to psi0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    seq = transfer_sequence(model, n + 1)
+    """[T(n+1) + T(n)] psi0, the exact trajectory when psi1 is chosen equal to psi0;
+    only the latest two transfer matrices are held."""
+    _check_order(n, "n")
+    t_n, t_next = collections.deque(itertools.islice(_transfer_orders(model), n + 2), maxlen=2)
     psi0 = GaussianIntVector(psi0)
-    return seq[n + 1].apply(psi0) + seq[n].apply(psi0)
+    return t_next.apply(psi0) + t_n.apply(psi0)
 
 
 # =============================================================================

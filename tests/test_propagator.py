@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ontoca import gaussian
-from ontoca.errors import CriticalSpectrum
+from ontoca import gaussian, propagator
+from ontoca.errors import CriticalSpectrum, DimensionMismatch
 from ontoca.gaussian import (
     CAPairState,
     GaussianInt,
@@ -285,6 +285,27 @@ class TestTransferPolynomial:
     def test_entry_k_is_order_k(self):
         assert [t.order for t in transfer_sequence(sigma1_model(), 7)] == list(range(8))
 
+    @pytest.mark.parametrize("k_max", [True, False, 2.0, np.int64(3), "3", None])
+    def test_order_must_be_an_exact_int(self, k_max):
+        with pytest.raises(TypeError, match="k_max must be an int"):
+            transfer_sequence(sigma1_model(), k_max)
+
+    def test_negative_order_is_refused(self):
+        with pytest.raises(ValueError, match="k_max must be >= 0"):
+            transfer_sequence(sigma1_model(), -1)
+
+    def test_apply_reads_its_vector_as_a_vector_does(self):
+        poly = transfer_sequence(sigma1_model(), 3)[3]
+        expected = poly.apply(GaussianIntVector([1, 0]))
+        assert poly.apply([1, 0]) == poly.apply([(1, 0), GaussianInt(0)]) == expected
+        assert expected == GaussianIntVector([0, GaussianInt(0, -1)])
+        with pytest.raises(TypeError, match="must be an int"):
+            poly.apply([1.0, 0])
+        with pytest.raises(DimensionMismatch, match="vector length 3 vs matrix dim 2"):
+            poly.apply([1, 0, 0])
+        with pytest.raises(DimensionMismatch):
+            poly.apply(GaussianIntVector([1]))
+
 
 wide_int = st.integers(min_value=-(2**70), max_value=2**70)
 sparse_wide_int = st.one_of(st.just(0), wide_int)
@@ -394,32 +415,73 @@ def dense_of(poly):
     return [[(z.re, z.im) for z in row] for row in poly.matrix]
 
 
+def column_recursion(model, k_max):
+    """T(0) .. T(k_max) as dense rows of (re, im) pairs, from the update rule run
+    on each full column of (re, im) pairs, starting from e_c and 0: the oracle
+    of the packed recursion."""
+    dim = model.dim
+    h = [[(z.re, z.im) for z in row] for row in model.h_matrix]
+
+    def step(prev, curr):
+        """prev - i H curr on one full column of (re, im) pairs."""
+        out = []
+        for r in range(dim):
+            hre = sum(h[r][j][0] * curr[j][0] - h[r][j][1] * curr[j][1] for j in range(dim))
+            him = sum(h[r][j][0] * curr[j][1] + h[r][j][1] * curr[j][0] for j in range(dim))
+            out.append((prev[r][0] + him, prev[r][1] - hre))
+        return out
+
+    cols = [[[(int(r == c), 0) for r in range(dim)] for c in range(dim)],
+            [[(0, 0)] * dim for _ in range(dim)]]
+    while len(cols) <= k_max:
+        cols.append([step(p, c) for p, c in zip(cols[-2], cols[-1])])
+    return [[list(row) for row in zip(*t)] for t in cols[: k_max + 1]]
+
+
+def spectral_radius(model):
+    return max(abs(np.linalg.eigvalsh(model.as_complex_array())))
+
+
+def count_layouts(patch):
+    """A list that grows by one entry, the slot width, each time the packed
+    recursion lays out its slots."""
+    widths = []
+    pack_rows = propagator._pack_rows
+
+    def spy(rows, width):
+        widths.append(width)
+        return pack_rows(rows, width)
+
+    patch.setattr(propagator, "_pack_rows", spy)
+    return widths
+
+
 class TestTransferParity:
-    """transfer_sequence steps only the upper triangle and mirrors the rest by
-    T(k)^dagger = (-1)^k T(k)."""
+    """transfer_sequence against the per-column recursion, and the parity
+    T(k)^dagger = (-1)^k T(k) of its matrices: T(k) = F_{k-1}(-iH) is a
+    polynomial of parity k in the self-adjoint H."""
 
     @given(small_model(), st.integers(min_value=0, max_value=30))
     @settings(max_examples=60, deadline=None)
     def test_matches_full_column_recursion(self, model, k_max):
-        dim = model.dim
-        h = [[(z.re, z.im) for z in row] for row in model.h_matrix]
-
-        def step(prev, curr):
-            """prev - i H curr on one full column of (re, im) pairs."""
-            out = []
-            for r in range(dim):
-                hre = sum(h[r][j][0] * curr[j][0] - h[r][j][1] * curr[j][1] for j in range(dim))
-                him = sum(h[r][j][0] * curr[j][1] + h[r][j][1] * curr[j][0] for j in range(dim))
-                out.append((prev[r][0] + him, prev[r][1] - hre))
-            return out
-
-        cols = [[[(int(r == c), 0) for r in range(dim)] for c in range(dim)],
-                [[(0, 0)] * dim for _ in range(dim)]]
-        while len(cols) <= k_max:
-            cols.append([step(p, c) for p, c in zip(cols[-2], cols[-1])])
-        expected = [[list(row) for row in zip(*t)] for t in cols[: k_max + 1]]
         seq = transfer_sequence(model, k_max)
-        assert [dense_of(t) for t in seq] == expected
+        assert [dense_of(t) for t in seq] == column_recursion(model, k_max)
+
+    @given(small_model().filter(lambda m: spectral_radius(m) >= 3),
+           st.integers(min_value=100, max_value=150), st.sampled_from([0, None]))
+    @settings(max_examples=25, deadline=None)
+    def test_supercritical_to_order_150(self, model, k_max, slack):
+        """Parts grow by at least 1.3 bits an order, so the slots are laid out
+        again several times; with no spare bits (slack 0) every layout is as
+        narrow as the bound allows."""
+        with pytest.MonkeyPatch.context() as patch:
+            if slack is not None:
+                patch.setattr(propagator, "_SLOT_SLACK_BITS", slack)
+            layouts = count_layouts(patch)
+            seq = transfer_sequence(model, k_max)
+        # each layout is packed twice, T(k-1) and T(k)
+        assert len(layouts) >= 2 * 3
+        assert [dense_of(t) for t in seq] == column_recursion(model, k_max)
 
     @given(small_model(), st.integers(min_value=0, max_value=30))
     @settings(max_examples=60, deadline=None)
@@ -433,7 +495,75 @@ class TestTransferParity:
                     assert t[r][c] == (sign * re, -sign * im)
 
 
+class TestPackedRecursion:
+    """The slot format of the packed recursion, and the bound its slot width
+    rests on."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_unpack_rows_inverts_pack(self, data):
+        """At every whole-byte width, each packed int plus the offsets of
+        `_pack` is the `_pack` of its parts, and `_unpack_rows` gives the parts
+        back, compiled, for any parts with |part| < 2**(width - 1)."""
+        width = 8 * data.draw(st.integers(min_value=1, max_value=40))
+        dim = data.draw(st.integers(min_value=1, max_value=8))
+        limit = (1 << (width - 1)) - 1
+        part = st.one_of(st.just(0), st.sampled_from([limit, -limit, 1, -1]),
+                         st.integers(min_value=-limit, max_value=limit))
+        dense = data.draw(st.lists(st.lists(st.tuples(part, part), min_size=dim, max_size=dim),
+                                   min_size=1, max_size=4))
+        offsets = gaussian._pack([0] * dim, width)
+        packed = [(gaussian._pack([re for re, _ in row], width) - offsets,
+                   gaussian._pack([im for _, im in row], width) - offsets) for row in dense]
+        compiled = tuple(tuple((c, re, im) for c, (re, im) in enumerate(row) if re or im)
+                         for row in dense)
+        assert gaussian._pack_rows(compiled, width) == packed
+        assert gaussian._unpack_rows(packed, width, dim) == compiled
+
+    @given(st.integers(min_value=1, max_value=2**70), st.sampled_from([1, -1]),
+           st.integers(min_value=0, max_value=60), st.sampled_from([0, None]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_by_one_models(self, a, sign, k_max, slack):
+        """H = [[+-a]]: for a >= 2 the nonzero part of T(k+1) has size
+        h M_k - M_(k-1), close to the bound M_(k-1) + h M_k that sets the slot
+        width, and with a up to 2**70 the slots are laid out again at nearly
+        every order."""
+        model = build_hamiltonian([[sign * a]], [[0]])
+        with pytest.MonkeyPatch.context() as patch:
+            if slack is not None:
+                patch.setattr(propagator, "_SLOT_SLACK_BITS", slack)
+            seq = transfer_sequence(model, k_max)
+        assert [dense_of(t) for t in seq] == column_recursion(model, k_max)
+
+
 class TestEqualInitialForm:
+    @pytest.mark.parametrize("n", [True, 2.0, np.int64(3)])
+    def test_order_must_be_an_exact_int(self, n):
+        with pytest.raises(TypeError, match="n must be an int"):
+            equal_initial_form(sigma1_model(), [1, 0], n)
+
+    def test_negative_order_is_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            equal_initial_form(sigma1_model(), [1, 0], -1)
+
+    def test_memory_does_not_grow_with_order(self):
+        """Only the latest two transfer matrices are held: on a critical model,
+        whose parts grow only linearly, the peak at n = 4000 is about that at
+        n = 500."""
+        import tracemalloc
+
+        model = build_hamiltonian(((2, 0), (0, -2)), ZERO2)
+        assert is_critical(model)
+        peaks = []
+        for n in (500, 4000):
+            tracemalloc.start()
+            try:
+                equal_initial_form(model, [1, 1], n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
     def test_order_zero_is_identity(self):
         model = sigma1_model()
         psi0 = GaussianIntVector.basis(2, 0)
