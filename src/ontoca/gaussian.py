@@ -656,10 +656,11 @@ def _unpack_rows(packed, width: int, dim: int) -> tuple:
     from_bytes = int.from_bytes  # looked up once, not twice per entry
     rows = []
     for re, im in packed:
-        re_bytes, im_bytes = (re + offsets).to_bytes(count), (im + offsets).to_bytes(count)
+        re_bytes = (re + offsets).to_bytes(count, "big")
+        im_bytes = (im + offsets).to_bytes(count, "big")
         rows.append(tuple([(c, x, y) for c, slot in slots
-                           if (x := from_bytes(re_bytes[slot]) - offset)
-                           | (y := from_bytes(im_bytes[slot]) - offset)]))
+                           if (x := from_bytes(re_bytes[slot], "big") - offset)
+                           | (y := from_bytes(im_bytes[slot], "big") - offset)]))
     return tuple(rows)
 
 

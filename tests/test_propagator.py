@@ -4,8 +4,10 @@ Exact iteration of the update rule (validated independently in
 test_gaussian) is the oracle for both propagator routes.
 """
 
+import ast
 import cmath
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -519,6 +521,23 @@ class TestPackedRecursion:
                          for row in dense)
         assert gaussian._pack_rows(compiled, width) == packed
         assert gaussian._unpack_rows(packed, width, dim) == compiled
+
+    def test_byte_conversions_name_their_byteorder(self):
+        """int.to_bytes and int.from_bytes default their byteorder only from
+        Python 3.11, and the package supports 3.10: every call in the package
+        passes it, positionally or by keyword."""
+        package = pathlib.Path(gaussian.__file__).parent
+        unnamed = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if (name in ("to_bytes", "from_bytes") and len(node.args) < 2
+                        and not any(kw.arg == "byteorder" for kw in node.keywords)):
+                    unnamed.append(f"{path.name}:{node.lineno}")
+        assert unnamed == []
 
     @given(st.integers(min_value=1, max_value=2**70), st.sampled_from([1, -1]),
            st.integers(min_value=0, max_value=60), st.sampled_from([0, None]))
