@@ -8,12 +8,10 @@ class OntocaError(Exception):
 class SymmetryViolation(OntocaError):
     """S is not symmetric or A is not antisymmetric; carries the first bad index pair."""
 
-    def __init__(self, matrix_name, row, col, message=None):
+    def __init__(self, matrix_name, row, col):
         self.matrix_name = matrix_name
         self.index_pair = (row, col)
-        super().__init__(
-            message or f"{matrix_name} violates its symmetry requirement at ({row}, {col})"
-        )
+        super().__init__(f"{matrix_name} violates its symmetry requirement at ({row}, {col})")
 
 
 class DimensionMismatch(OntocaError):

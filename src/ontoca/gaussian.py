@@ -26,13 +26,17 @@ from .errors import DimensionMismatch, SymmetryViolation
 # =============================================================================
 
 
-def _exact_int(x) -> int:
-    """The one input rule for Gaussian-integer components: an exact int.
+def _exact_int(x, name="a Gaussian-integer component", minimum=None) -> int:
+    """The one input rule for integer arguments: an exact int, at least
+    `minimum` when one is given.  The error names the argument.
 
-    bool is an int subclass and is refused, as are float, complex and str.
+    bool is an int subclass and is refused (TypeError), as are float,
+    complex, str and numpy integers; a value below `minimum` is a ValueError.
     """
     if type(x) is not int:
-        raise TypeError(f"a Gaussian-integer component must be an int, got {x!r}")
+        raise TypeError(f"{name} must be an int, got {x!r}")
+    if minimum is not None and x < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {x}")
     return x
 
 
@@ -498,7 +502,7 @@ class CAPairState:
     index_n: int = 1
 
     def __post_init__(self):
-        _exact_int(self.index_n)
+        _exact_int(self.index_n, "index_n")
         if len(self.psi_prev) != len(self.psi_curr):
             raise DimensionMismatch(
                 f"pair dimensions differ: {len(self.psi_prev)} vs {len(self.psi_curr)}"
@@ -693,8 +697,7 @@ def stream(pair: CAPairState, model: HamiltonianModel) -> Iterator[CAPairState]:
 
 def evolve(pair: CAPairState, model: HamiltonianModel, steps: int) -> Trajectory:
     """Run `steps` forward updates; returns all steps + 2 states."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _exact_int(steps, "steps", 1)
     _check_pair_model(pair, model)
     states = [pair.psi_prev.pairs, pair.psi_curr.pairs]
     for _ in range(steps):

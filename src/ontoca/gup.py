@@ -31,6 +31,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, FamilyTooNarrow
+from .gaussian import _exact_int
 from .propagator import DiscretenessScale
 
 # Amplitudes per random_states block (at least one row): 64 KiB of complex128,
@@ -136,8 +137,7 @@ def gaussian_envelope(size: int, width) -> LatticeState:
 def single_site_state(size: int, site: int) -> LatticeState:
     """The state sharply localized at label `site`, an exact int in the range
     of site_labels(size)."""
-    if type(site) is not int:  # bool, float and numpy integers are refused
-        raise TypeError(f"site must be an int, got {site!r}")
+    _exact_int(site, "site")
     low = -(size // 2)
     if not low <= site < low + size:
         raise ValueError(f"site {site} is not a label of {size} sites, [{low}, {low + size - 1}]")

@@ -65,7 +65,7 @@ Edge = tuple[int, int]
 def _sorted_pair(i, j) -> Edge:
     """Two vertex labels as exact ints, smaller first; a bool, float or string
     raises TypeError."""
-    i, j = _exact_int(i), _exact_int(j)
+    i, j = _exact_int(i, "edge endpoint"), _exact_int(j, "edge endpoint")
     return (i, j) if i <= j else (j, i)
 
 
@@ -77,9 +77,7 @@ class GraphTopology:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        n_vertices = _exact_int(self.n_vertices)
-        if n_vertices < 2:
-            raise ValueError(f"need at least 2 vertices, got {n_vertices}")
+        n_vertices = _exact_int(self.n_vertices, "n_vertices", 2)
         seen = set()
         norm = []
         for i, j in self.edges:
@@ -130,7 +128,7 @@ class GraphTopology:
 
 def _start_index(index, bits: int) -> int:
     """A start state: an exact int basis index in [0, 2**bits)."""
-    index = _exact_int(index)
+    index = _exact_int(index, "start")
     if not 0 <= index < 1 << bits:
         raise ValueError(f"basis index {index} out of range for {bits} bits")
     return index
@@ -255,20 +253,6 @@ class PhasedPermutation:
         # uint8 negation wraps mod 256, a multiple of 4
         return _phased(target, -self.phase_exponent[target])
 
-    def power(self, k: int) -> "PhasedPermutation":
-        """self**k by repeated squaring: O(log |k|) compositions."""
-        if k < 0:
-            return self.inverse().power(-k)
-        acc = PhasedPermutation.identity(self.size)
-        square = self
-        while k:
-            if k & 1:
-                acc = square.compose_after(acc)
-            k >>= 1
-            if k:
-                square = square.compose_after(square)
-        return acc
-
     def to_dense(self) -> np.ndarray:
         m = np.zeros((self.size, self.size), dtype=complex)
         m[self.target, np.arange(self.size)] = PHASES[self.phase_exponent]
@@ -319,7 +303,7 @@ class Schedule:
         object.__setattr__(self, "steps", _norm_steps(self.steps))
         object.__setattr__(self, "pool", tuple(_sorted_pair(i, j) for i, j in self.pool))
         if self.seed is not None:
-            object.__setattr__(self, "seed", _exact_int(self.seed))
+            object.__setattr__(self, "seed", _exact_int(self.seed, "seed"))
         if self.kind in ("periodic", "explicit"):
             if not self.steps:
                 raise ValueError(
@@ -368,7 +352,7 @@ def _norm_steps(steps) -> tuple[tuple[int, int, int], ...]:
             sign = 1
         else:
             i, j, sign = entry
-        out.append((*_sorted_pair(i, j), _exact_int(sign)))
+        out.append((*_sorted_pair(i, j), _exact_int(sign, "sign")))
     return tuple(out)
 
 
@@ -381,7 +365,7 @@ def model_a_step_operator(
     with uniform phase exponent 3 (sign +1) or 1 (sign -1).
     """
     topology.edge_number(active_edge)  # raises EdgeNotInTopology
-    if sign not in (1, -1):
+    if _exact_int(sign, "sign") not in (1, -1):
         raise ValueError(f"coefficient must be +1 or -1, got {sign}")
     x = np.arange(1 << topology.n_vertices, dtype=np.intp)
     mask = topology.vertex_mask(active_edge)
@@ -401,8 +385,7 @@ def model_a_evolve(
     (index, phase exponent) pairs starting from (start, 0).  Superpositions
     can never appear: each step is a pure permutation with a phase.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    _exact_int(steps, "steps", 0)
     index = _start_index(start, topology.n_vertices)
     phase = 0
     out = [(index, 0)]
@@ -478,8 +461,7 @@ def model_b_evolve(
     (index, phase exponent) pairs starting from (start, 0), the orbit of
     `edge_update_compose(model_b_transfer(t), lift_pattern_rule(t, rule), t)`.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    _exact_int(steps, "steps", 0)
     n_vertices, n_edges = topology.n_vertices, topology.n_edges
     index = _start_index(start, n_vertices + n_edges)
     if pattern_rule.size != 1 << n_edges:
@@ -504,7 +486,7 @@ def model_b_factor(topology: GraphTopology, edge_number: int) -> PhasedPermutati
     All factors commute; composing them in any order and appending the
     overall -i reproduces the full transfer map.
     """
-    if not 0 <= edge_number < topology.n_edges:
+    if not 0 <= _exact_int(edge_number, "edge_number") < topology.n_edges:
         raise EdgeNotInTopology(f"edge number {edge_number} out of range")
     x = np.arange(1 << topology.total_bits)
     gate = (x >> (topology.n_vertices + edge_number)) & 1
@@ -514,8 +496,7 @@ def model_b_factor(topology: GraphTopology, edge_number: int) -> PhasedPermutati
 
 def projector_identity_check(k: int) -> bool:
     """(+/- (sigma3 +/- 1)/2)^k reproduces itself exactly, for both sign choices."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _exact_int(k, "k", 1)
     half = Fraction(1, 2)
     sigma3 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
     for sign in (1, -1):
@@ -529,15 +510,9 @@ def projector_identity_check(k: int) -> bool:
         )
         acc = proj
         for _ in range(k - 1):
-            acc = (
-                (
-                    acc[0][0] * proj[0][0] + acc[0][1] * proj[1][0],
-                    acc[0][0] * proj[0][1] + acc[0][1] * proj[1][1],
-                ),
-                (
-                    acc[1][0] * proj[0][0] + acc[1][1] * proj[1][0],
-                    acc[1][0] * proj[0][1] + acc[1][1] * proj[1][1],
-                ),
+            acc = tuple(
+                tuple(sum(acc[r][m] * proj[m][c] for m in range(2)) for c in range(2))
+                for r in range(2)
             )
         if acc != proj:
             return False
@@ -682,7 +657,7 @@ def global_vertex_flip(topology: GraphTopology) -> PhasedPermutation:
 
 def vertex_sign_flip(topology: GraphTopology, vertex: int) -> PhasedPermutation:
     """Diagonal map multiplying by -1 whenever the given vertex spin is down."""
-    if not 0 <= vertex < topology.n_vertices:
+    if not 0 <= _exact_int(vertex, "vertex") < topology.n_vertices:
         raise ValueError(f"vertex {vertex} out of range")
     x = np.arange(1 << topology.total_bits)
     return PhasedPermutation(x, np.where((x >> vertex) & 1, 0, 2))

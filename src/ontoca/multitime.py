@@ -96,8 +96,7 @@ class TensorHamiltonian:
     model: HamiltonianModel
 
     def __post_init__(self):
-        if any(d < 1 for d in self.dims):
-            raise ValueError(f"factor dimensions must be positive, got {self.dims}")
+        object.__setattr__(self, "dims", tuple(_exact_int(d, "dims", 1) for d in self.dims))
         if math.prod(self.dims) != self.model.dim:
             raise DimensionMismatch(
                 f"matrix is {self.model.dim}x{self.model.dim} but dims {self.dims} "
@@ -112,7 +111,7 @@ class TensorHamiltonian:
     def general(cls, matrix, dims: Sequence[int]) -> "TensorHamiltonian":
         if not isinstance(matrix, HamiltonianModel):
             matrix = _hamiltonian(matrix)
-        return cls(dims=tuple(_exact_int(d) for d in dims), model=matrix)
+        return cls(dims=tuple(dims), model=matrix)
 
     @classmethod
     def separable(cls, *factors) -> "TensorHamiltonian":
@@ -166,7 +165,8 @@ class MultiTimeField:
 
     def __post_init__(self):
         object.__setattr__(self, "values", {
-            (_exact_int(n1), _exact_int(n2)): _raw_vector(vec, self.component_length)
+            (_exact_int(n1, "point"), _exact_int(n2, "point")):
+                _raw_vector(vec, self.component_length)
             for (n1, n2), vec in dict(self.values).items()})
 
     @classmethod
@@ -207,19 +207,12 @@ def _coupling_rows(h: TensorHamiltonian, field_: MultiTimeField) -> tuple:
     return h.model.h_rows
 
 
-def product_field(
-    traj1: Trajectory, traj2: Trajectory, n1_range=None, n2_range=None
-) -> MultiTimeField:
+def product_field(traj1: Trajectory, traj2: Trajectory) -> MultiTimeField:
     """Field psi[n1,n2] = phi1[n1] (x) phi2[n2] built from two single-system runs."""
     d1, d2 = traj1.model.dim, traj2.model.dim
-    if n1_range is None:
-        n1_range = range(traj1.start_index, traj1.start_index + len(traj1))
-    if n2_range is None:
-        n2_range = range(traj2.start_index, traj2.start_index + len(traj2))
-    second_states = [(n2, traj2.raw_states[n2 - traj2.start_index]) for n2 in n2_range]
+    second_states = list(enumerate(traj2.raw_states, traj2.start_index))
     values = {}
-    for n1 in n1_range:
-        a = traj1.raw_states[n1 - traj1.start_index]
+    for n1, a in enumerate(traj1.raw_states, traj1.start_index):
         for n2, b in second_states:
             values[(n1, n2)] = tuple(
                 (ar * br - ai * bi, ar * bi + ai * br) for ar, ai in a for br, bi in b
@@ -321,7 +314,7 @@ def propagate_line(
     transverse coordinate wraps and the line length is preserved.  Returns
     the two newest lines, ready for the next step.
     """
-    if direction not in (1, -1):
+    if _exact_int(direction, "direction") not in (1, -1):
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     rows = _coupling_rows(h, field_)
     lines = line_pair(field_, axis, periodic)
@@ -436,8 +429,7 @@ def sync_first_order(state, h: TensorHamiltonian, steps: int) -> tuple[tuple, ..
     (the previous state equals -i H times the current one) generates the
     same states at decreasing indices.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _exact_int(steps, "steps", 1)
     return tuple(_boxed(v) for v in synchronized_states((state,), h, steps))
 
 

@@ -19,6 +19,7 @@ from .gaussian import (
     GaussianRational,
     HamiltonianModel,
     Trajectory,
+    _exact_int,
     build_hamiltonian,
     stream,
 )
@@ -131,8 +132,7 @@ def detect_phased_permutation(
         raise ValueError("basis must be nonempty")
     if max_steps is None:
         max_steps = DEFAULT_MAX_STEPS_FACTOR * model.dim
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+    _exact_int(max_steps, "max_steps", 1)
 
     psi0 = GaussianIntVector(psi0)
     psi1 = GaussianIntVector(psi1)

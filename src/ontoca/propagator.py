@@ -29,6 +29,7 @@ from .gaussian import (
     GaussianIntVector,
     HamiltonianModel,
     _det_raw,
+    _exact_int,
     _largest_row_sum,
     _matvec_raw,
     _pack_rows,
@@ -196,25 +197,16 @@ def _largest_part(rows) -> int:
     return max((max(abs(re), abs(im)) for row in rows for _, re, im in row), default=0)
 
 
-def _check_order(value, name: str):
-    """An order argument: an exact int (bool, float and numpy integers are
-    refused with a TypeError), at least 0 (else ValueError)."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0")
-
-
 def transfer_sequence(model: HamiltonianModel, k_max: int) -> list[TransferPolynomial]:
     """T(0) .. T(k_max) via the exact three-term recursion T(k+1) = T(k-1) - iH T(k)."""
-    _check_order(k_max, "k_max")
+    _exact_int(k_max, "k_max", 0)
     return list(itertools.islice(_transfer_orders(model), k_max + 1))
 
 
 def equal_initial_form(model: HamiltonianModel, psi0: GaussianIntVector, n: int) -> GaussianIntVector:
     """[T(n+1) + T(n)] psi0, the exact trajectory when psi1 is chosen equal to psi0;
     only the latest two transfer matrices are held."""
-    _check_order(n, "n")
+    _exact_int(n, "n", 0)
     t_n, t_next = collections.deque(itertools.islice(_transfer_orders(model), n + 2), maxlen=2)
     psi0 = GaussianIntVector(psi0)
     return t_next.apply(psi0) + t_n.apply(psi0)

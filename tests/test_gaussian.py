@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ontoca import gaussian, multitime
+from ontoca import gaussian, gup, ising, multitime, ontology, propagator
 from ontoca.ising import GraphTopology, Schedule
 from ontoca.propagator import DiscretenessScale
 from ontoca.errors import DimensionMismatch, SymmetryViolation, ZeroVector
@@ -301,6 +301,71 @@ class TestOneConstructorIntRule:
         with pytest.raises(ValueError, match="positive number, got "):
             DiscretenessScale(flag)
         assert DiscretenessScale(1).l == 1 and DiscretenessScale(0.5).l == 0.5
+
+
+RING3 = GraphTopology.ring(3)
+PAIR_FLIP_LINES = multitime.MultiTimeField(
+    (2, 2), {(n1, n2): [1, 0, 0, 0] for n1 in (0, 1) for n2 in range(3)})
+SIGMA1_MODEL = build_hamiltonian(SIGMA1, ZERO2)
+# Every integer argument read by gaussian._exact_int: (call, name, minimum or None).
+NAMED_INT_ARGUMENTS = {
+    "CAPairState index_n": (lambda v: CAPairState(
+        GaussianIntVector([1]), GaussianIntVector([0]), index_n=v), "index_n", None),
+    "evolve steps": (lambda v: evolve(CAPairState(
+        GaussianIntVector([1, 0]), GaussianIntVector([0, 1])), SIGMA1_MODEL, v), "steps", 1),
+    "transfer_sequence k_max":
+        (lambda v: propagator.transfer_sequence(SIGMA1_MODEL, v), "k_max", 0),
+    "equal_initial_form n":
+        (lambda v: propagator.equal_initial_form(SIGMA1_MODEL, [1, 0], v), "n", 0),
+    "detect_phased_permutation max_steps": (lambda v: ontology.detect_phased_permutation(
+        SIGMA1_MODEL, [1, 0], [0, 1], ontology.standard_basis_rays(2), v), "max_steps", 1),
+    "TensorHamiltonian dims": (lambda v: multitime.TensorHamiltonian.general(
+        PAIR_FLIP.model, (v, 2)), "dims", 1),
+    "MultiTimeField point": (lambda v: multitime.MultiTimeField(
+        (1, 1), {(0, v): [1]}), "point", None),
+    "sync_first_order steps": (lambda v: multitime.sync_first_order(
+        [1, 0, 0, 0], PAIR_FLIP, v), "steps", 1),
+    "propagate_line direction": (lambda v: multitime.propagate_line(
+        PAIR_FLIP_LINES, PAIR_FLIP, direction=v), "direction", None),
+    "GraphTopology n_vertices": (lambda v: GraphTopology(v, ()), "n_vertices", 2),
+    "GraphTopology edge endpoint": (lambda v: GraphTopology(3, ((0, v),)), "edge endpoint", None),
+    "model_a_evolve start": (lambda v: ising.model_a_evolve(
+        RING3, v, Schedule.periodic([(0, 1)]), 1), "start", None),
+    "Schedule seed": (lambda v: Schedule.seeded_random(v, [(0, 1)]), "seed", None),
+    "Schedule sign": (lambda v: Schedule.periodic([(0, 1, v)]), "sign", None),
+    "model_a_step_operator sign": (lambda v: ising.model_a_step_operator(
+        RING3, (0, 1), v), "sign", None),
+    "model_a_evolve steps": (lambda v: ising.model_a_evolve(
+        RING3, 0, Schedule.periodic([(0, 1)]), v), "steps", 0),
+    "model_b_evolve steps": (lambda v: ising.model_b_evolve(
+        RING3, 0, ising.frozen_pattern_rule(RING3), v), "steps", 0),
+    "model_b_factor edge_number": (lambda v: ising.model_b_factor(RING3, v), "edge_number", None),
+    "vertex_sign_flip vertex": (lambda v: ising.vertex_sign_flip(RING3, v), "vertex", None),
+    "projector_identity_check k": (lambda v: ising.projector_identity_check(v), "k", 1),
+    "single_site_state site": (lambda v: gup.single_site_state(8, v), "site", None),
+}
+
+
+class TestNamedIntArguments:
+    """One reader checks every integer argument: anything but an exact int is
+    a TypeError and a value below the minimum a ValueError, each naming the
+    argument."""
+
+    @pytest.mark.parametrize("bad", [True, 2.0, np.int64(2)], ids=repr)
+    @pytest.mark.parametrize("position", NAMED_INT_ARGUMENTS)
+    def test_a_non_int_is_refused_by_name(self, position, bad):
+        call, name, _ = NAMED_INT_ARGUMENTS[position]
+        with pytest.raises(TypeError) as refused:
+            call(bad)
+        assert str(refused.value).startswith(f"{name} must be an int, got ")
+
+    @pytest.mark.parametrize("position", [p for p, row in NAMED_INT_ARGUMENTS.items()
+                                          if row[2] is not None])
+    def test_a_value_below_the_minimum_is_refused_by_name(self, position):
+        call, name, minimum = NAMED_INT_ARGUMENTS[position]
+        with pytest.raises(ValueError) as refused:
+            call(minimum - 1)
+        assert str(refused.value) == f"{name} must be >= {minimum}, got {minimum - 1}"
 
 
 def _ref(op, a, b):

@@ -539,6 +539,14 @@ class TestPackedRecursion:
                     unnamed.append(f"{path.name}:{node.lineno}")
         assert unnamed == []
 
+    def test_every_module_parses_as_python_3_10(self):
+        """The package supports Python 3.10 even when the suite runs on a later
+        interpreter: every module must parse with 3.10's grammar (no
+        `except*`, no type parameter lists)."""
+        package = pathlib.Path(gaussian.__file__).parent
+        for path in sorted(package.rglob("*.py")):
+            ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
     @given(st.integers(min_value=1, max_value=2**70), st.sampled_from([1, -1]),
            st.integers(min_value=0, max_value=60), st.sampled_from([0, None]))
     @settings(max_examples=60, deadline=None)
