@@ -20,6 +20,7 @@ import sys
 from . import gup, ising, multitime, ontology, propagator, serialize, verify
 from .errors import (
     ConfigInvalid,
+    DimensionOverflow,
     DomainTooSmall,
     EdgeNotInTopology,
     GeometryMismatch,
@@ -462,16 +463,19 @@ def _spin_bits(value, length: int, path: str) -> int:
     return int(value[::-1] or "0", 2)
 
 
+def _check_table_size(topology, part: str) -> None:
+    """The library's table size rule on a config topology, before any table is built."""
+    try:
+        ising._table_bits(topology, part)
+    except DimensionOverflow as exc:
+        raise ConfigInvalid("topology", str(exc)) from None
+
+
 def cmd_ising_a(args) -> int:
     config = _load_config(args, "ising-a")
     topology = serialize.config_document(config.get("topology"), "topology",
                                          serialize.topology_from_mapping)
-    # the composition check builds 2^vertices tables
-    if topology.n_vertices > ising.DEFAULT_MAX_BITS:
-        raise ConfigInvalid(
-            "topology", f"{topology.n_vertices} vertices exceed the "
-            f"{ising.DEFAULT_MAX_BITS}-bit limit"
-        )
+    _check_table_size(topology, "vertices")  # the composition check builds 2^V tables
     schedule = serialize.config_document(config.get("schedule"), "schedule",
                                          serialize.schedule_from_mapping)
     start = _spin_bits(config.get("start", "0" * topology.n_vertices), topology.n_vertices,
@@ -507,11 +511,7 @@ def cmd_ising_b(args) -> int:
                                          serialize.topology_from_mapping)
     # The orbit and the unitarity check use 2^E edge-pattern tables only; the
     # input limit stays that of the library's 2^bits table builders.
-    if topology.total_bits > ising.DEFAULT_MAX_BITS:
-        raise ConfigInvalid(
-            "topology", f"{topology.total_bits} vertex + edge bits exceed the "
-            f"{ising.DEFAULT_MAX_BITS}-bit limit"
-        )
+    _check_table_size(topology, "vertex + edge bits")
     start_cfg = serialize.config_mapping(config.get("start", {}), "start", ("vertices", "edges"))
     n_vertices, n_edges = topology.n_vertices, topology.n_edges
     start = (_spin_bits(start_cfg.get("vertices", "0" * n_vertices), n_vertices, "start.vertices")

@@ -271,7 +271,10 @@ class GaussianIntVector:
 
     @staticmethod
     def basis(dim: int, index: int) -> "GaussianIntVector":
-        return GaussianIntVector((int(k == index), 0) for k in range(dim))
+        dim = _exact_int(dim, "dim", 1)
+        if not 0 <= _exact_int(index, "index") < dim:
+            raise ValueError(f"index must be in [0, {dim}), got {index}")
+        return GaussianIntVector._of((int(k == index), 0) for k in range(dim))
 
     @staticmethod
     def zero(dim: int) -> "GaussianIntVector":
@@ -364,16 +367,34 @@ def _step_raw(rows, base, v, sign: int = 1) -> list[tuple[int, int]]:
     ]
 
 
-def _det_raw(matrix) -> tuple[int, int]:
-    """Determinant of a square matrix of raw (re, im) pairs.
+def _eliminate_below(m, k: int, previous: tuple[int, int]) -> None:
+    """One fraction-free (Bareiss) elimination step on rows of raw (re, im)
+    pairs, in place: for r, c > k, m[r][c] becomes
+    (m[k][k] * m[r][c] - m[r][k] * m[k][c]) / previous, where `previous` is
+    the pivot of the step before (1 at the first), and that division is exact
+    in the Gaussian integers."""
+    kre, kim = m[k][k]
+    pre, pim = previous
+    norm = pre * pre + pim * pim
+    pivot_row = m[k]
+    for row in m[k + 1:]:
+        rre, rim = row[k]
+        for c in range(k + 1, len(row)):
+            cre, cim = pivot_row[c]
+            xre, xim = row[c]
+            nre = kre * xre - kim * xim - (rre * cre - rim * cim)
+            nim = kre * xim + kim * xre - (rre * cim + rim * cre)
+            row[c] = ((nre * pre + nim * pim) // norm, (nim * pre - nre * pim) // norm)
 
-    Fraction-free (Bareiss) elimination: each entry update divides by the
-    previous pivot, and that division is exact in the Gaussian integers.
-    """
+
+def _det_raw(matrix) -> tuple[int, int]:
+    """Determinant of a square matrix of raw (re, im) pairs, by fraction-free
+    elimination (`_eliminate_below`) with the pivot of column k searched down
+    that column."""
     m = [list(row) for row in matrix]
     n = len(m)
     sign = 1
-    pre, pim = 1, 0
+    previous = (1, 0)
     for k in range(n - 1):
         pivot = next((r for r in range(k, n) if m[r][k] != (0, 0)), None)
         if pivot is None:
@@ -381,21 +402,31 @@ def _det_raw(matrix) -> tuple[int, int]:
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        kre, kim = m[k][k]
-        norm = pre * pre + pim * pim
-        for r in range(k + 1, n):
-            rre, rim = m[r][k]
-            row = m[r]
-            for c in range(k + 1, n):
-                cre, cim = m[k][c]
-                xre, xim = row[c]
-                # (pivot * m[r][c] - m[r][k] * m[k][c]) / previous pivot
-                nre = kre * xre - kim * xim - (rre * cre - rim * cim)
-                nim = kre * xim + kim * xre - (rre * cim + rim * cre)
-                row[c] = ((nre * pre + nim * pim) // norm, (nim * pre - nre * pim) // norm)
-        pre, pim = kre, kim
+        _eliminate_below(m, k, previous)
+        previous = m[k][k]
     re, im = m[n - 1][n - 1]
     return (sign * re, sign * im)
+
+
+def _rank_raw(matrix) -> int:
+    """Rank of a matrix of raw (re, im) pairs: the number of nonzero pivots of
+    the fraction-free elimination (`_eliminate_below`), with each pivot
+    searched over the remaining rows and columns."""
+    m = [list(row) for row in matrix]
+    n_rows, n_cols = len(m), len(m[0]) if m else 0
+    previous = (1, 0)
+    for k in range(min(n_rows, n_cols)):
+        pivot = next(((r, c) for r in range(k, n_rows) for c in range(k, n_cols)
+                      if m[r][c] != (0, 0)), None)
+        if pivot is None:
+            return k
+        r, c = pivot
+        m[k], m[r] = m[r], m[k]
+        for row in m[k:]:
+            row[k], row[c] = row[c], row[k]
+        _eliminate_below(m, k, previous)
+        previous = m[k][k]
+    return min(n_rows, n_cols)
 
 
 # =============================================================================

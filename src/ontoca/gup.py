@@ -54,6 +54,7 @@ class LatticeOperator:
     name: str
 
     def __post_init__(self):
+        object.__setattr__(self, "size", _exact_int(self.size, "size", 1))
         if self.boundary not in ("periodic", "open"):
             raise ValueError(f"boundary must be 'periodic' or 'open', got {self.boundary!r}")
         if self.name not in ("X", "P"):
@@ -150,14 +151,20 @@ def random_states(size: int, count: int, seed: int) -> Iterator[LatticeState]:
     """`count` random normalized states from one seeded stream, in (k, size)
     blocks of at most BLOCK_AMPLITUDES // size rows (at least one).  A row's
     real then imaginary parts are the next 2 * size normals of the stream,
-    as when each sample drew standard_normal(size) twice."""
-    rng = np.random.default_rng(seed)
+    as when each sample drew standard_normal(size) twice.  The arguments are
+    checked on the call, before any state is drawn."""
+    size, count = _exact_int(size, "size", 1), _exact_int(count, "count", 0)
+    rng = np.random.default_rng(_exact_int(seed, "seed", 0))
     rows = max(1, BLOCK_AMPLITUDES // size)
-    for start in range(0, count, rows):
-        draws = rng.standard_normal((min(rows, count - start), 2, size))
-        block = np.empty((len(draws), size), dtype=complex)  # each part copied once
-        block.real, block.imag = draws[:, 0], draws[:, 1]
-        yield LatticeState.from_amplitudes(block)
+    return (_random_block(rng, min(rows, count - start), size)
+            for start in range(0, count, rows))
+
+
+def _random_block(rng: np.random.Generator, rows: int, size: int) -> LatticeState:
+    draws = rng.standard_normal((rows, 2, size))
+    block = np.empty((rows, size), dtype=complex)  # each part copied once
+    block.real, block.imag = draws[:, 0], draws[:, 1]
+    return LatticeState.from_amplitudes(block)
 
 
 # =============================================================================

@@ -126,6 +126,16 @@ class GraphTopology:
         return cls(n, tuple((k, k + 1) for k in range(n - 1)))
 
 
+def _table_bits(topology: GraphTopology, part: str = "vertex + edge bits") -> int:
+    """The k of every 2**k table here, over the "vertices", the "edges" or the
+    "vertex + edge bits" of `topology`; DimensionOverflow past DEFAULT_MAX_BITS."""
+    bits = {"vertices": topology.n_vertices, "edges": topology.n_edges,
+            "vertex + edge bits": topology.total_bits}[part]
+    if bits > DEFAULT_MAX_BITS:
+        raise DimensionOverflow(f"{bits} {part} exceed the {DEFAULT_MAX_BITS}-bit limit")
+    return bits
+
+
 def _start_index(index, bits: int) -> int:
     """A start state: an exact int basis index in [0, 2**bits)."""
     index = _exact_int(index, "start")
@@ -367,7 +377,7 @@ def model_a_step_operator(
     topology.edge_number(active_edge)  # raises EdgeNotInTopology
     if _exact_int(sign, "sign") not in (1, -1):
         raise ValueError(f"coefficient must be +1 or -1, got {sign}")
-    x = np.arange(1 << topology.n_vertices, dtype=np.intp)
+    x = np.arange(1 << _table_bits(topology, "vertices"), dtype=np.intp)
     mask = topology.vertex_mask(active_edge)
     # an XOR by a fixed mask is its own inverse, so a bijection by construction
     return _phased(x ^ mask, np.full(x.size, 3 if sign == 1 else 1, dtype=np.uint8))
@@ -405,7 +415,7 @@ def model_a_composition_holds(
 ) -> bool:
     """Whether the step operators of the schedule, composed over the run of
     `model_a_evolve`, send its first state to its last one with the same phase."""
-    composed = PhasedPermutation.identity(1 << topology.n_vertices)
+    composed = PhasedPermutation.identity(1 << _table_bits(topology, "vertices"))
     for n in range(len(run) - 1):
         edge, sign = schedule.active(n)
         composed = model_a_step_operator(topology, edge, sign).compose_after(composed)
@@ -424,13 +434,7 @@ def model_b_transfer(topology: GraphTopology) -> PhasedPermutation:
     per-edge factors commute, so the edge ordering of the topology is
     irrelevant to the result.
     """
-    bits = topology.total_bits
-    if bits > DEFAULT_MAX_BITS:
-        raise DimensionOverflow(
-            f"{topology.n_vertices} vertex + {topology.n_edges} edge bits exceed the "
-            f"{DEFAULT_MAX_BITS}-bit limit"
-        )
-    x = np.arange(1 << bits)
+    x = np.arange(1 << _table_bits(topology))
     masks = edge_pattern_masks(topology)
     return PhasedPermutation(x ^ masks[x >> topology.n_vertices], np.full_like(x, 3))
 
@@ -439,7 +443,7 @@ def edge_pattern_masks(topology: GraphTopology) -> np.ndarray:
     """Vertex-flip mask of every edge-bit pattern: the XOR of the vertex masks
     of its up edges.  Entry p is what the transfer map XORs into the vertex
     bits of any state whose edge bits read p."""
-    patterns = np.arange(1 << topology.n_edges)
+    patterns = np.arange(1 << _table_bits(topology, "edges"))
     masks = np.zeros_like(patterns)
     for e, edge in enumerate(topology.edges):
         masks ^= ((patterns >> e) & 1) * topology.vertex_mask(edge)
@@ -488,7 +492,7 @@ def model_b_factor(topology: GraphTopology, edge_number: int) -> PhasedPermutati
     """
     if not 0 <= _exact_int(edge_number, "edge_number") < topology.n_edges:
         raise EdgeNotInTopology(f"edge number {edge_number} out of range")
-    x = np.arange(1 << topology.total_bits)
+    x = np.arange(1 << _table_bits(topology))
     gate = (x >> (topology.n_vertices + edge_number)) & 1
     mask = topology.vertex_mask(topology.edges[edge_number])
     return PhasedPermutation(x ^ (gate * mask), np.zeros_like(x))
@@ -531,7 +535,7 @@ def generator_pair_counts(topology: GraphTopology, patterns: np.ndarray) -> np.n
     the up edges of vertex mask m.  Returns the int64 rows c_p, of shape
     (len(patterns), 2**V); no block is built.
     """
-    counts = np.zeros((patterns.size, 1 << topology.n_vertices), dtype=np.int64)
+    counts = np.zeros((patterns.size, 1 << _table_bits(topology, "vertices")), dtype=np.int64)
     rows = np.arange(patterns.size)
     for e, edge in enumerate(topology.edges):
         # distinct edges have distinct nonzero masks: one entry per pattern and edge
@@ -585,11 +589,7 @@ def verify_exponential_form(topology: GraphTopology) -> float:
     The fitted phase is then a fourth root of unity, and the deviation is
     exactly 0.0 when the identity holds.  Accepts up to DEFAULT_MAX_BITS.
     """
-    if topology.total_bits > DEFAULT_MAX_BITS:
-        raise DimensionOverflow(
-            f"{topology.n_vertices} vertex + {topology.n_edges} edge bits exceed the "
-            f"{DEFAULT_MAX_BITS}-bit limit"
-        )
+    _table_bits(topology)  # the size rule of the 2**bits maps it compares
     width = 1 << topology.n_vertices
     masks = edge_pattern_masks(topology)
     at_mask = np.empty((2, masks.size), dtype=np.int64)  # 2**V g_p[masks[p]], re and im
@@ -625,7 +625,7 @@ def exponential_identity_holds(topology: GraphTopology) -> bool:
     every pair of factors commutes, and that the composed factors with phase
     -i equal the transfer map, so the two agree up to one constant phase.
     """
-    size = 1 << topology.total_bits
+    size = 1 << _table_bits(topology)
     identity = PhasedPermutation.identity(size)
     factors = [model_b_factor(topology, e) for e in range(topology.n_edges)]
     if any(f.compose_after(f) != identity for f in factors):
@@ -651,7 +651,7 @@ def gauge_check(transform: PhasedPermutation, topology: GraphTopology) -> tuple[
 
 def global_vertex_flip(topology: GraphTopology) -> PhasedPermutation:
     """Flip every vertex spin; a discrete symmetry candidate."""
-    x = np.arange(1 << topology.total_bits)
+    x = np.arange(1 << _table_bits(topology))
     return PhasedPermutation(x ^ ((1 << topology.n_vertices) - 1), np.zeros_like(x))
 
 
@@ -659,7 +659,7 @@ def vertex_sign_flip(topology: GraphTopology, vertex: int) -> PhasedPermutation:
     """Diagonal map multiplying by -1 whenever the given vertex spin is down."""
     if not 0 <= _exact_int(vertex, "vertex") < topology.n_vertices:
         raise ValueError(f"vertex {vertex} out of range")
-    x = np.arange(1 << topology.total_bits)
+    x = np.arange(1 << _table_bits(topology))
     return PhasedPermutation(x, np.where((x >> vertex) & 1, 0, 2))
 
 
@@ -694,7 +694,7 @@ def edge_update_compose(
 
 def frozen_pattern_rule(topology: GraphTopology) -> PhasedPermutation:
     """Edge spins never change."""
-    return PhasedPermutation.identity(1 << topology.n_edges)
+    return PhasedPermutation.identity(1 << _table_bits(topology, "edges"))
 
 
 def cyclic_pattern_rule(topology: GraphTopology) -> PhasedPermutation:
@@ -702,15 +702,15 @@ def cyclic_pattern_rule(topology: GraphTopology) -> PhasedPermutation:
     n_edges = topology.n_edges
     if n_edges < 2:
         return frozen_pattern_rule(topology)
-    p = np.arange(1 << n_edges)
+    p = np.arange(1 << _table_bits(topology, "edges"))
     shifted = ((p << 1) | (p >> (n_edges - 1))) & ((1 << n_edges) - 1)
     return PhasedPermutation(shifted, np.zeros_like(p))
 
 
 def seeded_pattern_rule(topology: GraphTopology, seed: int) -> PhasedPermutation:
     """A fixed random permutation of edge-bit patterns, reproducible per seed."""
-    patterns = list(range(1 << topology.n_edges))
-    random.Random(seed).shuffle(patterns)
+    patterns = list(range(1 << _table_bits(topology, "edges")))
+    random.Random(_exact_int(seed, "seed")).shuffle(patterns)
     return PhasedPermutation(patterns, np.zeros(len(patterns), dtype=np.uint8))
 
 
@@ -721,7 +721,7 @@ def lift_pattern_rule(topology: GraphTopology, rule: PhasedPermutation) -> Phase
             f"edge rule size {rule.size} vs {1 << topology.n_edges} edge patterns"
         )
     n = topology.n_vertices
-    x = np.arange(1 << topology.total_bits)
+    x = np.arange(1 << _table_bits(topology))
     pattern = x >> n
     # a bijection on patterns times the identity on vertex bits is a bijection
     return _phased((x & ((1 << n) - 1)) | (rule.target[pattern] << n),

@@ -39,11 +39,9 @@ from .errors import (
     SymmetryViolation,
 )
 from .gaussian import (GaussianIntVector, GaussianRational, HamiltonianModel, Trajectory,
-                       _exact_int, _matvec_raw, _self_adjoint_model, _step_raw)
+                       _exact_int, _matvec_raw, _rank_raw, _self_adjoint_model, _step_raw)
 
 Point = tuple[int, int]
-
-SCHMIDT_REL_TOL = 1e-10
 
 
 # =============================================================================
@@ -443,16 +441,16 @@ def norm_sq_exact(vec) -> GaussianRational:
 
 
 def schmidt_rank(state, dims: tuple[int, int]) -> int:
-    """Rank of the d1 x d2 reshaped state; 1 means uncorrelated.  Singular values
-    below SCHMIDT_REL_TOL times the largest count as zero."""
+    """Rank of the d1 x d2 reshaped state, exact; 1 means uncorrelated.  The
+    components are scaled by their common denominator to Gaussian integers,
+    whose rank `_rank_raw` counts."""
     d1, d2 = dims
-    vec = [complex(GaussianRational._coerce(c)) for c in state]
+    vec = [GaussianRational._coerce(c) for c in state]
     if len(vec) != d1 * d2:
         raise DimensionMismatch(f"state length {len(vec)} vs dims {dims}")
-    sv = np.linalg.svd(np.array(vec).reshape(d1, d2), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > SCHMIDT_REL_TOL * sv[0]))
+    scale = math.lcm(*(part.denominator for c in vec for part in (c.re, c.im)))
+    pairs = [((c.re * scale).numerator, (c.im * scale).numerator) for c in vec]
+    return _rank_raw([pairs[r * d2:(r + 1) * d2] for r in range(d1)])
 
 
 @dataclass(frozen=True)

@@ -884,7 +884,8 @@ class TestIsing:
         assert capsys.readouterr().err.startswith(f"config error: {path}:")
 
     def test_size_limit_checked_before_any_table(self, tmp_path, capsys, monkeypatch):
-        # 13 vertices + 13 edges = 26 bits: the cyclic rule table alone would be 2^26 entries
+        # 13 vertices + 13 edges = 26 bits: the cyclic rule has 2^13 entries, and the
+        # 2^26-entry tables are those of the patched builders below
         def no_table(*args, **kwargs):
             raise AssertionError("a 2^bits table was built")
 

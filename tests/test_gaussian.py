@@ -343,6 +343,13 @@ NAMED_INT_ARGUMENTS = {
     "vertex_sign_flip vertex": (lambda v: ising.vertex_sign_flip(RING3, v), "vertex", None),
     "projector_identity_check k": (lambda v: ising.projector_identity_check(v), "k", 1),
     "single_site_state site": (lambda v: gup.single_site_state(8, v), "site", None),
+    "random_states size": (lambda v: gup.random_states(v, 1, 0), "size", 1),
+    "random_states count": (lambda v: gup.random_states(4, v, 0), "count", 0),
+    "random_states seed": (lambda v: gup.random_states(4, 1, v), "seed", 0),
+    "LatticeOperator size": (lambda v: gup.momentum_operator(v, DiscretenessScale(1)), "size", 1),
+    "GaussianIntVector.basis dim": (lambda v: GaussianIntVector.basis(v, 0), "dim", 1),
+    "GaussianIntVector.basis index": (lambda v: GaussianIntVector.basis(3, v), "index", None),
+    "seeded_pattern_rule seed": (lambda v: ising.seeded_pattern_rule(RING3, v), "seed", None),
 }
 
 
@@ -366,6 +373,13 @@ class TestNamedIntArguments:
         with pytest.raises(ValueError) as refused:
             call(minimum - 1)
         assert str(refused.value) == f"{name} must be >= {minimum}, got {minimum - 1}"
+
+    @pytest.mark.parametrize("index", [-1, 3, 5])
+    def test_a_basis_index_outside_the_dimension_is_refused(self, index):
+        # these used to give the zero vector
+        with pytest.raises(ValueError, match=rf"^index must be in \[0, 3\), got {index}$"):
+            GaussianIntVector.basis(3, index)
+        assert GaussianIntVector.basis(3, 2).pairs == ((0, 0), (0, 0), (1, 0))
 
 
 def _ref(op, a, b):

@@ -128,6 +128,62 @@ class TestStartIndex:
         assert model_b_evolve(topo, 31, frozen_pattern_rule(topo), 0) == [(31, 0)]
 
 
+# Exponents of 40 and more only: an unchecked 2**k table of that size fails at
+# once with MemoryError, where one of 25 to 39 bits could take gigabytes.
+WIDE_VERTICES = GraphTopology(40, ((0, 1),))  # V = 40, V + E = 41
+WIDE_EDGES = GraphTopology.fully_connected(10)  # E = 45, V + E = 55
+ONE_EDGE_RULE = PhasedPermutation.identity(2)  # the 2**E patterns of WIDE_VERTICES
+OVERSIZE_TABLES = {
+    # 2**V
+    "model_a_step_operator": lambda: model_a_step_operator(WIDE_VERTICES, (0, 1)),
+    "model_a_composition_holds": lambda: model_a_composition_holds(
+        WIDE_VERTICES, Schedule.periodic([(0, 1)]), [(0, 0), (3, 3)]),
+    "generator_pair_counts": lambda: generator_pair_counts(WIDE_VERTICES, np.array([0, 1])),
+    # 2**E
+    "edge_pattern_masks": lambda: edge_pattern_masks(WIDE_EDGES),
+    "frozen_pattern_rule": lambda: frozen_pattern_rule(WIDE_EDGES),
+    "cyclic_pattern_rule": lambda: cyclic_pattern_rule(WIDE_EDGES),
+    "seeded_pattern_rule": lambda: seeded_pattern_rule(WIDE_EDGES, 7),
+    # 2**(V + E)
+    "model_b_transfer": lambda: model_b_transfer(WIDE_EDGES),
+    "model_b_factor": lambda: model_b_factor(WIDE_EDGES, 0),
+    "exponential_identity_holds": lambda: exponential_identity_holds(WIDE_EDGES),
+    "global_vertex_flip": lambda: global_vertex_flip(WIDE_VERTICES),
+    "vertex_sign_flip": lambda: vertex_sign_flip(WIDE_VERTICES, 0),
+    "lift_pattern_rule": lambda: lift_pattern_rule(WIDE_VERTICES, ONE_EDGE_RULE),
+    "verify_exponential_form": lambda: verify_exponential_form(WIDE_EDGES),
+}
+
+
+class TestTableSizeRule:
+    """Every 2**k table builder refuses k past DEFAULT_MAX_BITS up front."""
+
+    @pytest.mark.parametrize("builder", OVERSIZE_TABLES)
+    def test_oversize_table_is_refused_before_it_is_built(self, builder, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+
+        for name in ("arange", "zeros", "zeros_like", "full", "full_like", "empty"):
+            monkeypatch.setattr(np, name, no_table)
+        monkeypatch.setattr(ising, "range", no_table, raising=False)
+        with pytest.raises(DimensionOverflow, match="exceed the 24-bit limit$"):
+            OVERSIZE_TABLES[builder]()
+
+    @pytest.mark.parametrize("part, topology, message", [
+        ("vertices", WIDE_VERTICES, "40 vertices"),
+        ("edges", WIDE_EDGES, "45 edges"),
+        ("vertex + edge bits", WIDE_EDGES, "55 vertex + edge bits"),
+    ])
+    def test_the_refusal_names_the_counted_bits(self, part, topology, message):
+        with pytest.raises(DimensionOverflow) as refused:
+            ising._table_bits(topology, part)
+        assert str(refused.value) == f"{message} exceed the 24-bit limit"
+
+    def test_the_limit_itself_is_accepted(self):
+        assert ising._table_bits(GraphTopology(24, ())) == 24
+        assert ising._table_bits(GraphTopology(23, ((0, 1),)), "edges") == 1
+
+
 # =============================================================================
 # Phased permutations
 # =============================================================================

@@ -675,6 +675,63 @@ class TestSchmidtRank:
         with pytest.raises(DimensionMismatch):
             schmidt_rank([1, 0, 0], (2, 2))
 
+    def test_wide_spread_of_magnitudes_is_full_rank(self):
+        # diag(10**12, 1): a float SVD with a relative cutoff of 1e-10 read rank 1
+        assert schmidt_rank([10**12, 0, 0, 1], (2, 2)) == 2
+
+    def test_components_past_float_range(self):
+        # complex(10**400) overflows a float
+        assert schmidt_rank([10**400, 0, 0, 1], (2, 2)) == 2
+        assert schmidt_rank([10**400, 10**400, 1, 1], (2, 2)) == 1
+
+    def test_zero_state(self):
+        assert schmidt_rank([0, 0, 0, 0, 0, 0], (2, 3)) == 0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_row_reduction(self, data):
+        """Against an independent row reduction over Gaussian rationals, on
+        shapes up to 4 x 4 of ints up to 2**70 and Fractions, with rank cut down
+        by building the matrix as a sum of r outer products."""
+        d1, d2 = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        part = st.one_of(st.just(0), st.integers(-2**70, 2**70),
+                         st.fractions(-2**70, 2**70, max_denominator=2**20))
+        entry = st.builds(GaussianRational, part, part)
+        if data.draw(st.booleans()):
+            rows = data.draw(st.lists(st.lists(entry, min_size=d2, max_size=d2),
+                                      min_size=d1, max_size=d1))
+        else:
+            r = data.draw(st.integers(0, min(d1, d2)))
+            left = data.draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                                      min_size=d1, max_size=d1))
+            right = data.draw(st.lists(st.lists(entry, min_size=d2, max_size=d2),
+                                       min_size=r, max_size=r))
+            rows = [[sum((a * right[k][c] for k, a in enumerate(row)), GaussianRational(0))
+                     for c in range(d2)] for row in left]
+        state = [x for row in rows for x in row]
+        assert schmidt_rank(state, (d1, d2)) == fraction_rank(rows)
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gaussian elimination on (re, im) pairs of Fractions."""
+    m = [[(Fraction(x.re), Fraction(x.im)) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != (0, 0)), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pre, pim = m[rank][col]
+        norm = pre * pre + pim * pim
+        for r in range(rank + 1, len(m)):
+            xre, xim = m[r][col]
+            # factor = m[r][col] / pivot
+            fre, fim = (xre * pre + xim * pim) / norm, (xim * pre - xre * pim) / norm
+            m[r] = [(yre - (fre * zre - fim * zim), yim - (fre * zim + fim * zre))
+                    for (yre, yim), (zre, zim) in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
 
 class TestLeibniz:
     def test_constant_sequences(self):

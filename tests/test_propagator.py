@@ -497,6 +497,63 @@ class TestTransferParity:
                     assert t[r][c] == (sign * re, -sign * im)
 
 
+# Standard-library names added after Python 3.10, by module ("builtins" for
+# names that need no import; None for a whole module).
+POST_3_10_NAMES = {
+    "builtins": {"ExceptionGroup", "BaseExceptionGroup"},
+    "tomllib": None,
+    "asyncio": {"TaskGroup"},
+    "contextlib": {"chdir"},
+    "enum": {"StrEnum"},
+    "datetime": {"UTC"},
+    "hashlib": {"file_digest"},
+    "operator": {"call"},
+    "math": {"cbrt", "exp2", "sumprod"},
+    "itertools": {"batched"},
+    "typing": {"Self", "LiteralString", "Never", "assert_never", "reveal_type", "Required",
+               "NotRequired"},
+    # in 3.10 only from 3.10.7, so used behind hasattr(sys, ...)
+    "sys": {"set_int_max_str_digits", "get_int_max_str_digits"},
+}
+
+
+def post_3_10_uses(source: str) -> list[str]:
+    """Each use in `source` of a name of POST_3_10_NAMES, and each `to_bytes`
+    call that leaves its length to the default 3.11 gave it, as 'line: name'.
+    A module that tests for a module's names with hasattr(module, ...) may use
+    them."""
+    nodes = list(ast.walk(ast.parse(source)))
+    modules = {alias.asname or alias.name: alias.name  # local name -> imported module
+               for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    guarded = {modules.get(node.args[0].id) for node in nodes
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hasattr"
+               and isinstance(node.args[0], ast.Name)}
+
+    def added(module, name):
+        names = POST_3_10_NAMES.get(module, ())
+        return (names is None or name in names) and module not in guarded
+
+    def uses(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names if added(alias.name, None)]
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            return [f"{node.module}.{alias.name}" for alias in node.names
+                    if added(node.module, alias.name)]
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            module = modules[node.value.id]
+            return [f"{module}.{node.attr}"] if added(module, node.attr) else []
+        if isinstance(node, ast.Name):
+            return [node.id] if added("builtins", node.id) else []
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "to_bytes"):
+            unbound = getattr(node.func.value, "id", None) == "int"  # int.to_bytes(x, ...)
+            if len(node.args) <= unbound and all(kw.arg != "length" for kw in node.keywords):
+                return ["to_bytes without a length"]
+        return []
+
+    return [f"{node.lineno}: {use}" for node in nodes for use in uses(node)]
+
+
 class TestPackedRecursion:
     """The slot format of the packed recursion, and the bound its slot width
     rests on."""
@@ -538,6 +595,39 @@ class TestPackedRecursion:
                         and not any(kw.arg == "byteorder" for kw in node.keywords)):
                     unnamed.append(f"{path.name}:{node.lineno}")
         assert unnamed == []
+
+    def test_no_library_api_past_python_3_10(self):
+        """The package supports Python 3.10 even when the suite runs on a later
+        interpreter: no module uses a standard-library name added after 3.10,
+        or leaves `int.to_bytes`'s length to the default 3.11 gave it."""
+        package = pathlib.Path(gaussian.__file__).parent
+        found = [f"{path.name}:{use}" for path in sorted(package.rglob("*.py"))
+                 for use in post_3_10_uses(path.read_text())]
+        assert found == []
+
+    @pytest.mark.parametrize("source", [
+        "import tomllib", "from tomllib import loads", "raise ExceptionGroup('x', [])",
+        "import asyncio\nasyncio.TaskGroup()", "from contextlib import chdir",
+        "import enum as e\nclass C(e.StrEnum): pass", "from datetime import UTC",
+        "import hashlib\nhashlib.file_digest", "import operator\noperator.call(f)",
+        "import math\nmath.cbrt(8)", "from math import exp2", "import math\nmath.sumprod(a, b)",
+        "from itertools import batched", "from typing import Self",
+        "import typing\ntyping.LiteralString", "from typing import Never, assert_never",
+        "from typing import reveal_type", "import typing as t\nt.Required[int]",
+        "from typing import NotRequired", "(5).to_bytes()", "x.to_bytes(byteorder='big')",
+        "int.to_bytes(x)", "import sys\nsys.set_int_max_str_digits(0)",
+    ])
+    def test_the_guard_sees_each_post_3_10_name(self, source):
+        assert post_3_10_uses(source)
+
+    @pytest.mark.parametrize("source", [
+        "import sys\nif hasattr(sys, 'set_int_max_str_digits'):\n"
+        "    sys.set_int_max_str_digits(0)",
+        "x.to_bytes(4, 'big')", "x.to_bytes(length=4, byteorder='big')",
+        "int.to_bytes(x, 4, 'big')", "import math\nmath.prod(a)", "from typing import Optional",
+    ])
+    def test_the_guard_passes_3_10_code(self, source):
+        assert post_3_10_uses(source) == []
 
     def test_every_module_parses_as_python_3_10(self):
         """The package supports Python 3.10 even when the suite runs on a later
