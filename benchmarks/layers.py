@@ -3,16 +3,16 @@ transfer recursion also on a dim-64 ring and to order 200, and with the 78
 composition checks of a bigint-transfer job), of the boxing layer, of the
 ontology scan's ray division, of three trajectory checks (a dim-64 ring, and
 150 and 1000 steps of a supercritical dense dim-12 model), of a trajectory's
-CSV and JSON, of the CLI parser build, of two whole Ising CLI runs, of the
-lattice uncertainty reports (three whole gup CLI runs, at 256 sites periodic
-and open and at 4096 sites, the width family and the verify-all Robertson
-check), of five model builds (a dense dim-2048 ring, a dim-1024 H with every
-entry in [-3, 3] drawn, a dim-1024 ring read from JSON, a dim-256 coupling
-matrix of [re, im] rows and a separable coupling of two dim-48 rings), of the
-Ising exponential-form check at 10, 12 and 20 bits, of the phased-permutation
-constructor and unitarity check at 20 bits, and of two-time line and diagonal
-propagation.  Each row but build_parser_first also reports the tracemalloc
-peak of one call.
+CSV and JSON, of the CLI parser build, of Model A's composition check and two
+whole Ising CLI runs, of the lattice uncertainty reports (three whole gup CLI
+runs, at 256 sites periodic and open and at 4096 sites, the width family and
+the verify-all Robertson check), of five model builds (a dense dim-2048 ring,
+a dim-1024 H with every entry in [-3, 3] drawn, a dim-1024 ring read from
+JSON, a dim-256 coupling matrix of [re, im] rows and a separable coupling of
+two dim-48 rings), of the Ising exponential-form check at 10, 12 and 20 bits,
+of the phased-permutation constructor and unitarity check at 20 bits, and of
+two-time line and diagonal propagation.  Each row but build_parser_first also
+reports the tracemalloc peak of one call.
 
     python3 benchmarks/layers.py --out BENCH.json [--parent OTHER/src] [--samples 7]
 
@@ -67,6 +67,9 @@ ROWS = {
     "transfer_sequence_ring64": "propagator.transfer_sequence, dim-64 unit-weight ring, k=40",
     "transfer_sequence_k200": "propagator.transfer_sequence, the dense dim-12 model, k=200",
     "model_a_step_compose": "ising.model_a_step_operator on a 12-vertex ring plus one compose_after",
+    "model_a_composition": "ising.model_a_composition_holds on the ising-a shape of a perfbench "
+                           "spin-perm job: 12 vertices, 14 edges, an explicit schedule of 48 "
+                           "seeded (edge, sign) steps, and its run",
     "lattice_stencil": "gup momentum operator apply, 256 sites, periodic",
     "state_boxing": "Trajectory.states of a 3-state dim-64 ring trajectory, every component read",
     "canonical_ray": "ontology.canonical_ray of a dim-64 vector with every component nonzero "
@@ -127,9 +130,9 @@ ROWS = {
 }
 # Rows whose results are compared, by digest, across samples and trees
 DIGESTED = ("transfer_sequence", "transfer_sequence_ring64", "transfer_sequence_k200",
-            "transfer_library_bigint", "exponential_form_10bit", "exponential_form_12bit",
-            "phased_ctor_20bit", "is_unitary_20bit", "exponential_form_20bit", "multitime_line",
-            "multitime_diagonal")
+            "model_a_composition", "transfer_library_bigint", "exponential_form_10bit",
+            "exponential_form_12bit", "phased_ctor_20bit", "is_unitary_20bit",
+            "exponential_form_20bit", "multitime_line", "multitime_diagonal")
 
 ISING_A_EDGES = [[k, (k + 1) % 12] for k in range(12)] + [[0, 6], [3, 9]]
 CLI_CONFIGS = {
@@ -257,6 +260,12 @@ def _calls(workdir: Path):
 
     topology = ising.GraphTopology.ring(12)
     first = ising.model_a_step_operator(topology, (0, 1))
+    # the composition row draws from its own generator
+    driven_rng = random.Random(48)
+    driven = ising.GraphTopology(12, ISING_A_EDGES)
+    driven_schedule = ising.Schedule.explicit(
+        [(*driven_rng.choice(ISING_A_EDGES), driven_rng.choice((1, -1))) for _ in range(48)])
+    driven_run = ising.model_a_evolve(driven, driven_rng.randrange(1 << 12), driven_schedule, 48)
 
     np_rng = np.random.default_rng(12)
     # draws that no row reads, kept so that psi below stays the same input
@@ -329,6 +338,8 @@ def _calls(workdir: Path):
         "transfer_sequence_k200": lambda: propagator.transfer_sequence(dense, 200),
         "model_a_step_compose":
             lambda: ising.model_a_step_operator(topology, (3, 4), -1).compose_after(first),
+        "model_a_composition":
+            lambda: ising.model_a_composition_holds(driven, driven_schedule, driven_run),
         "lattice_stencil": lambda: momentum.apply(psi),
         "state_boxing": lambda: [c.re for state in ring_run.states for c in state],
         "canonical_ray": lambda: ontology.canonical_ray(full),

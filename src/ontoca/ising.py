@@ -102,7 +102,7 @@ class GraphTopology:
         return self.n_vertices + self.n_edges
 
     def edge_number(self, edge: Edge) -> int:
-        i, j = min(edge), max(edge)
+        i, j = _sorted_pair(*edge)
         try:
             return self.edges.index((i, j))
         except ValueError:
@@ -240,7 +240,10 @@ class PhasedPermutation:
         return self.target.size
 
     def apply(self, index: int) -> tuple[int, int]:
-        """Image and phase exponent of one basis index, as Python ints."""
+        """Image and phase exponent of one basis index, as Python ints.  The
+        index is an exact int in [0, size); anything else raises."""
+        if _exact_int(index, "index", 0) >= self.size:
+            raise ValueError(f"index must be < {self.size}, got {index}")
         return int(self.target[index]), int(self.phase_exponent[index])
 
     @classmethod
@@ -413,13 +416,23 @@ def model_a_composition_holds(
     schedule: Schedule,
     run: list[tuple[int, int]],
 ) -> bool:
-    """Whether the step operators of the schedule, composed over the run of
-    `model_a_evolve`, send its first state to its last one with the same phase."""
-    composed = PhasedPermutation.identity(1 << _table_bits(topology, "vertices"))
+    """Whether the step operators of the schedule, applied in turn over the run
+    of `model_a_evolve`, send its first state to its last one with the same phase.
+
+    The start state is followed through the 2**V table of each step, so no
+    table is composed; composition is associative, so the verdict is that of
+    the composed operator.  Each distinct (edge, sign) builds its table once.
+    """
+    bits = _table_bits(topology, "vertices")
+    index, phase = _start_index(run[0][0], bits), 0
+    operators = {}
     for n in range(len(run) - 1):
-        edge, sign = schedule.active(n)
-        composed = model_a_step_operator(topology, edge, sign).compose_after(composed)
-    return composed.apply(run[0][0]) == run[-1]
+        key = schedule.active(n)
+        if key not in operators:
+            operators[key] = model_a_step_operator(topology, *key)
+        index, step_phase = operators[key].apply(index)
+        phase = (phase + step_phase) % 4
+    return (index, phase) == run[-1]
 
 
 # =============================================================================

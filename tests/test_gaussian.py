@@ -335,12 +335,16 @@ NAMED_INT_ARGUMENTS = {
     "Schedule sign": (lambda v: Schedule.periodic([(0, 1, v)]), "sign", None),
     "model_a_step_operator sign": (lambda v: ising.model_a_step_operator(
         RING3, (0, 1), v), "sign", None),
+    "model_a_step_operator edge endpoint": (lambda v: ising.model_a_step_operator(
+        RING3, (0, v)), "edge endpoint", None),
     "model_a_evolve steps": (lambda v: ising.model_a_evolve(
         RING3, 0, Schedule.periodic([(0, 1)]), v), "steps", 0),
     "model_b_evolve steps": (lambda v: ising.model_b_evolve(
         RING3, 0, ising.frozen_pattern_rule(RING3), v), "steps", 0),
     "model_b_factor edge_number": (lambda v: ising.model_b_factor(RING3, v), "edge_number", None),
     "vertex_sign_flip vertex": (lambda v: ising.vertex_sign_flip(RING3, v), "vertex", None),
+    "PhasedPermutation.apply index":
+        (lambda v: ising.PhasedPermutation.identity(4).apply(v), "index", 0),
     "projector_identity_check k": (lambda v: ising.projector_identity_check(v), "k", 1),
     "single_site_state site": (lambda v: gup.single_site_state(8, v), "site", None),
     "random_states size": (lambda v: gup.random_states(v, 1, 0), "size", 1),

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -244,6 +245,13 @@ class TestPhasedPermutation:
         assert a.inverse().compose_after(a) == ident
         assert a.is_unitary()
 
+    def test_apply_reads_an_index_below_the_size(self):
+        # a negative index is refused by name in test_gaussian's NAMED_INT_ARGUMENTS
+        perm = PhasedPermutation([1, 2, 3, 0], [0, 1, 2, 3])
+        assert [perm.apply(x) for x in range(4)] == [(1, 0), (2, 1), (3, 2), (0, 3)]
+        with pytest.raises(ValueError, match=r"^index must be < 4, got 4$"):
+            perm.apply(4)
+
     def test_dense_matrix_has_unit_entries(self):
         perm = PhasedPermutation((1, 2, 0), (3, 0, 1))
         m = perm.to_dense()
@@ -455,6 +463,16 @@ class TestDrivenModel:
         assert not model_a_composition_holds(topo, schedule, run[:-1] + [(last, (phase + 1) % 4)])
         assert not model_a_composition_holds(topo, schedule, run[:-1] + [(last ^ 1, phase)])
 
+    def test_composition_check_refuses_a_start_outside_the_basis(self):
+        topo = GraphTopology.ring(4)
+        schedule = Schedule.periodic([(0, 1), (1, 2)])
+        for steps in (0, 5):
+            run = model_a_evolve(topo, 3, schedule, steps)
+            assert model_a_composition_holds(topo, schedule, run)
+            # -13 is 3 mod 16: a wrapped index used to pass the check
+            with pytest.raises(ValueError, match="out of range"):
+                model_a_composition_holds(topo, schedule, [(-13, 0)] + run[1:])
+
     def test_outputs_are_always_single_basis_states(self):
         topo = GraphTopology.ring(4)
         schedule = Schedule.seeded_random(3, topo.edges)
@@ -476,6 +494,73 @@ class TestDrivenModel:
     def test_bad_coefficient_rejected_at_validation(self):
         with pytest.raises(ValueError):
             Schedule.explicit([(0, 1, 2)])
+
+
+@st.composite
+def driven_runs(draw):
+    """A random topology of 3 to 8 vertices, a schedule of any kind over its
+    edges, and a run of 0 to 60 steps from a random start."""
+    n = draw(st.integers(3, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12, unique=True))
+    topo = GraphTopology(n, tuple(edges))
+    steps = draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(("periodic", "explicit", "seeded_random")))
+    if kind == "seeded_random":
+        pool = draw(st.lists(st.sampled_from(edges), min_size=1, unique=True))
+        schedule = Schedule.seeded_random(draw(st.integers(0, 2**32)), pool)
+    else:
+        signed = st.tuples(st.sampled_from(edges), st.sampled_from((1, -1)))
+        # an explicit schedule covers every step of the run
+        least = max(steps, 1) if kind == "explicit" else 1
+        entries = draw(st.lists(signed, min_size=least, max_size=least + 8))
+        schedule = Schedule(kind=kind, steps=[(*edge, sign) for edge, sign in entries])
+    start = draw(st.integers(0, (1 << n) - 1))
+    return topo, schedule, model_a_evolve(topo, start, schedule, steps)
+
+
+def composed_verdict(topo, schedule, run) -> bool:
+    """The composition check by whole tables: the step operators composed
+    into one 2**V map, then read at the start of the run."""
+    composed = PhasedPermutation.identity(1 << topo.n_vertices)
+    for n in range(len(run) - 1):
+        edge, sign = schedule.active(n)
+        composed = model_a_step_operator(topo, edge, sign).compose_after(composed)
+    return composed.apply(run[0][0]) == run[-1]
+
+
+class TestCompositionCheckFollowsTheStart:
+    """model_a_composition_holds follows the start state through each step's
+    table; its verdict is that of the composed tables, and it composes none."""
+
+    @given(driven_runs(), st.integers(1, 3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_composed_tables(self, case, shift, data):
+        topo, schedule, run = case
+        last, phase = run[-1]
+        runs = [run, run[:-1] + [(last, (phase + shift) % 4)]]
+        if len(run) > 1:  # a one-entry run's last entry is also its start
+            mask = data.draw(st.integers(1, (1 << topo.n_vertices) - 1), label="mask")
+            runs.append(run[:-1] + [(last ^ mask, phase)])
+        expected = [composed_verdict(topo, schedule, r) for r in runs]
+        assert expected == [True] + [False] * (len(runs) - 1)
+
+        built = []
+
+        def counted(topology, edge, sign):
+            built.append((edge, sign))
+            return model_a_step_operator(topology, edge, sign)
+
+        def no_compose(self, inner):
+            raise AssertionError("a table was composed")
+
+        with mock.patch.object(PhasedPermutation, "compose_after", no_compose), \
+                mock.patch.object(ising, "model_a_step_operator", counted):
+            verdicts = [model_a_composition_holds(topo, schedule, r) for r in runs]
+        assert verdicts == expected
+        # one table per distinct (edge, sign) of the run's steps, per call
+        keys = {schedule.active(n) for n in range(len(run) - 1)}
+        assert sorted(built) == sorted(list(keys) * len(runs))
 
 
 # =============================================================================
