@@ -421,16 +421,13 @@ def model_a_composition_holds(
 
     The start state is followed through the 2**V table of each step, so no
     table is composed; composition is associative, so the verdict is that of
-    the composed operator.  Each distinct (edge, sign) builds its table once.
+    the composed operator.  Each table is dropped after its step, so one is
+    held at a time.
     """
     bits = _table_bits(topology, "vertices")
     index, phase = _start_index(run[0][0], bits), 0
-    operators = {}
     for n in range(len(run) - 1):
-        key = schedule.active(n)
-        if key not in operators:
-            operators[key] = model_a_step_operator(topology, *key)
-        index, step_phase = operators[key].apply(index)
+        index, step_phase = model_a_step_operator(topology, *schedule.active(n)).apply(index)
         phase = (phase + step_phase) % 4
     return (index, phase) == run[-1]
 
